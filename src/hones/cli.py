@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .baselines import pg_residual, pg_warmstart_solve
+from .baselines import pg_warmstart_solve
 from .driver import (
     SolverConfig,
     aggregate_reports,
@@ -84,10 +84,8 @@ def build_parser():
         sp.add_argument("--tol", type=float, default=1e-8, help="optimality tolerance")
         sp.add_argument("--rebuild-every", type=int, default=1000)
         sp.add_argument("--cycle-cap", type=int, default=0, help="events per leg cap (0 = 10n)")
-        sp.add_argument("--counters", choices=["on", "off"], default="on")
         sp.add_argument("--epoch", type=int, default=250, help="steps per timing epoch")
         sp.add_argument("--eager", action="store_true", help="disable lazy column maintenance")
-        sp.add_argument("--m-layout", choices=["dense", "compressed"], default="dense")
         sp.add_argument("--pg-max-iter", type=int, default=20000, help="iteration cap for pg-warm")
         sp.add_argument("--out-dir", type=Path, default=Path("out"))
         sp.add_argument("--tag", default="", help="suffix for output file names")
@@ -120,8 +118,6 @@ def solver_config_from_args(args):
         rebuild_every=args.rebuild_every,
         cycle_cap=args.cycle_cap,
         tol=args.tol,
-        counters=args.counters == "on",
-        m_layout=args.m_layout,
         lazy_a=not args.eager,
     )
 
@@ -283,9 +279,8 @@ def run_scenario(kind, args):
         "c_factor": getattr(args, "c_factor", None),
         "tol": args.tol,
         "lazy_a": not args.eager,
-        "m_layout": args.m_layout,
     }
-    if args.counters == "on" and args.solver == "hones":
+    if args.solver == "hones":
         checks = count_ops(session.reports, args.n)
         summary["mult_bound_violations"] = int(sum(not c.ok for c in checks))
 
@@ -377,7 +372,7 @@ def cmd_verify(args):
     session = init_session(flow.a0, flow.c0, SolverConfig())
     out = run_sequence(session, flow, args.steps)
     if args.inject_fault == "m-corruption":
-        session.par1.M[0, session.support.idx[0]] += 1.0
+        session.par1.M[0, 0] += 1.0
 
     kappa = condition_proxy(session.A, session.support, session.par1)
     dev = session.validate()

@@ -13,12 +13,6 @@ class MultCounter:
     def __init__(self):
         self.total = 0
 
-    def add(self, k):
-        self.total += int(k)
-
-    def snapshot(self):
-        return self.total
-
 
 def add(counter, k):
     """Tally k multiplications if a counter is attached."""

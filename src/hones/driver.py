@@ -20,11 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .counters import MultCounter
-from .kkt import DEFAULT_COND_CAP, Problem, oracle_solve
+from .kkt import DEFAULT_COND_CAP, Problem, kkt_residual, oracle_solve
 from .path_matrix import run_lambda_leg
 from .path_vector import run_utilde_leg
 from .state import (
-    DENSE,
     direct_update_par2,
     direct_update_par3,
     init_par1,
@@ -48,15 +47,11 @@ class SolverConfig:
     rebuild_every: int = 1000
     validate_every: int = 0
     validate_threshold: float = 1e-6
-    cycle_cap_factor: int = 10
-    cycle_cap: int = 0  # absolute events-per-leg cap; 0 means cycle_cap_factor * n
+    cycle_cap: int = 0  # events-per-leg cap; 0 means 10 n
     tol: float = 1e-8
     refresh_factor: float = 0.25  # re-derive (v, mu0) from M when residual > factor * tol
-    counters: bool = True
-    m_layout: str = DENSE
     lazy_a: bool = True
     cond_cap: float = DEFAULT_COND_CAP
-    keep_events: bool = True
 
     def with_overrides(self, **kw):
         return replace(self, **kw)
@@ -120,22 +115,10 @@ class SolverSession:
     def residual(self):
         """Optimality residual of the current quadruple against (A_t, c_t).
 
-        Uses only the live support columns of A, which are current by the
-        session invariant.
+        kkt_residual reads only the support columns of A, which are current
+        by the session invariant.
         """
-        q = self.quadruple
-        idx = q.support.idx
-        x_s = q.v[idx]
-        mu = q.mu
-        stat = self.A[:, idx] @ x_s - q.mu0 - mu - self.c
-        x = q.x
-        return max(
-            float(np.max(np.abs(stat))),
-            abs(float(np.sum(x_s)) - 1.0),
-            float(np.max(np.abs(mu * x))),
-            max(0.0, -float(np.min(x))),
-            max(0.0, -float(np.min(mu))),
-        )
+        return kkt_residual(self, self.quadruple)
 
     def validate(self):
         """State drift against a fresh factorization of the live columns.
@@ -143,8 +126,7 @@ class SolverSession:
         Par2 is skipped: at a step boundary it still refers to the previous
         linear term by design and is recomputed at the next step start.
         """
-        problem = _SupportView(self.A, self.c)
-        return validate_state(problem, self.support, self.par1, par3=self.par3)
+        return validate_state(self, self.support, self.par1, par3=self.par3)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -187,7 +169,7 @@ class SolverSession:
         mask = take(n, "<u1").astype(bool)
         g_log = [take(n).astype(np.float64) for _ in range(k)]
         support, quadruple, par1, par2, par3, _ = state_from_bytes(buf, off)
-        config = config or SolverConfig(lazy_a=bool(lazy), m_layout=par1.layout)
+        config = config or SolverConfig(lazy_a=bool(lazy))
         ses = cls(A, c, quadruple, par1, config)
         ses.A = A
         ses.t = t
@@ -198,25 +180,12 @@ class SolverSession:
         return ses
 
 
-class _SupportView:
-    """Duck-typed problem carrying a possibly lazily-maintained matrix.
-
-    validate_state and the par rebuilds only read support columns, which are
-    current; this avoids re-checking definiteness of the full stale matrix.
-    """
-
-    def __init__(self, A, c):
-        self.A = A
-        self.c = c
-        self.n = A.shape[0]
-
-
 def init_session(A0, c0, config=None):
     """Start a session at the global optimum of the initial problem."""
     config = config or SolverConfig()
     problem = Problem(A0, c0)
     quadruple = oracle_solve(problem, cond_cap=config.cond_cap)
-    par1 = init_par1(problem, quadruple.support, layout=config.m_layout, cond_cap=config.cond_cap)
+    par1 = init_par1(problem, quadruple.support, cond_cap=config.cond_cap)
     return SolverSession(A0, c0, quadruple, par1, config)
 
 
@@ -273,7 +242,7 @@ def step(session, g_t, c_t):
     def rebuild_matrix_leg(lam):
         session.rebuild_count += 1
         A_lam = session.A + lam * np.outer(g, g)
-        fresh1 = par1_from_matrix(A_lam, q.support, layout=cfg.m_layout, cond_cap=cfg.cond_cap)
+        fresh1 = par1_from_matrix(A_lam, q.support, cond_cap=cfg.cond_cap)
         session.par1.refresh_from(fresh1)
         session.par2.refresh_from(direct_update_par2(q.support, session.par1, session.c, g))
 
@@ -285,7 +254,7 @@ def step(session, g_t, c_t):
         session.par1,
         session.par2,
         counter=counter,
-        cycle_cap=cfg.cycle_cap or cfg.cycle_cap_factor * n,
+        cycle_cap=cfg.cycle_cap or None,
         ensure_column=ensure_column,
         rebuild=rebuild_matrix_leg,
     )
@@ -305,7 +274,7 @@ def step(session, g_t, c_t):
 
     def rebuild_vector_leg(_t):
         session.rebuild_count += 1
-        fresh1 = par1_from_matrix(session.A, q.support, layout=cfg.m_layout, cond_cap=cfg.cond_cap)
+        fresh1 = par1_from_matrix(session.A, q.support, cond_cap=cfg.cond_cap)
         session.par1.refresh_from(fresh1)
         session.par3.refresh_from(direct_update_par3(q.support, session.par1, l))
 
@@ -317,7 +286,7 @@ def step(session, g_t, c_t):
         session.par1,
         session.par3,
         counter=counter,
-        cycle_cap=cfg.cycle_cap or cfg.cycle_cap_factor * n,
+        cycle_cap=cfg.cycle_cap or None,
         ensure_column=ensure_column,
         rebuild=rebuild_vector_leg,
     )
@@ -342,9 +311,8 @@ def step(session, g_t, c_t):
             refresh_quadruple(q, session.par1, session.c, counter)
             residual = session.residual()
 
-    if cfg.keep_events:
-        session.events.extend(events_a)
-        session.events.extend(events_c)
+    session.events.extend(events_a)
+    session.events.extend(events_c)
 
     cur_support = set(q.support.as_tuple())
     k_a, k_c = len(events_a), len(events_c)
@@ -380,7 +348,7 @@ def rebuild(session):
     """
     cfg = session.config
     support = session.support
-    fresh1 = par1_from_matrix(session.A, support, layout=cfg.m_layout, cond_cap=cfg.cond_cap)
+    fresh1 = par1_from_matrix(session.A, support, cond_cap=cfg.cond_cap)
     session.rebuild_count += 1
     session.par1.refresh_from(fresh1)
     if session.par2 is not None:

@@ -226,38 +226,22 @@ def kkt_residual(problem, quadruple):
 
     Covers stationarity, the sum-to-one constraint, complementary slackness
     and both sign constraints.  Zero (to roundoff) exactly at the optimum.
+    Only the support columns of A are read, so `problem` may carry a matrix
+    whose other columns are stale (the driver's lazily maintained copy).
     """
     A, c = problem.A, problem.c
-    x = quadruple.x
+    idx = quadruple.support.idx
+    x_s = quadruple.v[idx]
     mu = quadruple.mu
-    stat = A @ x - quadruple.mu0 - mu - c
+    stat = A[:, idx] @ x_s - quadruple.mu0 - mu - c
+    x = quadruple.x
     return max(
         float(np.max(np.abs(stat))),
-        abs(float(np.sum(x)) - 1.0),
+        abs(float(np.sum(x_s)) - 1.0),
         float(np.max(np.abs(mu * x))),
         max(0.0, -float(np.min(x))),
         max(0.0, -float(np.min(mu))),
     )
-
-
-def candidate_from_x(problem, x, tol=None):
-    """Build a candidate quadruple from a bare feasible iterate.
-
-    Used to give iterative solvers the same stopping rule as the path solver:
-    the support is read off the strictly positive entries, mu0 is fit to the
-    support gradient and the off-support multipliers follow from stationarity.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    tol = zero_tol(x) if tol is None else tol
-    mask = x > tol
-    if not mask.any():
-        mask[int(np.argmax(x))] = True
-    support = Support.from_mask(mask)
-    grad = problem.A @ x - problem.c
-    gs = grad[support.idx]
-    mu0 = 0.5 * (float(np.max(gs)) + float(np.min(gs)))
-    v = np.where(mask, x, -(grad - mu0))
-    return Quadruple(support, v, mu0)
 
 
 def enumerate_solve(problem, limit=20):

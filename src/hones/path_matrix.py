@@ -163,7 +163,7 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, scratch=None, counter=None)
     quadruple.mu0 += atil * d_g * w1
 
     eta = par2.eta
-    par1.rank1(support, eta, (-alpha) * eta[support.idx])
+    par1.rank1(eta, (-alpha) * eta[support.idx])
     par1.eta_tilde -= (alpha * d_g) * eta
     par1.D = denom
     par2.eta = alpha0 * eta
@@ -183,8 +183,7 @@ def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None
     matrix is still parametrized by lam.
     """
     idx = support.idx
-    mj = par1.row(j, support)
-    mj_s = mj[idx]
+    mj_s = par1.M[j, :]
     ajj = float(A[j, j]) + float(mj_s @ A[idx, j]) + lam_eta_g * (float(gvec[j]) if gvec is not None else 0.0)
     cnt.add(counter, idx.size + 2)
     if ajj <= _tiny(float(A[j, j])):
@@ -205,7 +204,7 @@ def _apply_expand_m(par1, support_new, j, gamma, inv, counter=None):
     par1.zero_row(j)
     par1.insert_col(j, support_new)
     coef = gamma[support_new.idx] * inv
-    par1.rank1(support_new, gamma, coef)
+    par1.rank1(gamma, coef)
     n, s1 = support_new.n, support_new.size
     cnt.add(counter, s1 + n * s1)
 
@@ -243,7 +242,7 @@ def _apply_shrink_m(par1, support, support_new, j, beta, btil_s, inv, counter=No
     par1.zero_row(j)
     par1.remove_col(j, support)
     coef = btil_s * (-inv)
-    par1.rank1(support_new, beta, coef)
+    par1.rank1(beta, coef)
     n, s1 = support_new.n, support_new.size
     cnt.add(counter, s1 + n * s1)
 
@@ -303,6 +302,29 @@ def run_lambda_leg(
 
     Raises CycleLimit when the number of events exceeds the cap (default 10n).
     """
+    return _run_leg(
+        "matrix",
+        quadruple,
+        find=lambda exclude: find_lambda(quadruple.support, quadruple, par1, par2, exclude=exclude, counter=counter),
+        advance=lambda inc, scratch: update_by_lambda(inc, quadruple, par1, par2, scratch=scratch, counter=counter),
+        shrink=lambda j: shrink_support_lambda(quadruple.support, j, c, par1, par2, counter=counter),
+        expand=lambda lam, j: expand_support_lambda(lam, quadruple.support, j, A, c, g, par1, par2, counter=counter),
+        cycle_cap=cycle_cap,
+        ensure_column=ensure_column,
+        rebuild=rebuild,
+    )
+
+
+def _run_leg(leg, quadruple, find, advance, shrink, expand, cycle_cap, ensure_column, rebuild):
+    """Event loop shared by both legs: advance to each turning point, toggle, repeat.
+
+    The leg parameter runs from 0 to 1.  `find(exclude)` returns the next
+    turning point, `advance(inc, scratch)` moves the state by a parameter
+    increment, `shrink(j)` / `expand(lam, j)` toggle index j and return the
+    new support.  The leg wrappers pass closures that look their step
+    functions up by module global at call time, so a rebinding of those names
+    (for instance by a tracer) takes effect here.
+    """
     n = quadruple.support.n
     cap = 10 * n if cycle_cap is None else cycle_cap
     events = []
@@ -312,31 +334,29 @@ def run_lambda_leg(
     last = None
     while True:
         try:
-            step = find_lambda(quadruple.support, quadruple, par1, par2, exclude=exclude, counter=counter)
+            step = find(exclude)
             inc = step.lam_inc
             if not np.isfinite(inc) or inc >= 1.0 - lam:
-                update_by_lambda(1.0 - lam, quadruple, par1, par2, scratch=step.scratch, counter=counter)
+                advance(1.0 - lam, step.scratch)
                 return events
-            update_by_lambda(inc, quadruple, par1, par2, scratch=step.scratch, counter=counter)
+            advance(inc, step.scratch)
             lam += inc
             j = step.j
             if last is not None and last[0] == j and abs(lam - last[1]) <= _tiny(lam):
-                raise DegeneratePivot(f"index {j} re-triggered at lambda {lam}")
+                raise DegeneratePivot(f"index {j} re-triggered at {leg} leg parameter {lam}")
             if quadruple.support.contains(j):
-                support_new = shrink_support_lambda(quadruple.support, j, c, par1, par2, counter=counter)
+                support_new = shrink(j)
                 kind = "leave"
             else:
                 if ensure_column is not None:
                     ensure_column(j)
-                support_new = expand_support_lambda(
-                    lam, quadruple.support, j, A, c, g, par1, par2, counter=counter
-                )
+                support_new = expand(lam, j)
                 kind = "enter"
             quadruple.support = support_new
             quadruple.v[j] = 0.0
-            events.append(PathEvent("matrix", lam, j, kind, support_new.as_tuple()))
+            events.append(PathEvent(leg, lam, j, kind, support_new.as_tuple()))
             if len(events) > cap:
-                raise CycleLimit(f"matrix leg exceeded {cap} turning points")
+                raise CycleLimit(f"{leg} leg exceeded {cap} turning points")
             exclude = j
             last = (j, lam)
         except DegenerateError:

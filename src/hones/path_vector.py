@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters as cnt
-from .errors import CycleLimit, DegenerateError, DegeneratePivot, EmptySupport
+from .errors import DegeneratePivot, EmptySupport
 from .kkt import ZETA_SCALE, zero_tol
-from .path_matrix import PathEvent, _apply_expand_m, _apply_shrink_m, _expand_geometry, _tiny
+from .path_matrix import _apply_expand_m, _apply_shrink_m, _expand_geometry, _run_leg, _tiny, _toggled
 
 
 @dataclass
@@ -80,10 +80,6 @@ def find_utilde_lambda(support, quadruple, par1, par3, exclude=None, counter=Non
     masked = np.where(cand, ratios, np.inf)
     j = int(np.argmin(masked))
     return UtildeStep(float(masked[j]), j, _toggled(support, j), scratch)
-
-
-def _toggled(support, j):
-    return support.with_removed(j) if support.contains(j) else support.with_added(j)
 
 
 def update_by_utilde_lambda(lam_inc, quadruple, par1, par3, scratch=None, counter=None):
@@ -169,46 +165,18 @@ def run_utilde_leg(
     quadruple and caches in place, returns the turning points, retries once
     through `rebuild(t)` on a degeneracy, and enforces the event cap.
     """
-    n = quadruple.support.n
-    cap = 10 * n if cycle_cap is None else cycle_cap
-    events = []
-    t = 0.0
-    exclude = None
-    rebuilt = False
-    last = None
-    while True:
-        try:
-            step = find_utilde_lambda(
-                quadruple.support, quadruple, par1, par3, exclude=exclude, counter=counter
-            )
-            inc = step.lam_inc
-            if not np.isfinite(inc) or inc >= 1.0 - t:
-                update_by_utilde_lambda(1.0 - t, quadruple, par1, par3, scratch=step.scratch, counter=counter)
-                return events
-            update_by_utilde_lambda(inc, quadruple, par1, par3, scratch=step.scratch, counter=counter)
-            t += inc
-            j = step.j
-            if last is not None and last[0] == j and abs(t - last[1]) <= _tiny(t):
-                raise DegeneratePivot(f"index {j} re-triggered at parameter {t}")
-            if quadruple.support.contains(j):
-                support_new = shrink_support_utilde(quadruple.support, j, l, par1, par3, counter=counter)
-                kind = "leave"
-            else:
-                if ensure_column is not None:
-                    ensure_column(j)
-                support_new = expand_support_utilde(quadruple.support, j, A, l, par1, par3, counter=counter)
-                kind = "enter"
-            quadruple.support = support_new
-            quadruple.v[j] = 0.0
-            events.append(PathEvent("vector", t, j, kind, support_new.as_tuple()))
-            if len(events) > cap:
-                raise CycleLimit(f"vector leg exceeded {cap} turning points")
-            exclude = j
-            last = (j, t)
-        except DegenerateError:
-            if rebuilt or rebuild is None:
-                raise
-            rebuilt = True
-            rebuild(t)
-            exclude = None
-            last = None
+    return _run_leg(
+        "vector",
+        quadruple,
+        find=lambda exclude: find_utilde_lambda(
+            quadruple.support, quadruple, par1, par3, exclude=exclude, counter=counter
+        ),
+        advance=lambda inc, scratch: update_by_utilde_lambda(
+            inc, quadruple, par1, par3, scratch=scratch, counter=counter
+        ),
+        shrink=lambda j: shrink_support_utilde(quadruple.support, j, l, par1, par3, counter=counter),
+        expand=lambda _t, j: expand_support_utilde(quadruple.support, j, A, l, par1, par3, counter=counter),
+        cycle_cap=cycle_cap,
+        ensure_column=ensure_column,
+        rebuild=rebuild,
+    )

@@ -2,9 +2,10 @@
 
 Three bundles are maintained alongside the KKT quadruple:
 
-  Par1 = {M, eta_tilde, D}      shared across steps; M holds A_SS^{-1} on the
-                                support rows/columns and -A_{S^c S} A_SS^{-1}
-                                below, with structurally zero columns off S.
+  Par1 = {M, eta_tilde, D}      shared across steps; M is the n x |S| block of
+                                live columns: A_SS^{-1} on the support rows and
+                                -A_{S^c S} A_SS^{-1} below.  Column k belongs
+                                to the k-th support index in increasing order.
   Par2 = {eta, D_g, D_gg, D_gc} specific to one rank-one direction g.
   Par3 = {xi, D_l}              specific to one linear-term drift l.
 
@@ -22,104 +23,57 @@ from . import counters as cnt
 from .errors import SingularSubmatrix
 from .kkt import DEFAULT_COND_CAP, Quadruple, Support
 
-DENSE = "dense"
-COMPRESSED = "compressed"
-
-
 class Par1:
     """Inverse-block cache M plus eta_tilde = (M + I_{S^c}) 1 and D = 1' A_SS^{-1} 1.
 
-    Two storage layouts: a dense n x n matrix whose columns off the support are
-    kept exactly zero, or just the n x |S| block of live columns.  All update
-    routines go through the accessors below so both layouts see bit-identical
-    arithmetic.
+    M is stored as the n x |S| block of live columns; the columns of the full
+    inverse-block matrix off the support are structurally zero and not kept.
     """
 
-    __slots__ = ("layout", "M", "eta_tilde", "D")
+    __slots__ = ("M", "eta_tilde", "D")
 
-    def __init__(self, layout, M, eta_tilde, D):
-        self.layout = layout
+    def __init__(self, M, eta_tilde, D):
         self.M = M
         self.eta_tilde = eta_tilde
         self.D = float(D)
 
     def copy(self):
-        return Par1(self.layout, self.M.copy(), self.eta_tilde.copy(), self.D)
+        return Par1(self.M.copy(), self.eta_tilde.copy(), self.D)
 
-    # -- accessors used by the path updates ---------------------------------
-
-    def cols(self, support):
-        """The n x |S| block of live columns (a C-ordered copy in the dense layout).
-
-        C order matters: it keeps the BLAS summation order identical across
-        layouts, so the direct updates are bit-for-bit layout-independent.
-        """
-        if self.layout == DENSE:
-            return np.ascontiguousarray(self.M[:, support.idx])
-        return self.M
-
-    def row(self, j, support):
-        """Row j of M as a full-length vector (zero off the support)."""
-        n = support.n
-        if self.layout == DENSE:
-            return self.M[j, :].copy()
-        out = np.zeros(n)
-        out[support.idx] = self.M[j, :]
-        return out
+    # -- reads and updates used by the path legs ----------------------------
 
     def col(self, j, support):
         """Column j of M (j must be in the support) as a full-length vector."""
-        if self.layout == DENSE:
-            return self.M[:, j].copy()
         pos = int(np.searchsorted(support.idx, j))
         return self.M[:, pos].copy()
 
     def mjj(self, j, support):
-        if self.layout == DENSE:
-            return float(self.M[j, j])
         pos = int(np.searchsorted(support.idx, j))
         return float(self.M[j, pos])
 
-    def matvec(self, support, w_s):
-        """M restricted to live columns times w_s; length-n result."""
-        return self.cols(support) @ w_s
-
-    def rank1(self, support, u, coef_s):
-        """M[:, S] += outer(u, coef_s) in place."""
-        if self.layout == DENSE:
-            self.M[:, support.idx] += np.outer(u, coef_s)
-        else:
-            self.M += np.outer(u, coef_s)
+    def rank1(self, u, coef_s):
+        """M += outer(u, coef_s) in place."""
+        self.M += np.outer(u, coef_s)
 
     def zero_row(self, j):
         self.M[j, :] = 0.0
 
     def insert_col(self, j, support_after):
-        """Make room for a new zero column j (no-op in the dense layout)."""
-        if self.layout == COMPRESSED:
-            pos = int(np.searchsorted(support_after.idx, j))
-            self.M = np.insert(self.M, pos, 0.0, axis=1)
+        """Make room for a new zero column j."""
+        pos = int(np.searchsorted(support_after.idx, j))
+        self.M = np.insert(self.M, pos, 0.0, axis=1)
 
     def remove_col(self, j, support_before):
-        if self.layout == DENSE:
-            self.M[:, j] = 0.0
-        else:
-            pos = int(np.searchsorted(support_before.idx, j))
-            self.M = np.delete(self.M, pos, axis=1)
+        pos = int(np.searchsorted(support_before.idx, j))
+        self.M = np.delete(self.M, pos, axis=1)
 
     def check_structure(self, support):
-        """Dense layout must keep columns off the support exactly zero."""
-        if self.layout == DENSE:
-            comp = support.complement()
-            if comp.size and np.any(self.M[:, comp] != 0.0):
-                raise AssertionError("M has nonzero entries in off-support columns")
-        else:
-            if self.M.shape != (support.n, support.size):
-                raise AssertionError("compressed M shape out of sync with support")
+        """M must have one column per support index."""
+        if self.M.shape != (support.n, support.size):
+            raise AssertionError("M shape out of sync with support")
 
     def refresh_from(self, other):
         """Adopt another Par1's fields in place, preserving object identity."""
-        self.layout = other.layout
         self.M = other.M
         self.eta_tilde = other.eta_tilde
         self.D = other.D
@@ -161,7 +115,7 @@ class Par3:
         self.l = other.l
 
 
-def par1_from_matrix(A, support, layout=DENSE, cond_cap=DEFAULT_COND_CAP):
+def par1_from_matrix(A, support, cond_cap=DEFAULT_COND_CAP):
     """Build Par1 by direct factorization of A_SS.
 
     Accepts the raw matrix so the driver can rebuild from its lazily updated
@@ -188,22 +142,18 @@ def par1_from_matrix(A, support, layout=DENSE, cond_cap=DEFAULT_COND_CAP):
     if comp.size:
         eta_tilde[comp] += 1.0
     D = float(np.sum(eta_tilde[idx]))
-    if layout == DENSE:
-        M = np.zeros((n, n))
-        M[:, idx] = cols
-        return Par1(DENSE, M, eta_tilde, D)
-    return Par1(COMPRESSED, cols, eta_tilde, D)
+    return Par1(cols, eta_tilde, D)
 
 
-def init_par1(problem, support, layout=DENSE, cond_cap=DEFAULT_COND_CAP):
-    return par1_from_matrix(problem.A, support, layout=layout, cond_cap=cond_cap)
+def init_par1(problem, support, cond_cap=DEFAULT_COND_CAP):
+    return par1_from_matrix(problem.A, support, cond_cap=cond_cap)
 
 
 def direct_update_par2(support, par1, c, g, counter=None):
     """Recompute the direction cache for a new g by four direct products."""
     idx = support.idx
     gs = g[idx]
-    eta = par1.matvec(support, gs)
+    eta = par1.M @ gs
     off = ~support.mask
     eta[off] += g[off]
     d_g = float(np.sum(eta[idx]))
@@ -216,7 +166,7 @@ def direct_update_par2(support, par1, c, g, counter=None):
 def direct_update_par3(support, par1, l, counter=None):
     """Recompute the drift cache for a new l."""
     idx = support.idx
-    xi = -par1.matvec(support, l[idx])
+    xi = -(par1.M @ l[idx])
     off = ~support.mask
     xi[off] -= l[off]
     d_l = float(np.sum(xi[idx]))
@@ -234,7 +184,7 @@ def refresh_quadruple(quadruple, par1, c, counter=None):
     """
     support = quadruple.support
     idx = support.idx
-    mc = par1.matvec(support, c[idx])
+    mc = par1.M @ c[idx]
     mu0 = (1.0 - float(np.sum(mc[idx]))) / par1.D
     v = mu0 * par1.eta_tilde + mc
     off = ~support.mask
@@ -249,7 +199,7 @@ def condition_proxy(A, support, par1):
     """kappa(A_SS) estimate ||M_SS||_inf * ||A_SS||_inf from the stored state."""
     idx = support.idx
     ass = A[np.ix_(idx, idx)]
-    mss = par1.cols(support)[idx, :]
+    mss = par1.M[idx, :]
     return float(np.abs(mss).sum(axis=1).max() * np.abs(ass).sum(axis=1).max())
 
 
@@ -270,7 +220,7 @@ def validate_state(problem, support, par1, par2=None, par3=None):
     """
     fresh1 = par1_from_matrix(problem.A, support)
     dev = max(
-        _rel(par1.cols(support), fresh1.cols(support)),
+        _rel(par1.M, fresh1.M),
         _rel(par1.eta_tilde, fresh1.eta_tilde),
         _rel(par1.D, fresh1.D),
     )
@@ -291,12 +241,13 @@ def validate_state(problem, support, par1, par2=None, par3=None):
 
 # -- binary snapshot ---------------------------------------------------------
 #
-# Layout (all scalars little-endian, all floats IEEE-754 binary64):
+# Byte format (all scalars little-endian, all floats IEEE-754 binary64):
 #   magic   4 bytes  b"HQS1"
 #   version u32      currently 1
 #   n       u32
 #   s       u32      support size
-#   layout  u8       0 dense, 1 compressed
+#   mform   u8       written as 1; 0 is read the same way (blobs of the
+#                    retired full n x n M also stored only the live columns)
 #   flags   u8       bit 0: Par2 present, bit 1: Par3 present
 #   pad     2 bytes
 #   support s  * i64
@@ -312,14 +263,13 @@ SNAPSHOT_VERSION = 1
 def state_to_bytes(support, quadruple, par1, par2=None, par3=None):
     n, s = support.n, support.size
     flags = (1 if par2 is not None else 0) | (2 if par3 is not None else 0)
-    layout_code = 0 if par1.layout == DENSE else 1
     parts = [
         SNAPSHOT_MAGIC,
-        struct.pack("<IIIBBxx", SNAPSHOT_VERSION, n, s, layout_code, flags),
+        struct.pack("<IIIBBxx", SNAPSHOT_VERSION, n, s, 1, flags),
         support.idx.astype("<i8").tobytes(),
         quadruple.v.astype("<f8").tobytes(),
         struct.pack("<d", quadruple.mu0),
-        par1.cols(support).astype("<f8").tobytes(),
+        par1.M.astype("<f8").tobytes(),
         par1.eta_tilde.astype("<f8").tobytes(),
         struct.pack("<d", par1.D),
     ]
@@ -342,9 +292,11 @@ def state_from_bytes(buf, offset=0):
     """Parse one state blob; returns the fields and the offset past the blob."""
     if buf[offset : offset + 4] != SNAPSHOT_MAGIC:
         raise ValueError("not a state snapshot")
-    version, n, s, layout_code, flags = struct.unpack_from("<IIIBBxx", buf, offset + 4)
+    version, n, s, mform, flags = struct.unpack_from("<IIIBBxx", buf, offset + 4)
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
+    if mform not in (0, 1):
+        raise ValueError(f"unsupported snapshot M form byte {mform}")
     off = offset + 4 + struct.calcsize("<IIIBBxx")
 
     def take(count, dtype="<f8"):
@@ -358,16 +310,11 @@ def state_from_bytes(buf, offset=0):
     v = take(n)
     (mu0,) = struct.unpack_from("<d", buf, off)
     off += 8
-    cols = take(n * s).reshape(n, s)
+    M = take(n * s).reshape(n, s)
     eta_tilde = take(n)
     (D,) = struct.unpack_from("<d", buf, off)
     off += 8
-    if layout_code == 0:
-        M = np.zeros((n, n))
-        M[:, support.idx] = cols
-        par1 = Par1(DENSE, M, eta_tilde, D)
-    else:
-        par1 = Par1(COMPRESSED, cols, eta_tilde, D)
+    par1 = Par1(M, eta_tilde, D)
     par2 = par3 = None
     if flags & 1:
         eta = take(n)

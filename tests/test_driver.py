@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from hones.driver import (
 )
 from hones.flows import FlowConfig, PriceSeries, ons_flow, synthetic_flow
 from hones.kkt import Problem, oracle_solve
-from hones.state import COMPRESSED
 
 
 def synthetic_session(n, seed, c_factor=0.1, config=None, steps=1000):
@@ -130,7 +131,7 @@ class TestRebuild:
     def test_restores_after_corruption(self):
         ses, flow = synthetic_session(6, seed=4)
         run_sequence(ses, flow, 10)
-        ses.par1.M[0, ses.support.idx[0]] += 1e-7
+        ses.par1.M[0, 0] += 1e-7
         assert ses.validate() > 1e-9
         rebuild(ses)
         assert ses.validate() <= 1e-12
@@ -199,17 +200,6 @@ class TestLazyA:
             assert np.array_equal(xa, xb)
 
 
-class TestCompressedLayout:
-    def test_compressed_matches_dense(self):
-        n, steps = 12, 60
-        dense, flow_a = synthetic_session(n, seed=19)
-        comp, flow_b = synthetic_session(n, seed=19, config=SolverConfig(m_layout=COMPRESSED))
-        out_a = run_sequence(dense, flow_a, steps)
-        out_b = run_sequence(comp, flow_b, steps)
-        for (xa, _), (xb, _) in zip(out_a, out_b):
-            assert np.max(np.abs(xa - xb)) <= 1e-9
-
-
 class TestCountOps:
     def test_bound_holds_on_seeded_run(self):
         n = 30
@@ -246,3 +236,51 @@ class TestCheckpoint:
             rb = step(twin, g, c)
             assert np.max(np.abs(ses.x - twin.x)) <= 1e-12
             assert (ra.k_a, ra.k_c) == (rb.k_a, rb.k_c)
+
+    @staticmethod
+    def mform_offset(ses):
+        """Offset of the state blob's M form byte inside a session checkpoint."""
+        n, k = ses.n, len(ses.g_log)
+        blob = 4 + struct.calcsize("<IIIB3x") + 8 * n * n + 8 * n + n + 8 * n * k
+        return blob + 4 + struct.calcsize("<III")
+
+    def checkpoint_with_mform(self, ses, tmp_path, value):
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        buf = bytearray(path.read_bytes())
+        pos = self.mform_offset(ses)
+        assert buf[pos - 16 : pos - 12] == b"HQS1" and buf[pos] == 1
+        buf[pos] = value
+        out = tmp_path / f"session-mform{value}.bin"
+        out.write_bytes(bytes(buf))
+        return out
+
+    def test_mform_zero_blob_continues_bit_identically(self, tmp_path):
+        # Checkpoints written while M was kept as a full n x n matrix carry
+        # byte 0 but store the same live columns.
+        n, steps = 9, 20
+        ses, flow = synthetic_session(n, seed=31)
+        stream = list(flow)[: steps + 10]
+        for g, c in stream[:steps]:
+            step(ses, g, c)
+        twin = SolverSession.load(self.checkpoint_with_mform(ses, tmp_path, 0))
+        assert twin.t == ses.t
+        for g, c in stream[steps:]:
+            ra = step(ses, g, c)
+            rb = step(twin, g, c)
+            assert np.array_equal(ses.x, twin.x)
+            assert (ra.k_a, ra.k_c, ra.e_t, ra.mult_count, ra.rebuilds, ra.kkt_residual) == (
+                rb.k_a,
+                rb.k_c,
+                rb.e_t,
+                rb.mult_count,
+                rb.rebuilds,
+                rb.kkt_residual,
+            )
+        assert np.array_equal(ses.par1.M, twin.par1.M)
+
+    def test_unknown_mform_byte_rejected(self, tmp_path):
+        ses, flow = synthetic_session(6, seed=37)
+        run_sequence(ses, flow, 5)
+        with pytest.raises(ValueError):
+            SolverSession.load(self.checkpoint_with_mform(ses, tmp_path, 2))

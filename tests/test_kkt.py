@@ -6,7 +6,6 @@ from hones.kkt import (
     Problem,
     Quadruple,
     Support,
-    candidate_from_x,
     enumerate_solve,
     kkt_residual,
     oracle_solve,
@@ -238,12 +237,3 @@ class TestProjectSimplex:
         with pytest.raises(ValueError):
             project_simplex(np.array([1.0, np.nan]))
 
-
-class TestCandidateFromX:
-    def test_residual_zero_at_optimum(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            p = random_spd_problem(rng, int(rng.integers(2, 8)), c_scale=2.0)
-            q = oracle_solve(p)
-            cand = candidate_from_x(p, q.x)
-            assert kkt_residual(p, cand) <= 1e-9

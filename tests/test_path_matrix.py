@@ -146,7 +146,7 @@ class TestExpandShrink:
         par2 = direct_update_par2(support, par1, p.c, np.zeros(3))
         new = expand_support_lambda(0.0, support, 1, p.A, p.c, np.zeros(3), par1, par2)
         assert new.as_tuple() == (0, 1)
-        expected = np.zeros((3, 3))
+        expected = np.zeros((3, 2))
         expected[0, 0] = expected[1, 1] = 1.0
         np.testing.assert_allclose(par1.M, expected, atol=1e-14)
         assert par1.D == pytest.approx(2.0, abs=1e-14)
@@ -171,7 +171,7 @@ class TestExpandShrink:
         par2 = direct_update_par2(support, par1, p.c, np.zeros(2))
         new = shrink_support_lambda(support, 1, p.c, par1, par2)
         assert new.as_tuple() == (0,)
-        expected = np.zeros((2, 2))
+        expected = np.zeros((2, 1))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(par1.M, expected, atol=1e-14)
         assert par1.D == pytest.approx(1.0, abs=1e-14)
@@ -386,7 +386,7 @@ class TestRunLambdaLeg:
             calls.append(lam)
             A_lam = p.A + lam * np.outer(g, g)
             fresh1 = par1_from_matrix(A_lam, q.support)
-            par1.layout, par1.M, par1.eta_tilde, par1.D = fresh1.layout, fresh1.M, fresh1.eta_tilde, fresh1.D
+            par1.refresh_from(fresh1)
             fresh2 = direct_update_par2(q.support, par1, p.c, g)
             par2.eta, par2.D_g, par2.D_gg, par2.D_gc = fresh2.eta, fresh2.D_g, fresh2.D_gg, fresh2.D_gc
 

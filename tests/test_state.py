@@ -4,8 +4,6 @@ import pytest
 from hones.errors import SingularSubmatrix
 from hones.kkt import Problem, Support, oracle_solve
 from hones.state import (
-    COMPRESSED,
-    DENSE,
     condition_proxy,
     direct_update_par2,
     direct_update_par3,
@@ -38,7 +36,7 @@ class TestInitPar1:
     def test_identity_partial_support(self):
         p = Problem(np.eye(3), np.zeros(3))
         par1 = init_par1(p, Support(3, [0]))
-        expected = np.zeros((3, 3))
+        expected = np.zeros((3, 1))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(par1.M, expected, atol=1e-14)
         np.testing.assert_allclose(par1.eta_tilde, np.ones(3), atol=1e-14)
@@ -51,9 +49,8 @@ class TestInitPar1:
         par1 = init_par1(p, support)
         idx, comp = support.idx, support.complement()
         inv = np.linalg.inv(p.A[np.ix_(idx, idx)])
-        np.testing.assert_allclose(par1.M[np.ix_(idx, idx)], inv, atol=1e-12)
-        np.testing.assert_allclose(par1.M[np.ix_(comp, idx)], -p.A[np.ix_(comp, idx)] @ inv, atol=1e-12)
-        assert np.all(par1.M[:, comp] == 0.0)
+        np.testing.assert_allclose(par1.M[idx, :], inv, atol=1e-12)
+        np.testing.assert_allclose(par1.M[comp, :], -p.A[np.ix_(comp, idx)] @ inv, atol=1e-12)
         par1.check_structure(support)
 
     def test_singular_raises(self):
@@ -137,29 +134,6 @@ class TestDirectUpdates:
         )
 
 
-class TestLayouts:
-    def test_direct_updates_bit_identical(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            n = int(rng.integers(2, 10))
-            p = random_spd_problem(rng, n)
-            k = int(rng.integers(1, n + 1))
-            support = Support(n, rng.choice(n, size=k, replace=False))
-            g = rng.standard_normal(n)
-            l = rng.standard_normal(n)
-            dense = init_par1(p, support, layout=DENSE)
-            comp = init_par1(p, support, layout=COMPRESSED)
-            np.testing.assert_array_equal(dense.cols(support), comp.cols(support))
-            p2d = direct_update_par2(support, dense, p.c, g)
-            p2c = direct_update_par2(support, comp, p.c, g)
-            assert np.array_equal(p2d.eta, p2c.eta)
-            assert p2d.D_g == p2c.D_g and p2d.D_gg == p2c.D_gg and p2d.D_gc == p2c.D_gc
-            p3d = direct_update_par3(support, dense, l)
-            p3c = direct_update_par3(support, comp, l)
-            assert np.array_equal(p3d.xi, p3c.xi)
-            assert p3d.D_l == p3c.D_l
-
-
 class TestValidateState:
     def test_fresh_state_validates(self):
         rng = np.random.default_rng(21)
@@ -199,7 +173,7 @@ class TestSnapshot:
         assert s2 == support
         np.testing.assert_array_equal(q2.v, q.v)
         assert q2.mu0 == q.mu0
-        np.testing.assert_array_equal(p1.cols(s2), par1.cols(support))
+        np.testing.assert_array_equal(p1.M, par1.M)
         np.testing.assert_array_equal(p1.eta_tilde, par1.eta_tilde)
         assert p1.D == par1.D
         np.testing.assert_array_equal(p2.eta, par2.eta)
@@ -211,13 +185,12 @@ class TestSnapshot:
     def test_partial_round_trip(self, tmp_path):
         p = Problem(np.eye(3), np.zeros(3))
         q = oracle_solve(p)
-        par1 = init_par1(p, q.support, layout=COMPRESSED)
+        par1 = init_par1(p, q.support)
         path = tmp_path / "state.bin"
         save_state(path, q.support, q, par1)
         s2, q2, p1, p2, p3 = load_state(path)
         assert p2 is None and p3 is None
-        assert p1.layout == COMPRESSED
-        np.testing.assert_array_equal(p1.cols(s2), par1.cols(q.support))
+        np.testing.assert_array_equal(p1.M, par1.M)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
