@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .counters import MultCounter
+from .errors import HonesError
 from .kkt import DEFAULT_COND_CAP, Problem, kkt_residual, oracle_solve
 from .path_matrix import run_lambda_leg
 from .path_vector import run_utilde_leg
@@ -35,21 +36,26 @@ from .state import (
 )
 
 
+# Re-derive (v, mu0) from M when the step's residual exceeds this share of tol.
+REFRESH_FACTOR = 0.25
+
+
 @dataclass
 class SolverConfig:
     """Knobs for one solver session.
 
     rebuild_every: refresh the cached state by direct factorization every R
-        steps (0 disables).  validate_every: additionally measure state drift
-        every V steps and rebuild when it exceeds validate_threshold.
+        steps (0 disables).
+    cycle_cap: turning points allowed per leg before CycleLimit (0 means 10 n).
+    tol: residual target; a step whose residual exceeds REFRESH_FACTOR * tol
+        re-derives (v, mu0) from the cached inverse, then rebuilds if needed.
+    lazy_a: keep only the touched columns of A current (False: the whole A).
+    cond_cap: condition-estimate cap for every factorization of A_SS.
     """
 
     rebuild_every: int = 1000
-    validate_every: int = 0
-    validate_threshold: float = 1e-6
-    cycle_cap: int = 0  # events-per-leg cap; 0 means 10 n
+    cycle_cap: int = 0
     tol: float = 1e-8
-    refresh_factor: float = 0.25  # re-derive (v, mu0) from M when residual > factor * tol
     lazy_a: bool = True
     cond_cap: float = DEFAULT_COND_CAP
 
@@ -131,6 +137,9 @@ class SolverSession:
     # -- checkpointing -------------------------------------------------------
 
     SESSION_MAGIC = b"HSS1"
+    # Fixed trailer after the state blob: rebuild_every, cycle_cap, tol,
+    # cond_cap (lazy_a is in the header).  Files without it load with defaults.
+    CONFIG_TRAILER = "<qqdd"
 
     def save(self, path):
         blob = state_to_bytes(self.support, self.quadruple, self.par1, self.par2, self.par3)
@@ -146,6 +155,8 @@ class SolverSession:
         ]
         parts += [g.astype("<f8").tobytes() for g in self.g_log]
         parts.append(blob)
+        cfg = self.config
+        parts.append(struct.pack(self.CONFIG_TRAILER, cfg.rebuild_every, cfg.cycle_cap, cfg.tol, cfg.cond_cap))
         with open(path, "wb") as fh:
             fh.write(b"".join(parts))
 
@@ -168,8 +179,15 @@ class SolverSession:
         c = take(n).astype(np.float64)
         mask = take(n, "<u1").astype(bool)
         g_log = [take(n).astype(np.float64) for _ in range(k)]
-        support, quadruple, par1, par2, par3, _ = state_from_bytes(buf, off)
-        config = config or SolverConfig(lazy_a=bool(lazy))
+        support, quadruple, par1, par2, par3, off = state_from_bytes(buf, off)
+        trailer = buf[off:]
+        if trailer and len(trailer) != struct.calcsize(cls.CONFIG_TRAILER):
+            raise ValueError(f"{len(trailer)} unexpected bytes after the state blob")
+        if config is None:
+            config = SolverConfig(lazy_a=bool(lazy))
+            if trailer:
+                every, cap, tol, cond_cap = struct.unpack(cls.CONFIG_TRAILER, trailer)
+                config = replace(config, rebuild_every=every, cycle_cap=cap, tol=tol, cond_cap=cond_cap)
         ses = cls(A, c, quadruple, par1, config)
         ses.A = A
         ses.t = t
@@ -208,7 +226,9 @@ def step(session, g_t, c_t):
     Runs the matrix leg against the step's direction, folds the rank-one
     update into the live columns, then runs the vector leg for the linear
     drift.  Degeneracies inside a leg trigger one in-place rebuild and retry
-    before propagating.
+    before propagating.  Input of the wrong shape or with non-finite entries
+    is rejected with ValueError before anything changes; a broken turning
+    point invariant raises HonesError.
     """
     cfg = session.config
     counter = session.counter
@@ -217,12 +237,14 @@ def step(session, g_t, c_t):
     rebuilds_before = session.rebuild_count
     mult_before = counter.total
 
-    session.t += 1
     n = session.n
     g = np.asarray(g_t, dtype=np.float64)
     c_new = np.asarray(c_t, dtype=np.float64)
     if g.shape != (n,) or c_new.shape != (n,):
         raise ValueError(f"step vectors must have length {n}")
+    if not (np.isfinite(g).all() and np.isfinite(c_new).all()):
+        raise ValueError("step vectors must be finite")
+    session.t += 1
     q = session.quadruple
     prev_support = set(q.support.as_tuple())
     s_max = q.support.size
@@ -239,13 +261,6 @@ def step(session, g_t, c_t):
         session.s_star_mask[j] = True
         a_ns += time.perf_counter_ns() - t0
 
-    def rebuild_matrix_leg(lam):
-        session.rebuild_count += 1
-        A_lam = session.A + lam * np.outer(g, g)
-        fresh1 = par1_from_matrix(A_lam, q.support, cond_cap=cfg.cond_cap)
-        session.par1.refresh_from(fresh1)
-        session.par2.refresh_from(direct_update_par2(q.support, session.par1, session.c, g))
-
     events_a = run_lambda_leg(
         session.A,
         session.c,
@@ -256,7 +271,7 @@ def step(session, g_t, c_t):
         counter=counter,
         cycle_cap=cfg.cycle_cap or None,
         ensure_column=ensure_column,
-        rebuild=rebuild_matrix_leg,
+        rebuild=lambda lam: rebuild(session, session.A + lam * np.outer(g, g)),
     )
     for ev in events_a:
         s_max = max(s_max, len(ev.support_after))
@@ -272,12 +287,6 @@ def step(session, g_t, c_t):
 
     l = c_new - session.c
 
-    def rebuild_vector_leg(_t):
-        session.rebuild_count += 1
-        fresh1 = par1_from_matrix(session.A, q.support, cond_cap=cfg.cond_cap)
-        session.par1.refresh_from(fresh1)
-        session.par3.refresh_from(direct_update_par3(q.support, session.par1, l))
-
     session.par3 = direct_update_par3(q.support, session.par1, l, counter)
     events_c = run_utilde_leg(
         session.A,
@@ -288,7 +297,7 @@ def step(session, g_t, c_t):
         counter=counter,
         cycle_cap=cfg.cycle_cap or None,
         ensure_column=ensure_column,
-        rebuild=rebuild_vector_leg,
+        rebuild=lambda _t: rebuild(session),
     )
     for ev in events_c:
         s_max = max(s_max, len(ev.support_after))
@@ -296,17 +305,14 @@ def step(session, g_t, c_t):
 
     if cfg.rebuild_every and session.t % cfg.rebuild_every == 0:
         rebuild(session)
-    elif cfg.validate_every and session.t % cfg.validate_every == 0:
-        if session.validate() > cfg.validate_threshold:
-            rebuild(session)
 
     residual = session.residual()
-    if cfg.refresh_factor and residual > cfg.refresh_factor * cfg.tol:
+    if residual > REFRESH_FACTOR * cfg.tol:
         # Accumulated path roundoff: pin (v, mu0) back to the cached inverse,
         # rebuilding that first if it has drifted too.
         refresh_quadruple(q, session.par1, session.c, counter)
         residual = session.residual()
-        if residual > cfg.refresh_factor * cfg.tol:
+        if residual > REFRESH_FACTOR * cfg.tol:
             rebuild(session)
             refresh_quadruple(q, session.par1, session.c, counter)
             residual = session.residual()
@@ -318,9 +324,12 @@ def step(session, g_t, c_t):
     k_a, k_c = len(events_a), len(events_c)
     k_t = k_a + k_c
     sym_diff = len(prev_support ^ cur_support)
-    assert k_t >= sym_diff, "turning points fell below the symmetric-difference bound"
-    assert (k_t - sym_diff) % 2 == 0, "toggles beyond the support change must pair up"
-    assert bool(session.s_star_mask[q.support.idx].all()), "support escaped the touched set"
+    if k_t < sym_diff:
+        raise HonesError(f"{k_t} turning points fell below the symmetric-difference bound {sym_diff}")
+    if (k_t - sym_diff) % 2:
+        raise HonesError(f"{k_t - sym_diff} toggles beyond the support change do not pair up")
+    if not session.s_star_mask[q.support.idx].all():
+        raise HonesError("support escaped the touched set")
     report = StepReport(
         t=session.t,
         k_a=k_a,
@@ -340,15 +349,16 @@ def step(session, g_t, c_t):
     return report
 
 
-def rebuild(session):
-    """Recompute all caches from the stored matrix by direct factorization.
+def rebuild(session, A=None):
+    """Recompute all caches by direct factorization, in place.
 
-    The quadruple is untouched.  Raises SingularSubmatrix if the live block
-    cannot be factorized.
+    Par1 is factorized from `A` (default: the stored matrix; the matrix leg
+    passes its parametrized A + lam g g'), and whichever of Par2 and Par3 the
+    session holds is re-derived from it.  The quadruple is untouched.  Raises
+    SingularSubmatrix if the live block cannot be factorized.
     """
-    cfg = session.config
     support = session.support
-    fresh1 = par1_from_matrix(session.A, support, cond_cap=cfg.cond_cap)
+    fresh1 = par1_from_matrix(session.A if A is None else A, support, cond_cap=session.config.cond_cap)
     session.rebuild_count += 1
     session.par1.refresh_from(fresh1)
     if session.par2 is not None:

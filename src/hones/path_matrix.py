@@ -35,50 +35,32 @@ class LambdaScratch:
     w1: float  # D_g mu0 - D_gc
     dvec: np.ndarray  # D_g eta_tilde - D eta
 
-    @property
-    def u(self):
-        """Velocity of v in the reparametrized path coordinate."""
-        return self.w1 * self.dvec
-
 
 @dataclass
-class LambdaStep:
+class PathStep:
+    """The next turning point of a leg: increment, toggling index (None if none), direction data."""
+
     lam_inc: float
     j: int | None
-    support_new: object
-    scratch: LambdaScratch
+    scratch: object
 
 
 def _tiny(x):
     return ZETA_SCALE * max(1.0, abs(x))
 
 
-def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
-    """Locate the next turning point of the matrix leg.
+def _first_zero(support, v, dvec, w1, exclude, counter):
+    """Ratio test: the first a >= 0 at which v + a * w1 * dvec has a zero coordinate.
 
-    v as a function of lam is v + atil(lam) * w1 * dvec where atil is a
-    monotone reparametrization of lam, so coordinate i crosses zero at
-    atil = -v_i / (w1 * dvec_i).  The smallest positive crossing wins; the
-    result is mapped back to a lam increment, or infinity when no coordinate
-    ever hits zero on the forward path (equivalently when the minimizing
-    ratio fails alpha * D_gg < 1).
-
+    Returns (a, index), or (inf, None) when no coordinate ever hits zero.
     `exclude` suppresses the index that toggled at the current parameter so a
     just-processed zero cannot re-trigger.  Indices currently parked at zero
-    only fire when their velocity pushes them infeasible, which realizes
-    simultaneous hits as a deterministic sequence of zero-length increments.
+    only fire (at a = 0) when their velocity pushes them infeasible, which
+    realizes simultaneous hits as a deterministic sequence of zero-length
+    increments.  Smallest index wins ties.
     """
-    v = quadruple.v
-    n = support.n
-    d = par1.D
-    d_g, d_gg, d_gc = par2.D_g, par2.D_gg, par2.D_gc
-    w1 = d_g * quadruple.mu0 - d_gc
-    dvec = d_g * par1.eta_tilde - d * par2.eta
-    cnt.add(counter, 2 * n + 1)
-    scratch = LambdaScratch(w1, dvec)
-
     zeta = zero_tol(v)
-    eligible = np.ones(n, dtype=bool)
+    eligible = np.ones(support.n, dtype=bool)
     if exclude is not None:
         eligible[exclude] = False
     if support.size == 1:
@@ -97,37 +79,52 @@ def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
         inward = np.where(support.mask[near], u_near < -zeta_u, u_near > zeta_u)
         hits = near[inward]
         if hits.size:
-            j = int(hits[0])
-            return LambdaStep(0.0, j, _toggled(support, j), scratch)
+            return 0.0, int(hits[0])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = -v / dvec
     if w1 > 0.0:
         cand = live & np.isfinite(ratios) & (ratios > 0.0)
         if not cand.any():
-            return LambdaStep(np.inf, None, support, scratch)
+            return np.inf, None
         masked = np.where(cand, ratios, np.inf)
         j = int(np.argmin(masked))
-        atil = float(masked[j]) / w1
     elif w1 < 0.0:
         cand = live & np.isfinite(ratios) & (ratios < 0.0)
         if not cand.any():
-            return LambdaStep(np.inf, None, support, scratch)
+            return np.inf, None
         masked = np.where(cand, ratios, -np.inf)
         j = int(np.argmax(masked))
-        atil = float(masked[j]) / w1
     else:
-        return LambdaStep(np.inf, None, support, scratch)
+        return np.inf, None
+    return float(masked[j]) / w1, j
 
+
+def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
+    """Locate the next turning point of the matrix leg.
+
+    v as a function of lam is v + atil(lam) * w1 * dvec where atil is a
+    monotone reparametrization of lam, so the ratio test runs in atil; its
+    result is mapped back to a lam increment, or infinity when no coordinate
+    ever hits zero on the forward path (equivalently when the minimizing
+    ratio fails alpha * D_gg < 1).
+    """
+    n = support.n
+    d = par1.D
+    d_g, d_gg, d_gc = par2.D_g, par2.D_gg, par2.D_gc
+    w1 = d_g * quadruple.mu0 - d_gc
+    dvec = d_g * par1.eta_tilde - d * par2.eta
+    cnt.add(counter, 2 * n + 1)
+    scratch = LambdaScratch(w1, dvec)
+
+    atil, j = _first_zero(support, quadruple.v, dvec, w1, exclude, counter)
+    if j is None:
+        return PathStep(np.inf, None, scratch)
     alpha = atil * d / (1.0 + atil * d_g * d_g)
     if alpha * d_gg >= 1.0:
-        return LambdaStep(np.inf, None, support, scratch)
+        return PathStep(np.inf, None, scratch)
     lam_inc = max(alpha / (1.0 - alpha * d_gg), 0.0)
-    return LambdaStep(lam_inc, j, _toggled(support, j), scratch)
-
-
-def _toggled(support, j):
-    return support.with_removed(j) if support.contains(j) else support.with_added(j)
+    return PathStep(lam_inc, j, scratch)
 
 
 def update_by_lambda(lam_inc, quadruple, par1, par2, scratch=None, counter=None):
@@ -182,6 +179,8 @@ def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None
     The optional lam * eta_j correction folds in the rank-one term when the
     matrix is still parametrized by lam.
     """
+    if support.contains(j):
+        raise ValueError(f"index {j} already in support")
     idx = support.idx
     mj_s = par1.M[j, :]
     ajj = float(A[j, j]) + float(mj_s @ A[idx, j]) + lam_eta_g * (float(gvec[j]) if gvec is not None else 0.0)
@@ -199,14 +198,40 @@ def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None
     return ajj, gamma
 
 
-def _apply_expand_m(par1, support_new, j, gamma, inv, counter=None):
-    """R_j(M) + gamma gamma_tilde' / pivot, restricted to the new support columns."""
+def _shrink_geometry(support, j, par1):
+    """Pivot M_jj and full-length beta vector (column j of M, -1 at j) for removing index j."""
+    if not support.contains(j):
+        raise ValueError(f"index {j} not in support")
+    if support.size < 2:
+        raise EmptySupport("cannot shrink a singleton support")
+    beta = par1.col(j, support)
+    mjj = float(beta[j])
+    if mjj <= _tiny(1.0):
+        raise DegeneratePivot(f"pivot {mjj} removing index {j}")
+    beta[j] = -1.0
+    return mjj, beta
+
+
+def _pivot(support, new_support, j, vec, inv, par1, cache, b, counter):
+    """Block pivot on index j: M <- R_j(M) + vec vec_S' inv, and the same on the caches.
+
+    An entry passes vec = gamma and inv = 1 / pivot; a leave passes vec = beta
+    and inv = -1 / M_jj.  `cache` (Par2 or Par3) applies its own part, with
+    `b` the linear-term pivot product Par2 needs.
+    """
+    teta_j = float(par1.eta_tilde[j])
+    par1.D += teta_j * teta_j * inv
+    cache.pivot(j, vec, inv, teta_j, b)
     par1.zero_row(j)
-    par1.insert_col(j, support_new)
-    coef = gamma[support_new.idx] * inv
-    par1.rank1(gamma, coef)
-    n, s1 = support_new.n, support_new.size
-    cnt.add(counter, s1 + n * s1)
+    if new_support.size > support.size:
+        par1.insert_col(j, new_support)
+    else:
+        par1.remove_col(j, support)
+    par1.rank1(vec, vec[new_support.idx] * inv)
+    par1.eta_tilde[j] = 0.0
+    par1.eta_tilde += (teta_j * inv) * vec
+    n, s1 = new_support.n, new_support.size
+    cnt.add(counter, s1 + n * s1 + 2 * n)
 
 
 def expand_support_lambda(lam, support, j, A, c, g, par1, par2, counter=None):
@@ -214,70 +239,25 @@ def expand_support_lambda(lam, support, j, A, c, g, par1, par2, counter=None):
 
     Requires the j-th column of A to be current.  Returns the new support.
     """
-    if support.contains(j):
-        raise ValueError(f"index {j} already in support")
-    eta_j = float(par2.eta[j])
-    teta_j = float(par1.eta_tilde[j])
     ajj, gamma = _expand_geometry(
-        support, j, A, par1, lam_eta_g=lam * eta_j, gvec=g, counter=counter
+        support, j, A, par1, lam_eta_g=lam * float(par2.eta[j]), gvec=g, counter=counter
     )
-    support_new = support.with_added(j)
-    inv = 1.0 / ajj
-    b = -float(c[support_new.idx] @ gamma[support_new.idx])
-    cnt.add(counter, support_new.size + 8)
-    par1.D += teta_j * teta_j * inv
-    par2.D_g += eta_j * teta_j * inv
-    par2.D_gg += eta_j * eta_j * inv
-    par2.D_gc += eta_j * b * inv
-    _apply_expand_m(par1, support_new, j, gamma, inv, counter=counter)
-    par2.eta[j] = 0.0
-    par2.eta += (eta_j * inv) * gamma
-    par1.eta_tilde[j] = 0.0
-    par1.eta_tilde += (teta_j * inv) * gamma
-    cnt.add(counter, 2 * support.n)
-    return support_new
-
-
-def _apply_shrink_m(par1, support, support_new, j, beta, btil_s, inv, counter=None):
-    par1.zero_row(j)
-    par1.remove_col(j, support)
-    coef = btil_s * (-inv)
-    par1.rank1(beta, coef)
-    n, s1 = support_new.n, support_new.size
-    cnt.add(counter, s1 + n * s1)
+    new_support = support.with_added(j)
+    b = -float(c[new_support.idx] @ gamma[new_support.idx])
+    cnt.add(counter, new_support.size + 8)
+    _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, b, counter)
+    return new_support
 
 
 def shrink_support_lambda(support, j, c, par1, par2, counter=None):
     """Remove index j from the support; updates Par1 and Par2."""
-    if not support.contains(j):
-        raise ValueError(f"index {j} not in support")
-    if support.size < 2:
-        raise EmptySupport("cannot shrink a singleton support")
-    colj = par1.col(j, support)
-    mjj = par1.mjj(j, support)
-    if mjj <= _tiny(1.0):
-        raise DegeneratePivot(f"pivot {mjj} removing index {j}")
-    support_new = support.with_removed(j)
-    idx2 = support_new.idx
-    beta = colj.copy()
-    beta[j] = -1.0
-    btil_s = colj[idx2]
-    eta_j = float(par2.eta[j])
-    teta_j = float(par1.eta_tilde[j])
-    btilde = -float(c[idx2] @ btil_s) - float(c[j]) * mjj
+    mjj, beta = _shrink_geometry(support, j, par1)
+    new_support = support.with_removed(j)
+    idx2 = new_support.idx
+    b = -float(c[idx2] @ beta[idx2]) - float(c[j]) * mjj
     cnt.add(counter, idx2.size + 9)
-    inv = 1.0 / mjj
-    par1.D -= teta_j * teta_j * inv
-    par2.D_g -= eta_j * teta_j * inv
-    par2.D_gg -= eta_j * eta_j * inv
-    par2.D_gc -= eta_j * btilde * inv
-    _apply_shrink_m(par1, support, support_new, j, beta, btil_s, inv, counter=counter)
-    par2.eta[j] = 0.0
-    par2.eta -= (eta_j * inv) * beta
-    par1.eta_tilde[j] = 0.0
-    par1.eta_tilde -= (teta_j * inv) * beta
-    cnt.add(counter, 2 * support.n)
-    return support_new
+    _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par2, b, counter)
+    return new_support
 
 
 def run_lambda_leg(
@@ -345,16 +325,16 @@ def _run_leg(leg, quadruple, find, advance, shrink, expand, cycle_cap, ensure_co
             if last is not None and last[0] == j and abs(lam - last[1]) <= _tiny(lam):
                 raise DegeneratePivot(f"index {j} re-triggered at {leg} leg parameter {lam}")
             if quadruple.support.contains(j):
-                support_new = shrink(j)
+                new_support = shrink(j)
                 kind = "leave"
             else:
                 if ensure_column is not None:
                     ensure_column(j)
-                support_new = expand(lam, j)
+                new_support = expand(lam, j)
                 kind = "enter"
-            quadruple.support = support_new
+            quadruple.support = new_support
             quadruple.v[j] = 0.0
-            events.append(PathEvent(leg, lam, j, kind, support_new.as_tuple()))
+            events.append(PathEvent(leg, lam, j, kind, new_support.as_tuple()))
             if len(events) > cap:
                 raise CycleLimit(f"{leg} leg exceeded {cap} turning points")
             exclude = j

@@ -2,9 +2,10 @@
 
 With the matrix frozen, the KKT state is exactly affine in the leg parameter:
 v moves along v - (xi - (D_l / D) eta_tilde) * t and mu0 along
-mu0 + (D_l / D) * t, so locating turning points reduces to n scalar ratio
-tests and the between-event updates are division-free.  Support changes reuse
-the same block pivot machinery as the matrix leg, only now applied to Par3.
+mu0 + (D_l / D) * t, so the between-event updates are division-free.  The
+rest is the matrix leg's machinery: the ratio test is path_matrix's
+_first_zero with weight -1, and a support change is path_matrix's _pivot
+with Par3 as the cache, through Par3.pivot.
 """
 
 from dataclasses import dataclass
@@ -12,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counters as cnt
-from .errors import DegeneratePivot, EmptySupport
-from .kkt import ZETA_SCALE, zero_tol
-from .path_matrix import _apply_expand_m, _apply_shrink_m, _expand_geometry, _run_leg, _tiny, _toggled
+from .path_matrix import PathStep, _expand_geometry, _first_zero, _pivot, _run_leg, _shrink_geometry
 
 
 @dataclass
@@ -23,14 +22,6 @@ class UtildeScratch:
 
     q: float  # D_l / D
     d: np.ndarray  # xi - (D_l / D) eta_tilde
-
-
-@dataclass
-class UtildeStep:
-    lam_inc: float
-    j: int | None
-    support_new: object
-    scratch: UtildeScratch
 
 
 def _velocity(par1, par3, counter=None):
@@ -43,43 +34,13 @@ def _velocity(par1, par3, counter=None):
 def find_utilde_lambda(support, quadruple, par1, par3, exclude=None, counter=None):
     """Locate the next turning point of the vector leg.
 
-    v(t) = v - d * t, so coordinate i crosses zero at t = v_i / d_i.  Smallest
-    positive crossing wins (smallest index on ties); infinity when no
-    coordinate crosses on [0, inf).  Zero-parked coordinates fire immediately
-    when their velocity pushes them infeasible, except the just-toggled
-    `exclude` index.
+    v(t) = v - d * t, so coordinate i crosses zero at t = v_i / d_i: the
+    matrix leg's ratio test with weight -1.  Only the velocity enters the
+    multiplication tally.
     """
-    v = quadruple.v
     scratch = _velocity(par1, par3, counter=counter)
-    d = scratch.d
-
-    zeta = zero_tol(v)
-    eligible = np.ones(support.n, dtype=bool)
-    if exclude is not None:
-        eligible[exclude] = False
-    if support.size == 1:
-        # Sum-to-one pins the lone support coordinate at one; see find_lambda.
-        eligible[support.idx[0]] = False
-    live = eligible & (np.abs(v) > zeta)
-
-    near = np.flatnonzero(eligible & (np.abs(v) <= zeta))
-    if near.size:
-        d_near = d[near]
-        zeta_d = ZETA_SCALE * max(1.0, float(np.max(np.abs(d_near))))
-        inward = np.where(support.mask[near], d_near > zeta_d, d_near < -zeta_d)
-        hits = near[inward]
-        if hits.size:
-            j = int(hits[0])
-            return UtildeStep(0.0, j, _toggled(support, j), scratch)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = v / d
-    cand = live & np.isfinite(ratios) & (ratios > 0.0)
-    if not cand.any():
-        return UtildeStep(np.inf, None, support, scratch)
-    masked = np.where(cand, ratios, np.inf)
-    j = int(np.argmin(masked))
-    return UtildeStep(float(masked[j]), j, _toggled(support, j), scratch)
+    lam_inc, j = _first_zero(support, quadruple.v, scratch.d, -1.0, exclude, None)
+    return PathStep(lam_inc, j, scratch)
 
 
 def update_by_utilde_lambda(lam_inc, quadruple, par1, par3, scratch=None, counter=None):
@@ -100,52 +61,20 @@ def expand_support_utilde(support, j, A, l, par1, par3, counter=None):
     The matrix is frozen here, so the pivot carries no lam correction; A must
     already include the step's rank-one update in column j.
     """
-    if support.contains(j):
-        raise ValueError(f"index {j} already in support")
-    xi_j = float(par3.xi[j])
-    teta_j = float(par1.eta_tilde[j])
     ajj, gamma = _expand_geometry(support, j, A, par1, counter=counter)
-    support_new = support.with_added(j)
-    inv = 1.0 / ajj
-    par1.D += teta_j * teta_j * inv
-    par3.D_l += xi_j * teta_j * inv
+    new_support = support.with_added(j)
     cnt.add(counter, 6)
-    _apply_expand_m(par1, support_new, j, gamma, inv, counter=counter)
-    par3.xi[j] = 0.0
-    par3.xi += (xi_j * inv) * gamma
-    par1.eta_tilde[j] = 0.0
-    par1.eta_tilde += (teta_j * inv) * gamma
-    cnt.add(counter, 2 * support.n)
-    return support_new
+    _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par3, None, counter)
+    return new_support
 
 
 def shrink_support_utilde(support, j, l, par1, par3, counter=None):
     """Remove index j during the vector leg; updates Par1 and Par3."""
-    if not support.contains(j):
-        raise ValueError(f"index {j} not in support")
-    if support.size < 2:
-        raise EmptySupport("cannot shrink a singleton support")
-    colj = par1.col(j, support)
-    mjj = par1.mjj(j, support)
-    if mjj <= _tiny(1.0):
-        raise DegeneratePivot(f"pivot {mjj} removing index {j}")
-    support_new = support.with_removed(j)
-    beta = colj.copy()
-    beta[j] = -1.0
-    btil_s = colj[support_new.idx]
-    xi_j = float(par3.xi[j])
-    teta_j = float(par1.eta_tilde[j])
-    inv = 1.0 / mjj
-    par1.D -= teta_j * teta_j * inv
-    par3.D_l -= xi_j * teta_j * inv
+    mjj, beta = _shrink_geometry(support, j, par1)
+    new_support = support.with_removed(j)
     cnt.add(counter, 6)
-    _apply_shrink_m(par1, support, support_new, j, beta, btil_s, inv, counter=counter)
-    par3.xi[j] = 0.0
-    par3.xi -= (xi_j * inv) * beta
-    par1.eta_tilde[j] = 0.0
-    par1.eta_tilde -= (teta_j * inv) * beta
-    cnt.add(counter, 2 * support.n)
-    return support_new
+    _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par3, None, counter)
+    return new_support
 
 
 def run_utilde_leg(

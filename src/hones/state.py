@@ -12,6 +12,9 @@ Three bundles are maintained alongside the KKT quadruple:
 Everything can be recomputed from scratch by factorization (init_par1 and the
 direct_update_* routines); the path modules keep the same objects current with
 rank-one corrections, and validate_state measures how far they have drifted.
+At a turning point path_matrix._pivot applies the block pivot to Par1 and
+hands the same pivot vector to Par2.pivot or Par3.pivot, whichever cache the
+leg carries.
 """
 
 import struct
@@ -46,10 +49,6 @@ class Par1:
         """Column j of M (j must be in the support) as a full-length vector."""
         pos = int(np.searchsorted(support.idx, j))
         return self.M[:, pos].copy()
-
-    def mjj(self, j, support):
-        pos = int(np.searchsorted(support.idx, j))
-        return float(self.M[j, pos])
 
     def rank1(self, u, coef_s):
         """M += outer(u, coef_s) in place."""
@@ -92,6 +91,15 @@ class Par2:
     def copy(self):
         return Par2(self.eta.copy(), self.D_g, self.D_gg, self.D_gc, self.g)
 
+    def pivot(self, j, vec, inv, teta_j, b):
+        """Carry the cache through a block pivot on j (see path_matrix._pivot)."""
+        eta_j = float(self.eta[j])
+        self.D_g += eta_j * teta_j * inv
+        self.D_gg += eta_j * eta_j * inv
+        self.D_gc += eta_j * b * inv
+        self.eta[j] = 0.0
+        self.eta += (eta_j * inv) * vec
+
     def refresh_from(self, other):
         self.eta = other.eta
         self.D_g, self.D_gg, self.D_gc = other.D_g, other.D_gg, other.D_gc
@@ -108,6 +116,13 @@ class Par3:
 
     def copy(self):
         return Par3(self.xi.copy(), self.D_l, self.l)
+
+    def pivot(self, j, vec, inv, teta_j, b):
+        """Carry the cache through a block pivot on j; the drift needs no `b`."""
+        xi_j = float(self.xi[j])
+        self.D_l += xi_j * teta_j * inv
+        self.xi[j] = 0.0
+        self.xi += (xi_j * inv) * vec
 
     def refresh_from(self, other):
         self.xi = other.xi

@@ -60,19 +60,20 @@ class TestRunSynthetic:
         assert len(summary["epoch_wall_s"]) == 2
 
     def test_golden_non_timing_columns(self, tmp_path):
-        code = cli.main(
-            [
-                "run-synthetic",
-                "--n", "20",
-                "--steps", "30",
-                "--seed", "7",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        got = strip_timing(read_csv(tmp_path / "synthetic-hones-n20-s30-seed7.csv"))
-        want = strip_timing(read_csv(GOLDEN_DIR / "synthetic-hones-n20-s30-seed7.csv"))
-        assert got == want
+        # One test over all three flows, so that each flow's path is pinned.
+        # The periodic rebuild every 10 steps puts rebuild() on the ons and
+        # markowitz paths too.
+        runs = [
+            (["run-synthetic", "--steps", "30"], "synthetic-hones-n20-s30-seed7"),
+            (["run-ons", "--steps", "40", "--rebuild-every", "10"], "ons-hones-n20-s40-seed7"),
+            (["run-markowitz", "--steps", "40", "--rebuild-every", "10"], "markowitz-hones-n20-s40-seed7"),
+        ]
+        for argv, name in runs:
+            code = cli.main(argv + ["--n", "20", "--seed", "7", "--out-dir", str(tmp_path)])
+            assert code == 0
+            got = strip_timing(read_csv(tmp_path / f"{name}.csv"))
+            want = strip_timing(read_csv(GOLDEN_DIR / f"{name}.csv"))
+            assert got == want, name
 
     def test_repeat_runs_bitwise_identical(self, tmp_path):
         argv = ["run-synthetic", "--n", "15", "--steps", "40", "--seed", "3"]

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from hones import driver
 from hones.driver import (
     SolverConfig,
     SolverSession,
@@ -15,7 +16,9 @@ from hones.driver import (
     step,
 )
 from hones.flows import FlowConfig, PriceSeries, ons_flow, synthetic_flow
+from hones.errors import HonesError
 from hones.kkt import Problem, oracle_solve
+from hones.path_matrix import PathEvent
 
 
 def synthetic_session(n, seed, c_factor=0.1, config=None, steps=1000):
@@ -85,9 +88,33 @@ class TestStep:
             assert rep.kkt_residual <= 1e-8
 
     def test_rejects_bad_shapes(self):
+        ses, flow = synthetic_session(5, seed=3)
+        g, c = next(iter(flow))
+        step(ses, g, c)
+        bad = [(np.zeros(6), c), (g, np.zeros(4))]
+        for k, value in ((0, np.nan), (2, np.inf), (4, -np.inf)):
+            g_bad, c_bad = g.copy(), c.copy()
+            g_bad[k] = c_bad[k] = value
+            bad += [(g_bad, c), (g, c_bad)]
+        t, x, c_cur, M = ses.t, ses.x.copy(), ses.c.copy(), ses.par1.M.copy()
+        for g_bad, c_bad in bad:
+            with pytest.raises(ValueError):
+                step(ses, g_bad, c_bad)
+            assert ses.t == t
+            assert np.array_equal(ses.x, x)
+            assert np.array_equal(ses.c, c_cur)
+            assert np.array_equal(ses.par1.M, M)
+
+    def test_unpaired_toggle_raises(self, monkeypatch):
+        # A leg that reports one toggle but leaves the support as it was
+        # breaks the parity of the turning-point count.
+        def one_phantom_toggle(A, l, quadruple, *args, **kwargs):
+            return [PathEvent("vector", 0.5, 0, "leave", quadruple.support.as_tuple())]
+
         ses = init_session(np.eye(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            step(ses, np.zeros(4), np.zeros(3))
+        monkeypatch.setattr(driver, "run_utilde_leg", one_phantom_toggle)
+        with pytest.raises(HonesError, match="pair up"):
+            step(ses, np.zeros(3), np.zeros(3))
 
 
 class TestRunSequence:
@@ -236,6 +263,39 @@ class TestCheckpoint:
             rb = step(twin, g, c)
             assert np.max(np.abs(ses.x - twin.x)) <= 1e-12
             assert (ra.k_a, ra.k_c) == (rb.k_a, rb.k_c)
+
+    def test_config_restored(self, tmp_path):
+        cfg = SolverConfig(rebuild_every=5, tol=1e-6)
+        ses, flow = synthetic_session(9, seed=41, config=cfg)
+        stream = list(flow)[:30]
+        for g, c in stream[:10]:
+            step(ses, g, c)
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        twin = SolverSession.load(path)
+        assert twin.config == cfg
+        fields = ("t", "k_a", "k_c", "e_t", "support_size", "s_max", "s_star", "kkt_residual", "mult_count", "rebuilds")
+        for g, c in stream[10:]:
+            ra = step(ses, g, c)
+            rb = step(twin, g, c)
+            assert [getattr(ra, f) for f in fields] == [getattr(rb, f) for f in fields]
+            assert np.array_equal(ses.x, twin.x)
+        assert sum(r.rebuilds for r in twin.reports) == 4
+
+    def test_file_without_config_trailer_loads_defaults(self, tmp_path):
+        ses, flow = synthetic_session(6, seed=43, config=SolverConfig(rebuild_every=5, lazy_a=False))
+        run_sequence(ses, flow, 8)
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        buf = path.read_bytes()
+        trailer = struct.calcsize(SolverSession.CONFIG_TRAILER)
+        (tmp_path / "old.bin").write_bytes(buf[:-trailer])
+        old = SolverSession.load(tmp_path / "old.bin")
+        assert old.config == SolverConfig(lazy_a=False)
+        assert np.array_equal(old.x, ses.x)
+        (tmp_path / "bad.bin").write_bytes(buf[:-1])
+        with pytest.raises(ValueError):
+            SolverSession.load(tmp_path / "bad.bin")
 
     @staticmethod
     def mform_offset(ses):
