@@ -85,7 +85,7 @@ def build_parser():
         sp.add_argument("--rebuild-every", type=int, default=1000)
         sp.add_argument("--cycle-cap", type=int, default=0, help="events per leg cap (0 = 10n)")
         sp.add_argument("--epoch", type=int, default=250, help="steps per timing epoch")
-        sp.add_argument("--eager", action="store_true", help="disable lazy column maintenance")
+        sp.add_argument("--eager", action="store_true", help="disable lazy row maintenance")
         sp.add_argument("--pg-max-iter", type=int, default=20000, help="iteration cap for pg-warm")
         sp.add_argument("--out-dir", type=Path, default=Path("out"))
         sp.add_argument("--tag", default="", help="suffix for output file names")

@@ -1,10 +1,12 @@
 """Sequential outer loop: one homotopy step per incoming (g_t, c_t) pair.
 
 Each step runs the matrix leg (A -> A + g g') and then the vector leg
-(c -> c + l) on the updated matrix.  The problem matrix is maintained lazily:
-only columns whose index has ever touched a support (the set S*) are kept
-current, and a column is caught up from the logged g history the first time
-its index enters.  A twin eager mode keeps the full matrix current instead and
+(c -> c + l) on the updated matrix.  The problem matrix is maintained lazily
+and by rows (A is symmetric, so row j stands for column j): only rows whose
+index has ever touched a support (the set S*) are kept current, and a row is
+caught up from the logged g history the first time its index enters.  Once
+every row is live the whole matrix takes the rank-one update in place and the
+log is dropped.  A twin eager mode keeps the full matrix current instead and
 must produce identical trajectories.
 
 Per step the driver emits a StepReport with the turning-point counts, the
@@ -39,6 +41,11 @@ from .state import (
 # Re-derive (v, mu0) from M when the step's residual exceeds this share of tol.
 REFRESH_FACTOR = 0.25
 
+# Entries per block of the lazy rank-one row update.  Blocks of about 128 KB
+# keep the temporaries on the allocator's heap; one s* x n temporary is mapped
+# fresh each step, and at n = 1000 its page faults cost more than the adds.
+UPDATE_BLOCK = 16384
+
 
 @dataclass
 class SolverConfig:
@@ -49,7 +56,7 @@ class SolverConfig:
     cycle_cap: turning points allowed per leg before CycleLimit (0 means 10 n).
     tol: residual target; a step whose residual exceeds REFRESH_FACTOR * tol
         re-derives (v, mu0) from the cached inverse, then rebuilds if needed.
-    lazy_a: keep only the touched columns of A current (False: the whole A).
+    lazy_a: keep only the touched rows of A current (False: the whole A).
     cond_cap: condition-estimate cap for every factorization of A_SS.
     """
 
@@ -58,9 +65,6 @@ class SolverConfig:
     tol: float = 1e-8
     lazy_a: bool = True
     cond_cap: float = DEFAULT_COND_CAP
-
-    def with_overrides(self, **kw):
-        return replace(self, **kw)
 
 
 @dataclass
@@ -84,9 +88,11 @@ class SolverSession:
     """All mutable state of one sequential solve.
 
     The stored matrix starts as a copy of the initial A.  In lazy mode the
-    invariant is: for every j in S*, column j equals the initial column plus
-    the accumulated rank-one contributions of all g's appended to the log so
-    far; columns outside S* are stale but never read.
+    invariant is: for every j in S*, row j equals the initial row plus the
+    accumulated rank-one contributions of all g's appended to the log so far;
+    rows outside S* are stale but never read.  Every read goes by row, so the
+    live data is contiguous.  Once S* holds every index the log is empty and
+    stays so.
     """
 
     def __init__(self, A0, c0, quadruple, par1, config):
@@ -121,13 +127,13 @@ class SolverSession:
     def residual(self):
         """Optimality residual of the current quadruple against (A_t, c_t).
 
-        kkt_residual reads only the support columns of A, which are current
-        by the session invariant.
+        kkt_residual reads only the support rows of A, which are current by
+        the session invariant.
         """
         return kkt_residual(self, self.quadruple)
 
     def validate(self):
-        """State drift against a fresh factorization of the live columns.
+        """State drift against a fresh factorization of the live rows.
 
         Par2 is skipped: at a step boundary it still refers to the previous
         linear term by design and is recomputed at the next step start.
@@ -136,7 +142,11 @@ class SolverSession:
 
     # -- checkpointing -------------------------------------------------------
 
-    SESSION_MAGIC = b"HSS1"
+    SESSION_MAGIC = b"HSS2"
+    # HSS1 files are otherwise identical but keep A by column: their live
+    # columns are current and their stale ones pristine, so the transpose is
+    # exactly the row layout.
+    COLUMN_MAGIC = b"HSS1"
     # Fixed trailer after the state blob: rebuild_every, cycle_cap, tol,
     # cond_cap (lazy_a is in the header).  Files without it load with defaults.
     CONFIG_TRAILER = "<qqdd"
@@ -164,9 +174,12 @@ class SolverSession:
     def load(cls, path, config=None):
         with open(path, "rb") as fh:
             buf = fh.read()
-        if buf[:4] != cls.SESSION_MAGIC:
+        magic = buf[:4]
+        if magic not in (cls.SESSION_MAGIC, cls.COLUMN_MAGIC):
             raise ValueError("not a session checkpoint")
         n, t, k, lazy = struct.unpack_from("<IIIB3x", buf, 4)
+        if config is not None and config.lazy_a != bool(lazy):
+            raise ValueError(f"config has lazy_a={config.lazy_a}, the checkpoint lazy_a={bool(lazy)}")
         off = 4 + struct.calcsize("<IIIB3x")
 
         def take(count, dtype="<f8"):
@@ -176,6 +189,8 @@ class SolverSession:
             return arr
 
         A = take(n * n).reshape(n, n).astype(np.float64)
+        if magic == cls.COLUMN_MAGIC:
+            A = A.T.copy()
         c = take(n).astype(np.float64)
         mask = take(n, "<u1").astype(bool)
         g_log = [take(n).astype(np.float64) for _ in range(k)]
@@ -208,23 +223,31 @@ def init_session(A0, c0, config=None):
 
 
 def _catch_up_column(session, j):
-    """Bring column j current using the whole logged g history.
+    """Bring row j (column j of the symmetric A) current from the logged g's.
 
-    Only the column is written: stale columns must keep their pristine initial
+    Only the row is written: stale rows must keep their pristine initial
     values or a later catch-up would double-count.  Every read in the solver
-    is column-wise, so row staleness is never observed.
+    is row-wise, so column staleness is never observed.
     """
     if not session.g_log:
         return
     G = np.asarray(session.g_log)
-    session.A[:, j] += G.T @ G[:, j]
+    session.A[j] += G.T @ G[:, j]
+
+
+def _add_outer_rows(A, g, rows):
+    """A[rows] += outer(g[rows], g), a block of rows at a time."""
+    per = max(1, UPDATE_BLOCK // g.size)
+    for k in range(0, rows.size, per):
+        r = rows[k : k + per]
+        A[r] += np.outer(g[r], g)
 
 
 def step(session, g_t, c_t):
     """Advance one problem update; returns the StepReport.
 
     Runs the matrix leg against the step's direction, folds the rank-one
-    update into the live columns, then runs the vector leg for the linear
+    update into the live rows, then runs the vector leg for the linear
     drift.  Degeneracies inside a leg trigger one in-place rebuild and retry
     before propagating.  Input of the wrong shape or with non-finite entries
     is rejected with ValueError before anything changes; a broken turning
@@ -277,12 +300,13 @@ def step(session, g_t, c_t):
         s_max = max(s_max, len(ev.support_after))
 
     t0 = time.perf_counter_ns()
-    if cfg.lazy_a:
-        live = session.s_star_idx
-        session.A[:, live] += np.outer(g, g[live])
+    if cfg.lazy_a and not session.s_star_mask.all():
+        _add_outer_rows(session.A, g, session.s_star_idx)
         session.g_log.append(g)
     else:
+        # No stale row is left to catch up, so the history can go.
         session.A += np.outer(g, g)
+        session.g_log = []
     a_ns += time.perf_counter_ns() - t0
 
     l = c_new - session.c

@@ -174,9 +174,6 @@ class Problem:
         self.c = c
         self.n = n
 
-    def objective(self, x):
-        return 0.5 * float(x @ self.A @ x) - float(self.c @ x)
-
 
 def _cond_estimate(ass, chol):
     # Exact for small blocks; Cholesky-diagonal lower bound otherwise.  The
@@ -226,14 +223,15 @@ def kkt_residual(problem, quadruple):
 
     Covers stationarity, the sum-to-one constraint, complementary slackness
     and both sign constraints.  Zero (to roundoff) exactly at the optimum.
-    Only the support columns of A are read, so `problem` may carry a matrix
-    whose other columns are stale (the driver's lazily maintained copy).
+    Only the support rows of A are read (A is symmetric, so they stand for
+    its support columns), and `problem` may carry a matrix whose other rows
+    are stale (the driver's lazily maintained copy).
     """
     A, c = problem.A, problem.c
     idx = quadruple.support.idx
     x_s = quadruple.v[idx]
     mu = quadruple.mu
-    stat = A[:, idx] @ x_s - quadruple.mu0 - mu - c
+    stat = A[idx].T @ x_s - quadruple.mu0 - mu - c
     x = quadruple.x
     return max(
         float(np.max(np.abs(stat))),

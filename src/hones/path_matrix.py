@@ -175,20 +175,21 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, scratch=None, counter=None)
 def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None):
     """Pivot and full-length gamma vector for adding index j to the support.
 
-    Only the j-th column of A plus the already-live support columns are read.
-    The optional lam * eta_j correction folds in the rank-one term when the
-    matrix is still parametrized by lam.
+    Only the j-th row of A plus the already-live support rows are read (A is
+    symmetric, so row j stands for column j).  The optional lam * eta_j
+    correction folds in the rank-one term when the matrix is still
+    parametrized by lam.
     """
     if support.contains(j):
         raise ValueError(f"index {j} already in support")
     idx = support.idx
     mj_s = par1.M[j, :]
-    ajj = float(A[j, j]) + float(mj_s @ A[idx, j]) + lam_eta_g * (float(gvec[j]) if gvec is not None else 0.0)
+    ajj = float(A[j, j]) + float(mj_s @ A[j, idx]) + lam_eta_g * (float(gvec[j]) if gvec is not None else 0.0)
     cnt.add(counter, idx.size + 2)
     if ajj <= _tiny(float(A[j, j])):
         raise DegeneratePivot(f"pivot {ajj} adding index {j}")
-    w = A[:, idx] @ mj_s
-    gamma = -(A[:, j] + w)
+    w = A[idx].T @ mj_s
+    gamma = -(A[j] + w)
     cnt.add(counter, support.n * idx.size)
     if gvec is not None and lam_eta_g != 0.0:
         gamma -= lam_eta_g * gvec
@@ -237,7 +238,7 @@ def _pivot(support, new_support, j, vec, inv, par1, cache, b, counter):
 def expand_support_lambda(lam, support, j, A, c, g, par1, par2, counter=None):
     """Add index j to the support at parameter lam; updates Par1 and Par2.
 
-    Requires the j-th column of A to be current.  Returns the new support.
+    Requires the j-th row of A to be current.  Returns the new support.
     """
     ajj, gamma = _expand_geometry(
         support, j, A, par1, lam_eta_g=lam * float(par2.eta[j]), gvec=g, counter=counter
@@ -276,7 +277,7 @@ def run_lambda_leg(
 
     Mutates the quadruple and the caches in place and returns the list of
     turning points.  `ensure_column(j)` is called before any expand so a
-    lazily maintained A can refresh the needed column.  `rebuild(lam)` may
+    lazily maintained A can refresh the needed row.  `rebuild(lam)` may
     refresh the caches in place after a degeneracy; it is tried once, after
     which the error propagates.
 

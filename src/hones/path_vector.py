@@ -59,7 +59,7 @@ def expand_support_utilde(support, j, A, l, par1, par3, counter=None):
     """Add index j during the vector leg; updates Par1 and Par3.
 
     The matrix is frozen here, so the pivot carries no lam correction; A must
-    already include the step's rank-one update in column j.
+    already include the step's rank-one update in row j.
     """
     ajj, gamma = _expand_geometry(support, j, A, par1, counter=counter)
     new_support = support.with_added(j)

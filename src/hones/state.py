@@ -134,11 +134,13 @@ def par1_from_matrix(A, support, cond_cap=DEFAULT_COND_CAP):
     """Build Par1 by direct factorization of A_SS.
 
     Accepts the raw matrix so the driver can rebuild from its lazily updated
-    copy; only the support columns of A are read.
+    copy; only the support rows of A are read (A is symmetric, so they stand
+    for its support columns).
     """
     idx = support.idx
     n = A.shape[0]
-    ass = A[np.ix_(idx, idx)]
+    # Column k of both blocks is read from row idx[k] of A.
+    ass = np.ascontiguousarray(A[np.ix_(idx, idx)].T)
     try:
         chol = np.linalg.cholesky(ass)
     except np.linalg.LinAlgError:
@@ -152,7 +154,7 @@ def par1_from_matrix(A, support, cond_cap=DEFAULT_COND_CAP):
     cols[idx, :] = inv
     comp = support.complement()
     if comp.size:
-        cols[comp, :] = -A[np.ix_(comp, idx)] @ inv
+        cols[comp, :] = -np.ascontiguousarray(A[np.ix_(idx, comp)].T) @ inv
     eta_tilde = cols @ np.ones(idx.size)
     if comp.size:
         eta_tilde[comp] += 1.0

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +21,22 @@ from hones.errors import HonesError
 from hones.kkt import Problem, oracle_solve
 from hones.path_matrix import PathEvent
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
 
 def synthetic_session(n, seed, c_factor=0.1, config=None, steps=1000):
     flow = synthetic_flow(FlowConfig("synthetic", n, steps, c_factor=c_factor, seed=seed))
     session = init_session(flow.a0, flow.c0, config)
     return session, flow
+
+
+NON_TIMING = (
+    "t", "k_a", "k_c", "k_t", "e_t", "support_size", "s_max", "s_star", "kkt_residual", "mult_count", "rebuilds"
+)
+
+
+def _fields(report):
+    return [getattr(report, f) for f in NON_TIMING]
 
 
 class TestInitSession:
@@ -185,8 +197,32 @@ class TestLazyA:
         live = lazy.s_star_idx
         assert live.size >= lazy.support.size
         np.testing.assert_allclose(
-            lazy.A[:, live], eager.A[:, live], atol=1e-10 * max(1.0, np.max(np.abs(eager.A)))
+            lazy.A[live], eager.A[live], atol=1e-10 * max(1.0, np.max(np.abs(eager.A)))
         )
+
+    def test_stale_rows_never_read(self, monkeypatch):
+        # Poison every row outside S*; a catch-up first restores the pristine
+        # row, so any other read of a stale row shows up as NaN.
+        n, steps = 40, 100
+        ses, flow = synthetic_session(n, seed=19)
+        twin, flow_b = synthetic_session(n, seed=19)
+        pristine = ses.A.copy()
+        ses.A[~ses.s_star_mask] = np.nan
+        catch_up = driver._catch_up_column
+
+        def restore_then_catch_up(session, j):
+            if session is ses:
+                session.A[j] = pristine[j]
+            catch_up(session, j)
+
+        monkeypatch.setattr(driver, "_catch_up_column", restore_then_catch_up)
+        out = run_sequence(ses, flow, steps)
+        ref = run_sequence(twin, flow_b, steps)
+        assert not ses.s_star_mask.all()
+        assert np.isnan(ses.A[~ses.s_star_mask]).all()
+        for (xa, ra), (xb, rb) in zip(out, ref):
+            assert np.array_equal(xa, xb)
+            assert _fields(ra) == _fields(rb)
 
     def test_trajectories_and_event_logs_identical(self):
         n, steps = 15, 60
@@ -296,6 +332,57 @@ class TestCheckpoint:
         (tmp_path / "bad.bin").write_bytes(buf[:-1])
         with pytest.raises(ValueError):
             SolverSession.load(tmp_path / "bad.bin")
+
+    def test_load_rejects_lazy_a_mismatch(self, tmp_path):
+        n, steps = 200, 50
+        ses, flow = synthetic_session(n, seed=47)
+        stream = list(flow)[: steps + 20]
+        for g, c in stream[:steps]:
+            step(ses, g, c)
+        assert not ses.s_star_mask.all()
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        with pytest.raises(ValueError, match="lazy_a"):
+            SolverSession.load(path, SolverConfig(lazy_a=False))
+        twin = SolverSession.load(path, SolverConfig(lazy_a=True))
+        for g, c in stream[steps:]:
+            ra = step(ses, g, c)
+            rb = step(twin, g, c)
+            assert _fields(ra) == _fields(rb)
+            assert np.array_equal(ses.x, twin.x)
+
+    def test_column_layout_checkpoint_continues_bit_identically(self):
+        # Written by the column-layout solver (magic HSS1): a lazy synthetic
+        # session, n=12, seed 61, saved after 20 steps with one stale column.
+        # The next 10 steps catch that index up and then drop the log.
+        path = GOLDEN_DIR / "session-hss1-synthetic-n12-seed61-t20.bin"
+        assert path.read_bytes()[:4] == b"HSS1"
+        ses, flow = synthetic_session(12, seed=61)
+        stream = list(flow)[:30]
+        for g, c in stream:
+            step(ses, g, c)
+        twin = SolverSession.load(path)
+        assert twin.t == 20 and not twin.s_star_mask.all()
+        for g, c in stream[20:]:
+            step(twin, g, c)
+        assert np.array_equal(twin.x, ses.x)
+        assert [_fields(r) for r in twin.reports] == [_fields(r) for r in ses.reports[20:]]
+
+    def test_log_dropped_once_every_row_is_live(self, tmp_path):
+        ses, flow = synthetic_session(12, seed=61)
+        stream = list(flow)[:40]
+        for g, c in stream[:30]:
+            step(ses, g, c)
+        assert ses.s_star_mask.all() and ses.g_log == []
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        buf = path.read_bytes()
+        assert buf[:4] == b"HSS2"
+        assert struct.unpack_from("<IIIB3x", buf, 4)[2] == 0
+        twin = SolverSession.load(path)
+        for g, c in stream[30:]:
+            assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
+            assert np.array_equal(ses.x, twin.x)
 
     @staticmethod
     def mform_offset(ses):
