@@ -1,7 +1,19 @@
 """Sequential outer loop: one homotopy step per incoming (g_t, c_t) pair.
 
 Each step runs the matrix leg (A -> A + g g') and then the vector leg
-(c -> c + l) on the updated matrix.  The problem matrix is maintained lazily
+(c -> c + l) on the updated matrix.  On the simplex 1'x = 1 the step
+(g, c_new) has the same solution as (g - b 1, c_new - b g) for any scalar b,
+up to multiples of 1 in c that only move mu0.  The driver writes the drift as
+l = a g + beta 1 + r, the least-squares split over span{g, 1}, and takes
+b = a whenever the remainder is small (||r|| <= ||l|| / 2) and a is no larger
+than the largest |g_i|; otherwise b = 0.  The matrix leg then follows the
+joint path of the a g part on its own, and the vector leg carries only
+beta 1 + r, where beta 1 has zero velocity.  The session therefore solves an
+equivalent gauged problem: its matrix and linear term differ from the
+caller's, its iterate does not, and it keeps the offset between the two
+linear terms so that the next drift is measured in the caller's terms.
+
+The problem matrix is maintained lazily
 and by rows (A is symmetric, so row j stands for column j): only rows whose
 index has ever touched a support (the set S*) are kept current, and a row is
 caught up from the logged g history the first time its index enters.  Once
@@ -69,6 +81,14 @@ class SolverConfig:
 
 @dataclass
 class StepReport:
+    """What one step did.
+
+    kkt_residual is measured against the equivalent gauged problem the
+    session solves (its matrix and linear term), not the caller's (A, c): the
+    two share the iterate but differ in mu0 and in the stored matrix.
+    refreshes counts the re-derivations of (v, mu0) from the cached inverse.
+    """
+
     t: int
     k_a: int
     k_c: int
@@ -82,6 +102,7 @@ class StepReport:
     a_update_ns: int
     mult_count: int
     rebuilds: int
+    refreshes: int
 
 
 class SolverSession:
@@ -93,6 +114,9 @@ class SolverSession:
     rows outside S* are stale but never read.  Every read goes by row, so the
     live data is contiguous.  Once S* holds every index the log is empty and
     stays so.
+
+    A, c and the logged g's are in the gauge the legs run in; c_shift is that
+    c minus the caller's last linear term (zero until a step fuses a drift).
     """
 
     def __init__(self, A0, c0, quadruple, par1, config):
@@ -100,6 +124,7 @@ class SolverSession:
         self.n = int(A0.shape[0])
         self.A = np.array(A0, dtype=np.float64)
         self.c = np.array(c0, dtype=np.float64)
+        self.c_shift = np.zeros(self.n)
         self.quadruple = quadruple
         self.par1 = par1
         self.par2 = None
@@ -125,10 +150,11 @@ class SolverSession:
         return np.flatnonzero(self.s_star_mask)
 
     def residual(self):
-        """Optimality residual of the current quadruple against (A_t, c_t).
+        """Optimality residual of the current quadruple against the gauged (A_t, c_t).
 
-        kkt_residual reads only the support rows of A, which are current by
-        the session invariant.
+        This is the equivalent problem the legs solve, so mu0 and the matrix
+        differ from the caller's; the iterate does not.  kkt_residual reads
+        only the support rows of A, which are current by the session invariant.
         """
         return kkt_residual(self, self.quadruple)
 
@@ -142,10 +168,12 @@ class SolverSession:
 
     # -- checkpointing -------------------------------------------------------
 
-    SESSION_MAGIC = b"HSS2"
-    # HSS1 files are otherwise identical but keep A by column: their live
-    # columns are current and their stale ones pristine, so the transpose is
-    # exactly the row layout.
+    SESSION_MAGIC = b"HSS3"
+    # HSS2 files lack c_shift, and HSS1 files also keep A by column: their
+    # live columns are current and their stale ones pristine, so the
+    # transpose is exactly the row layout.  Both predate the gauge, so their
+    # c_shift is exactly zero.
+    UNGAUGED_MAGIC = b"HSS2"
     COLUMN_MAGIC = b"HSS1"
     # Fixed trailer after the state blob: rebuild_every, cycle_cap, tol,
     # cond_cap (lazy_a is in the header).  Files without it load with defaults.
@@ -161,6 +189,7 @@ class SolverSession:
             head,
             self.A.astype("<f8").tobytes(),
             self.c.astype("<f8").tobytes(),
+            self.c_shift.astype("<f8").tobytes(),
             self.s_star_mask.astype("<u1").tobytes(),
         ]
         parts += [g.astype("<f8").tobytes() for g in self.g_log]
@@ -175,7 +204,7 @@ class SolverSession:
         with open(path, "rb") as fh:
             buf = fh.read()
         magic = buf[:4]
-        if magic not in (cls.SESSION_MAGIC, cls.COLUMN_MAGIC):
+        if magic not in (cls.SESSION_MAGIC, cls.UNGAUGED_MAGIC, cls.COLUMN_MAGIC):
             raise ValueError("not a session checkpoint")
         n, t, k, lazy = struct.unpack_from("<IIIB3x", buf, 4)
         if config is not None and config.lazy_a != bool(lazy):
@@ -192,6 +221,7 @@ class SolverSession:
         if magic == cls.COLUMN_MAGIC:
             A = A.T.copy()
         c = take(n).astype(np.float64)
+        c_shift = take(n).astype(np.float64) if magic == cls.SESSION_MAGIC else np.zeros(n)
         mask = take(n, "<u1").astype(bool)
         g_log = [take(n).astype(np.float64) for _ in range(k)]
         support, quadruple, par1, par2, par3, off = state_from_bytes(buf, off)
@@ -206,6 +236,7 @@ class SolverSession:
         ses = cls(A, c, quadruple, par1, config)
         ses.A = A
         ses.t = t
+        ses.c_shift = c_shift
         ses.s_star_mask = mask
         ses.g_log = g_log
         ses.par2 = par2
@@ -243,15 +274,42 @@ def _add_outer_rows(A, g, rows):
         A[r] += np.outer(g[r], g)
 
 
+def _gauge_share(g, l):
+    """The gauge scalar b of one step: the share of g in the drift l, or 0.
+
+    l = a g + beta 1 + r is the least-squares split over span{g, 1}; b = a
+    when ||r|| <= ||l|| / 2 and |a| <= max|g|, else 0.  The cap keeps g - b 1
+    from turning into a near multiple of 1, whose updates would grow A along
+    11' and push the support's block toward singular.  The split costs O(n)
+    and, like the matrix maintenance, stays out of the multiplication tally.
+    """
+    if not l.any():
+        return 0.0
+    n = g.size
+    gc = g - g.sum() / n
+    gg = float(gc @ gc)
+    if gg == 0.0:
+        return 0.0
+    gl = float(gc @ l)
+    a = gl / gg
+    ll = float(l @ l)
+    sl = float(l.sum())
+    # ||r||^2 = ||l - mean(l) 1||^2 - a gl, since r is orthogonal to g - mean(g) 1.
+    rr = ll - sl * sl / n - a * gl
+    if 4.0 * rr <= ll and abs(a) <= float(np.abs(g).max()):
+        return a
+    return 0.0
+
+
 def step(session, g_t, c_t):
     """Advance one problem update; returns the StepReport.
 
-    Runs the matrix leg against the step's direction, folds the rank-one
-    update into the live rows, then runs the vector leg for the linear
-    drift.  Degeneracies inside a leg trigger one in-place rebuild and retry
-    before propagating.  Input of the wrong shape or with non-finite entries
-    is rejected with ValueError before anything changes; a broken turning
-    point invariant raises HonesError.
+    Gauges the step (see the module docstring), runs the matrix leg along
+    g - b 1, folds that rank-one update into the live rows, then runs the
+    vector leg for what is left of the drift.  Degeneracies inside a leg
+    trigger one in-place rebuild and retry before propagating.  Input of the
+    wrong shape or with non-finite entries is rejected with ValueError before
+    anything changes; a broken turning point invariant raises HonesError.
     """
     cfg = session.config
     counter = session.counter
@@ -269,8 +327,17 @@ def step(session, g_t, c_t):
         raise ValueError("step vectors must be finite")
     session.t += 1
     q = session.quadruple
-    prev_support = set(q.support.as_tuple())
+    prev_mask = q.support.mask.copy()
     s_max = q.support.size
+
+    # The caller's drift, split against g; c_shift changes only when b != 0,
+    # so a flow that never fuses keeps c_shift at exactly zero.
+    c_shift = session.c_shift
+    b = _gauge_share(g, c_new - (session.c - c_shift))
+    if b:
+        c_shift = c_shift - b * g
+        g = g - b
+    c_new = c_new + c_shift
 
     session.par2 = direct_update_par2(q.support, session.par1, session.c, g, counter)
 
@@ -326,28 +393,31 @@ def step(session, g_t, c_t):
     for ev in events_c:
         s_max = max(s_max, len(ev.support_after))
     session.c = c_new
+    session.c_shift = c_shift
 
     if cfg.rebuild_every and session.t % cfg.rebuild_every == 0:
         rebuild(session)
 
+    refreshes = 0
     residual = session.residual()
     if residual > REFRESH_FACTOR * cfg.tol:
         # Accumulated path roundoff: pin (v, mu0) back to the cached inverse,
         # rebuilding that first if it has drifted too.
         refresh_quadruple(q, session.par1, session.c, counter)
+        refreshes += 1
         residual = session.residual()
         if residual > REFRESH_FACTOR * cfg.tol:
             rebuild(session)
             refresh_quadruple(q, session.par1, session.c, counter)
+            refreshes += 1
             residual = session.residual()
 
     session.events.extend(events_a)
     session.events.extend(events_c)
 
-    cur_support = set(q.support.as_tuple())
     k_a, k_c = len(events_a), len(events_c)
     k_t = k_a + k_c
-    sym_diff = len(prev_support ^ cur_support)
+    sym_diff = int(np.count_nonzero(prev_mask ^ q.support.mask))
     if k_t < sym_diff:
         raise HonesError(f"{k_t} turning points fell below the symmetric-difference bound {sym_diff}")
     if (k_t - sym_diff) % 2:
@@ -368,6 +438,7 @@ def step(session, g_t, c_t):
         a_update_ns=a_ns,
         mult_count=counter.total - mult_before,
         rebuilds=session.rebuild_count - rebuilds_before,
+        refreshes=refreshes,
     )
     session.reports.append(report)
     return report
@@ -404,16 +475,24 @@ def run_sequence(session, flow, steps):
 
 
 def complexity_bound(n, report):
-    """Per-step multiplication budget from the turning-point accounting.
+    """Per-step multiplication budget, term by term from the tallied operations.
 
-    Sum of the matrix-leg cost n s* + n s (3 k_A + 1) + n (12 k_A + 2) and the
-    vector-leg cost n s (2 k_c + 1) + n (6 k_c + 1), plus 100 (k_t + 1) to
-    absorb the order-one terms.
+    With s = s_max, every tallied routine is bounded at size s:
+      fixed       3 n s + 9 n + 3 s + 14: the Par2 and Par3 products, the
+                  last ratio test and advance of each leg (the matrix leg's
+                  ratio test counting up to n near-zero checks);
+      per k_A     3 n s + 9 n + 4 s + 22: one more matrix ratio test and
+                  advance, plus an entry (which costs more than a leave);
+      per k_c     2 n s + 3 n + 2 s + 8: the same for the vector leg;
+      per refresh n s + n: one re-derivation of (v, mu0).
+    Rebuilds factorize outside the tally.  An in-leg retry after a rebuild
+    repeats one ratio test and advance, which this budget does not cover.
     """
-    s, ss = report.s_max, report.s_star
-    c1 = n * ss + n * s * (3 * report.k_a + 1) + n * (12 * report.k_a + 2)
-    c2 = n * s * (2 * report.k_c + 1) + n * (6 * report.k_c + 1)
-    return c1 + c2 + 100 * (report.k_t + 1)
+    s = report.s_max
+    fixed = 3 * n * s + 9 * n + 3 * s + 14
+    per_a = 3 * n * s + 9 * n + 4 * s + 22
+    per_c = 2 * n * s + 3 * n + 2 * s + 8
+    return fixed + report.k_a * per_a + report.k_c * per_c + report.refreshes * (n * s + n)
 
 
 @dataclass

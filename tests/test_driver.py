@@ -1,3 +1,4 @@
+import csv
 import struct
 from pathlib import Path
 
@@ -16,7 +17,15 @@ from hones.driver import (
     run_sequence,
     step,
 )
-from hones.flows import FlowConfig, PriceSeries, ons_flow, synthetic_flow
+from hones.flows import (
+    FlowConfig,
+    PriceSeries,
+    flow_for_config,
+    markowitz_flow,
+    ons_flow,
+    synthetic_flow,
+    synthetic_prices,
+)
 from hones.errors import HonesError
 from hones.kkt import Problem, oracle_solve
 from hones.path_matrix import PathEvent
@@ -37,6 +46,23 @@ NON_TIMING = (
 
 def _fields(report):
     return [getattr(report, f) for f in NON_TIMING]
+
+
+def ons_session(n, seed, steps, config=None):
+    """A session and its closed-loop ons flow, fed back the session's iterate."""
+    box = {}
+    flow = flow_for_config(FlowConfig("ons", n, steps, seed=seed), x_feedback=lambda: box["ses"].x)
+    box["ses"] = init_session(flow.a0, flow.c0, config)
+    return box["ses"], flow
+
+
+def run_against_oracle(ses, flow):
+    """Feed the whole flow; returns max |x - x_oracle| on the caller's A0 + G'G and last c."""
+    A = np.array(flow.a0, dtype=np.float64)
+    for g, c in flow:
+        step(ses, g, c)
+        A += np.outer(g, g)
+    return float(np.max(np.abs(ses.x - oracle_solve(Problem(A, c)).x)))
 
 
 class TestInitSession:
@@ -276,8 +302,9 @@ class TestCountOps:
         ses = init_session(np.eye(n), np.zeros(n))
         rep = step(ses, np.zeros(n), np.zeros(n))
         assert rep.k_t == 0
-        s, ss = rep.s_max, rep.s_star
-        expected = n * ss + 2 * n * s + 3 * n + 100
+        assert rep.refreshes == 0 and rep.rebuilds == 0
+        s = rep.s_max
+        expected = 3 * n * s + 9 * n + 3 * s + 14
         assert complexity_bound(n, rep) == expected
         assert rep.mult_count <= expected
 
@@ -351,25 +378,32 @@ class TestCheckpoint:
             assert _fields(ra) == _fields(rb)
             assert np.array_equal(ses.x, twin.x)
 
-    def test_column_layout_checkpoint_continues_bit_identically(self):
-        # Written by the column-layout solver (magic HSS1): a lazy synthetic
-        # session, n=12, seed 61, saved after 20 steps with one stale column.
-        # The next 10 steps catch that index up and then drop the log.
+    def test_column_layout_checkpoint_continues_bit_identically(self, tmp_path):
+        # Written by the column-layout solver (magic HSS1) before the gauge: a
+        # lazy synthetic session, n=12, seed 61, saved after 20 steps with one
+        # stale column.  It loads with c_shift = 0, and so does the same
+        # session re-saved as HSS3; both continue alike for 10 steps and stay
+        # on the caller's optimum.
         path = GOLDEN_DIR / "session-hss1-synthetic-n12-seed61-t20.bin"
         assert path.read_bytes()[:4] == b"HSS1"
-        ses, flow = synthetic_session(12, seed=61)
+        old = SolverSession.load(path)
+        assert old.t == 20 and not old.s_star_mask.all() and not old.c_shift.any()
+        resaved = tmp_path / "resaved.bin"
+        old.save(resaved)
+        assert resaved.read_bytes()[:4] == b"HSS3"
+        twin = SolverSession.load(resaved)
+        _, flow = synthetic_session(12, seed=61)
         stream = list(flow)[:30]
-        for g, c in stream:
-            step(ses, g, c)
-        twin = SolverSession.load(path)
-        assert twin.t == 20 and not twin.s_star_mask.all()
         for g, c in stream[20:]:
-            step(twin, g, c)
-        assert np.array_equal(twin.x, ses.x)
-        assert [_fields(r) for r in twin.reports] == [_fields(r) for r in ses.reports[20:]]
+            assert _fields(step(old, g, c)) == _fields(step(twin, g, c))
+            assert np.array_equal(old.x, twin.x)
+        G = np.array([g for g, _ in stream])
+        ref = oracle_solve(Problem(flow.a0 + G.T @ G, stream[-1][1]))
+        assert np.max(np.abs(old.x - ref.x)) <= 1e-9
 
     def test_log_dropped_once_every_row_is_live(self, tmp_path):
-        ses, flow = synthetic_session(12, seed=61)
+        # Every row is live from step 15 on; the log held rows before that.
+        ses, flow = synthetic_session(12, seed=79)
         stream = list(flow)[:40]
         for g, c in stream[:30]:
             step(ses, g, c)
@@ -377,7 +411,7 @@ class TestCheckpoint:
         path = tmp_path / "session.bin"
         ses.save(path)
         buf = path.read_bytes()
-        assert buf[:4] == b"HSS2"
+        assert buf[:4] == b"HSS3"
         assert struct.unpack_from("<IIIB3x", buf, 4)[2] == 0
         twin = SolverSession.load(path)
         for g, c in stream[30:]:
@@ -388,7 +422,7 @@ class TestCheckpoint:
     def mform_offset(ses):
         """Offset of the state blob's M form byte inside a session checkpoint."""
         n, k = ses.n, len(ses.g_log)
-        blob = 4 + struct.calcsize("<IIIB3x") + 8 * n * n + 8 * n + n + 8 * n * k
+        blob = 4 + struct.calcsize("<IIIB3x") + 8 * n * n + 2 * 8 * n + n + 8 * n * k
         return blob + 4 + struct.calcsize("<III")
 
     def checkpoint_with_mform(self, ses, tmp_path, value):
@@ -431,3 +465,94 @@ class TestCheckpoint:
         run_sequence(ses, flow, 5)
         with pytest.raises(ValueError):
             SolverSession.load(self.checkpoint_with_mform(ses, tmp_path, 2))
+
+    def test_gauged_session_continues_bit_identically(self, tmp_path):
+        ses, flow = ons_session(15, seed=53, steps=60)
+        it = iter(flow)
+        for _ in range(30):
+            step(ses, *next(it))
+        assert ses.c_shift.any()
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        twin = SolverSession.load(path)
+        assert np.array_equal(twin.c_shift, ses.c_shift) and np.array_equal(twin.c, ses.c)
+        for g, c in it:
+            assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
+            assert np.array_equal(ses.x, twin.x)
+
+    def test_ungauged_checkpoint_loads_with_zero_shift(self, tmp_path):
+        # An HSS2 file is an HSS3 file without the c_shift block; markowitz
+        # never fuses a drift, so its HSS3 c_shift is zero and the two must
+        # continue alike.
+        n = 10
+        flow = markowitz_flow(synthetic_prices(n, 41, seed=59).log_returns())
+        ses = init_session(flow.a0, flow.c0)
+        stream = list(flow)
+        for g, c in stream[:20]:
+            step(ses, g, c)
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        buf = path.read_bytes()
+        at = 4 + struct.calcsize("<IIIB3x") + 8 * n * n + 8 * n
+        assert not np.frombuffer(buf, "<f8", count=n, offset=at).any()
+        (tmp_path / "hss2.bin").write_bytes(b"HSS2" + buf[4:at] + buf[at + 8 * n :])
+        old = SolverSession.load(tmp_path / "hss2.bin")
+        assert np.array_equal(old.c_shift, np.zeros(n))
+        for g, c in stream[20:]:
+            assert _fields(step(ses, g, c)) == _fields(step(old, g, c))
+            assert np.array_equal(ses.x, old.x)
+
+
+class TestGauge:
+    def test_capped_share_keeps_high_risk_aversion_in_tol(self):
+        # risk_aversion = 10 makes the drift nearly 10 g, so g - b 1 would be
+        # about g - 10 and A would grow like 100 t 11'; the |a| <= max|g| cap
+        # keeps that drift in the vector leg.
+        n, steps = 200, 1500
+        flow = markowitz_flow(synthetic_prices(n, steps + 1, seed=3).log_returns(), risk_aversion=10.0)
+        ses = init_session(flow.a0, flow.c0)
+        dev = run_against_oracle(ses, flow)
+        assert sum(r.kkt_residual > ses.config.tol for r in ses.reports) == 0
+        assert dev <= 1e-9
+
+    def test_drift_along_g_leaves_vector_leg_idle(self, monkeypatch):
+        def drift_step(ses, flow):
+            it = iter(flow)
+            for _ in range(10):
+                step(ses, *next(it))
+            g, _ = next(it)
+            return step(ses, g, ses.c - ses.c_shift + 1.0 * g)
+
+        n, seed = 30, 71
+        rep = drift_step(*synthetic_session(n, seed=seed))
+        assert rep.k_c == 0
+        # The same step unfused moves coordinates across zero in the vector leg.
+        monkeypatch.setattr(driver, "_gauge_share", lambda g, l: 0.0)
+        assert drift_step(*synthetic_session(n, seed=seed)).k_c > 0
+
+    @pytest.mark.parametrize("kind", ["synthetic", "ons"])
+    def test_gauged_run_matches_oracle_in_callers_terms(self, kind):
+        n, steps, seed = 25, 200, 73
+        if kind == "synthetic":
+            ses, flow = synthetic_session(n, seed=seed, steps=steps)
+        else:
+            ses, flow = ons_session(n, seed=seed, steps=steps)
+        dev = run_against_oracle(ses, flow)
+        assert ses.c_shift.any()
+        assert dev <= 1e-9
+
+    def test_markowitz_matches_golden_rows(self):
+        # The drift is zero, so the gauge never fuses and the driver must
+        # reproduce the pinned markowitz rows (cli run-markowitz --n 20
+        # --steps 40 --seed 7 --rebuild-every 10) with c_shift at exactly 0.
+        with open(GOLDEN_DIR / "markowitz-hones-n20-s40-seed7.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        pick = [rows[0].index(col) for col in NON_TIMING]
+        flow = flow_for_config(FlowConfig("markowitz", 20, 40, seed=7))
+        ses = init_session(flow.a0, flow.c0, SolverConfig(rebuild_every=10))
+        for (g, c), row in zip(flow, rows[1:]):
+            rep = step(ses, g, c)
+            got = [repr(v) if isinstance(v, float) else str(v) for v in _fields(rep)]
+            assert got == [row[i] for i in pick]
+        assert len(ses.reports) == 40
+        assert np.array_equal(ses.c_shift, np.zeros(20))
