@@ -58,8 +58,6 @@ from .state import (
     direct_update_par2,
     direct_update_par3,
     init_par1,
-    load_state,
-    save_state,
     validate_state,
 )
 

@@ -321,10 +321,10 @@ def cmd_run_grid(args):
         kind = entry.get("kind", "synthetic")
         argv = [f"run-{kind}"]
         for key, val in entry.items():
-            if key == "kind":
+            if key == "kind" or val is False:
                 continue
             argv.append(f"--{key.replace('_', '-')}")
-            if not isinstance(val, bool):
+            if val is not True:
                 argv.append(str(val))
         sub_args = parser.parse_args(argv)
         sub_args.out_dir = args.out_dir

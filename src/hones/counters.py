@@ -2,7 +2,7 @@
 
 Convention: only multiplications are counted.  Additions, comparisons and
 divisions are ignored, and so is everything spent maintaining the problem
-matrix itself (rank-one column refreshes), which is accounted separately by
+matrix itself (rank-one row refreshes), which is accounted separately by
 the driver.
 """
 

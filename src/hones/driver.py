@@ -29,23 +29,24 @@ scalar-multiplication tally used by the complexity check.
 
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .counters import MultCounter
 from .errors import HonesError
-from .kkt import DEFAULT_COND_CAP, Problem, kkt_residual, oracle_solve
+from .kkt import DEFAULT_COND_CAP, Problem, Quadruple, Support, kkt_residual, oracle_solve
 from .path_matrix import run_lambda_leg
 from .path_vector import run_utilde_leg
 from .state import (
+    Par1,
+    Par2,
+    Par3,
     direct_update_par2,
     direct_update_par3,
     init_par1,
     par1_from_matrix,
     refresh_quadruple,
-    state_from_bytes,
-    state_to_bytes,
     validate_state,
 )
 
@@ -167,81 +168,117 @@ class SolverSession:
         return validate_state(self, self.support, self.par1, par3=self.par3)
 
     # -- checkpointing -------------------------------------------------------
+    #
+    # The one checkpoint layout; little-endian, floats IEEE-754 binary64:
+    #   "HSS3", n u32, t u32, k u32 (logged g's), lazy_a u8, 3 pad bytes
+    #   A n*n (row layout), c n, c_shift n, touched-row mask n u8, g log k*n
+    #   "HQS1", version u32 = 1, n u32, s u32 (support size), M form u8 = 1,
+    #       flags u8 (bit 0: Par2 held, bit 1: Par3 held), 2 pad bytes
+    #   support s i64, v n, mu0, M n*s (row-major), eta_tilde n, D
+    #   Par2 if held: eta n, D_g, D_gg, D_gc, g n
+    #   Par3 if held: xi n, D_l, l n
+    #   rebuild_every i64, cycle_cap i64, tol, cond_cap
+    # `load` checks all of it before it builds anything.
 
-    SESSION_MAGIC = b"HSS3"
-    # HSS2 files lack c_shift, and HSS1 files also keep A by column: their
-    # live columns are current and their stale ones pristine, so the
-    # transpose is exactly the row layout.  Both predate the gauge, so their
-    # c_shift is exactly zero.
-    UNGAUGED_MAGIC = b"HSS2"
-    COLUMN_MAGIC = b"HSS1"
-    # Fixed trailer after the state blob: rebuild_every, cycle_cap, tol,
-    # cond_cap (lazy_a is in the header).  Files without it load with defaults.
-    CONFIG_TRAILER = "<qqdd"
+    HEADER = struct.Struct("<4sIIIB3x")
+    STATE_HEADER = struct.Struct("<4sIIIBBxx")
+
+    @staticmethod
+    def _sections(n, k, s, flags):
+        """(name, dtype, count) of the arrays after each of the two headers."""
+        head = [("A", "<f8", n * n), ("c", "<f8", n), ("c_shift", "<f8", n), ("mask", "u1", n)]
+        head.append(("g_log", "<f8", k * n))
+        state = [("support", "<i8", s), ("v", "<f8", n), ("mu0", "<f8", 1)]
+        state += [("M", "<f8", n * s), ("eta_tilde", "<f8", n), ("D", "<f8", 1)]
+        if flags & 1:
+            state += [("eta", "<f8", n), ("par2", "<f8", 3), ("g", "<f8", n)]
+        if flags & 2:
+            state += [("xi", "<f8", n), ("D_l", "<f8", 1), ("l", "<f8", n)]
+        return head, state + [("config_ints", "<i8", 2), ("config_floats", "<f8", 2)]
 
     def save(self, path):
-        blob = state_to_bytes(self.support, self.quadruple, self.par1, self.par2, self.par3)
-        k = len(self.g_log)
-        head = self.SESSION_MAGIC + struct.pack(
-            "<IIIB3x", self.n, self.t, k, 1 if self.config.lazy_a else 0
-        )
-        parts = [
-            head,
-            self.A.astype("<f8").tobytes(),
-            self.c.astype("<f8").tobytes(),
-            self.c_shift.astype("<f8").tobytes(),
-            self.s_star_mask.astype("<u1").tobytes(),
-        ]
-        parts += [g.astype("<f8").tobytes() for g in self.g_log]
-        parts.append(blob)
-        cfg = self.config
-        parts.append(struct.pack(self.CONFIG_TRAILER, cfg.rebuild_every, cfg.cycle_cap, cfg.tol, cfg.cond_cap))
+        q, par1, par2, par3, cfg = self.quadruple, self.par1, self.par2, self.par3, self.config
+        k, s = len(self.g_log), q.support.size
+        flags = (par2 is not None) | (par3 is not None) << 1
+        fields = dict(A=self.A, c=self.c, c_shift=self.c_shift, mask=self.s_star_mask, g_log=self.g_log)
+        fields.update(support=q.support.idx, v=q.v, mu0=q.mu0, M=par1.M, eta_tilde=par1.eta_tilde, D=par1.D)
+        fields.update(config_ints=(cfg.rebuild_every, cfg.cycle_cap), config_floats=(cfg.tol, cfg.cond_cap))
+        if par2 is not None:
+            fields.update(eta=par2.eta, par2=(par2.D_g, par2.D_gg, par2.D_gc), g=par2.g)
+        if par3 is not None:
+            fields.update(xi=par3.xi, D_l=par3.D_l, l=par3.l)
+        head, state = self._sections(self.n, k, s, flags)
+        parts = [self.HEADER.pack(b"HSS3", self.n, self.t, k, cfg.lazy_a)]
+        parts += [np.asarray(fields[name], dtype).tobytes() for name, dtype, _ in head]
+        parts.append(self.STATE_HEADER.pack(b"HQS1", 1, self.n, s, 1, flags))
+        parts += [np.asarray(fields[name], dtype).tobytes() for name, dtype, _ in state]
         with open(path, "wb") as fh:
             fh.write(b"".join(parts))
 
     @classmethod
     def load(cls, path, config=None):
+        """Restore a session written by `save`; it continues bit for bit.
+
+        The saved config is restored unless one is passed, and a passed config
+        must agree on lazy_a.  A file that is not exactly a checkpoint (wrong
+        magic or header, wrong length, a flag byte other than 0 or 1, a support
+        that is not strictly increasing inside the touched rows, a non-finite
+        float) raises ValueError before any session is built.
+        """
         with open(path, "rb") as fh:
             buf = fh.read()
-        magic = buf[:4]
-        if magic not in (cls.SESSION_MAGIC, cls.UNGAUGED_MAGIC, cls.COLUMN_MAGIC):
+        if len(buf) < cls.HEADER.size or buf[:4] != b"HSS3":
             raise ValueError("not a session checkpoint")
-        n, t, k, lazy = struct.unpack_from("<IIIB3x", buf, 4)
-        if config is not None and config.lazy_a != bool(lazy):
-            raise ValueError(f"config has lazy_a={config.lazy_a}, the checkpoint lazy_a={bool(lazy)}")
-        off = 4 + struct.calcsize("<IIIB3x")
-
-        def take(count, dtype="<f8"):
-            nonlocal off
-            arr = np.frombuffer(buf, dtype=dtype, count=count, offset=off)
-            off += count * np.dtype(dtype).itemsize
-            return arr
-
-        A = take(n * n).reshape(n, n).astype(np.float64)
-        if magic == cls.COLUMN_MAGIC:
-            A = A.T.copy()
-        c = take(n).astype(np.float64)
-        c_shift = take(n).astype(np.float64) if magic == cls.SESSION_MAGIC else np.zeros(n)
-        mask = take(n, "<u1").astype(bool)
-        g_log = [take(n).astype(np.float64) for _ in range(k)]
-        support, quadruple, par1, par2, par3, off = state_from_bytes(buf, off)
-        trailer = buf[off:]
-        if trailer and len(trailer) != struct.calcsize(cls.CONFIG_TRAILER):
-            raise ValueError(f"{len(trailer)} unexpected bytes after the state blob")
+        _, n, t, k, lazy = cls.HEADER.unpack_from(buf)
+        at = cls.HEADER.size + _nbytes(cls._sections(n, k, 0, 0)[0])
+        if len(buf) < at + cls.STATE_HEADER.size:
+            raise ValueError(f"checkpoint of {len(buf)} bytes ends before its state header")
+        magic, version, n_state, s, mform, flags = cls.STATE_HEADER.unpack_from(buf, at)
+        if (magic, version, n_state, mform) != (b"HQS1", 1, n, 1) or flags > 3:
+            raise ValueError("bad state header")
+        head, state = cls._sections(n, k, s, flags)
+        size = at + cls.STATE_HEADER.size + _nbytes(state)
+        if len(buf) != size:
+            raise ValueError(f"checkpoint has {len(buf)} bytes, its headers imply {size}")
+        f = {}
+        for sections, off in ((head, cls.HEADER.size), (state, at + cls.STATE_HEADER.size)):
+            for name, dtype, count in sections:
+                f[name] = np.frombuffer(buf, dtype, count, off)
+                off += f[name].nbytes
+        mask, idx = f["mask"], f["support"]
+        if lazy > 1 or (mask > 1).any():
+            raise ValueError("lazy_a and touched-row bytes must be 0 or 1")
+        if not (s and idx[0] >= 0 and idx[-1] < n and (np.diff(idx) > 0).all() and mask[idx].all()):
+            raise ValueError("support must be nonempty, strictly increasing and inside the touched rows")
+        if not all(np.isfinite(f[name]).all() for name, dtype, _ in head + state if dtype == "<f8"):
+            raise ValueError("checkpoint holds a NaN or infinite float")
         if config is None:
-            config = SolverConfig(lazy_a=bool(lazy))
-            if trailer:
-                every, cap, tol, cond_cap = struct.unpack(cls.CONFIG_TRAILER, trailer)
-                config = replace(config, rebuild_every=every, cycle_cap=cap, tol=tol, cond_cap=cond_cap)
-        ses = cls(A, c, quadruple, par1, config)
-        ses.A = A
+            every, cap = (int(v) for v in f["config_ints"])
+            tol, cond_cap = (float(v) for v in f["config_floats"])
+            config = SolverConfig(rebuild_every=every, cycle_cap=cap, tol=tol, lazy_a=bool(lazy), cond_cap=cond_cap)
+        elif config.lazy_a != bool(lazy):
+            raise ValueError(f"config has lazy_a={config.lazy_a}, the checkpoint lazy_a={bool(lazy)}")
+
+        def vec(name):
+            return f[name].astype(np.float64)
+
+        support = Support(n, idx)
+        quadruple = Quadruple(support, vec("v"), float(f["mu0"][0]))
+        par1 = Par1(vec("M").reshape(n, s), vec("eta_tilde"), float(f["D"][0]))
+        ses = cls(f["A"].reshape(n, n), f["c"], quadruple, par1, config)
         ses.t = t
-        ses.c_shift = c_shift
-        ses.s_star_mask = mask
-        ses.g_log = g_log
-        ses.par2 = par2
-        ses.par3 = par3
+        ses.c_shift = vec("c_shift")
+        ses.s_star_mask = mask.astype(bool)
+        ses.g_log = list(vec("g_log").reshape(k, n))
+        if flags & 1:
+            ses.par2 = Par2(vec("eta"), *(float(v) for v in f["par2"]), vec("g"))
+        if flags & 2:
+            ses.par3 = Par3(vec("xi"), float(f["D_l"][0]), vec("l"))
         return ses
+
+
+def _nbytes(sections):
+    return sum(np.dtype(dtype).itemsize * count for _, dtype, count in sections)
 
 
 def init_session(A0, c0, config=None):

@@ -17,14 +17,13 @@ hands the same pivot vector to Par2.pivot or Par3.pivot, whichever cache the
 leg carries.
 """
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import counters as cnt
 from .errors import SingularSubmatrix
-from .kkt import DEFAULT_COND_CAP, Quadruple, Support
+from .kkt import DEFAULT_COND_CAP
 
 class Par1:
     """Inverse-block cache M plus eta_tilde = (M + I_{S^c}) 1 and D = 1' A_SS^{-1} 1.
@@ -65,11 +64,6 @@ class Par1:
     def remove_col(self, j, support_before):
         pos = int(np.searchsorted(support_before.idx, j))
         self.M = np.delete(self.M, pos, axis=1)
-
-    def check_structure(self, support):
-        """M must have one column per support index."""
-        if self.M.shape != (support.n, support.size):
-            raise AssertionError("M shape out of sync with support")
 
     def refresh_from(self, other):
         """Adopt another Par1's fields in place, preserving object identity."""
@@ -254,107 +248,3 @@ def validate_state(problem, support, par1, par2=None, par3=None):
         fresh3 = direct_update_par3(support, fresh1, par3.l)
         dev = max(dev, _rel(par3.xi, fresh3.xi), _rel(par3.D_l, fresh3.D_l))
     return dev
-
-
-# -- binary snapshot ---------------------------------------------------------
-#
-# Byte format (all scalars little-endian, all floats IEEE-754 binary64):
-#   magic   4 bytes  b"HQS1"
-#   version u32      currently 1
-#   n       u32
-#   s       u32      support size
-#   mform   u8       written as 1; 0 is read the same way (blobs of the
-#                    retired full n x n M also stored only the live columns)
-#   flags   u8       bit 0: Par2 present, bit 1: Par3 present
-#   pad     2 bytes
-#   support s  * i64
-#   v       n  * f8, mu0 f8
-#   M cols  n*s * f8 (row-major), eta_tilde n * f8, D f8
-#   [Par2]  eta n * f8, D_g f8, D_gg f8, D_gc f8, g n * f8
-#   [Par3]  xi  n * f8, D_l f8, l n * f8
-
-SNAPSHOT_MAGIC = b"HQS1"
-SNAPSHOT_VERSION = 1
-
-
-def state_to_bytes(support, quadruple, par1, par2=None, par3=None):
-    n, s = support.n, support.size
-    flags = (1 if par2 is not None else 0) | (2 if par3 is not None else 0)
-    parts = [
-        SNAPSHOT_MAGIC,
-        struct.pack("<IIIBBxx", SNAPSHOT_VERSION, n, s, 1, flags),
-        support.idx.astype("<i8").tobytes(),
-        quadruple.v.astype("<f8").tobytes(),
-        struct.pack("<d", quadruple.mu0),
-        par1.M.astype("<f8").tobytes(),
-        par1.eta_tilde.astype("<f8").tobytes(),
-        struct.pack("<d", par1.D),
-    ]
-    if par2 is not None:
-        parts += [
-            par2.eta.astype("<f8").tobytes(),
-            struct.pack("<ddd", par2.D_g, par2.D_gg, par2.D_gc),
-            par2.g.astype("<f8").tobytes(),
-        ]
-    if par3 is not None:
-        parts += [
-            par3.xi.astype("<f8").tobytes(),
-            struct.pack("<d", par3.D_l),
-            par3.l.astype("<f8").tobytes(),
-        ]
-    return b"".join(parts)
-
-
-def state_from_bytes(buf, offset=0):
-    """Parse one state blob; returns the fields and the offset past the blob."""
-    if buf[offset : offset + 4] != SNAPSHOT_MAGIC:
-        raise ValueError("not a state snapshot")
-    version, n, s, mform, flags = struct.unpack_from("<IIIBBxx", buf, offset + 4)
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {version}")
-    if mform not in (0, 1):
-        raise ValueError(f"unsupported snapshot M form byte {mform}")
-    off = offset + 4 + struct.calcsize("<IIIBBxx")
-
-    def take(count, dtype="<f8"):
-        nonlocal off
-        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=off)
-        off += count * np.dtype(dtype).itemsize
-        return arr.astype(np.float64 if dtype == "<f8" else np.int64)
-
-    idx = take(s, "<i8")
-    support = Support(n, idx)
-    v = take(n)
-    (mu0,) = struct.unpack_from("<d", buf, off)
-    off += 8
-    M = take(n * s).reshape(n, s)
-    eta_tilde = take(n)
-    (D,) = struct.unpack_from("<d", buf, off)
-    off += 8
-    par1 = Par1(M, eta_tilde, D)
-    par2 = par3 = None
-    if flags & 1:
-        eta = take(n)
-        d_g, d_gg, d_gc = struct.unpack_from("<ddd", buf, off)
-        off += 24
-        g = take(n)
-        par2 = Par2(eta, d_g, d_gg, d_gc, g)
-    if flags & 2:
-        xi = take(n)
-        (d_l,) = struct.unpack_from("<d", buf, off)
-        off += 8
-        l = take(n)
-        par3 = Par3(xi, d_l, l)
-    return support, Quadruple(support, v, mu0), par1, par2, par3, off
-
-
-def save_state(path, support, quadruple, par1, par2=None, par3=None):
-    with open(path, "wb") as fh:
-        fh.write(state_to_bytes(support, quadruple, par1, par2, par3))
-
-
-def load_state(path):
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    support, quadruple, par1, par2, par3, _ = state_from_bytes(buf)
-    return support, quadruple, par1, par2, par3

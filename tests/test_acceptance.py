@@ -112,7 +112,7 @@ def test_criterion_3_excess_turning_points(criterion3_runs):
     assert ok, (
         "zero-excess proportion below 0.95; the two-leg path genuinely "
         "produces these turning points (every sampled event is oracle-"
-        "confirmed), see README 'Known limitation'"
+        "confirmed), see README 'The simplex gauge'"
     )
 
 

@@ -185,6 +185,19 @@ class TestGrid:
         assert (tmp_path / "synthetic-hones-n10-s20-seed1.csv").exists()
         assert (tmp_path / "synthetic-hones-n12-s20-seed2.csv").exists()
 
+    def test_boolean_keys(self, tmp_path):
+        # A true key turns its flag on; a false key leaves it off.
+        grid = [
+            {"kind": "synthetic", "n": 8, "steps": 5, "seed": 1, "eager": False},
+            {"kind": "synthetic", "n": 8, "steps": 5, "seed": 2, "eager": True},
+        ]
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        assert cli.main(["run-grid", "--file", str(grid_file), "--out-dir", str(tmp_path)]) == 0
+        for seed, lazy in ((1, True), (2, False)):
+            summary = json.loads((tmp_path / f"synthetic-hones-n8-s5-seed{seed}.json").read_text())
+            assert summary["scenario"]["lazy_a"] is lazy
+
     def test_bad_grid_file(self, tmp_path):
         bad = tmp_path / "grid.json"
         bad.write_text("{not json")

@@ -33,6 +33,69 @@ from hones.path_matrix import PathEvent
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+GOLDEN_CHECKPOINT = GOLDEN_DIR / "session-hss3-synthetic-n12-seed61-t20.bin"
+
+# Checkpoint sections in file order, for a session that holds Par2 and Par3.
+CHECKPOINT_SECTIONS = (
+    "header", "A", "c", "c_shift", "mask", "g_log", "state_header", "support", "v", "mu0", "M", "eta_tilde",
+    "D", "eta", "par2_scalars", "g", "xi", "D_l", "l", "config",
+)
+
+
+def golden_layout():
+    """The golden checkpoint's bytes and the start offset of each section."""
+    buf = GOLDEN_CHECKPOINT.read_bytes()
+    n, _, k = struct.unpack_from("<III", buf, 4)
+    s = struct.unpack_from("<I", buf, 20 + 8 * n * n + 17 * n + 8 * k * n + 12)[0]
+    sizes = (20, 8 * n * n, 8 * n, 8 * n, n, 8 * k * n, 20, 8 * s, 8 * n, 8, 8 * n * s, 8 * n, 8, 8 * n, 24)
+    sizes += (8 * n, 8 * n, 8, 8 * n, 32)
+    starts = np.cumsum((0,) + sizes[:-1])
+    assert starts[-1] + sizes[-1] == len(buf)
+    return buf, {name: int(at) for name, at in zip(CHECKPOINT_SECTIONS, starts)}
+
+
+def _put(buf, at, fmt, value):
+    struct.pack_into(fmt, buf, at, value)
+    return buf
+
+
+def _support_outside_touched(buf, at):
+    """Swap one support index for a stale row, keeping the support increasing."""
+    n = struct.unpack_from("<I", buf, 4)[0]
+    mask = np.frombuffer(buf, "u1", n, at["mask"])
+    idx = np.frombuffer(buf, "<i8", (at["v"] - at["support"]) // 8, at["support"]).copy()
+    j = int(np.flatnonzero(mask == 0)[0])
+    idx[min(int(np.searchsorted(idx, j)), idx.size - 1)] = j
+    buf[at["support"] : at["v"]] = idx.astype("<i8").tobytes()
+    return buf
+
+
+# Damage to the golden checkpoint that load must refuse, besides a cut at the
+# start of each section.
+DAMAGE = {
+    "short-1": lambda buf, at: buf[:-1],
+    "extra-1": lambda buf, at: buf + b"\0",
+    "garbage": lambda buf, at: b"not a snapshot",
+    "short-header": lambda buf, at: buf[:10],
+    "magic-HSS1": lambda buf, at: _put(buf, 0, "4s", b"HSS1"),
+    "magic-HSS2": lambda buf, at: _put(buf, 0, "4s", b"HSS2"),
+    "magic-junk": lambda buf, at: _put(buf, 0, "4s", b"junk"),
+    "lazy-2": lambda buf, at: _put(buf, 16, "B", 2),
+    "mask-2": lambda buf, at: _put(buf, at["mask"] + 3, "B", 2),
+    "state-magic": lambda buf, at: _put(buf, at["state_header"], "4s", b"HQS2"),
+    "state-version-2": lambda buf, at: _put(buf, at["state_header"] + 4, "<I", 2),
+    "state-n": lambda buf, at: _put(buf, at["state_header"] + 8, "<I", 11),
+    "mform-0": lambda buf, at: _put(buf, at["state_header"] + 16, "B", 0),
+    "mform-2": lambda buf, at: _put(buf, at["state_header"] + 16, "B", 2),
+    "flags-4": lambda buf, at: _put(buf, at["state_header"] + 17, "B", 4),
+    "support-duplicate": lambda buf, at: _put(buf, at["support"] + 8, "8s", buf[at["support"] : at["support"] + 8]),
+    "support-outside-touched": _support_outside_touched,
+    "nan-A": lambda buf, at: _put(buf, at["A"] + 8 * 13, "<d", float("nan")),
+    "nan-M": lambda buf, at: _put(buf, at["M"], "<d", float("nan")),
+    "inf-tol": lambda buf, at: _put(buf, at["config"] + 16, "<d", float("inf")),
+}
+
+
 def synthetic_session(n, seed, c_factor=0.1, config=None, steps=1000):
     flow = synthetic_flow(FlowConfig("synthetic", n, steps, c_factor=c_factor, seed=seed))
     session = init_session(flow.a0, flow.c0, config)
@@ -345,21 +408,6 @@ class TestCheckpoint:
             assert np.array_equal(ses.x, twin.x)
         assert sum(r.rebuilds for r in twin.reports) == 4
 
-    def test_file_without_config_trailer_loads_defaults(self, tmp_path):
-        ses, flow = synthetic_session(6, seed=43, config=SolverConfig(rebuild_every=5, lazy_a=False))
-        run_sequence(ses, flow, 8)
-        path = tmp_path / "session.bin"
-        ses.save(path)
-        buf = path.read_bytes()
-        trailer = struct.calcsize(SolverSession.CONFIG_TRAILER)
-        (tmp_path / "old.bin").write_bytes(buf[:-trailer])
-        old = SolverSession.load(tmp_path / "old.bin")
-        assert old.config == SolverConfig(lazy_a=False)
-        assert np.array_equal(old.x, ses.x)
-        (tmp_path / "bad.bin").write_bytes(buf[:-1])
-        with pytest.raises(ValueError):
-            SolverSession.load(tmp_path / "bad.bin")
-
     def test_load_rejects_lazy_a_mismatch(self, tmp_path):
         n, steps = 200, 50
         ses, flow = synthetic_session(n, seed=47)
@@ -378,29 +426,6 @@ class TestCheckpoint:
             assert _fields(ra) == _fields(rb)
             assert np.array_equal(ses.x, twin.x)
 
-    def test_column_layout_checkpoint_continues_bit_identically(self, tmp_path):
-        # Written by the column-layout solver (magic HSS1) before the gauge: a
-        # lazy synthetic session, n=12, seed 61, saved after 20 steps with one
-        # stale column.  It loads with c_shift = 0, and so does the same
-        # session re-saved as HSS3; both continue alike for 10 steps and stay
-        # on the caller's optimum.
-        path = GOLDEN_DIR / "session-hss1-synthetic-n12-seed61-t20.bin"
-        assert path.read_bytes()[:4] == b"HSS1"
-        old = SolverSession.load(path)
-        assert old.t == 20 and not old.s_star_mask.all() and not old.c_shift.any()
-        resaved = tmp_path / "resaved.bin"
-        old.save(resaved)
-        assert resaved.read_bytes()[:4] == b"HSS3"
-        twin = SolverSession.load(resaved)
-        _, flow = synthetic_session(12, seed=61)
-        stream = list(flow)[:30]
-        for g, c in stream[20:]:
-            assert _fields(step(old, g, c)) == _fields(step(twin, g, c))
-            assert np.array_equal(old.x, twin.x)
-        G = np.array([g for g, _ in stream])
-        ref = oracle_solve(Problem(flow.a0 + G.T @ G, stream[-1][1]))
-        assert np.max(np.abs(old.x - ref.x)) <= 1e-9
-
     def test_log_dropped_once_every_row_is_live(self, tmp_path):
         # Every row is live from step 15 on; the log held rows before that.
         ses, flow = synthetic_session(12, seed=79)
@@ -418,54 +443,6 @@ class TestCheckpoint:
             assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
             assert np.array_equal(ses.x, twin.x)
 
-    @staticmethod
-    def mform_offset(ses):
-        """Offset of the state blob's M form byte inside a session checkpoint."""
-        n, k = ses.n, len(ses.g_log)
-        blob = 4 + struct.calcsize("<IIIB3x") + 8 * n * n + 2 * 8 * n + n + 8 * n * k
-        return blob + 4 + struct.calcsize("<III")
-
-    def checkpoint_with_mform(self, ses, tmp_path, value):
-        path = tmp_path / "session.bin"
-        ses.save(path)
-        buf = bytearray(path.read_bytes())
-        pos = self.mform_offset(ses)
-        assert buf[pos - 16 : pos - 12] == b"HQS1" and buf[pos] == 1
-        buf[pos] = value
-        out = tmp_path / f"session-mform{value}.bin"
-        out.write_bytes(bytes(buf))
-        return out
-
-    def test_mform_zero_blob_continues_bit_identically(self, tmp_path):
-        # Checkpoints written while M was kept as a full n x n matrix carry
-        # byte 0 but store the same live columns.
-        n, steps = 9, 20
-        ses, flow = synthetic_session(n, seed=31)
-        stream = list(flow)[: steps + 10]
-        for g, c in stream[:steps]:
-            step(ses, g, c)
-        twin = SolverSession.load(self.checkpoint_with_mform(ses, tmp_path, 0))
-        assert twin.t == ses.t
-        for g, c in stream[steps:]:
-            ra = step(ses, g, c)
-            rb = step(twin, g, c)
-            assert np.array_equal(ses.x, twin.x)
-            assert (ra.k_a, ra.k_c, ra.e_t, ra.mult_count, ra.rebuilds, ra.kkt_residual) == (
-                rb.k_a,
-                rb.k_c,
-                rb.e_t,
-                rb.mult_count,
-                rb.rebuilds,
-                rb.kkt_residual,
-            )
-        assert np.array_equal(ses.par1.M, twin.par1.M)
-
-    def test_unknown_mform_byte_rejected(self, tmp_path):
-        ses, flow = synthetic_session(6, seed=37)
-        run_sequence(ses, flow, 5)
-        with pytest.raises(ValueError):
-            SolverSession.load(self.checkpoint_with_mform(ses, tmp_path, 2))
-
     def test_gauged_session_continues_bit_identically(self, tmp_path):
         ses, flow = ons_session(15, seed=53, steps=60)
         it = iter(flow)
@@ -480,27 +457,67 @@ class TestCheckpoint:
             assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
             assert np.array_equal(ses.x, twin.x)
 
-    def test_ungauged_checkpoint_loads_with_zero_shift(self, tmp_path):
-        # An HSS2 file is an HSS3 file without the c_shift block; markowitz
-        # never fuses a drift, so its HSS3 c_shift is zero and the two must
-        # continue alike.
-        n = 10
-        flow = markowitz_flow(synthetic_prices(n, 41, seed=59).log_returns())
-        ses = init_session(flow.a0, flow.c0)
-        stream = list(flow)
+    def test_golden_checkpoint_continues_bit_identically(self, tmp_path):
+        # A lazy synthetic session (n=12, seed 61, rebuild_every=7, tol=1e-7)
+        # saved after 20 steps, with two stale rows, a 20-entry log and a
+        # nonzero gauge offset.  It loads, re-saves to the same bytes, and
+        # continues exactly like the run that was never saved.
+        buf = GOLDEN_CHECKPOINT.read_bytes()
+        cfg = SolverConfig(rebuild_every=7, tol=1e-7)
+        old = SolverSession.load(GOLDEN_CHECKPOINT)
+        assert old.config == cfg and old.t == 20
+        assert not old.s_star_mask.all() and len(old.g_log) == 20 and old.c_shift.any()
+        old.save(tmp_path / "resaved.bin")
+        assert (tmp_path / "resaved.bin").read_bytes() == buf
+        ses, flow = synthetic_session(12, seed=61, config=cfg)
+        stream = list(flow)[:30]
         for g, c in stream[:20]:
             step(ses, g, c)
-        path = tmp_path / "session.bin"
-        ses.save(path)
-        buf = path.read_bytes()
-        at = 4 + struct.calcsize("<IIIB3x") + 8 * n * n + 8 * n
-        assert not np.frombuffer(buf, "<f8", count=n, offset=at).any()
-        (tmp_path / "hss2.bin").write_bytes(b"HSS2" + buf[4:at] + buf[at + 8 * n :])
-        old = SolverSession.load(tmp_path / "hss2.bin")
-        assert np.array_equal(old.c_shift, np.zeros(n))
         for g, c in stream[20:]:
             assert _fields(step(ses, g, c)) == _fields(step(old, g, c))
             assert np.array_equal(ses.x, old.x)
+        G = np.array([g for g, _ in stream])
+        ref = oracle_solve(Problem(flow.a0 + G.T @ G, stream[-1][1]))
+        assert np.max(np.abs(old.x - ref.x)) <= 1e-9
+
+    def test_saved_before_first_step_continues(self, tmp_path):
+        ses, flow = synthetic_session(8, seed=67)
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        twin = SolverSession.load(path)
+        assert twin.t == 0 and twin.par2 is None and twin.par3 is None
+        assert np.array_equal(twin.par1.M, ses.par1.M) and np.array_equal(twin.A, ses.A)
+        for g, c in list(flow)[:15]:
+            assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
+            assert np.array_equal(ses.x, twin.x)
+
+    def test_caches_equal_after_load(self, tmp_path):
+        ses, flow = synthetic_session(10, seed=71)
+        run_sequence(ses, flow, 12)
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        twin = SolverSession.load(path)
+        assert twin.support == ses.support and twin.quadruple.mu0 == ses.quadruple.mu0
+        assert np.array_equal(twin.quadruple.v, ses.quadruple.v)
+        assert np.array_equal(twin.par1.M, ses.par1.M) and twin.par1.D == ses.par1.D
+        assert np.array_equal(twin.par1.eta_tilde, ses.par1.eta_tilde)
+        p2, q2 = ses.par2, twin.par2
+        assert (q2.D_g, q2.D_gg, q2.D_gc) == (p2.D_g, p2.D_gg, p2.D_gc)
+        assert np.array_equal(q2.eta, p2.eta) and np.array_equal(q2.g, p2.g)
+        p3, q3 = ses.par3, twin.par3
+        assert q3.D_l == p3.D_l and np.array_equal(q3.xi, p3.xi) and np.array_equal(q3.l, p3.l)
+
+    @pytest.mark.parametrize("case", [f"cut-{name}" for name in CHECKPOINT_SECTIONS] + sorted(DAMAGE))
+    def test_damaged_checkpoint_rejected(self, tmp_path, case):
+        buf, at = golden_layout()
+        if case.startswith("cut-"):
+            bad = buf[: at[case[4:]]]
+        else:
+            bad = DAMAGE[case](bytearray(buf), at)
+        path = tmp_path / "damaged.bin"
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ValueError):
+            SolverSession.load(path)
 
 
 class TestGauge:
