@@ -21,6 +21,11 @@ every row is live the whole matrix takes the rank-one update in place and the
 log is dropped.  A twin eager mode keeps the full matrix current instead and
 must produce identical trajectories.
 
+Between steps the session keeps the matrix, the linear term, the quadruple
+and Par1, and nothing else: each leg derives its own cache from Par1 when it
+starts (Par2 for the matrix leg, Par3 for the vector leg) and drops it when
+it ends.  A checkpoint (`HSS4`) holds exactly that lasting state.
+
 Per step the driver emits a StepReport with the turning-point counts, the
 excess over the support symmetric-difference lower bound, the optimality
 residual, wall time split into solve and matrix-maintenance parts, and the
@@ -40,8 +45,6 @@ from .path_matrix import run_lambda_leg
 from .path_vector import run_utilde_leg
 from .state import (
     Par1,
-    Par2,
-    Par3,
     direct_update_par2,
     direct_update_par3,
     init_par1,
@@ -64,13 +67,15 @@ UPDATE_BLOCK = 16384
 class SolverConfig:
     """Knobs for one solver session.
 
-    rebuild_every: refresh the cached state by direct factorization every R
-        steps (0 disables).
+    rebuild_every: refactorize Par1 every R steps (0 disables).
     cycle_cap: turning points allowed per leg before CycleLimit (0 means 10 n).
     tol: residual target; a step whose residual exceeds REFRESH_FACTOR * tol
         re-derives (v, mu0) from the cached inverse, then rebuilds if needed.
     lazy_a: keep only the touched rows of A current (False: the whole A).
     cond_cap: condition-estimate cap for every factorization of A_SS.
+    A value out of range (negative counts, a tol that is not finite and
+    positive, a cond_cap below 1, a lazy_a that is not a bool) raises
+    ValueError.
     """
 
     rebuild_every: int = 1000
@@ -78,6 +83,18 @@ class SolverConfig:
     tol: float = 1e-8
     lazy_a: bool = True
     cond_cap: float = DEFAULT_COND_CAP
+
+    def __post_init__(self):
+        if self.rebuild_every < 0:
+            raise ValueError(f"rebuild_every must be nonnegative, got {self.rebuild_every}")
+        if self.cycle_cap < 0:
+            raise ValueError(f"cycle_cap must be nonnegative, got {self.cycle_cap}")
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if not self.cond_cap >= 1.0:
+            raise ValueError(f"cond_cap must be at least 1, got {self.cond_cap}")
+        if not isinstance(self.lazy_a, bool):
+            raise ValueError(f"lazy_a must be a bool, got {self.lazy_a!r}")
 
 
 @dataclass
@@ -107,7 +124,7 @@ class StepReport:
 
 
 class SolverSession:
-    """All mutable state of one sequential solve.
+    """All state of one sequential solve that lasts from one step to the next.
 
     The stored matrix starts as a copy of the initial A.  In lazy mode the
     invariant is: for every j in S*, row j equals the initial row plus the
@@ -118,6 +135,8 @@ class SolverSession:
 
     A, c and the logged g's are in the gauge the legs run in; c_shift is that
     c minus the caller's last linear term (zero until a step fuses a drift).
+    Of the caches only Par1 is kept: Par2 and Par3 belong to one step's g and
+    drift, so `step` derives each one from Par1 when its leg starts.
     """
 
     def __init__(self, A0, c0, quadruple, par1, config):
@@ -128,8 +147,6 @@ class SolverSession:
         self.c_shift = np.zeros(self.n)
         self.quadruple = quadruple
         self.par1 = par1
-        self.par2 = None
-        self.par3 = None
         self.t = 0
         self.s_star_mask = quadruple.support.mask.copy()
         self.g_log = []
@@ -160,58 +177,38 @@ class SolverSession:
         return kkt_residual(self, self.quadruple)
 
     def validate(self):
-        """State drift against a fresh factorization of the live rows.
-
-        Par2 is skipped: at a step boundary it still refers to the previous
-        linear term by design and is recomputed at the next step start.
-        """
-        return validate_state(self, self.support, self.par1, par3=self.par3)
+        """Par1's drift against a fresh factorization of the live rows."""
+        return validate_state(self, self.support, self.par1)
 
     # -- checkpointing -------------------------------------------------------
     #
     # The one checkpoint layout; little-endian, floats IEEE-754 binary64:
-    #   "HSS3", n u32, t u32, k u32 (logged g's), lazy_a u8, 3 pad bytes
+    #   "HSS4", n u32, t u32, k u32 (logged g's), s u32 (support size),
+    #       lazy_a u8, 3 pad bytes
     #   A n*n (row layout), c n, c_shift n, touched-row mask n u8, g log k*n
-    #   "HQS1", version u32 = 1, n u32, s u32 (support size), M form u8 = 1,
-    #       flags u8 (bit 0: Par2 held, bit 1: Par3 held), 2 pad bytes
     #   support s i64, v n, mu0, M n*s (row-major), eta_tilde n, D
-    #   Par2 if held: eta n, D_g, D_gg, D_gc, g n
-    #   Par3 if held: xi n, D_l, l n
     #   rebuild_every i64, cycle_cap i64, tol, cond_cap
     # `load` checks all of it before it builds anything.
 
-    HEADER = struct.Struct("<4sIIIB3x")
-    STATE_HEADER = struct.Struct("<4sIIIBBxx")
+    HEADER = struct.Struct("<4sIIIIB3x")
 
     @staticmethod
-    def _sections(n, k, s, flags):
-        """(name, dtype, count) of the arrays after each of the two headers."""
-        head = [("A", "<f8", n * n), ("c", "<f8", n), ("c_shift", "<f8", n), ("mask", "u1", n)]
-        head.append(("g_log", "<f8", k * n))
-        state = [("support", "<i8", s), ("v", "<f8", n), ("mu0", "<f8", 1)]
-        state += [("M", "<f8", n * s), ("eta_tilde", "<f8", n), ("D", "<f8", 1)]
-        if flags & 1:
-            state += [("eta", "<f8", n), ("par2", "<f8", 3), ("g", "<f8", n)]
-        if flags & 2:
-            state += [("xi", "<f8", n), ("D_l", "<f8", 1), ("l", "<f8", n)]
-        return head, state + [("config_ints", "<i8", 2), ("config_floats", "<f8", 2)]
+    def _sections(n, k, s):
+        """(name, dtype, count) of the arrays after the header, in file order."""
+        return [
+            ("A", "<f8", n * n), ("c", "<f8", n), ("c_shift", "<f8", n), ("mask", "u1", n), ("g_log", "<f8", k * n),
+            ("support", "<i8", s), ("v", "<f8", n), ("mu0", "<f8", 1), ("M", "<f8", n * s),
+            ("eta_tilde", "<f8", n), ("D", "<f8", 1), ("config_ints", "<i8", 2), ("config_floats", "<f8", 2),
+        ]
 
     def save(self, path):
-        q, par1, par2, par3, cfg = self.quadruple, self.par1, self.par2, self.par3, self.config
+        q, par1, cfg = self.quadruple, self.par1, self.config
         k, s = len(self.g_log), q.support.size
-        flags = (par2 is not None) | (par3 is not None) << 1
         fields = dict(A=self.A, c=self.c, c_shift=self.c_shift, mask=self.s_star_mask, g_log=self.g_log)
         fields.update(support=q.support.idx, v=q.v, mu0=q.mu0, M=par1.M, eta_tilde=par1.eta_tilde, D=par1.D)
         fields.update(config_ints=(cfg.rebuild_every, cfg.cycle_cap), config_floats=(cfg.tol, cfg.cond_cap))
-        if par2 is not None:
-            fields.update(eta=par2.eta, par2=(par2.D_g, par2.D_gg, par2.D_gc), g=par2.g)
-        if par3 is not None:
-            fields.update(xi=par3.xi, D_l=par3.D_l, l=par3.l)
-        head, state = self._sections(self.n, k, s, flags)
-        parts = [self.HEADER.pack(b"HSS3", self.n, self.t, k, cfg.lazy_a)]
-        parts += [np.asarray(fields[name], dtype).tobytes() for name, dtype, _ in head]
-        parts.append(self.STATE_HEADER.pack(b"HQS1", 1, self.n, s, 1, flags))
-        parts += [np.asarray(fields[name], dtype).tobytes() for name, dtype, _ in state]
+        parts = [self.HEADER.pack(b"HSS4", self.n, self.t, k, s, cfg.lazy_a)]
+        parts += [np.asarray(fields[name], dtype).tobytes() for name, dtype, _ in self._sections(self.n, k, s)]
         with open(path, "wb") as fh:
             fh.write(b"".join(parts))
 
@@ -221,36 +218,31 @@ class SolverSession:
 
         The saved config is restored unless one is passed, and a passed config
         must agree on lazy_a.  A file that is not exactly a checkpoint (wrong
-        magic or header, wrong length, a flag byte other than 0 or 1, a support
-        that is not strictly increasing inside the touched rows, a non-finite
-        float) raises ValueError before any session is built.
+        magic, a length other than its header implies, a flag byte other than
+        0 or 1, a support that is not strictly increasing inside the touched
+        rows, a non-finite float, a config SolverConfig refuses) raises
+        ValueError before any session is built.
         """
         with open(path, "rb") as fh:
             buf = fh.read()
-        if len(buf) < cls.HEADER.size or buf[:4] != b"HSS3":
+        if len(buf) < cls.HEADER.size or buf[:4] != b"HSS4":
             raise ValueError("not a session checkpoint")
-        _, n, t, k, lazy = cls.HEADER.unpack_from(buf)
-        at = cls.HEADER.size + _nbytes(cls._sections(n, k, 0, 0)[0])
-        if len(buf) < at + cls.STATE_HEADER.size:
-            raise ValueError(f"checkpoint of {len(buf)} bytes ends before its state header")
-        magic, version, n_state, s, mform, flags = cls.STATE_HEADER.unpack_from(buf, at)
-        if (magic, version, n_state, mform) != (b"HQS1", 1, n, 1) or flags > 3:
-            raise ValueError("bad state header")
-        head, state = cls._sections(n, k, s, flags)
-        size = at + cls.STATE_HEADER.size + _nbytes(state)
+        _, n, t, k, s, lazy = cls.HEADER.unpack_from(buf)
+        sections = cls._sections(n, k, s)
+        size = cls.HEADER.size + sum(np.dtype(dtype).itemsize * count for _, dtype, count in sections)
         if len(buf) != size:
-            raise ValueError(f"checkpoint has {len(buf)} bytes, its headers imply {size}")
+            raise ValueError(f"checkpoint has {len(buf)} bytes, its header implies {size}")
         f = {}
-        for sections, off in ((head, cls.HEADER.size), (state, at + cls.STATE_HEADER.size)):
-            for name, dtype, count in sections:
-                f[name] = np.frombuffer(buf, dtype, count, off)
-                off += f[name].nbytes
+        off = cls.HEADER.size
+        for name, dtype, count in sections:
+            f[name] = np.frombuffer(buf, dtype, count, off)
+            off += f[name].nbytes
         mask, idx = f["mask"], f["support"]
         if lazy > 1 or (mask > 1).any():
             raise ValueError("lazy_a and touched-row bytes must be 0 or 1")
         if not (s and idx[0] >= 0 and idx[-1] < n and (np.diff(idx) > 0).all() and mask[idx].all()):
             raise ValueError("support must be nonempty, strictly increasing and inside the touched rows")
-        if not all(np.isfinite(f[name]).all() for name, dtype, _ in head + state if dtype == "<f8"):
+        if not all(np.isfinite(f[name]).all() for name, dtype, _ in sections if dtype == "<f8"):
             raise ValueError("checkpoint holds a NaN or infinite float")
         if config is None:
             every, cap = (int(v) for v in f["config_ints"])
@@ -270,15 +262,7 @@ class SolverSession:
         ses.c_shift = vec("c_shift")
         ses.s_star_mask = mask.astype(bool)
         ses.g_log = list(vec("g_log").reshape(k, n))
-        if flags & 1:
-            ses.par2 = Par2(vec("eta"), *(float(v) for v in f["par2"]), vec("g"))
-        if flags & 2:
-            ses.par3 = Par3(vec("xi"), float(f["D_l"][0]), vec("l"))
         return ses
-
-
-def _nbytes(sections):
-    return sum(np.dtype(dtype).itemsize * count for _, dtype, count in sections)
 
 
 def init_session(A0, c0, config=None):
@@ -376,8 +360,6 @@ def step(session, g_t, c_t):
         g = g - b
     c_new = c_new + c_shift
 
-    session.par2 = direct_update_par2(q.support, session.par1, session.c, g, counter)
-
     def ensure_column(j):
         nonlocal a_ns
         if session.s_star_mask[j]:
@@ -388,17 +370,26 @@ def step(session, g_t, c_t):
         session.s_star_mask[j] = True
         a_ns += time.perf_counter_ns() - t0
 
+    # Each leg's cache lasts only that leg.  Its rebuild callback (passed by
+    # keyword, where a tracer can wrap it) refactorizes Par1 and re-derives
+    # the cache in place, so the leg's reference stays valid.
+    par2 = direct_update_par2(q.support, session.par1, session.c, g, counter)
+
+    def rebuild_matrix_leg(lam):
+        rebuild(session, session.A + lam * np.outer(g, g))
+        par2.refresh_from(direct_update_par2(q.support, session.par1, session.c, g))
+
     events_a = run_lambda_leg(
         session.A,
         session.c,
         g,
         q,
         session.par1,
-        session.par2,
+        par2,
         counter=counter,
         cycle_cap=cfg.cycle_cap or None,
         ensure_column=ensure_column,
-        rebuild=lambda lam: rebuild(session, session.A + lam * np.outer(g, g)),
+        rebuild=rebuild_matrix_leg,
     )
     for ev in events_a:
         s_max = max(s_max, len(ev.support_after))
@@ -415,17 +406,22 @@ def step(session, g_t, c_t):
 
     l = c_new - session.c
 
-    session.par3 = direct_update_par3(q.support, session.par1, l, counter)
+    par3 = direct_update_par3(q.support, session.par1, l, counter)
+
+    def rebuild_vector_leg(_t):
+        rebuild(session)
+        par3.refresh_from(direct_update_par3(q.support, session.par1, l))
+
     events_c = run_utilde_leg(
         session.A,
         l,
         q,
         session.par1,
-        session.par3,
+        par3,
         counter=counter,
         cycle_cap=cfg.cycle_cap or None,
         ensure_column=ensure_column,
-        rebuild=lambda _t: rebuild(session),
+        rebuild=rebuild_vector_leg,
     )
     for ev in events_c:
         s_max = max(s_max, len(ev.support_after))
@@ -482,21 +478,15 @@ def step(session, g_t, c_t):
 
 
 def rebuild(session, A=None):
-    """Recompute all caches by direct factorization, in place.
+    """Refactorize Par1 in place from `A` (default: the stored matrix).
 
-    Par1 is factorized from `A` (default: the stored matrix; the matrix leg
-    passes its parametrized A + lam g g'), and whichever of Par2 and Par3 the
-    session holds is re-derived from it.  The quadruple is untouched.  Raises
+    The matrix leg passes its parametrized A + lam g g'.  The quadruple is
+    untouched, and a leg re-derives its own cache after calling this.  Raises
     SingularSubmatrix if the live block cannot be factorized.
     """
-    support = session.support
-    fresh1 = par1_from_matrix(session.A if A is None else A, support, cond_cap=session.config.cond_cap)
+    fresh = par1_from_matrix(session.A if A is None else A, session.support, cond_cap=session.config.cond_cap)
     session.rebuild_count += 1
-    session.par1.refresh_from(fresh1)
-    if session.par2 is not None:
-        session.par2.refresh_from(direct_update_par2(support, session.par1, session.c, session.par2.g))
-    if session.par3 is not None:
-        session.par3.refresh_from(direct_update_par3(support, session.par1, session.par3.l))
+    session.par1.refresh_from(fresh)
     return session
 
 

@@ -6,15 +6,18 @@ Three bundles are maintained alongside the KKT quadruple:
                                 live columns: A_SS^{-1} on the support rows and
                                 -A_{S^c S} A_SS^{-1} below.  Column k belongs
                                 to the k-th support index in increasing order.
-  Par2 = {eta, D_g, D_gg, D_gc} specific to one rank-one direction g.
-  Par3 = {xi, D_l}              specific to one linear-term drift l.
+  Par2 = {eta, D_g, D_gg, D_gc} specific to one rank-one direction g; it lasts
+                                one matrix leg.
+  Par3 = {xi, D_l}              specific to one linear-term drift l; it lasts
+                                one vector leg.
 
-Everything can be recomputed from scratch by factorization (init_par1 and the
-direct_update_* routines); the path modules keep the same objects current with
-rank-one corrections, and validate_state measures how far they have drifted.
-At a turning point path_matrix._pivot applies the block pivot to Par1 and
-hands the same pivot vector to Par2.pivot or Par3.pivot, whichever cache the
-leg carries.
+Only Par1 outlives a step: the driver derives Par2 and Par3 from it by the
+direct_update_* products when their legs start.  Everything can be recomputed
+from scratch by factorization (init_par1); the path modules keep the same
+objects current with rank-one corrections, and validate_state measures how far
+they have drifted.  At a turning point path_matrix._pivot applies the block
+pivot to Par1 and hands the same pivot vector to Par2.pivot or Par3.pivot,
+whichever cache the leg carries.
 """
 
 from dataclasses import dataclass, field
@@ -107,9 +110,6 @@ class Par3:
     xi: np.ndarray
     D_l: float
     l: np.ndarray = field(repr=False)
-
-    def copy(self):
-        return Par3(self.xi.copy(), self.D_l, self.l)
 
     def pivot(self, j, vec, inv, teta_j, b):
         """Carry the cache through a block pivot on j; the drift needs no `b`."""

@@ -44,6 +44,11 @@ class TestRunSynthetic:
         assert summary["schema_version"] == cli.SCHEMA_VERSION
         assert summary["mult_bound_violations"] == 0
 
+    def test_negative_cycle_cap_exits_2(self, tmp_path):
+        argv = ["run-synthetic", "--n", "8", "--steps", "5", "--cycle-cap", "-1", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert not list(tmp_path.iterdir())
+
     def test_epoching(self, tmp_path):
         code = cli.main(
             [

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hones import driver
+from hones import driver, path_matrix, path_vector
 from hones.driver import (
     SolverConfig,
     SolverSession,
@@ -26,29 +26,26 @@ from hones.flows import (
     synthetic_flow,
     synthetic_prices,
 )
-from hones.errors import HonesError
+from hones.errors import CycleLimit, DegenerateDenominator, HonesError
 from hones.kkt import Problem, oracle_solve
 from hones.path_matrix import PathEvent
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-GOLDEN_CHECKPOINT = GOLDEN_DIR / "session-hss3-synthetic-n12-seed61-t20.bin"
+GOLDEN_CHECKPOINT = GOLDEN_DIR / "session-hss4-synthetic-n12-seed61-t20.bin"
 
-# Checkpoint sections in file order, for a session that holds Par2 and Par3.
+# Checkpoint sections in file order.
 CHECKPOINT_SECTIONS = (
-    "header", "A", "c", "c_shift", "mask", "g_log", "state_header", "support", "v", "mu0", "M", "eta_tilde",
-    "D", "eta", "par2_scalars", "g", "xi", "D_l", "l", "config",
+    "header", "A", "c", "c_shift", "mask", "g_log", "support", "v", "mu0", "M", "eta_tilde", "D", "config",
 )
 
 
 def golden_layout():
     """The golden checkpoint's bytes and the start offset of each section."""
     buf = GOLDEN_CHECKPOINT.read_bytes()
-    n, _, k = struct.unpack_from("<III", buf, 4)
-    s = struct.unpack_from("<I", buf, 20 + 8 * n * n + 17 * n + 8 * k * n + 12)[0]
-    sizes = (20, 8 * n * n, 8 * n, 8 * n, n, 8 * k * n, 20, 8 * s, 8 * n, 8, 8 * n * s, 8 * n, 8, 8 * n, 24)
-    sizes += (8 * n, 8 * n, 8, 8 * n, 32)
+    n, _, k, s = struct.unpack_from("<IIII", buf, 4)
+    sizes = (24, 8 * n * n, 8 * n, 8 * n, n, 8 * k * n, 8 * s, 8 * n, 8, 8 * n * s, 8 * n, 8, 32)
     starts = np.cumsum((0,) + sizes[:-1])
     assert starts[-1] + sizes[-1] == len(buf)
     return buf, {name: int(at) for name, at in zip(CHECKPOINT_SECTIONS, starts)}
@@ -79,20 +76,20 @@ DAMAGE = {
     "short-header": lambda buf, at: buf[:10],
     "magic-HSS1": lambda buf, at: _put(buf, 0, "4s", b"HSS1"),
     "magic-HSS2": lambda buf, at: _put(buf, 0, "4s", b"HSS2"),
+    "magic-HSS3": lambda buf, at: _put(buf, 0, "4s", b"HSS3"),
     "magic-junk": lambda buf, at: _put(buf, 0, "4s", b"junk"),
-    "lazy-2": lambda buf, at: _put(buf, 16, "B", 2),
+    "header-n": lambda buf, at: _put(buf, 4, "<I", 11),
+    "header-s": lambda buf, at: _put(buf, 16, "<I", 9),
+    "lazy-2": lambda buf, at: _put(buf, 20, "B", 2),
     "mask-2": lambda buf, at: _put(buf, at["mask"] + 3, "B", 2),
-    "state-magic": lambda buf, at: _put(buf, at["state_header"], "4s", b"HQS2"),
-    "state-version-2": lambda buf, at: _put(buf, at["state_header"] + 4, "<I", 2),
-    "state-n": lambda buf, at: _put(buf, at["state_header"] + 8, "<I", 11),
-    "mform-0": lambda buf, at: _put(buf, at["state_header"] + 16, "B", 0),
-    "mform-2": lambda buf, at: _put(buf, at["state_header"] + 16, "B", 2),
-    "flags-4": lambda buf, at: _put(buf, at["state_header"] + 17, "B", 4),
     "support-duplicate": lambda buf, at: _put(buf, at["support"] + 8, "8s", buf[at["support"] : at["support"] + 8]),
     "support-outside-touched": _support_outside_touched,
     "nan-A": lambda buf, at: _put(buf, at["A"] + 8 * 13, "<d", float("nan")),
     "nan-M": lambda buf, at: _put(buf, at["M"], "<d", float("nan")),
     "inf-tol": lambda buf, at: _put(buf, at["config"] + 16, "<d", float("inf")),
+    "rebuild-every-minus-3": lambda buf, at: _put(buf, at["config"], "<q", -3),
+    "cycle-cap-minus-1": lambda buf, at: _put(buf, at["config"] + 8, "<q", -1),
+    "tol-minus-1": lambda buf, at: _put(buf, at["config"] + 16, "<d", -1.0),
 }
 
 
@@ -126,6 +123,31 @@ def run_against_oracle(ses, flow):
         step(ses, g, c)
         A += np.outer(g, g)
     return float(np.max(np.abs(ses.x - oracle_solve(Problem(A, c)).x)))
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"rebuild_every": -3},
+            {"cycle_cap": -1},
+            {"tol": -1.0},
+            {"tol": 0.0},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"cond_cap": 0.5},
+            {"cond_cap": float("nan")},
+            {"lazy_a": 1},
+        ],
+        ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
+    )
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+
+    def test_edge_values_accepted(self):
+        cfg = SolverConfig(rebuild_every=0, cycle_cap=0, tol=1e-300, lazy_a=False, cond_cap=1.0)
+        assert (cfg.rebuild_every, cfg.cycle_cap) == (0, 0)
 
 
 class TestInitSession:
@@ -372,6 +394,66 @@ class TestCountOps:
         assert rep.mult_count <= expected
 
 
+LEG_ADVANCES = [(path_matrix, "update_by_lambda"), (path_vector, "update_by_utilde_lambda")]
+
+
+class TestFaultInjection:
+    """Forced degeneracies through `step`: one in-leg rebuild and retry, then propagate."""
+
+    @staticmethod
+    def _arm(monkeypatch, module, name, times):
+        """Make the leg's advance raise `times` times, each after spoiling Par1 and the leg's cache."""
+        real = getattr(module, name)
+        left = [times]
+
+        def flaky(lam_inc, quadruple, par1, cache, *args, **kwargs):
+            if left[0]:
+                left[0] -= 1
+                # Only the rebuild callback can repair this: it must re-derive
+                # Par1 and every derived field of the leg's cache (g and l are
+                # the leg's inputs and stay).
+                par1.M *= 1.001
+                for key, value in vars(cache).items():
+                    if key not in ("g", "l"):
+                        setattr(cache, key, value * 1.001)
+                raise DegenerateDenominator("injected")
+            return real(lam_inc, quadruple, par1, cache, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, flaky)
+        return left
+
+    @pytest.mark.parametrize("module, name", LEG_ADVANCES, ids=["matrix", "vector"])
+    def test_one_degeneracy_rebuilds_and_retries(self, monkeypatch, module, name):
+        ses, flow = synthetic_session(20, seed=5)
+        stream = list(flow)[:10]
+        for g, c in stream[:9]:
+            assert step(ses, g, c).rebuilds == 0
+        # A drift off span{g, 1} keeps the step unfused, so both legs move.
+        g, c = stream[9]
+        c = c + 0.05 * np.random.default_rng(5).standard_normal(20)
+        left = self._arm(monkeypatch, module, name, 1)
+        rep = step(ses, g, c)
+        assert left == [0] and rep.rebuilds == 1 and rep.refreshes == 0
+        assert rep.k_a > 0 and rep.k_c > 0
+        G = np.array([g for g, _ in stream])
+        ref = oracle_solve(Problem(flow.a0 + G.T @ G, c))
+        assert np.max(np.abs(ses.x - ref.x)) <= 1e-9
+
+    @pytest.mark.parametrize("module, name", LEG_ADVANCES, ids=["matrix", "vector"])
+    def test_second_degeneracy_in_a_leg_propagates(self, monkeypatch, module, name):
+        ses, flow = synthetic_session(20, seed=5)
+        g, c = next(iter(flow))
+        left = self._arm(monkeypatch, module, name, 2)
+        with pytest.raises(DegenerateDenominator, match="injected"):
+            step(ses, g, c)
+        assert left == [0] and ses.rebuild_count == 1
+
+    def test_cycle_cap_raises_from_step(self):
+        ses, flow = synthetic_session(20, seed=5, config=SolverConfig(cycle_cap=1))
+        with pytest.raises(CycleLimit):
+            run_sequence(ses, flow, 50)
+
+
 class TestCheckpoint:
     def test_round_trip_continues_identically(self, tmp_path):
         n, steps = 9, 30
@@ -436,8 +518,8 @@ class TestCheckpoint:
         path = tmp_path / "session.bin"
         ses.save(path)
         buf = path.read_bytes()
-        assert buf[:4] == b"HSS3"
-        assert struct.unpack_from("<IIIB3x", buf, 4)[2] == 0
+        assert buf[:4] == b"HSS4"
+        assert struct.unpack_from("<III", buf, 4)[2] == 0
         twin = SolverSession.load(path)
         for g, c in stream[30:]:
             assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
@@ -485,7 +567,7 @@ class TestCheckpoint:
         path = tmp_path / "session.bin"
         ses.save(path)
         twin = SolverSession.load(path)
-        assert twin.t == 0 and twin.par2 is None and twin.par3 is None
+        assert twin.t == 0
         assert np.array_equal(twin.par1.M, ses.par1.M) and np.array_equal(twin.A, ses.A)
         for g, c in list(flow)[:15]:
             assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
@@ -501,11 +583,6 @@ class TestCheckpoint:
         assert np.array_equal(twin.quadruple.v, ses.quadruple.v)
         assert np.array_equal(twin.par1.M, ses.par1.M) and twin.par1.D == ses.par1.D
         assert np.array_equal(twin.par1.eta_tilde, ses.par1.eta_tilde)
-        p2, q2 = ses.par2, twin.par2
-        assert (q2.D_g, q2.D_gg, q2.D_gc) == (p2.D_g, p2.D_gg, p2.D_gc)
-        assert np.array_equal(q2.eta, p2.eta) and np.array_equal(q2.g, p2.g)
-        p3, q3 = ses.par3, twin.par3
-        assert q3.D_l == p3.D_l and np.array_equal(q3.xi, p3.xi) and np.array_equal(q3.l, p3.l)
 
     @pytest.mark.parametrize("case", [f"cut-{name}" for name in CHECKPOINT_SECTIONS] + sorted(DAMAGE))
     def test_damaged_checkpoint_rejected(self, tmp_path, case):
