@@ -36,10 +36,11 @@ from .driver import (
     aggregate_reports,
     count_ops,
     init_session,
+    run_summary,
     step,
 )
 from .errors import HonesError
-from .flows import FlowConfig, flow_for_config, load_prices, synthetic_prices
+from .flows import FlowConfig, flow_for_config, load_prices
 from .kkt import (
     Problem,
     enumerate_solve,
@@ -123,27 +124,24 @@ def solver_config_from_args(args):
 
 
 def _flow_and_feedback(kind, args, feedback_box):
-    cfg = FlowConfig(
-        kind,
-        args.n,
-        args.steps,
-        epsilon=args.epsilon,
-        c_factor=getattr(args, "c_factor", 0.1),
-        seed=args.seed,
-    )
+    """The scenario's flow; its x feedback reads feedback_box["x"].
+
+    A --prices file sets args.n to its ticker count and must hold a usable
+    row for every step plus one; a short file raises ValueError.
+    """
     prices = None
-    if kind != "synthetic":
-        if args.prices is not None:
-            prices = load_prices(args.prices)
-            if getattr(prices, "dropped_rows", 0):
-                print(f"warning: dropped {prices.dropped_rows} price rows", file=sys.stderr)
-            if prices.n != args.n:
-                args.n = prices.n
-                cfg = FlowConfig(kind, prices.n, args.steps, epsilon=args.epsilon, seed=args.seed)
-        else:
-            prices = synthetic_prices(args.n, args.steps + 1, seed=args.seed)
-    flow = flow_for_config(cfg, prices=prices, x_feedback=lambda: feedback_box["x"])
-    return cfg, flow
+    if kind != "synthetic" and args.prices is not None:
+        prices = load_prices(args.prices)
+        if prices.dropped_rows:
+            print(f"warning: dropped {prices.dropped_rows} price rows", file=sys.stderr)
+        if prices.steps < args.steps + 1:
+            raise ValueError(
+                f"{args.prices} has {prices.steps} usable price rows, {args.steps} steps need {args.steps + 1}"
+            )
+        args.n = prices.n
+    c_factor = getattr(args, "c_factor", 0.1)
+    cfg = FlowConfig(kind, args.n, args.steps, epsilon=args.epsilon, c_factor=c_factor, seed=args.seed)
+    return flow_for_config(cfg, prices=prices, x_feedback=lambda: feedback_box["x"])
 
 
 def _write_outputs(out_dir, name, rows, summary):
@@ -182,53 +180,43 @@ def _report_row(rep, iterations=0):
 
 def run_scenario(kind, args):
     """Run one scenario; returns (exit_code, summary dict)."""
+    config = solver_config_from_args(args)
+    feedback_box = {"x": None}
+    flow = _flow_and_feedback(kind, args, feedback_box)
     name = f"{kind}-{args.solver}-n{args.n}-s{args.steps}-seed{args.seed}"
     if args.tag:
         name += f"-{args.tag}"
-    config = solver_config_from_args(args)
-    feedback_box = {"x": None}
-    flow_cfg, flow = _flow_and_feedback(kind, args, feedback_box)
 
     session = init_session(flow.a0, flow.c0, config)
     feedback_box["x"] = session.x
 
     rows = []
     deviations = []
-    if args.solver == "hones":
-        it = iter(flow)
+    A = np.array(flow.a0, dtype=np.float64)
+    warm = None
+    it = iter(flow)
+    if args.solver != "pg-warm":
         for _ in range(args.steps):
             g_t, c_t = next(it)
             rep = step(session, g_t, c_t)
             feedback_box["x"] = session.x
             rows.append(_report_row(rep))
+            if args.solver == "oracle":
+                # verification twin: the path solver drives the stream, the
+                # oracle re-solves the accumulated problem and the agreement
+                # is logged
+                A += np.outer(g_t, g_t)
+                t0 = time.perf_counter_ns()
+                problem = SimpleNamespace(A=A, c=np.asarray(c_t, dtype=np.float64), n=args.n)
+                ref = oracle_solve(problem, x0=warm)
+                rows[-1][CSV_COLUMNS.index("wall_ns")] = time.perf_counter_ns() - t0
+                warm = ref.x
+                deviations.append((rep.t, float(np.max(np.abs(ref.x - session.x)))))
         summary = aggregate_reports(session.reports, epoch=args.epoch)
-    elif args.solver == "oracle":
-        # verification twin: the path solver drives the stream, the oracle
-        # re-solves the accumulated problem and the agreement is logged
-        A = np.array(flow.a0, dtype=np.float64)
-        it = iter(flow)
-        warm = None
-        for _ in range(args.steps):
-            g_t, c_t = next(it)
-            rep = step(session, g_t, c_t)
-            feedback_box["x"] = session.x
-            A += np.outer(g_t, g_t)
-            t0 = time.perf_counter_ns()
-            problem = SimpleNamespace(A=A, c=np.asarray(c_t, dtype=np.float64), n=args.n)
-            ref = oracle_solve(problem, x0=warm)
-            wall = time.perf_counter_ns() - t0
-            warm = ref.x
-            dev = float(np.max(np.abs(ref.x - session.x)))
-            deviations.append((rep.t, dev))
-            rows.append(_report_row(rep))
-            rows[-1][CSV_COLUMNS.index("wall_ns")] = wall
-        summary = aggregate_reports(session.reports, epoch=args.epoch)
-        summary["x_agreement_max"] = max(d for _, d in deviations)
-    else:  # pg-warm
-        A = np.array(flow.a0, dtype=np.float64)
+        if deviations:
+            summary["x_agreement_max"] = max(d for _, d in deviations)
+    else:
         x = session.x.copy()
-        it = iter(flow)
-        rows = []
         total_iters = 0
         unconverged = 0
         for t in range(1, args.steps + 1):
@@ -248,25 +236,8 @@ def run_scenario(kind, args):
             rows.append(
                 [t, 0, 0, 0, 0, support, repr(res.residual), wall, 0, wall, a_ns, support, 0, 0, res.iterations]
             )
-        wall_total = sum(r[CSV_COLUMNS.index("wall_ns")] for r in rows) / 1e9
-        sizes = np.array([r[5] for r in rows], dtype=float)
-        summary = {
-            "steps": args.steps,
-            "support": {
-                "mean": float(sizes.mean()),
-                "std": float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0,
-                "max": int(sizes.max()),
-                "min": int(sizes.min()),
-            },
-            "iterations_total": total_iters,
-            "unconverged_steps": unconverged,
-            "wall_s": wall_total,
-            "wall_opt_s": wall_total,
-            "epoch_wall_s": [
-                float(sum(r[7] for r in rows[i : i + args.epoch]) / 1e9)
-                for i in range(0, len(rows), args.epoch)
-            ],
-        }
+        summary = run_summary([r[5] for r in rows], [r[7] for r in rows], args.epoch)
+        summary.update(iterations_total=total_iters, unconverged_steps=unconverged, wall_opt_s=summary["wall_s"])
 
     summary["schema_version"] = SCHEMA_VERSION
     summary["scenario"] = {

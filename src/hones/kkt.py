@@ -108,7 +108,7 @@ class Quadruple:
     Stored as the length-n concatenation v with v_S = x_S and v_{S^c} =
     -mu_{S^c}, plus the equality multiplier mu0.  Sign feasibility is NOT
     enforced at construction; candidates from solve_given_support may violate
-    it and callers check with `check` or `is_feasible`.
+    it and callers check with `is_feasible`.
     """
 
     support: Support
@@ -140,18 +140,9 @@ class Quadruple:
         tol = zero_tol(self.v) if tol is None else tol
         return bool(np.all(self.x_s > -tol) and np.all(self.mu_sc > -tol))
 
-    def check(self, atol=1e-10):
-        """Raise AssertionError if the quadruple invariants are violated."""
-        assert self.v.shape == (self.support.n,)
-        s = float(np.sum(self.x_s))
-        assert abs(s - 1.0) <= atol, f"sum(x_S) = {s}"
-        assert np.all(self.x_s > -atol), "x_S has a negative entry"
-        assert np.all(self.mu_sc > -atol), "mu_{S^c} has a negative entry"
-        return self
-
 
 class Problem:
-    """One simplex QP instance: symmetric positive-definite A and linear term c."""
+    """One simplex QP instance: finite, symmetric positive-definite A and finite linear term c."""
 
     __slots__ = ("A", "c", "n")
 
@@ -163,6 +154,8 @@ class Problem:
         n = A.shape[0]
         if n < 1 or c.shape != (n,):
             raise ValueError("c must have length n >= 1")
+        if not (np.isfinite(A).all() and np.isfinite(c).all()):
+            raise ValueError("A and c must be finite")
         scale = max(1.0, float(np.max(np.abs(A))))
         if np.max(np.abs(A - A.T)) > 1e-10 * scale:
             raise ValueError("A must be symmetric within 1e-10 relative")
@@ -175,13 +168,26 @@ class Problem:
         self.n = n
 
 
-def _cond_estimate(ass, chol):
+def check_block(ass, support, cond_cap):
+    """Raise SingularSubmatrix unless A_SS factorizes and its condition estimate is within cond_cap.
+
+    The one rule for every A_SS: at init, in the oracle and in each rebuild.
+    """
+    try:
+        chol = np.linalg.cholesky(ass)
+    except np.linalg.LinAlgError:
+        raise SingularSubmatrix(f"A_SS not positive definite for S={list(support.idx)}") from None
+    if not np.isfinite(cond_cap):
+        return
     # Exact for small blocks; Cholesky-diagonal lower bound otherwise.  The
     # proxy under-reports, so the cap only fires on definite trouble.
     if ass.shape[0] <= 64:
-        return float(np.linalg.cond(ass))
-    d = np.diag(chol)
-    return float((d.max() / d.min()) ** 2)
+        kappa = float(np.linalg.cond(ass))
+    else:
+        d = np.diag(chol)
+        kappa = float((d.max() / d.min()) ** 2)
+    if kappa > cond_cap:
+        raise SingularSubmatrix(f"condition estimate above cap {cond_cap:g}")
 
 
 def solve_given_support(problem, support, cond_cap=DEFAULT_COND_CAP):
@@ -197,12 +203,7 @@ def solve_given_support(problem, support, cond_cap=DEFAULT_COND_CAP):
     A, c = problem.A, problem.c
     idx = support.idx
     ass = A[np.ix_(idx, idx)]
-    try:
-        chol = np.linalg.cholesky(ass)
-    except np.linalg.LinAlgError:
-        raise SingularSubmatrix(f"A_SS not positive definite for S={list(idx)}") from None
-    if np.isfinite(cond_cap) and _cond_estimate(ass, chol) > cond_cap:
-        raise SingularSubmatrix(f"condition estimate above cap {cond_cap:g}")
+    check_block(ass, support, cond_cap)
     rhs = np.column_stack((np.ones(idx.size), c[idx]))
     z = np.linalg.solve(ass, rhs)
     z1, z2 = z[:, 0], z[:, 1]
@@ -245,41 +246,31 @@ def kkt_residual(problem, quadruple):
 def enumerate_solve(problem, limit=20):
     """Exhaustive-support solve: try every nonempty support, keep the KKT-feasible one.
 
-    Exponential in n; guarded by `limit`.  Serves as the ground-truth fallback
-    for small problems and as a cross-check in tests.
+    Exponential in n; guarded by `limit`.  Each support goes through
+    solve_given_support without a condition cap, and one whose block does not
+    factorize is skipped.  Serves as the ground-truth fallback for small
+    problems and as a cross-check in tests.
     """
     n = problem.n
     if n > limit:
         raise ValueError(f"enumeration limited to n <= {limit}")
-    A, c = problem.A, problem.c
     arange = np.arange(n)
-    ones = np.ones(n)
-    best_idx = None
+    best = None
     best_violation = np.inf
     for bits in range(1, 1 << n):
-        sel = (bits >> arange & 1).astype(bool)
-        idx = arange[sel]
-        ass = A[np.ix_(idx, idx)]
-        rhs = np.column_stack((ones[: idx.size], c[idx]))
+        support = Support(n, arange[(bits >> arange & 1).astype(bool)])
         try:
-            z = np.linalg.solve(ass, rhs)
-        except np.linalg.LinAlgError:
+            cand = solve_given_support(problem, support, cond_cap=np.inf)
+        except SingularSubmatrix:
             continue
-        denom = z[:, 0].sum()
-        if abs(denom) < 1e-300:
-            continue
-        mu0 = (1.0 - z[:, 1].sum()) / denom
-        x_s = mu0 * z[:, 0] + z[:, 1]
-        comp = arange[~sel]
-        mu_sc = A[np.ix_(comp, idx)] @ x_s - mu0 - c[comp] if comp.size else np.empty(0)
-        violation = max(0.0, -float(np.min(x_s)))
+        mu_sc = cand.mu_sc
+        violation = max(0.0, -float(np.min(cand.x_s)))
         if mu_sc.size:
             violation = max(violation, -float(np.min(mu_sc)))
         if violation < best_violation:
-            best_idx, best_violation = idx, violation
-    if best_idx is None:
+            best, best_violation = cand, violation
+    if best is None:
         raise NoConvergence("no solvable support found by enumeration")
-    best = solve_given_support(problem, Support(n, best_idx), cond_cap=np.inf)
     if kkt_residual(problem, best) > 1e-8:
         raise NoConvergence("no KKT-feasible support found by enumeration")
     return best

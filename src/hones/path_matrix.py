@@ -127,9 +127,10 @@ def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
     return PathStep(lam_inc, j, scratch)
 
 
-def update_by_lambda(lam_inc, quadruple, par1, par2, scratch=None, counter=None):
+def update_by_lambda(lam_inc, quadruple, par1, par2, scratch, counter=None):
     """Advance the quadruple and both caches by a lam increment.
 
+    `scratch` is the direction data of the find_lambda call at this state.
     Every right-hand side uses the values from before the call; the scalars
     are rescaled last for that reason.  Raises DegenerateDenominator when the
     update denominators lose positivity, which signals a rebuild.
@@ -148,13 +149,7 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, scratch=None, counter=None)
     if denom <= _tiny(d):
         raise DegenerateDenominator(f"D - alpha D_g^2 = {denom}")
     atil = alpha / denom
-
-    if scratch is None:
-        w1 = d_g * quadruple.mu0 - d_gc
-        dvec = d_g * par1.eta_tilde - d * par2.eta
-        cnt.add(counter, 2 * support.n + 1)
-    else:
-        w1, dvec = scratch.w1, scratch.dvec
+    w1, dvec = scratch.w1, scratch.dvec
 
     quadruple.v += (atil * w1) * dvec
     quadruple.mu0 += atil * d_g * w1

@@ -24,13 +24,6 @@ class UtildeScratch:
     d: np.ndarray  # xi - (D_l / D) eta_tilde
 
 
-def _velocity(par1, par3, counter=None):
-    q = par3.D_l / par1.D
-    d = par3.xi - q * par1.eta_tilde
-    cnt.add(counter, par1.eta_tilde.size)
-    return UtildeScratch(q, d)
-
-
 def find_utilde_lambda(support, quadruple, par1, par3, exclude=None, counter=None):
     """Locate the next turning point of the vector leg.
 
@@ -38,17 +31,17 @@ def find_utilde_lambda(support, quadruple, par1, par3, exclude=None, counter=Non
     matrix leg's ratio test with weight -1.  Only the velocity enters the
     multiplication tally.
     """
-    scratch = _velocity(par1, par3, counter=counter)
-    lam_inc, j = _first_zero(support, quadruple.v, scratch.d, -1.0, exclude, None)
-    return PathStep(lam_inc, j, scratch)
+    q = par3.D_l / par1.D
+    d = par3.xi - q * par1.eta_tilde
+    cnt.add(counter, d.size)
+    lam_inc, j = _first_zero(support, quadruple.v, d, -1.0, exclude, None)
+    return PathStep(lam_inc, j, UtildeScratch(q, d))
 
 
-def update_by_utilde_lambda(lam_inc, quadruple, par1, par3, scratch=None, counter=None):
-    """Advance v and mu0 by a vector-leg increment; the caches are untouched."""
+def update_by_utilde_lambda(lam_inc, quadruple, par1, par3, scratch, counter=None):
+    """Advance v and mu0 along the velocity that find_utilde_lambda put in `scratch`; caches are untouched."""
     if not (np.isfinite(lam_inc) and lam_inc >= 0.0):
         raise ValueError(f"lam_inc must be finite and nonnegative, got {lam_inc}")
-    if scratch is None:
-        scratch = _velocity(par1, par3, counter=counter)
     quadruple.v -= lam_inc * scratch.d
     quadruple.mu0 += scratch.q * lam_inc
     cnt.add(counter, quadruple.v.size + 1)

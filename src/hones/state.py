@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import counters as cnt
-from .errors import SingularSubmatrix
-from .kkt import DEFAULT_COND_CAP
+from .kkt import DEFAULT_COND_CAP, check_block
 
 class Par1:
     """Inverse-block cache M plus eta_tilde = (M + I_{S^c}) 1 and D = 1' A_SS^{-1} 1.
@@ -129,19 +128,14 @@ def par1_from_matrix(A, support, cond_cap=DEFAULT_COND_CAP):
 
     Accepts the raw matrix so the driver can rebuild from its lazily updated
     copy; only the support rows of A are read (A is symmetric, so they stand
-    for its support columns).
+    for its support columns).  Raises SingularSubmatrix when kkt.check_block
+    refuses A_SS.
     """
     idx = support.idx
     n = A.shape[0]
     # Column k of both blocks is read from row idx[k] of A.
     ass = np.ascontiguousarray(A[np.ix_(idx, idx)].T)
-    try:
-        chol = np.linalg.cholesky(ass)
-    except np.linalg.LinAlgError:
-        raise SingularSubmatrix(f"A_SS not positive definite for S={list(idx)}") from None
-    d = np.diag(chol)
-    if (d.max() / d.min()) ** 2 > cond_cap:
-        raise SingularSubmatrix(f"condition estimate above cap {cond_cap:g}")
+    check_block(ass, support, cond_cap)
     inv = np.linalg.solve(ass, np.eye(idx.size))
     inv = 0.5 * (inv + inv.T)
     cols = np.empty((n, idx.size))

@@ -162,6 +162,40 @@ class TestPriceFlows:
         rows = read_csv(tmp_path / "markowitz-hones-n6-s50-seed9.csv")
         assert len(rows) == 51
 
+    def test_short_price_file_exits_2(self, tmp_path, capsys):
+        from hones.flows import save_prices, synthetic_prices
+
+        prices_path = tmp_path / "prices.csv"
+        save_prices(prices_path, synthetic_prices(5, 11, seed=3))
+        for command in ("run-ons", "run-markowitz"):
+            code = cli.main(
+                [command, "--n", "5", "--steps", "50", "--prices", str(prices_path), "--out-dir", str(tmp_path)]
+            )
+            assert code == 2
+            assert "11 usable price rows" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*-hones-*"))
+
+    def test_output_name_follows_price_file_n(self, tmp_path):
+        from hones.flows import save_prices, synthetic_prices
+
+        prices_path = tmp_path / "prices.csv"
+        save_prices(prices_path, synthetic_prices(6, 21, seed=9))
+        code = cli.main(
+            [
+                "run-markowitz",
+                "--n", "9",
+                "--steps", "20",
+                "--seed", "9",
+                "--prices", str(prices_path),
+                "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "markowitz-hones-n6-s20-seed9.json").read_text())
+        assert summary["scenario"]["n"] == 6
+        assert len(read_csv(tmp_path / "markowitz-hones-n6-s20-seed9.csv")) == 21
+        assert not list(tmp_path.glob("*-n9-*"))
+
     def test_missing_price_file_fails_cleanly(self, tmp_path):
         code = cli.main(
             [

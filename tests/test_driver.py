@@ -161,6 +161,19 @@ class TestInitSession:
         ses = init_session(np.diag([2.0, 1.0]), np.zeros(2))
         np.testing.assert_allclose(ses.x, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
+    def test_rejects_non_finite_input(self):
+        # Problem refuses the input before its symmetry and definiteness
+        # checks can misread it.
+        for bad in (np.nan, np.inf):
+            A0 = np.eye(3)
+            A0[1, 1] = bad
+            with pytest.raises(ValueError, match="A and c must be finite"):
+                init_session(A0, np.zeros(3))
+            c0 = np.zeros(3)
+            c0[2] = bad
+            with pytest.raises(ValueError, match="A and c must be finite"):
+                init_session(np.eye(3), c0)
+
     def test_singleton(self):
         ses = init_session(np.eye(1), np.zeros(1))
         np.testing.assert_allclose(ses.x, [1.0], atol=1e-15)

@@ -112,6 +112,18 @@ class TestSolveGivenSupport:
         with pytest.raises(SingularSubmatrix):
             solve_given_support(p, Support.full(2), cond_cap=1e12)
 
+    def test_one_conditioning_rule(self):
+        # kappa = 2e12, but the Cholesky-diagonal proxy reads about 5e11: the
+        # solve and the Par1 factorization must both apply the exact estimate
+        # to a block this small.
+        from hones.state import par1_from_matrix
+
+        p = Problem(np.array([[1.0, 1.0 - 1e-12], [1.0 - 1e-12, 1.0]]), np.zeros(2))
+        with pytest.raises(SingularSubmatrix):
+            solve_given_support(p, Support.full(2), cond_cap=1e12)
+        with pytest.raises(SingularSubmatrix):
+            par1_from_matrix(p.A, Support.full(2), cond_cap=1e12)
+
 
 class TestKktResidual:
     def test_zero_at_optimum(self):

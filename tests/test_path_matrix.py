@@ -90,7 +90,7 @@ class TestUpdateByLambda:
         g = rng.standard_normal(5)
         q, par1, par2 = fresh_state(p, g)
         v0, mu0, M0 = q.v.copy(), q.mu0, par1.M.copy()
-        update_by_lambda(0.0, q, par1, par2)
+        update_by_lambda(0.0, q, par1, par2, find_lambda(q.support, q, par1, par2).scratch)
         np.testing.assert_array_equal(q.v, v0)
         assert q.mu0 == mu0
         np.testing.assert_array_equal(par1.M, M0)
@@ -99,14 +99,14 @@ class TestUpdateByLambda:
         p = Problem(np.diag([2.0, 1.0]), np.zeros(2))
         q, par1, par2 = fresh_state(p, np.zeros(2))
         v0, D0 = q.v.copy(), par1.D
-        update_by_lambda(0.7, q, par1, par2)
+        update_by_lambda(0.7, q, par1, par2, find_lambda(q.support, q, par1, par2).scratch)
         np.testing.assert_array_equal(q.v, v0)
         assert par1.D == D0
 
     def test_full_step_closed_form(self):
         p = Problem(np.eye(2), np.zeros(2))
         q, par1, par2 = fresh_state(p, np.array([1.0, 0.0]))
-        update_by_lambda(1.0, q, par1, par2)
+        update_by_lambda(1.0, q, par1, par2, find_lambda(q.support, q, par1, par2).scratch)
         np.testing.assert_allclose(q.x, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
         assert q.mu0 == pytest.approx(2.0 / 3.0, abs=1e-12)
         np.testing.assert_allclose(par1.M, np.diag([0.5, 1.0]), atol=1e-12)
@@ -123,7 +123,7 @@ class TestUpdateByLambda:
             lam = min(lam, 0.9 * step.lam_inc)  # stay inside the first segment
             if lam <= 0 or not np.isfinite(lam):
                 continue
-            update_by_lambda(lam, q, par1, par2)
+            update_by_lambda(lam, q, par1, par2, step.scratch)
             A_lam = p.A + lam * np.outer(g, g)
             moved = Problem(A_lam, p.c)
             kappa = condition_proxy(A_lam, q.support, par1)
@@ -134,8 +134,9 @@ class TestUpdateByLambda:
         p = Problem(np.eye(2), np.zeros(2))
         q, par1, par2 = fresh_state(p, np.ones(2))
         par2.D_gg = -2.0  # corrupt so 1 + lam D_gg crosses zero
+        scratch = find_lambda(q.support, q, par1, par2).scratch
         with pytest.raises(DegenerateDenominator):
-            update_by_lambda(1.0, q, par1, par2)
+            update_by_lambda(1.0, q, par1, par2, scratch)
 
 
 class TestExpandShrink:
@@ -360,7 +361,7 @@ class TestRunLambdaLeg:
             for frac in rng.uniform(0.05, 0.95, size=5):
                 lam = float(frac * seg_end)
                 qc, p1c, p2c = q.copy(), par1.copy(), par2.copy()
-                update_by_lambda(lam, qc, p1c, p2c)
+                update_by_lambda(lam, qc, p1c, p2c, step.scratch)
                 A_lam = p.A + lam * np.outer(g, g)
                 kappa = condition_proxy(A_lam, qc.support, p1c)
                 assert kkt_residual(Problem(A_lam, p.c), qc) <= 1e-9 * max(1.0, kappa)

@@ -64,7 +64,7 @@ class TestUpdateByUtilde:
         l = np.array([2.0, 0.0])
         q, par1, par3 = fresh_state(p, l)
         v0, mu0 = q.v.copy(), q.mu0
-        update_by_utilde_lambda(0.0, q, par1, par3)
+        update_by_utilde_lambda(0.0, q, par1, par3, find_utilde_lambda(q.support, q, par1, par3).scratch)
         np.testing.assert_array_equal(q.v, v0)
         assert q.mu0 == mu0
 
@@ -72,14 +72,14 @@ class TestUpdateByUtilde:
         p = Problem(np.eye(3), np.zeros(3))
         q, par1, par3 = fresh_state(p, np.zeros(3))
         v0 = q.v.copy()
-        update_by_utilde_lambda(0.8, q, par1, par3)
+        update_by_utilde_lambda(0.8, q, par1, par3, find_utilde_lambda(q.support, q, par1, par3).scratch)
         np.testing.assert_array_equal(q.v, v0)
 
     def test_quarter_step_closed_form(self):
         p = Problem(np.eye(2), np.zeros(2))
         l = np.array([2.0, 0.0])
         q, par1, par3 = fresh_state(p, l)
-        update_by_utilde_lambda(0.25, q, par1, par3)
+        update_by_utilde_lambda(0.25, q, par1, par3, find_utilde_lambda(q.support, q, par1, par3).scratch)
         np.testing.assert_allclose(q.x, [0.75, 0.25], atol=1e-14)
         ref = solve_given_support(Problem(np.eye(2), np.array([0.5, 0.0])), q.support)
         np.testing.assert_allclose(q.v, ref.v, atol=1e-12)
@@ -91,7 +91,7 @@ class TestUpdateByUtilde:
         l = rng.standard_normal(5)
         q, par1, par3 = fresh_state(p, l)
         M0, xi0 = par1.M.copy(), par3.xi.copy()
-        update_by_utilde_lambda(0.3, q, par1, par3)
+        update_by_utilde_lambda(0.3, q, par1, par3, find_utilde_lambda(q.support, q, par1, par3).scratch)
         np.testing.assert_array_equal(par1.M, M0)
         np.testing.assert_array_equal(par3.xi, xi0)
 
@@ -215,7 +215,7 @@ class TestRunUtildeLeg:
             vs = []
             for t in ts:
                 qc = q.copy()
-                update_by_utilde_lambda(float(t), qc, par1, par3)
+                update_by_utilde_lambda(float(t), qc, par1, par3, step.scratch)
                 vs.append(qc.v)
             second_diff = vs[0] - 2.0 * vs[1] + vs[2]
             assert np.max(np.abs(second_diff)) <= 1e-12
