@@ -71,6 +71,13 @@ CSV_COLUMNS = [
 ]
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="hones", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -83,9 +90,7 @@ def build_parser():
         sp.add_argument("--solver", choices=["hones", "pg-warm", "oracle"], default="hones")
         sp.add_argument("--epsilon", type=float, default=1e-4, help="initial ridge scale")
         sp.add_argument("--tol", type=float, default=1e-8, help="optimality tolerance")
-        sp.add_argument("--rebuild-every", type=int, default=1000)
-        sp.add_argument("--cycle-cap", type=int, default=0, help="events per leg cap (0 = 10n)")
-        sp.add_argument("--epoch", type=int, default=250, help="steps per timing epoch")
+        sp.add_argument("--epoch", type=_positive_int, default=250, help="steps per timing epoch")
         sp.add_argument("--eager", action="store_true", help="disable lazy row maintenance")
         sp.add_argument("--pg-max-iter", type=int, default=20000, help="iteration cap for pg-warm")
         sp.add_argument("--out-dir", type=Path, default=Path("out"))
@@ -102,7 +107,7 @@ def build_parser():
 
     gp = sub.add_parser("run-grid", help="run a JSON list of scenarios across threads")
     gp.add_argument("--file", type=Path, required=True)
-    gp.add_argument("--threads", type=int, default=4)
+    gp.add_argument("--threads", type=_positive_int, default=4)
     gp.add_argument("--out-dir", type=Path, default=Path("out"))
 
     vp = sub.add_parser("verify", help="seeded correctness gate")
@@ -112,15 +117,6 @@ def build_parser():
     vp.add_argument("--exhaustive", action="store_true", help="cross-check against full support enumeration")
     vp.add_argument("--inject-fault", choices=["m-corruption"], default=None)
     return parser
-
-
-def solver_config_from_args(args):
-    return SolverConfig(
-        rebuild_every=args.rebuild_every,
-        cycle_cap=args.cycle_cap,
-        tol=args.tol,
-        lazy_a=not args.eager,
-    )
 
 
 def _flow_and_feedback(kind, args, feedback_box):
@@ -179,8 +175,8 @@ def _report_row(rep, iterations=0):
 
 
 def run_scenario(kind, args):
-    """Run one scenario; returns (exit_code, summary dict)."""
-    config = solver_config_from_args(args)
+    """Run one scenario and write its files."""
+    config = SolverConfig(tol=args.tol, lazy_a=not args.eager)
     feedback_box = {"x": None}
     flow = _flow_and_feedback(kind, args, feedback_box)
     name = f"{kind}-{args.solver}-n{args.n}-s{args.steps}-seed{args.seed}"
@@ -264,13 +260,12 @@ def run_scenario(kind, args):
             writer.writerows([(t, repr(d)) for t, d in deviations])
         print(f"agreement: max deviation {summary['x_agreement_max']:.3e} -> {dev_path}")
     print(f"wrote {csv_path} and {json_path}")
-    return 0, summary
 
 
 def cmd_run(kind, args):
     try:
-        code, _ = run_scenario(kind, args)
-        return code
+        run_scenario(kind, args)
+        return 0
     except (HonesError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -282,8 +277,8 @@ def cmd_run_grid(args):
     except (OSError, json.JSONDecodeError) as err:
         print(f"error reading grid file: {err}", file=sys.stderr)
         return 2
-    if not isinstance(scenarios, list):
-        print("error: grid file must contain a JSON list", file=sys.stderr)
+    if not (isinstance(scenarios, list) and all(isinstance(entry, dict) for entry in scenarios)):
+        print("error: grid file must contain a JSON list of objects", file=sys.stderr)
         return 2
 
     parser = build_parser()
@@ -297,13 +292,15 @@ def cmd_run_grid(args):
             argv.append(f"--{key.replace('_', '-')}")
             if val is not True:
                 argv.append(str(val))
-        sub_args = parser.parse_args(argv)
+        try:
+            sub_args = parser.parse_args(argv)
+        except SystemExit as stop:  # argparse has printed the usage and its error
+            return stop.code
         sub_args.out_dir = args.out_dir
-        return run_scenario(kind, sub_args)
+        return cmd_run(kind, sub_args)
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(launch, scenarios))
-    return max((code for code, _ in results), default=0)
+        return max(pool.map(launch, scenarios), default=0)
 
 
 def _check(table, name, ok, detail=""):
@@ -380,12 +377,8 @@ def cmd_verify(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run-synthetic":
-        return cmd_run("synthetic", args)
-    if args.command == "run-ons":
-        return cmd_run("ons", args)
-    if args.command == "run-markowitz":
-        return cmd_run("markowitz", args)
+    if args.command in ("run-synthetic", "run-ons", "run-markowitz"):
+        return cmd_run(args.command[len("run-") :], args)
     if args.command == "run-grid":
         return cmd_run_grid(args)
     if args.command == "verify":

@@ -28,7 +28,7 @@ must produce identical trajectories.
 Between steps the session keeps the matrix, the linear term, the quadruple
 and Par1, and nothing else: each leg derives its own cache from Par1 when it
 starts (Par2 for the matrix leg, Par3 for the vector leg) and drops it when
-it ends.  A checkpoint (`HSS4`) holds exactly that lasting state.
+it ends.  A checkpoint (`HSS5`) holds that lasting state and its config.
 
 Per step the driver emits a StepReport with the turning-point counts, the
 excess over the support symmetric-difference lower bound, the optimality
@@ -39,6 +39,7 @@ scalar-multiplication tally used by the complexity check.
 import struct
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,6 +62,9 @@ from .state import (
 # Re-derive (v, mu0) from M when the step's residual exceeds this share of tol.
 REFRESH_FACTOR = 0.25
 
+# Refactorize Par1 from the live rows every this many steps.
+REBUILD_EVERY = 1000
+
 # Entries per block of the lazy rank-one row update.  Blocks of about 128 KB
 # keep the temporaries on the allocator's heap; one s* x n temporary is mapped
 # fresh each step, and at n = 1000 its page faults cost more than the adds.
@@ -69,34 +73,24 @@ UPDATE_BLOCK = 16384
 
 @dataclass
 class SolverConfig:
-    """Knobs for one solver session.
+    """The two settings of one solver session.
 
-    rebuild_every: refactorize Par1 every R steps (0 disables).
-    cycle_cap: turning points allowed per leg before CycleLimit (0 means 10 n).
     tol: residual target; a step whose residual exceeds REFRESH_FACTOR * tol
         re-derives (v, mu0) from the cached inverse, then rebuilds if needed.
-    lazy_a: keep only the touched rows of A current (False: the whole A).
-    cond_cap: condition-estimate cap for every factorization of A_SS.
-    A value out of range (negative counts, a tol that is not finite and
-    positive, a cond_cap below 1, a lazy_a that is not a bool) raises
-    ValueError.
+    lazy_a: keep only the touched rows of A current (False: the whole A, the
+        eager twin).
+    A tol that is not finite and positive, or a lazy_a that is not a bool,
+    raises ValueError.  cond_cap, the condition-estimate cap for every
+    factorization of A_SS, is a class constant, not a setting.
     """
 
-    rebuild_every: int = 1000
-    cycle_cap: int = 0
     tol: float = 1e-8
     lazy_a: bool = True
-    cond_cap: float = DEFAULT_COND_CAP
+    cond_cap: ClassVar[float] = DEFAULT_COND_CAP
 
     def __post_init__(self):
-        if self.rebuild_every < 0:
-            raise ValueError(f"rebuild_every must be nonnegative, got {self.rebuild_every}")
-        if self.cycle_cap < 0:
-            raise ValueError(f"cycle_cap must be nonnegative, got {self.cycle_cap}")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if not self.cond_cap >= 1.0:
-            raise ValueError(f"cond_cap must be at least 1, got {self.cond_cap}")
         if not isinstance(self.lazy_a, bool):
             raise ValueError(f"lazy_a must be a bool, got {self.lazy_a!r}")
 
@@ -187,11 +181,11 @@ class SolverSession:
     # -- checkpointing -------------------------------------------------------
     #
     # The one checkpoint layout; little-endian, floats IEEE-754 binary64:
-    #   "HSS4", n u32, t u32, k u32 (logged g's), s u32 (support size),
+    #   "HSS5", n u32, t u32, k u32 (logged g's), s u32 (support size),
     #       lazy_a u8, 3 pad bytes
     #   A n*n (row layout), c n, c_shift n, touched-row mask n u8, g log k*n
     #   support s i64, v n, mu0, M n*s (row-major), eta_tilde n, D
-    #   rebuild_every i64, cycle_cap i64, tol, cond_cap
+    #   tol
     # `load` checks all of it before it builds anything.
 
     HEADER = struct.Struct("<4sIIIIB3x")
@@ -202,7 +196,7 @@ class SolverSession:
         return [
             ("A", "<f8", n * n), ("c", "<f8", n), ("c_shift", "<f8", n), ("mask", "u1", n), ("g_log", "<f8", k * n),
             ("support", "<i8", s), ("v", "<f8", n), ("mu0", "<f8", 1), ("M", "<f8", n * s),
-            ("eta_tilde", "<f8", n), ("D", "<f8", 1), ("config_ints", "<i8", 2), ("config_floats", "<f8", 2),
+            ("eta_tilde", "<f8", n), ("D", "<f8", 1), ("tol", "<f8", 1),
         ]
 
     def save(self, path):
@@ -210,26 +204,25 @@ class SolverSession:
         k, s = len(self.g_log), q.support.size
         fields = dict(A=self.A, c=self.c, c_shift=self.c_shift, mask=self.s_star_mask, g_log=self.g_log)
         fields.update(support=q.support.idx, v=q.v, mu0=q.mu0, M=par1.M, eta_tilde=par1.eta_tilde, D=par1.D)
-        fields.update(config_ints=(cfg.rebuild_every, cfg.cycle_cap), config_floats=(cfg.tol, cfg.cond_cap))
-        parts = [self.HEADER.pack(b"HSS4", self.n, self.t, k, s, cfg.lazy_a)]
+        fields.update(tol=cfg.tol)
+        parts = [self.HEADER.pack(b"HSS5", self.n, self.t, k, s, cfg.lazy_a)]
         parts += [np.asarray(fields[name], dtype).tobytes() for name, dtype, _ in self._sections(self.n, k, s)]
         with open(path, "wb") as fh:
             fh.write(b"".join(parts))
 
     @classmethod
-    def load(cls, path, config=None):
-        """Restore a session written by `save`; it continues bit for bit.
+    def load(cls, path):
+        """Restore a session written by `save`, config included; it continues bit for bit.
 
-        The saved config is restored unless one is passed, and a passed config
-        must agree on lazy_a.  A file that is not exactly a checkpoint (wrong
-        magic, a length other than its header implies, a flag byte other than
-        0 or 1, a support that is not strictly increasing inside the touched
-        rows, a non-finite float, a config SolverConfig refuses) raises
-        ValueError before any session is built.
+        A file that is not exactly a checkpoint (wrong magic, a length other
+        than its header implies, a flag byte other than 0 or 1, a support that
+        is not strictly increasing inside the touched rows, a non-finite
+        float, a tol SolverConfig refuses) raises ValueError before any
+        session is built.
         """
         with open(path, "rb") as fh:
             buf = fh.read()
-        if len(buf) < cls.HEADER.size or buf[:4] != b"HSS4":
+        if len(buf) < cls.HEADER.size or buf[:4] != b"HSS5":
             raise ValueError("not a session checkpoint")
         _, n, t, k, s, lazy = cls.HEADER.unpack_from(buf)
         sections = cls._sections(n, k, s)
@@ -248,12 +241,7 @@ class SolverSession:
             raise ValueError("support must be nonempty, strictly increasing and inside the touched rows")
         if not all(np.isfinite(f[name]).all() for name, dtype, _ in sections if dtype == "<f8"):
             raise ValueError("checkpoint holds a NaN or infinite float")
-        if config is None:
-            every, cap = (int(v) for v in f["config_ints"])
-            tol, cond_cap = (float(v) for v in f["config_floats"])
-            config = SolverConfig(rebuild_every=every, cycle_cap=cap, tol=tol, lazy_a=bool(lazy), cond_cap=cond_cap)
-        elif config.lazy_a != bool(lazy):
-            raise ValueError(f"config has lazy_a={config.lazy_a}, the checkpoint lazy_a={bool(lazy)}")
+        config = SolverConfig(tol=float(f["tol"][0]), lazy_a=bool(lazy))
 
         def vec(name):
             return f[name].astype(np.float64)
@@ -273,8 +261,8 @@ def init_session(A0, c0, config=None):
     """Start a session at the global optimum of the initial problem."""
     config = config or SolverConfig()
     problem = Problem(A0, c0)
-    quadruple = oracle_solve(problem, cond_cap=config.cond_cap)
-    par1 = init_par1(problem, quadruple.support, cond_cap=config.cond_cap)
+    quadruple = oracle_solve(problem)
+    par1 = init_par1(problem, quadruple.support)
     return SolverSession(A0, c0, quadruple, par1, config)
 
 
@@ -391,7 +379,6 @@ def step(session, g_t, c_t):
         session.par1,
         par2,
         counter=counter,
-        cycle_cap=cfg.cycle_cap or None,
         ensure_column=ensure_column,
         rebuild=rebuild_matrix_leg,
     )
@@ -421,14 +408,13 @@ def step(session, g_t, c_t):
         session.par1,
         par3,
         counter=counter,
-        cycle_cap=cfg.cycle_cap or None,
         ensure_column=ensure_column,
         rebuild=rebuild_vector_leg,
     )
     session.c = c_new
     session.c_shift = c_shift
 
-    if cfg.rebuild_every and session.t % cfg.rebuild_every == 0:
+    if session.t % REBUILD_EVERY == 0:
         rebuild(session)
 
     refreshes = 0
@@ -485,7 +471,7 @@ def rebuild(session, A=None):
     untouched, and a leg re-derives its own cache after calling this.  Raises
     SingularSubmatrix if the live block cannot be factorized.
     """
-    fresh = par1_from_matrix(session.A if A is None else A, session.support, cond_cap=session.config.cond_cap)
+    fresh = par1_from_matrix(session.A if A is None else A, session.support)
     session.rebuild_count += 1
     session.par1.refresh_from(fresh)
     return session

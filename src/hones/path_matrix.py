@@ -16,6 +16,9 @@ from . import counters as cnt
 from .errors import CycleLimit, DegenerateDenominator, DegenerateError, DegeneratePivot, EmptySupport
 from .kkt import ZETA_SCALE, zero_tol
 
+# A leg raises CycleLimit past this many turning points per index (10 n).
+CYCLE_CAP_PER_INDEX = 10
+
 
 @dataclass
 class PathEvent:
@@ -264,7 +267,6 @@ def run_lambda_leg(
     par1,
     par2,
     counter=None,
-    cycle_cap=None,
     ensure_column=None,
     rebuild=None,
 ):
@@ -276,7 +278,7 @@ def run_lambda_leg(
     refresh the caches in place after a degeneracy; it is tried once, after
     which the error propagates.
 
-    Raises CycleLimit when the number of events exceeds the cap (default 10n).
+    Raises CycleLimit when the number of events exceeds CYCLE_CAP_PER_INDEX * n.
     """
     return _run_leg(
         "matrix",
@@ -285,24 +287,23 @@ def run_lambda_leg(
         advance=lambda inc, scratch: update_by_lambda(inc, quadruple, par1, par2, scratch=scratch, counter=counter),
         shrink=lambda j: shrink_support_lambda(quadruple.support, j, c, par1, par2, counter=counter),
         expand=lambda lam, j: expand_support_lambda(lam, quadruple.support, j, A, c, g, par1, par2, counter=counter),
-        cycle_cap=cycle_cap,
         ensure_column=ensure_column,
         rebuild=rebuild,
     )
 
 
-def _run_leg(leg, quadruple, find, advance, shrink, expand, cycle_cap, ensure_column, rebuild):
+def _run_leg(leg, quadruple, find, advance, shrink, expand, ensure_column, rebuild):
     """Event loop shared by both legs: advance to each turning point, toggle, repeat.
 
     The leg parameter runs from 0 to 1.  `find(exclude)` returns the next
     turning point, `advance(inc, scratch)` moves the state by a parameter
     increment, `shrink(j)` / `expand(lam, j)` toggle index j and return the
-    new support.  The leg wrappers pass closures that look their step
+    new support.  More than CYCLE_CAP_PER_INDEX * n turning points raise
+    CycleLimit.  The leg wrappers pass closures that look their step
     functions up by module global at call time, so a rebinding of those names
     (for instance by a tracer) takes effect here.
     """
-    n = quadruple.support.n
-    cap = 10 * n if cycle_cap is None else cycle_cap
+    cap = CYCLE_CAP_PER_INDEX * quadruple.support.n
     events = []
     lam = 0.0
     exclude = None

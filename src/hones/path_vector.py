@@ -77,7 +77,6 @@ def run_utilde_leg(
     par1,
     par3,
     counter=None,
-    cycle_cap=None,
     ensure_column=None,
     rebuild=None,
 ):
@@ -85,7 +84,7 @@ def run_utilde_leg(
 
     Mirror image of run_lambda_leg with the matrix frozen: mutates the
     quadruple and caches in place, returns the turning points, retries once
-    through `rebuild(t)` on a degeneracy, and enforces the event cap.
+    through `rebuild(t)` on a degeneracy, and enforces the same event cap.
     """
     return _run_leg(
         "vector",
@@ -98,7 +97,6 @@ def run_utilde_leg(
         ),
         shrink=lambda j: shrink_support_utilde(quadruple.support, j, l, par1, par3, counter=counter),
         expand=lambda _t, j: expand_support_utilde(quadruple.support, j, A, l, par1, par3, counter=counter),
-        cycle_cap=cycle_cap,
         ensure_column=ensure_column,
         rebuild=rebuild,
     )

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hones import cli
+from hones import cli, driver
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -44,9 +44,12 @@ class TestRunSynthetic:
         assert summary["schema_version"] == cli.SCHEMA_VERSION
         assert summary["mult_bound_violations"] == 0
 
-    def test_negative_cycle_cap_exits_2(self, tmp_path):
-        argv = ["run-synthetic", "--n", "8", "--steps", "5", "--cycle-cap", "-1", "--out-dir", str(tmp_path)]
-        assert cli.main(argv) == 2
+    def test_epoch_zero_exits_2_before_any_run(self, tmp_path, capsys):
+        argv = ["run-synthetic", "--n", "8", "--steps", "5", "--epoch", "0", "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 2
+        assert "--epoch: must be at least 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_epoching(self, tmp_path):
@@ -64,16 +67,17 @@ class TestRunSynthetic:
         summary = json.loads((tmp_path / "synthetic-hones-n20-s500-seed1.json").read_text())
         assert len(summary["epoch_wall_s"]) == 2
 
-    def test_golden_non_timing_columns(self, tmp_path):
+    def test_golden_non_timing_columns(self, tmp_path, monkeypatch):
         # One test over all three flows, so that each flow's path is pinned.
-        # The periodic rebuild every 10 steps puts rebuild() on the ons and
-        # markowitz paths too.
+        # A rebuild period of 10 steps puts the periodic rebuild() on the ons
+        # and markowitz paths too.
         runs = [
-            (["run-synthetic", "--steps", "30"], "synthetic-hones-n20-s30-seed7"),
-            (["run-ons", "--steps", "40", "--rebuild-every", "10"], "ons-hones-n20-s40-seed7"),
-            (["run-markowitz", "--steps", "40", "--rebuild-every", "10"], "markowitz-hones-n20-s40-seed7"),
+            (["run-synthetic", "--steps", "30"], driver.REBUILD_EVERY, "synthetic-hones-n20-s30-seed7"),
+            (["run-ons", "--steps", "40"], 10, "ons-hones-n20-s40-seed7"),
+            (["run-markowitz", "--steps", "40"], 10, "markowitz-hones-n20-s40-seed7"),
         ]
-        for argv, name in runs:
+        for argv, period, name in runs:
+            monkeypatch.setattr(driver, "REBUILD_EVERY", period)
             code = cli.main(argv + ["--n", "20", "--seed", "7", "--out-dir", str(tmp_path)])
             assert code == 0
             got = strip_timing(read_csv(tmp_path / f"{name}.csv"))
@@ -239,8 +243,35 @@ class TestGrid:
 
     def test_bad_grid_file(self, tmp_path):
         bad = tmp_path / "grid.json"
-        bad.write_text("{not json")
-        assert cli.main(["run-grid", "--file", str(bad)]) == 2
+        for text in ("{not json", "[1, 2]"):
+            bad.write_text(text)
+            assert cli.main(["run-grid", "--file", str(bad)]) == 2
+
+    def test_bad_scenario_fails_alone(self, tmp_path, capsys):
+        # A value the run refuses and a key for a flag that does not exist
+        # each fail their own scenario with exit 2; the good one still runs.
+        grid = [
+            {"kind": "synthetic", "n": 8, "steps": 5, "seed": 1},
+            {"kind": "synthetic", "n": 8, "steps": 5, "seed": 2, "tol": -1},
+            {"kind": "synthetic", "n": 8, "steps": 5, "seed": 3, "cycle_cap": -1},
+        ]
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        assert cli.main(["run-grid", "--file", str(grid_file), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: tol must be finite and positive" in err
+        assert "unrecognized arguments: --cycle-cap -1" in err
+        assert (tmp_path / "synthetic-hones-n8-s5-seed1.csv").exists()
+        assert not list(tmp_path.glob("*-seed2.*")) and not list(tmp_path.glob("*-seed3.*"))
+
+    def test_threads_zero_exits_2(self, tmp_path, capsys):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps([{"kind": "synthetic", "n": 8, "steps": 5, "seed": 1}]))
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["run-grid", "--file", str(grid_file), "--threads", "0", "--out-dir", str(tmp_path)])
+        assert stop.value.code == 2
+        assert "--threads: must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import struct
 from pathlib import Path
 
@@ -27,13 +28,13 @@ from hones.flows import (
     synthetic_prices,
 )
 from hones.errors import CycleLimit, DegenerateDenominator, HonesError
-from hones.kkt import Problem, oracle_solve
+from hones.kkt import DEFAULT_COND_CAP, Problem, oracle_solve
 from hones.path_matrix import PathEvent
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-GOLDEN_CHECKPOINT = GOLDEN_DIR / "session-hss4-synthetic-n12-seed61-t20.bin"
+GOLDEN_CHECKPOINT = GOLDEN_DIR / "session-hss5-synthetic-n12-seed61-t20.bin"
 
 # Checkpoint sections in file order.
 CHECKPOINT_SECTIONS = (
@@ -45,7 +46,7 @@ def golden_layout():
     """The golden checkpoint's bytes and the start offset of each section."""
     buf = GOLDEN_CHECKPOINT.read_bytes()
     n, _, k, s = struct.unpack_from("<IIII", buf, 4)
-    sizes = (24, 8 * n * n, 8 * n, 8 * n, n, 8 * k * n, 8 * s, 8 * n, 8, 8 * n * s, 8 * n, 8, 32)
+    sizes = (24, 8 * n * n, 8 * n, 8 * n, n, 8 * k * n, 8 * s, 8 * n, 8, 8 * n * s, 8 * n, 8, 8)
     starts = np.cumsum((0,) + sizes[:-1])
     assert starts[-1] + sizes[-1] == len(buf)
     return buf, {name: int(at) for name, at in zip(CHECKPOINT_SECTIONS, starts)}
@@ -77,6 +78,7 @@ DAMAGE = {
     "magic-HSS1": lambda buf, at: _put(buf, 0, "4s", b"HSS1"),
     "magic-HSS2": lambda buf, at: _put(buf, 0, "4s", b"HSS2"),
     "magic-HSS3": lambda buf, at: _put(buf, 0, "4s", b"HSS3"),
+    "magic-HSS4": lambda buf, at: _put(buf, 0, "4s", b"HSS4"),
     "magic-junk": lambda buf, at: _put(buf, 0, "4s", b"junk"),
     "header-n": lambda buf, at: _put(buf, 4, "<I", 11),
     "header-s": lambda buf, at: _put(buf, 16, "<I", 9),
@@ -86,10 +88,8 @@ DAMAGE = {
     "support-outside-touched": _support_outside_touched,
     "nan-A": lambda buf, at: _put(buf, at["A"] + 8 * 13, "<d", float("nan")),
     "nan-M": lambda buf, at: _put(buf, at["M"], "<d", float("nan")),
-    "inf-tol": lambda buf, at: _put(buf, at["config"] + 16, "<d", float("inf")),
-    "rebuild-every-minus-3": lambda buf, at: _put(buf, at["config"], "<q", -3),
-    "cycle-cap-minus-1": lambda buf, at: _put(buf, at["config"] + 8, "<q", -1),
-    "tol-minus-1": lambda buf, at: _put(buf, at["config"] + 16, "<d", -1.0),
+    "inf-tol": lambda buf, at: _put(buf, at["config"], "<d", float("inf")),
+    "tol-minus-1": lambda buf, at: _put(buf, at["config"], "<d", -1.0),
 }
 
 
@@ -129,14 +129,10 @@ class TestSolverConfig:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"rebuild_every": -3},
-            {"cycle_cap": -1},
             {"tol": -1.0},
             {"tol": 0.0},
             {"tol": float("nan")},
             {"tol": float("inf")},
-            {"cond_cap": 0.5},
-            {"cond_cap": float("nan")},
             {"lazy_a": 1},
         ],
         ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
@@ -145,9 +141,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 
+    def test_only_tol_and_lazy_a_are_settable(self):
+        # The rebuild period, cycle cap and condition cap are constants.
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol", "lazy_a"]
+        for knob in ("rebuild_every", "cycle_cap", "cond_cap"):
+            with pytest.raises(TypeError):
+                SolverConfig(**{knob: 1})
+        assert SolverConfig().cond_cap == DEFAULT_COND_CAP
+
     def test_edge_values_accepted(self):
-        cfg = SolverConfig(rebuild_every=0, cycle_cap=0, tol=1e-300, lazy_a=False, cond_cap=1.0)
-        assert (cfg.rebuild_every, cfg.cycle_cap) == (0, 0)
+        cfg = SolverConfig(tol=1e-300, lazy_a=False)
+        assert (cfg.tol, cfg.lazy_a) == (1e-300, False)
 
 
 class TestInitSession:
@@ -299,13 +303,13 @@ class TestRebuild:
         rebuild(ses)
         assert ses.validate() <= 1e-12
 
-    def test_midrun_rebuild_leaves_trajectory_unchanged(self):
-        cfg_a = SolverConfig(rebuild_every=25)
-        cfg_b = SolverConfig(rebuild_every=0)
-        ses_a, flow_a = synthetic_session(8, seed=7, config=cfg_a)
-        ses_b, flow_b = synthetic_session(8, seed=7, config=cfg_b)
-        out_a = run_sequence(ses_a, flow_a, 60)
+    def test_midrun_rebuild_leaves_trajectory_unchanged(self, monkeypatch):
+        # 60 steps stay below the default period; a period of 25 rebuilds twice.
+        ses_b, flow_b = synthetic_session(8, seed=7)
         out_b = run_sequence(ses_b, flow_b, 60)
+        monkeypatch.setattr(driver, "REBUILD_EVERY", 25)
+        ses_a, flow_a = synthetic_session(8, seed=7)
+        out_a = run_sequence(ses_a, flow_a, 60)
         assert sum(r.rebuilds for _, r in out_a) >= 2
         for (xa, _), (xb, _) in zip(out_a, out_b):
             assert np.max(np.abs(xa - xb)) <= 1e-9
@@ -461,8 +465,9 @@ class TestFaultInjection:
             step(ses, g, c)
         assert left == [0] and ses.rebuild_count == 1
 
-    def test_cycle_cap_raises_from_step(self):
-        ses, flow = synthetic_session(20, seed=5, config=SolverConfig(cycle_cap=1))
+    def test_cycle_cap_raises_from_step(self, monkeypatch):
+        monkeypatch.setattr(path_matrix, "CYCLE_CAP_PER_INDEX", 0)
+        ses, flow = synthetic_session(20, seed=5)
         with pytest.raises(CycleLimit):
             run_sequence(ses, flow, 50)
 
@@ -485,8 +490,9 @@ class TestCheckpoint:
             assert np.max(np.abs(ses.x - twin.x)) <= 1e-12
             assert (ra.k_a, ra.k_c) == (rb.k_a, rb.k_c)
 
-    def test_config_restored(self, tmp_path):
-        cfg = SolverConfig(rebuild_every=5, tol=1e-6)
+    def test_config_restored(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(driver, "REBUILD_EVERY", 5)
+        cfg = SolverConfig(tol=1e-6, lazy_a=False)
         ses, flow = synthetic_session(9, seed=41, config=cfg)
         stream = list(flow)[:30]
         for g, c in stream[:10]:
@@ -503,24 +509,6 @@ class TestCheckpoint:
             assert np.array_equal(ses.x, twin.x)
         assert sum(r.rebuilds for r in twin.reports) == 4
 
-    def test_load_rejects_lazy_a_mismatch(self, tmp_path):
-        n, steps = 200, 50
-        ses, flow = synthetic_session(n, seed=47)
-        stream = list(flow)[: steps + 20]
-        for g, c in stream[:steps]:
-            step(ses, g, c)
-        assert not ses.s_star_mask.all()
-        path = tmp_path / "session.bin"
-        ses.save(path)
-        with pytest.raises(ValueError, match="lazy_a"):
-            SolverSession.load(path, SolverConfig(lazy_a=False))
-        twin = SolverSession.load(path, SolverConfig(lazy_a=True))
-        for g, c in stream[steps:]:
-            ra = step(ses, g, c)
-            rb = step(twin, g, c)
-            assert _fields(ra) == _fields(rb)
-            assert np.array_equal(ses.x, twin.x)
-
     def test_log_dropped_once_every_row_is_live(self, tmp_path):
         # Every row is live from step 15 on; the log held rows before that.
         ses, flow = synthetic_session(12, seed=79)
@@ -531,7 +519,7 @@ class TestCheckpoint:
         path = tmp_path / "session.bin"
         ses.save(path)
         buf = path.read_bytes()
-        assert buf[:4] == b"HSS4"
+        assert buf[:4] == b"HSS5"
         assert struct.unpack_from("<III", buf, 4)[2] == 0
         twin = SolverSession.load(path)
         for g, c in stream[30:]:
@@ -552,13 +540,14 @@ class TestCheckpoint:
             assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
             assert np.array_equal(ses.x, twin.x)
 
-    def test_golden_checkpoint_continues_bit_identically(self, tmp_path):
-        # A lazy synthetic session (n=12, seed 61, rebuild_every=7, tol=1e-7)
+    def test_golden_checkpoint_continues_bit_identically(self, tmp_path, monkeypatch):
+        # A lazy synthetic session (n=12, seed 61, tol=1e-7, rebuild period 7)
         # saved after 20 steps, with two stale rows, a 20-entry log and a
         # nonzero gauge offset.  It loads, re-saves to the same bytes, and
         # continues exactly like the run that was never saved.
+        monkeypatch.setattr(driver, "REBUILD_EVERY", 7)
         buf = GOLDEN_CHECKPOINT.read_bytes()
-        cfg = SolverConfig(rebuild_every=7, tol=1e-7)
+        cfg = SolverConfig(tol=1e-7)
         old = SolverSession.load(GOLDEN_CHECKPOINT)
         assert old.config == cfg and old.t == 20
         assert not old.s_star_mask.all() and len(old.g_log) == 20 and old.c_shift.any()
@@ -648,15 +637,16 @@ class TestGauge:
         assert ses.c_shift.any()
         assert dev <= 1e-9
 
-    def test_markowitz_matches_golden_rows(self):
+    def test_markowitz_matches_golden_rows(self, monkeypatch):
         # The drift is zero, so the gauge never fuses and the driver must
         # reproduce the pinned markowitz rows (cli run-markowitz --n 20
-        # --steps 40 --seed 7 --rebuild-every 10) with c_shift at exactly 0.
+        # --steps 40 --seed 7, rebuild period 10) with c_shift at exactly 0.
         with open(GOLDEN_DIR / "markowitz-hones-n20-s40-seed7.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         pick = [rows[0].index(col) for col in NON_TIMING]
         flow = flow_for_config(FlowConfig("markowitz", 20, 40, seed=7))
-        ses = init_session(flow.a0, flow.c0, SolverConfig(rebuild_every=10))
+        monkeypatch.setattr(driver, "REBUILD_EVERY", 10)
+        ses = init_session(flow.a0, flow.c0)
         for (g, c), row in zip(flow, rows[1:]):
             rep = step(ses, g, c)
             got = [repr(v) if isinstance(v, float) else str(v) for v in _fields(rep)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hones import path_matrix
 from hones.errors import CycleLimit, DegenerateDenominator, EmptySupport
 from hones.kkt import Problem, Support, kkt_residual, oracle_solve, solve_given_support
 from hones.path_matrix import (
@@ -366,14 +367,15 @@ class TestRunLambdaLeg:
                 kappa = condition_proxy(A_lam, qc.support, p1c)
                 assert kkt_residual(Problem(A_lam, p.c), qc) <= 1e-9 * max(1.0, kappa)
 
-    def test_cycle_cap_raises(self):
+    def test_cycle_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(path_matrix, "CYCLE_CAP_PER_INDEX", 0)
         A = np.eye(3)
         c = np.array([1.5, 0.0, 0.0])
         g = np.array([-1.0, 1.0, 1.0])
         p = Problem(A, c)
         q, par1, par2 = fresh_state(p, g)
         with pytest.raises(CycleLimit):
-            run_lambda_leg(A, c, g, q, par1, par2, cycle_cap=1)
+            run_lambda_leg(A, c, g, q, par1, par2)
 
     def test_rebuild_retry_recovers(self):
         rng = np.random.default_rng(4)
