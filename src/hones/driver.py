@@ -17,18 +17,21 @@ equivalent gauged problem: its matrix and linear term differ from the
 caller's, its iterate does not, and it keeps the offset between the two
 linear terms so that the next drift is measured in the caller's terms.
 
-The problem matrix is maintained lazily
-and by rows (A is symmetric, so row j stands for column j): only rows whose
-index has ever touched a support (the set S*) are kept current, and a row is
-caught up from the logged g history the first time its index enters.  Once
-every row is live the whole matrix takes the rank-one update in place and the
-log is dropped.  A twin eager mode keeps the full matrix current instead and
-must produce identical trajectories.
+The problem matrix is kept lazily and by rows (A is symmetric, so row j
+stands for column j).  Only the live rows are stored: in lazy mode the rows
+whose index has ever touched a support (the set S*), in eager mode all n.
+They sit in one contiguous block with a slot map (LiveRows), and every step
+adds its rank-one term to that block in place.  A row that goes live is the
+initial row plus the logged g history; before that its only source is the
+pristine A0, kept as its diagonal when A0 is diagonal and as a dense copy
+otherwise.  Once every row is live the pristine A0 and the log are dropped.
+So memory is O(s* n + k n) for k logged g's, not O(n^2), until every row is
+live.  The eager twin must produce identical trajectories.
 
-Between steps the session keeps the matrix, the linear term, the quadruple
+Between steps the session keeps the live rows, the linear term, the quadruple
 and Par1, and nothing else: each leg derives its own cache from Par1 when it
 starts (Par2 for the matrix leg, Par3 for the vector leg) and drops it when
-it ends.  A checkpoint (`HSS5`) holds that lasting state and its config.
+it ends.  A checkpoint (`HSS6`) holds that lasting state and its config.
 
 Per step the driver emits a StepReport with the turning-point counts, the
 excess over the support symmetric-difference lower bound, the optimality
@@ -45,7 +48,7 @@ import numpy as np
 
 from .counters import MultCounter
 from .errors import HonesError
-from .kkt import DEFAULT_COND_CAP, Problem, Quadruple, Support, kkt_residual, oracle_solve
+from .kkt import DEFAULT_COND_CAP, Problem, Quadruple, Support, diagonal_of, kkt_residual, oracle_solve
 from .path_matrix import run_lambda_leg
 from .path_vector import run_utilde_leg
 from .state import (
@@ -65,9 +68,10 @@ REFRESH_FACTOR = 0.25
 # Refactorize Par1 from the live rows every this many steps.
 REBUILD_EVERY = 1000
 
-# Entries per block of the lazy rank-one row update.  Blocks of about 128 KB
-# keep the temporaries on the allocator's heap; one s* x n temporary is mapped
-# fresh each step, and at n = 1000 its page faults cost more than the adds.
+# Entries per block of the rank-one update of the live rows.  Blocks of about
+# 128 KB keep the temporaries on the allocator's heap; one s* x n temporary is
+# mapped fresh each step, and at n = 1000 its page faults cost more than the
+# adds.
 UPDATE_BLOCK = 16384
 
 
@@ -121,15 +125,77 @@ class StepReport:
     refreshes: int
 
 
+def _grown(buf, rows):
+    """A copy of the full buffer `buf` with room for `rows` rows."""
+    grown = np.empty((rows, buf.shape[1]))
+    grown[: buf.shape[0]] = buf
+    return grown
+
+
+class LiveRows:
+    """The live rows of a symmetric n x n matrix, read as if it were the matrix.
+
+    Row j sits in block row slot[j] of `rows`, and order[i] is the index of
+    block row i.  A row that is not live has slot n, which lies past the
+    block (it never holds more than n rows), so reading it raises IndexError
+    and never returns another row.  The reads the solver makes all go by row:
+    A[j], A[j, cols], A[idx] and A[np.ix_(idx, cols)].
+    """
+
+    __slots__ = ("n", "rows", "slot", "order", "size")
+
+    def __init__(self, live, rows):
+        """`rows[i]` is row live[i]; the store adopts `rows` as its block."""
+        self.n = n = rows.shape[1]
+        self.rows = rows
+        self.size = live.size
+        self.slot = np.full(n, n, dtype=np.intp)
+        self.slot[live] = np.arange(live.size)
+        self.order = np.zeros(n, dtype=np.intp)
+        self.order[: live.size] = live
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            return self.rows[(self.slot[key[0]],) + key[1:]]
+        return self.rows[self.slot[key]]
+
+    @property
+    def full(self):
+        return self.size == self.n
+
+    def live(self):
+        """Indices of the live rows, increasing."""
+        return np.flatnonzero(self.slot < self.n)
+
+    def make_live(self, j):
+        """Make row j live in the next free slot; returns that block row for the caller to fill."""
+        if self.size == self.rows.shape[0]:
+            self.rows = _grown(self.rows, min(2 * self.size, self.n))
+        i = self.size
+        self.slot[j] = i
+        self.order[i] = j
+        self.size += 1
+        return self.rows[i]
+
+    def add_outer(self, g):
+        """Row j += g[j] g for every live j, over contiguous blocks of about UPDATE_BLOCK entries."""
+        per = max(1, UPDATE_BLOCK // self.n)
+        live = self.rows[: self.size]
+        g_live = g[self.order[: self.size], None]
+        for k in range(0, self.size, per):
+            live[k : k + per] += g_live[k : k + per] * g
+
+
 class SolverSession:
     """All state of one sequential solve that lasts from one step to the next.
 
-    The stored matrix starts as a copy of the initial A.  In lazy mode the
-    invariant is: for every j in S*, row j equals the initial row plus the
-    accumulated rank-one contributions of all g's appended to the log so far;
-    rows outside S* are stale but never read.  Every read goes by row, so the
-    live data is contiguous.  Once S* holds every index the log is empty and
-    stays so.
+    `A` is the LiveRows store.  In lazy mode its live rows are those of S*,
+    and the invariant is: each equals the initial row plus the rank-one
+    contributions of every g logged so far and of every later step; a row
+    outside S* is not stored, and reading it raises.  Eager mode keeps all n
+    rows live from the start.  `a0` is the pristine initial matrix (its
+    diagonal, or a dense copy), the only source of a row before it goes live;
+    it is None, and the log is empty, once every row is live.
 
     A, c and the logged g's are in the gauge the legs run in; c_shift is that
     c minus the caller's last linear term (zero until a step fuses a drift).
@@ -137,17 +203,19 @@ class SolverSession:
     drift, so `step` derives each one from Par1 when its leg starts.
     """
 
-    def __init__(self, A0, c0, quadruple, par1, config):
+    def __init__(self, A, a0, c0, quadruple, par1, config):
         self.config = config
-        self.n = int(A0.shape[0])
-        self.A = np.array(A0, dtype=np.float64)
+        self.n = A.n
+        self.A = A
+        self.a0 = a0
         self.c = np.array(c0, dtype=np.float64)
         self.c_shift = np.zeros(self.n)
         self.quadruple = quadruple
         self.par1 = par1
         self.t = 0
         self.s_star_mask = quadruple.support.mask.copy()
-        self.g_log = []
+        self._log = np.empty((0, self.n))
+        self.log_size = 0
         self.counter = MultCounter()
         self.rebuild_count = 0
         self.events = []
@@ -165,12 +233,29 @@ class SolverSession:
     def s_star_idx(self):
         return np.flatnonzero(self.s_star_mask)
 
+    @property
+    def g_log(self):
+        """The logged g's, one per row, oldest first (a view of the log's filled prefix)."""
+        return self._log[: self.log_size]
+
+    def _log_step(self, g):
+        """Log g for the rows that are not live yet; once every row is, drop the log and A0."""
+        if not self.A.full:
+            if self.log_size == self._log.shape[0]:
+                self._log = _grown(self._log, max(2 * self.log_size, 1))
+            self._log[self.log_size] = g
+            self.log_size += 1
+        elif self.a0 is not None:
+            self.a0 = None
+            self._log = np.empty((0, self.n))
+            self.log_size = 0
+
     def residual(self):
         """Optimality residual of the current quadruple against the gauged (A_t, c_t).
 
         This is the equivalent problem the legs solve, so mu0 and the matrix
         differ from the caller's; the iterate does not.  kkt_residual reads
-        only the support rows of A, which are current by the session invariant.
+        only the support rows of A, which are live by the session invariant.
         """
         return kkt_residual(self, self.quadruple)
 
@@ -181,32 +266,37 @@ class SolverSession:
     # -- checkpointing -------------------------------------------------------
     #
     # The one checkpoint layout; little-endian, floats IEEE-754 binary64:
-    #   "HSS5", n u32, t u32, k u32 (logged g's), s u32 (support size),
-    #       lazy_a u8, 3 pad bytes
-    #   A n*n (row layout), c n, c_shift n, touched-row mask n u8, g log k*n
+    #   "HSS6", n u32, t u32, k u32 (logged g's), s u32 (support size),
+    #       lazy_a u8, A0 kind u8 (0: none, 1: diagonal, 2: dense), 2 pad bytes
+    #   A0 0, n or n*n (by kind), c n, c_shift n, touched-row mask n u8,
+    #       g log k*n, A r*n (the live rows in increasing index order: one per
+    #       set mask byte in lazy mode, all n in eager mode)
     #   support s i64, v n, mu0, M n*s (row-major), eta_tilde n, D
     #   tol
     # `load` checks all of it before it builds anything.
 
-    HEADER = struct.Struct("<4sIIIIB3x")
+    HEADER = struct.Struct("<4sIIIIBB2x")
 
     @staticmethod
-    def _sections(n, k, s):
+    def _sections(n, k, s, a0_size, r):
         """(name, dtype, count) of the arrays after the header, in file order."""
         return [
-            ("A", "<f8", n * n), ("c", "<f8", n), ("c_shift", "<f8", n), ("mask", "u1", n), ("g_log", "<f8", k * n),
-            ("support", "<i8", s), ("v", "<f8", n), ("mu0", "<f8", 1), ("M", "<f8", n * s),
+            ("A0", "<f8", a0_size), ("c", "<f8", n), ("c_shift", "<f8", n), ("mask", "u1", n), ("g_log", "<f8", k * n),
+            ("A", "<f8", r * n), ("support", "<i8", s), ("v", "<f8", n), ("mu0", "<f8", 1), ("M", "<f8", n * s),
             ("eta_tilde", "<f8", n), ("D", "<f8", 1), ("tol", "<f8", 1),
         ]
 
     def save(self, path):
         q, par1, cfg = self.quadruple, self.par1, self.config
-        k, s = len(self.g_log), q.support.size
-        fields = dict(A=self.A, c=self.c, c_shift=self.c_shift, mask=self.s_star_mask, g_log=self.g_log)
+        k, s = self.log_size, q.support.size
+        a0 = np.empty(0) if self.a0 is None else self.a0
+        live = self.A.live()
+        fields = dict(A0=a0, c=self.c, c_shift=self.c_shift, mask=self.s_star_mask, g_log=self.g_log, A=self.A[live])
         fields.update(support=q.support.idx, v=q.v, mu0=q.mu0, M=par1.M, eta_tilde=par1.eta_tilde, D=par1.D)
         fields.update(tol=cfg.tol)
-        parts = [self.HEADER.pack(b"HSS5", self.n, self.t, k, s, cfg.lazy_a)]
-        parts += [np.asarray(fields[name], dtype).tobytes() for name, dtype, _ in self._sections(self.n, k, s)]
+        parts = [self.HEADER.pack(b"HSS6", self.n, self.t, k, s, cfg.lazy_a, 0 if self.a0 is None else self.a0.ndim)]
+        sections = self._sections(self.n, k, s, a0.size, live.size)
+        parts += [np.asarray(fields[name], dtype).tobytes() for name, dtype, _ in sections]
         with open(path, "wb") as fh:
             fh.write(b"".join(parts))
 
@@ -215,28 +305,40 @@ class SolverSession:
         """Restore a session written by `save`, config included; it continues bit for bit.
 
         A file that is not exactly a checkpoint (wrong magic, a length other
-        than its header implies, a flag byte other than 0 or 1, a support that
-        is not strictly increasing inside the touched rows, a non-finite
-        float, a tol SolverConfig refuses) raises ValueError before any
-        session is built.
+        than its header and mask imply, a flag byte other than 0 or 1, an A0
+        kind other than 0, 1 or 2, an A0 or log kept when every row is live
+        or no A0 when one is not, a support that is not strictly increasing
+        inside the touched rows, a non-finite float, a tol SolverConfig
+        refuses) raises ValueError before any session is built.
         """
         with open(path, "rb") as fh:
             buf = fh.read()
-        if len(buf) < cls.HEADER.size or buf[:4] != b"HSS5":
+        if len(buf) < cls.HEADER.size or buf[:4] != b"HSS6":
             raise ValueError("not a session checkpoint")
-        _, n, t, k, s, lazy = cls.HEADER.unpack_from(buf)
-        sections = cls._sections(n, k, s)
+        _, n, t, k, s, lazy, kind = cls.HEADER.unpack_from(buf)
+        if lazy > 1 or kind > 2:
+            raise ValueError("lazy_a must be 0 or 1 and the A0 kind 0, 1 or 2")
+        a0_size = (0, n, n * n)[kind]
+        # The live-row count follows from the mask, which sits at a fixed offset.
+        mask_at = cls.HEADER.size + 8 * (a0_size + 2 * n)
+        if len(buf) < mask_at + n:
+            raise ValueError(f"checkpoint has {len(buf)} bytes, too few for its header")
+        mask = np.frombuffer(buf, "u1", n, mask_at)
+        if (mask > 1).any():
+            raise ValueError("touched-row bytes must be 0 or 1")
+        r = int(np.count_nonzero(mask)) if lazy else n
+        sections = cls._sections(n, k, s, a0_size, r)
         size = cls.HEADER.size + sum(np.dtype(dtype).itemsize * count for _, dtype, count in sections)
         if len(buf) != size:
-            raise ValueError(f"checkpoint has {len(buf)} bytes, its header implies {size}")
+            raise ValueError(f"checkpoint has {len(buf)} bytes, its header and mask imply {size}")
+        if (r == n) != (kind == 0) or (r == n and k):
+            raise ValueError("A0 and the log are kept while, and only while, a row is not live")
         f = {}
         off = cls.HEADER.size
         for name, dtype, count in sections:
             f[name] = np.frombuffer(buf, dtype, count, off)
             off += f[name].nbytes
-        mask, idx = f["mask"], f["support"]
-        if lazy > 1 or (mask > 1).any():
-            raise ValueError("lazy_a and touched-row bytes must be 0 or 1")
+        idx = f["support"]
         if not (s and idx[0] >= 0 and idx[-1] < n and (np.diff(idx) > 0).all() and mask[idx].all()):
             raise ValueError("support must be nonempty, strictly increasing and inside the touched rows")
         if not all(np.isfinite(f[name]).all() for name, dtype, _ in sections if dtype == "<f8"):
@@ -249,42 +351,53 @@ class SolverSession:
         support = Support(n, idx)
         quadruple = Quadruple(support, vec("v"), float(f["mu0"][0]))
         par1 = Par1(vec("M").reshape(n, s), vec("eta_tilde"), float(f["D"][0]))
-        ses = cls(f["A"].reshape(n, n), f["c"], quadruple, par1, config)
+        live = np.flatnonzero(mask) if lazy else np.arange(n)
+        A = LiveRows(live, vec("A").reshape(r, n))
+        a0 = vec("A0").reshape((n,) * kind) if kind else None
+        ses = cls(A, a0, f["c"], quadruple, par1, config)
         ses.t = t
         ses.c_shift = vec("c_shift")
         ses.s_star_mask = mask.astype(bool)
-        ses.g_log = list(vec("g_log").reshape(k, n))
+        ses._log = vec("g_log").reshape(k, n)
+        ses.log_size = k
         return ses
 
 
 def init_session(A0, c0, config=None):
-    """Start a session at the global optimum of the initial problem."""
+    """Start a session at the global optimum of the initial problem.
+
+    Only the support's rows of A0 go live (all n in eager mode); the rest
+    stay in the pristine A0 until their index first enters a support.
+    """
     config = config or SolverConfig()
     problem = Problem(A0, c0)
     quadruple = oracle_solve(problem)
     par1 = init_par1(problem, quadruple.support)
-    return SolverSession(A0, c0, quadruple, par1, config)
+    live = quadruple.support.idx if config.lazy_a else np.arange(problem.n)
+    a0 = None
+    if live.size < problem.n:
+        a0 = diagonal_of(problem.A)
+        if a0 is None:
+            a0 = problem.A.copy()
+    return SolverSession(LiveRows(live, problem.A[live]), a0, c0, quadruple, par1, config)
 
 
 def _catch_up_column(session, j):
-    """Bring row j (column j of the symmetric A) current from the logged g's.
+    """Make row j (column j of the symmetric A) live and current.
 
-    Only the row is written: stale rows must keep their pristine initial
-    values or a later catch-up would double-count.  Every read in the solver
-    is row-wise, so column staleness is never observed.
+    The new slot gets the pristine row of A0 plus G' G[:, j] over the logged
+    g's, which the log keeps as one contiguous block.
     """
-    if not session.g_log:
-        return
-    G = np.asarray(session.g_log)
-    session.A[j] += G.T @ G[:, j]
-
-
-def _add_outer_rows(A, g, rows):
-    """A[rows] += outer(g[rows], g), a block of rows at a time."""
-    per = max(1, UPDATE_BLOCK // g.size)
-    for k in range(0, rows.size, per):
-        r = rows[k : k + per]
-        A[r] += np.outer(g[r], g)
+    row = session.A.make_live(j)
+    a0 = session.a0
+    if a0.ndim == 1:
+        row[:] = 0.0
+        row[j] = a0[j]
+    else:
+        row[:] = a0[j]
+    if session.log_size:
+        G = session.g_log
+        row += G.T @ G[:, j]
 
 
 def _gauge_share(g, l):
@@ -368,7 +481,8 @@ def step(session, g_t, c_t):
     par2 = direct_update_par2(q.support, session.par1, session.c, g, counter)
 
     def rebuild_matrix_leg(lam):
-        rebuild(session, session.A + lam * np.outer(g, g))
+        idx = q.support.idx
+        rebuild(session, session.A[idx] + lam * np.outer(g[idx], g))
         par2.refresh_from(direct_update_par2(q.support, session.par1, session.c, g))
 
     events_a = run_lambda_leg(
@@ -384,13 +498,8 @@ def step(session, g_t, c_t):
     )
 
     t0 = time.perf_counter_ns()
-    if cfg.lazy_a and not session.s_star_mask.all():
-        _add_outer_rows(session.A, g, session.s_star_idx)
-        session.g_log.append(g)
-    else:
-        # No stale row is left to catch up, so the history can go.
-        session.A += np.outer(g, g)
-        session.g_log = []
+    session.A.add_outer(g)
+    session._log_step(g)
     a_ns += time.perf_counter_ns() - t0
 
     l = c_new - session.c
@@ -464,14 +573,15 @@ def step(session, g_t, c_t):
     return report
 
 
-def rebuild(session, A=None):
-    """Refactorize Par1 in place from `A` (default: the stored matrix).
+def rebuild(session, rows=None):
+    """Refactorize Par1 in place from the support rows `rows` (default: the stored ones).
 
-    The matrix leg passes its parametrized A + lam g g'.  The quadruple is
-    untouched, and a leg re-derives its own cache after calling this.  Raises
-    SingularSubmatrix if the live block cannot be factorized.
+    The matrix leg passes the support rows of its parametrized A + lam g g'.
+    The quadruple is untouched, and a leg re-derives its own cache after
+    calling this.  Raises SingularSubmatrix if the live block cannot be
+    factorized.
     """
-    fresh = par1_from_matrix(session.A if A is None else A, session.support)
+    fresh = par1_from_matrix(session.A[session.support.idx] if rows is None else rows, session.support)
     session.rebuild_count += 1
     session.par1.refresh_from(fresh)
     return session

@@ -141,8 +141,25 @@ class Quadruple:
         return bool(np.all(self.x_s > -tol) and np.all(self.mu_sc > -tol))
 
 
+def diagonal_of(A):
+    """A copy of A's diagonal when every entry off it is +0.0, bit for bit; else None.
+
+    One pass over A and no temporary: the integer view counts an entry as
+    nonzero unless all its bits are clear.
+    """
+    d = np.diag(A)
+    if np.count_nonzero(A.view(np.uint64)) == np.count_nonzero(d.view(np.uint64)):
+        return d.copy()
+    return None
+
+
 class Problem:
-    """One simplex QP instance: finite, symmetric positive-definite A and finite linear term c."""
+    """One simplex QP instance: finite, symmetric positive-definite A and finite linear term c.
+
+    A diagonal A is symmetric, and positive definite iff its diagonal is
+    positive, so it is checked without the O(n^3) factorization and its
+    n x n temporaries.
+    """
 
     __slots__ = ("A", "c", "n")
 
@@ -156,13 +173,18 @@ class Problem:
             raise ValueError("c must have length n >= 1")
         if not (np.isfinite(A).all() and np.isfinite(c).all()):
             raise ValueError("A and c must be finite")
-        scale = max(1.0, float(np.max(np.abs(A))))
-        if np.max(np.abs(A - A.T)) > 1e-10 * scale:
-            raise ValueError("A must be symmetric within 1e-10 relative")
-        try:
-            np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            raise ValueError("A must be positive definite") from None
+        d = diagonal_of(A)
+        if d is not None:
+            if not (d > 0.0).all():
+                raise ValueError("A must be positive definite")
+        else:
+            scale = max(1.0, float(np.max(np.abs(A))))
+            if np.max(np.abs(A - A.T)) > 1e-10 * scale:
+                raise ValueError("A must be symmetric within 1e-10 relative")
+            try:
+                np.linalg.cholesky(A)
+            except np.linalg.LinAlgError:
+                raise ValueError("A must be positive definite") from None
         self.A = A
         self.c = c
         self.n = n
@@ -225,8 +247,8 @@ def kkt_residual(problem, quadruple):
     Covers stationarity, the sum-to-one constraint, complementary slackness
     and both sign constraints.  Zero (to roundoff) exactly at the optimum.
     Only the support rows of A are read (A is symmetric, so they stand for
-    its support columns), and `problem` may carry a matrix whose other rows
-    are stale (the driver's lazily maintained copy).
+    its support columns), so `problem` may carry a store that holds no other
+    row (the driver's live rows).
     """
     A, c = problem.A, problem.c
     idx = quadruple.support.idx

@@ -274,7 +274,7 @@ def run_lambda_leg(
 
     Mutates the quadruple and the caches in place and returns the list of
     turning points.  `ensure_column(j)` is called before any expand so a
-    lazily maintained A can refresh the needed row.  `rebuild(lam)` may
+    lazily kept A can make the needed row live.  `rebuild(lam)` may
     refresh the caches in place after a degeneracy; it is tried once, after
     which the error propagates.
 

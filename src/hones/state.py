@@ -123,18 +123,18 @@ class Par3:
         self.l = other.l
 
 
-def par1_from_matrix(A, support, cond_cap=DEFAULT_COND_CAP):
+def par1_from_matrix(rows, support, cond_cap=DEFAULT_COND_CAP):
     """Build Par1 by direct factorization of A_SS.
 
-    Accepts the raw matrix so the driver can rebuild from its lazily updated
-    copy; only the support rows of A are read (A is symmetric, so they stand
-    for its support columns).  Raises SingularSubmatrix when kkt.check_block
+    `rows` holds the support rows of A, A[support.idx] (|S| x n); A is
+    symmetric, so they stand for its support columns, and they are all the
+    driver needs to keep live.  Raises SingularSubmatrix when kkt.check_block
     refuses A_SS.
     """
     idx = support.idx
-    n = A.shape[0]
-    # Column k of both blocks is read from row idx[k] of A.
-    ass = np.ascontiguousarray(A[np.ix_(idx, idx)].T)
+    n = rows.shape[1]
+    # Column k of both blocks is read from row k of `rows`.
+    ass = np.ascontiguousarray(rows[:, idx].T)
     check_block(ass, support, cond_cap)
     inv = np.linalg.solve(ass, np.eye(idx.size))
     inv = 0.5 * (inv + inv.T)
@@ -142,7 +142,7 @@ def par1_from_matrix(A, support, cond_cap=DEFAULT_COND_CAP):
     cols[idx, :] = inv
     comp = support.complement()
     if comp.size:
-        cols[comp, :] = -np.ascontiguousarray(A[np.ix_(idx, comp)].T) @ inv
+        cols[comp, :] = -np.ascontiguousarray(rows[:, comp].T) @ inv
     eta_tilde = cols @ np.ones(idx.size)
     if comp.size:
         eta_tilde[comp] += 1.0
@@ -151,7 +151,7 @@ def par1_from_matrix(A, support, cond_cap=DEFAULT_COND_CAP):
 
 
 def init_par1(problem, support, cond_cap=DEFAULT_COND_CAP):
-    return par1_from_matrix(problem.A, support, cond_cap=cond_cap)
+    return par1_from_matrix(problem.A[support.idx], support, cond_cap=cond_cap)
 
 
 def direct_update_par2(support, par1, c, g, counter=None):
@@ -223,7 +223,7 @@ def validate_state(problem, support, par1, par2=None, par3=None):
     a freshly initialized state comes back at roundoff level and a corrupted
     field shows up at order one.
     """
-    fresh1 = par1_from_matrix(problem.A, support)
+    fresh1 = par1_from_matrix(problem.A[support.idx], support)
     dev = max(
         _rel(par1.M, fresh1.M),
         _rel(par1.eta_tilde, fresh1.eta_tilde),

@@ -34,19 +34,26 @@ from hones.path_matrix import PathEvent
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-GOLDEN_CHECKPOINT = GOLDEN_DIR / "session-hss5-synthetic-n12-seed61-t20.bin"
+GOLDEN_CHECKPOINT = GOLDEN_DIR / "session-hss6-synthetic-n12-seed61-t20.bin"
 
-# Checkpoint sections in file order.
+# Checkpoint sections in file order; "A" holds the live rows.
 CHECKPOINT_SECTIONS = (
-    "header", "A", "c", "c_shift", "mask", "g_log", "support", "v", "mu0", "M", "eta_tilde", "D", "config",
+    "header", "A0", "c", "c_shift", "mask", "g_log", "A", "support", "v", "mu0", "M", "eta_tilde", "D", "config",
 )
+
+
+def checkpoint_sizes(n, k, s, a0, r):
+    """Byte size of each section, for a0 floats of A0 and r live rows."""
+    return (24, 8 * a0, 8 * n, 8 * n, n, 8 * k * n, 8 * r * n, 8 * s, 8 * n, 8, 8 * n * s, 8 * n, 8, 8)
 
 
 def golden_layout():
     """The golden checkpoint's bytes and the start offset of each section."""
     buf = GOLDEN_CHECKPOINT.read_bytes()
-    n, _, k, s = struct.unpack_from("<IIII", buf, 4)
-    sizes = (24, 8 * n * n, 8 * n, 8 * n, n, 8 * k * n, 8 * s, 8 * n, 8, 8 * n * s, 8 * n, 8, 8)
+    n, _, k, s, lazy, kind = struct.unpack_from("<IIIIBB", buf, 4)
+    assert (lazy, kind) == (1, 1)
+    r = int(np.frombuffer(buf, "u1", n, 24 + 8 * 3 * n).sum())
+    sizes = checkpoint_sizes(n, k, s, n, r)
     starts = np.cumsum((0,) + sizes[:-1])
     assert starts[-1] + sizes[-1] == len(buf)
     return buf, {name: int(at) for name, at in zip(CHECKPOINT_SECTIONS, starts)}
@@ -79,10 +86,12 @@ DAMAGE = {
     "magic-HSS2": lambda buf, at: _put(buf, 0, "4s", b"HSS2"),
     "magic-HSS3": lambda buf, at: _put(buf, 0, "4s", b"HSS3"),
     "magic-HSS4": lambda buf, at: _put(buf, 0, "4s", b"HSS4"),
+    "magic-HSS5": lambda buf, at: _put(buf, 0, "4s", b"HSS5"),
     "magic-junk": lambda buf, at: _put(buf, 0, "4s", b"junk"),
     "header-n": lambda buf, at: _put(buf, 4, "<I", 11),
     "header-s": lambda buf, at: _put(buf, 16, "<I", 9),
     "lazy-2": lambda buf, at: _put(buf, 20, "B", 2),
+    "a0-kind-3": lambda buf, at: _put(buf, 21, "B", 3),
     "mask-2": lambda buf, at: _put(buf, at["mask"] + 3, "B", 2),
     "support-duplicate": lambda buf, at: _put(buf, at["support"] + 8, "8s", buf[at["support"] : at["support"] + 8]),
     "support-outside-touched": _support_outside_touched,
@@ -325,32 +334,72 @@ class TestLazyA:
         live = lazy.s_star_idx
         assert live.size >= lazy.support.size
         np.testing.assert_allclose(
-            lazy.A[live], eager.A[live], atol=1e-10 * max(1.0, np.max(np.abs(eager.A)))
+            lazy.A[live], eager.A[live], atol=1e-10 * max(1.0, np.max(np.abs(eager.A[np.arange(n)])))
         )
 
-    def test_stale_rows_never_read(self, monkeypatch):
-        # Poison every row outside S*; a catch-up first restores the pristine
-        # row, so any other read of a stale row shows up as NaN.
-        n, steps = 40, 100
+    def test_reading_a_row_that_is_not_live_raises(self):
+        # A row outside S* is not stored: every form of read that touches it
+        # raises instead of returning another row.
+        n = 40
         ses, flow = synthetic_session(n, seed=19)
-        twin, flow_b = synthetic_session(n, seed=19)
-        pristine = ses.A.copy()
-        ses.A[~ses.s_star_mask] = np.nan
-        catch_up = driver._catch_up_column
+        run_sequence(ses, flow, 100)
+        live, stale = ses.s_star_idx, np.flatnonzero(~ses.s_star_mask)
+        assert stale.size and np.array_equal(ses.A.live(), live)
+        j = int(stale[0])
+        mixed = np.sort(np.append(live[:3], j))
+        for read in (
+            lambda: ses.A[j],
+            lambda: ses.A[j, live],
+            lambda: ses.A[mixed],
+            lambda: ses.A[np.ix_(mixed, live)],
+        ):
+            with pytest.raises(IndexError):
+                read()
+        assert ses.A[np.ix_(live, stale)].shape == (live.size, stale.size)
 
-        def restore_then_catch_up(session, j):
-            if session is ses:
-                session.A[j] = pristine[j]
-            catch_up(session, j)
+    def test_dense_initial_matrix_matches_eager_twin_and_oracle(self, tmp_path):
+        # A non-diagonal A0 is kept as a dense copy, the pristine source of
+        # every row until it goes live; a checkpoint keeps all of it.
+        n, steps = 30, 80
+        rng = np.random.default_rng(83)
+        B = rng.standard_normal((n, n))
+        A0 = 1e-3 * (B @ B.T / n + 0.1 * np.eye(n))
+        flow = synthetic_flow(FlowConfig("synthetic", n, steps, c_factor=0.1, seed=83))
+        lazy = init_session(A0, flow.c0, SolverConfig(lazy_a=True))
+        eager = init_session(A0, flow.c0, SolverConfig(lazy_a=False))
+        assert lazy.a0.shape == (n, n) and np.array_equal(lazy.a0, A0)
+        assert not lazy.A.full and eager.A.full and eager.a0 is None
+        A = A0.copy()
+        for t, (g, c) in enumerate(flow, start=1):
+            if t == steps // 2:
+                lazy.save(tmp_path / "session.bin")
+                assert (tmp_path / "session.bin").read_bytes()[21] == 2
+                twin = SolverSession.load(tmp_path / "session.bin")
+            rep = step(lazy, g, c)
+            step(eager, g, c)
+            if t >= steps // 2:
+                assert _fields(step(twin, g, c)) == _fields(rep) and np.array_equal(twin.x, lazy.x)
+            A += np.outer(g, g)
+            assert np.max(np.abs(lazy.x - eager.x)) <= 1e-9
+        assert lazy.reports[0].s_star < lazy.s_star_idx.size < n
+        assert len(lazy.events) == len(eager.events)
+        for ea, eb in zip(lazy.events, eager.events):
+            assert (ea.leg, ea.index, ea.kind, ea.support_after) == (eb.leg, eb.index, eb.kind, eb.support_after)
+        assert np.max(np.abs(lazy.x - oracle_solve(Problem(A, c)).x)) <= 1e-9
 
-        monkeypatch.setattr(driver, "_catch_up_column", restore_then_catch_up)
-        out = run_sequence(ses, flow, steps)
-        ref = run_sequence(twin, flow_b, steps)
-        assert not ses.s_star_mask.all()
-        assert np.isnan(ses.A[~ses.s_star_mask]).all()
-        for (xa, ra), (xb, rb) in zip(out, ref):
-            assert np.array_equal(xa, xb)
-            assert _fields(ra) == _fields(rb)
+    def test_lazy_session_holds_no_dense_matrix(self, tmp_path):
+        n, steps = 200, 60
+        ses, flow = synthetic_session(n, seed=89)
+        run_sequence(ses, flow, steps)
+        r = ses.s_star_idx.size
+        assert r < n and ses.a0.shape == (n,)
+        arrays = [ses.A.rows, ses.A.slot, ses.A.order, ses.par1.M, ses.quadruple.v]
+        arrays += [v for v in vars(ses).values() if isinstance(v, np.ndarray)]
+        assert all(a.size < n * n for a in arrays)
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        s = ses.support.size
+        assert path.stat().st_size == sum(checkpoint_sizes(n, steps, s, n, r))
 
     def test_trajectories_and_event_logs_identical(self):
         n, steps = 15, 60
@@ -515,12 +564,15 @@ class TestCheckpoint:
         stream = list(flow)[:40]
         for g, c in stream[:30]:
             step(ses, g, c)
-        assert ses.s_star_mask.all() and ses.g_log == []
+        assert ses.s_star_mask.all() and ses.log_size == 0 and ses.a0 is None
         path = tmp_path / "session.bin"
         ses.save(path)
         buf = path.read_bytes()
-        assert buf[:4] == b"HSS5"
-        assert struct.unpack_from("<III", buf, 4)[2] == 0
+        assert buf[:4] == b"HSS6"
+        n, _, k, s, _, kind = struct.unpack_from("<IIIIBB", buf, 4)
+        # Neither the log nor the A0 section holds anything.
+        assert k == 0 and kind == 0
+        assert len(buf) == sum(checkpoint_sizes(n, 0, s, 0, n))
         twin = SolverSession.load(path)
         for g, c in stream[30:]:
             assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
@@ -570,7 +622,9 @@ class TestCheckpoint:
         ses.save(path)
         twin = SolverSession.load(path)
         assert twin.t == 0
-        assert np.array_equal(twin.par1.M, ses.par1.M) and np.array_equal(twin.A, ses.A)
+        live = ses.A.live()
+        assert np.array_equal(twin.A.live(), live) and np.array_equal(twin.A[live], ses.A[live])
+        assert np.array_equal(twin.par1.M, ses.par1.M) and np.array_equal(twin.a0, ses.a0)
         for g, c in list(flow)[:15]:
             assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
             assert np.array_equal(ses.x, twin.x)

@@ -6,6 +6,7 @@ from hones.kkt import (
     Problem,
     Quadruple,
     Support,
+    diagonal_of,
     enumerate_solve,
     kkt_residual,
     oracle_solve,
@@ -63,6 +64,25 @@ class TestProblem:
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
             Problem(A, np.zeros(2))
+
+    def test_diagonal_checked_without_factorization(self, monkeypatch):
+        def no_cholesky(A):
+            raise AssertionError("factorized a diagonal A")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        Problem(np.diag([1e-4, 2.0, 3.0]), np.zeros(3))
+        for bad in ([1.0, 0.0, 2.0], [1.0, -1.0, 2.0]):
+            with pytest.raises(ValueError, match="positive definite"):
+                Problem(np.diag(bad), np.zeros(3))
+
+    def test_diagonal_of_is_bit_exact(self):
+        A = np.diag([1.0, 2.0, 3.0])
+        d = diagonal_of(A)
+        assert np.array_equal(d, [1.0, 2.0, 3.0]) and not np.shares_memory(d, A)
+        # A -0.0 off the diagonal is not +0.0, so A is not taken as diagonal.
+        A[0, 2] = -0.0
+        assert diagonal_of(A) is None
+        assert diagonal_of(np.array([[1.0, 1e-300], [1e-300, 1.0]])) is None
 
 
 class TestSolveGivenSupport:

@@ -163,7 +163,7 @@ class TestExpandShrink:
         new = expand_support_lambda(1.0, support, 1, p.A, p.c, g, par1, par2)
         # pivot = A_jj + M_jS A_Sj + lam g_j eta_j = 1 + 0 + 1 = 2
         assert par1.M[1, 1] == pytest.approx(0.5, abs=1e-14)
-        fresh = par1_from_matrix(p.A + np.outer(g, g), new)
+        fresh = par1_from_matrix((p.A + np.outer(g, g))[new.idx], new)
         np.testing.assert_allclose(par1.M, fresh.M, atol=1e-14)
 
     def test_shrink_identity_block(self):
@@ -223,7 +223,7 @@ class TestExpandShrink:
             lam = float(rng.uniform(0, 1))
             g = rng.standard_normal(n)
             A_lam = p.A + lam * np.outer(g, g)
-            par1 = par1_from_matrix(A_lam, support)
+            par1 = par1_from_matrix(A_lam[support.idx], support)
             par2 = direct_update_par2(support, par1, p.c, g)
             # par2 must describe g against A_lam, which it does by construction.
             j = int(rng.choice(support.complement()))
@@ -388,7 +388,7 @@ class TestRunLambdaLeg:
         def rebuild(lam):
             calls.append(lam)
             A_lam = p.A + lam * np.outer(g, g)
-            fresh1 = par1_from_matrix(A_lam, q.support)
+            fresh1 = par1_from_matrix(A_lam[q.support.idx], q.support)
             par1.refresh_from(fresh1)
             fresh2 = direct_update_par2(q.support, par1, p.c, g)
             par2.eta, par2.D_g, par2.D_gg, par2.D_gc = fresh2.eta, fresh2.D_g, fresh2.D_gg, fresh2.D_gc

@@ -118,7 +118,7 @@ class TestExpandShrinkUtilde:
         new = expand_support_utilde(support, 1, p.A, l, par1, par3)
         assert par3.xi[1] == pytest.approx(-1.0, abs=1e-14)
         assert par3.D_l == pytest.approx(-1.0, abs=1e-14)
-        fresh1 = par1_from_matrix(p.A, new)
+        fresh1 = par1_from_matrix(p.A[new.idx], new)
         fresh3 = direct_update_par3(new, fresh1, l)
         np.testing.assert_allclose(par3.xi, fresh3.xi, atol=1e-14)
         assert par3.D_l == pytest.approx(fresh3.D_l, abs=1e-14)

@@ -55,7 +55,7 @@ class TestInitPar1:
         A = np.eye(3)
         A[1, 1] = 0.0
         with pytest.raises(SingularSubmatrix):
-            par1_from_matrix(A, Support(3, [1]))
+            par1_from_matrix(A[[1]], Support(3, [1]))
 
 
 class TestDirectUpdates:
