@@ -48,7 +48,7 @@ import numpy as np
 
 from .counters import MultCounter
 from .errors import HonesError
-from .kkt import DEFAULT_COND_CAP, Problem, Quadruple, Support, diagonal_of, kkt_residual, oracle_solve
+from .kkt import DEFAULT_COND_CAP, Problem, Quadruple, Support, kkt_residual, oracle_solve
 from .path_matrix import run_lambda_leg
 from .path_vector import run_utilde_leg
 from .state import (
@@ -68,11 +68,11 @@ REFRESH_FACTOR = 0.25
 # Refactorize Par1 from the live rows every this many steps.
 REBUILD_EVERY = 1000
 
-# Entries per block of the rank-one update of the live rows.  Blocks of about
-# 128 KB keep the temporaries on the allocator's heap; one s* x n temporary is
-# mapped fresh each step, and at n = 1000 its page faults cost more than the
-# adds.
-UPDATE_BLOCK = 16384
+# Entries per block of the rank-one update of the live rows.  Blocks of up to
+# 512 KB update all rows at n <= 256 in one piece, while at n = 1000 they keep
+# the temporaries off fresh pages: one s* x n temporary (1.2 MB at s* = 150)
+# costs more in page faults than the adds.
+UPDATE_BLOCK = 65536
 
 
 @dataclass
@@ -239,16 +239,12 @@ class SolverSession:
         return self._log[: self.log_size]
 
     def _log_step(self, g):
-        """Log g for the rows that are not live yet; once every row is, drop the log and A0."""
+        """Log g for the rows that are not live yet (none once every row is)."""
         if not self.A.full:
             if self.log_size == self._log.shape[0]:
                 self._log = _grown(self._log, max(2 * self.log_size, 1))
             self._log[self.log_size] = g
             self.log_size += 1
-        elif self.a0 is not None:
-            self.a0 = None
-            self._log = np.empty((0, self.n))
-            self.log_size = 0
 
     def residual(self):
         """Optimality residual of the current quadruple against the gauged (A_t, c_t).
@@ -376,9 +372,7 @@ def init_session(A0, c0, config=None):
     live = quadruple.support.idx if config.lazy_a else np.arange(problem.n)
     a0 = None
     if live.size < problem.n:
-        a0 = diagonal_of(problem.A)
-        if a0 is None:
-            a0 = problem.A.copy()
+        a0 = problem.A.copy() if problem.diag is None else problem.diag
     return SolverSession(LiveRows(live, problem.A[live]), a0, c0, quadruple, par1, config)
 
 
@@ -386,7 +380,8 @@ def _catch_up_column(session, j):
     """Make row j (column j of the symmetric A) live and current.
 
     The new slot gets the pristine row of A0 plus G' G[:, j] over the logged
-    g's, which the log keeps as one contiguous block.
+    g's, which the log keeps as one contiguous block.  Once every row is
+    live, neither is needed again, so both are dropped.
     """
     row = session.A.make_live(j)
     a0 = session.a0
@@ -398,6 +393,10 @@ def _catch_up_column(session, j):
     if session.log_size:
         G = session.g_log
         row += G.T @ G[:, j]
+    if session.A.full:
+        session.a0 = None
+        session._log = np.empty((0, session.n))
+        session.log_size = 0
 
 
 def _gauge_share(g, l):

@@ -158,10 +158,11 @@ class Problem:
 
     A diagonal A is symmetric, and positive definite iff its diagonal is
     positive, so it is checked without the O(n^3) factorization and its
-    n x n temporaries.
+    n x n temporaries.  `diag` keeps that diagonal (None when A is not
+    diagonal).
     """
 
-    __slots__ = ("A", "c", "n")
+    __slots__ = ("A", "c", "n", "diag")
 
     def __init__(self, A, c):
         A = np.asarray(A, dtype=np.float64)
@@ -188,6 +189,7 @@ class Problem:
         self.A = A
         self.c = c
         self.n = n
+        self.diag = d
 
 
 def check_block(ass, support, cond_cap):

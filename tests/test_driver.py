@@ -578,6 +578,23 @@ class TestCheckpoint:
             assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
             assert np.array_equal(ses.x, twin.x)
 
+    def test_saved_when_the_vector_leg_makes_the_last_row_live(self, tmp_path):
+        # The last row goes live in step 7's vector leg, after that step's
+        # rank-one update; A0 and the log go with it, so a save right after
+        # the step loads.
+        ses, flow = synthetic_session(10, seed=9, c_factor=1.0)
+        stream = list(flow)[:30]
+        for t, (g, c) in enumerate(stream[:7]):
+            step(ses, g, c)
+            assert ses.A.full == (t == 6)
+        assert ses.reports[-1].k_c and ses.a0 is None and ses.log_size == 0
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        twin = SolverSession.load(path)
+        for g, c in stream[7:]:
+            assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
+            assert np.array_equal(ses.x, twin.x)
+
     def test_gauged_session_continues_bit_identically(self, tmp_path):
         ses, flow = ons_session(15, seed=53, steps=60)
         it = iter(flow)
