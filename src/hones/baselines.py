@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kkt import project_simplex, zero_tol
+from .kkt import project_simplex, simplex_start, zero_tol
 
 
 @dataclass
@@ -49,14 +49,11 @@ def pg_warmstart_solve(problem, x0, tol=1e-8, max_iter=5000, memory=10):
     """Minimize over the simplex starting from a feasible x0.
 
     Returns PGResult; converged is False when the iteration cap is reached,
-    which callers report rather than treat as fatal.
+    which callers report rather than treat as fatal.  Raises ValueError
+    before any work unless x0 is a finite length-n point of the simplex.
     """
     A, c = problem.A, problem.c
-    x = np.asarray(x0, dtype=np.float64).copy()
-    if abs(x.sum() - 1.0) > 1e-8 or np.min(x) < -1e-12:
-        raise ValueError("x0 must lie in the simplex")
-    np.clip(x, 0.0, None, out=x)
-    x /= x.sum()
+    x = simplex_start(x0, c.shape[0])
 
     grad = A @ x - c
     f = 0.5 * float(x @ grad) - 0.5 * float(c @ x)

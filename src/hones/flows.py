@@ -45,6 +45,13 @@ class FlowConfig:
             raise ValueError("c_factor must be nonnegative")
 
 
+def scaled_identity(n, scale):
+    """scale * I in one n x n allocation, bit for bit `scale * np.eye(n)` for scale > 0."""
+    a = np.zeros((n, n))
+    np.fill_diagonal(a, scale)
+    return a
+
+
 def rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
 
@@ -86,7 +93,7 @@ class SyntheticFlow:
         rng = rng_for(config.seed)
         self.y = config.c_factor * rng.standard_normal(config.n)
         self._rng = rng
-        self.a0 = config.epsilon * np.eye(config.n)
+        self.a0 = scaled_identity(config.n, config.epsilon)
         self.c0 = config.epsilon * self.y
 
     def __iter__(self):
@@ -148,7 +155,7 @@ class MarkowitzFlow:
         self.w = w
         self.risk_aversion = float(risk_aversion)
         n = w.shape[1]
-        self.a0 = epsilon * np.eye(n)
+        self.a0 = scaled_identity(n, epsilon)
         self.c0 = np.zeros(n)
 
     def __iter__(self):

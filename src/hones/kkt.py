@@ -157,9 +157,11 @@ class Problem:
     """One simplex QP instance: finite, symmetric positive-definite A and finite linear term c.
 
     A diagonal A is symmetric, and positive definite iff its diagonal is
-    positive, so it is checked without the O(n^3) factorization and its
-    n x n temporaries.  `diag` keeps that diagonal (None when A is not
-    diagonal).
+    positive, so it is checked in one pass over A plus O(n) work on its
+    diagonal: `diagonal_of` has already proven every entry off it +0.0, so
+    only the diagonal needs the finiteness check.  Any other A costs an
+    O(n^2) finiteness and symmetry check and an O(n^3) Cholesky
+    factorization.  `diag` keeps the diagonal (None when A is not diagonal).
     """
 
     __slots__ = ("A", "c", "n", "diag")
@@ -172,9 +174,9 @@ class Problem:
         n = A.shape[0]
         if n < 1 or c.shape != (n,):
             raise ValueError("c must have length n >= 1")
-        if not (np.isfinite(A).all() and np.isfinite(c).all()):
-            raise ValueError("A and c must be finite")
         d = diagonal_of(A)
+        if not (np.isfinite(A if d is None else d).all() and np.isfinite(c).all()):
+            raise ValueError("A and c must be finite")
         if d is not None:
             if not (d > 0.0).all():
                 raise ValueError("A must be positive definite")
@@ -314,23 +316,27 @@ def oracle_solve(problem, x0=None, max_changes=None, cond_cap=DEFAULT_COND_CAP):
     it doubles as a per-step cross-check for the path solver.  For n <= 12 an
     exhaustive enumeration backs it up.
 
-    Raises NoConvergence after max_changes support changes (default 50 n).
+    Without x0 the seed costs O(n log n) when `problem.diag` is set (a
+    `Problem` over a diagonal A) and a dense O(n^3) solve otherwise; each
+    support change then costs one O(s^3) solve on the working support.
+
+    Raises ValueError when x0 is not a finite length-n point of the simplex,
+    and NoConvergence after max_changes support changes (default 50 n).
     """
     n = problem.n
     cap = 50 * n if max_changes is None else max_changes
-    if x0 is None:
-        # Seed from the projected unconstrained minimizer: usually within a
-        # few support changes of the answer, and exact for scaled identities.
+    if x0 is not None:
+        x = simplex_start(x0, n)
+    elif getattr(problem, "diag", None) is not None:
+        # Seed from the projected unconstrained minimizer, usually within a
+        # few support changes of the answer.  Over a diagonal A it is c / d
+        # in O(n), the exact bits LAPACK's LU solve returns.
+        x = project_simplex(problem.c / problem.diag)
+    else:
         try:
             x = project_simplex(np.linalg.solve(problem.A, problem.c))
         except np.linalg.LinAlgError:
             x = np.full(n, 1.0 / n)
-    else:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        if x.shape != (n,) or np.any(x < -1e-12) or abs(x.sum() - 1.0) > 1e-8:
-            raise ValueError("x0 must lie in the simplex")
-        np.clip(x, 0.0, None, out=x)
-        x /= x.sum()
     mask = x > zero_tol(x)
     if not mask.any():
         mask[int(np.argmax(x))] = True
@@ -385,6 +391,20 @@ def _active_set_loop(problem, x, support, cap, cond_cap):
         changes += 1
         if changes > cap:
             raise NoConvergence(f"active set exceeded {cap} support changes")
+
+
+def simplex_start(x0, n):
+    """A copy of the warm start x0, clipped and rescaled onto the simplex.
+
+    Raises ValueError unless x0 has length n, is finite, has no entry below
+    -1e-12 and sums to 1 within 1e-8.
+    """
+    x = np.asarray(x0, dtype=np.float64).copy()
+    if x.shape != (n,) or not np.isfinite(x).all() or x.min() < -1e-12 or abs(x.sum() - 1.0) > 1e-8:
+        raise ValueError("x0 must lie in the simplex")
+    np.clip(x, 0.0, None, out=x)
+    x /= x.sum()
+    return x
 
 
 def project_simplex(y):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hones.baselines import pg_residual, pg_warmstart_solve
 from hones.kkt import Problem, kkt_residual, oracle_solve, project_simplex
@@ -56,6 +57,12 @@ class TestPgWarmstart:
         res = pg_warmstart_solve(p, np.full(20, 0.05), tol=1e-12, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
+
+    def test_rejects_non_finite_or_misshapen_warm_start(self):
+        p = Problem(np.diag([2.0, 1.0, 3.0]), np.zeros(3))
+        for x0 in (np.full(3, np.nan), [np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [0.5, 0.5], np.full(4, 0.25)):
+            with pytest.raises(ValueError, match="x0 must lie in the simplex"):
+                pg_warmstart_solve(p, x0)
 
     def test_residual_matches_quadruple_form(self):
         rng = np.random.default_rng(11)

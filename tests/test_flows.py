@@ -109,6 +109,15 @@ class TestMarkowitzFlow:
             scaled_cov = sum(np.outer(w[s] - mean, w[s] - mean) for s in range(t))
             np.testing.assert_allclose(A, eps * np.eye(n) + scaled_cov, atol=1e-9)
 
+    def test_initial_matrices_are_scaled_identities_bit_for_bit(self):
+        eps = 3e-4
+        a0s = (
+            synthetic_flow(FlowConfig("synthetic", 7, 3, epsilon=eps)).a0,
+            markowitz_flow(np.zeros((3, 7)), epsilon=eps).a0,
+        )
+        for a0 in a0s:
+            assert a0.tobytes() == (eps * np.eye(7)).tobytes()
+
     def test_risk_aversion_emits_scaled_mean(self):
         rng = np.random.default_rng(2)
         w = rng.standard_normal((10, 3))

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hones.errors import SingularSubmatrix
+from hones.flows import FlowConfig, flow_for_config
 from hones.kkt import (
     Problem,
     Quadruple,
@@ -74,6 +77,24 @@ class TestProblem:
         for bad in ([1.0, 0.0, 2.0], [1.0, -1.0, 2.0]):
             with pytest.raises(ValueError, match="positive definite"):
                 Problem(np.diag(bad), np.zeros(3))
+
+    def test_rejects_non_finite_on_and_off_the_diagonal(self):
+        # Off the diagonal a non-finite entry sends A down the dense route,
+        # whose full check must still catch it.
+        for bad in (np.inf, -np.inf, np.nan):
+            for i, j in ((1, 1), (0, 2), (2, 0)):
+                A = np.diag([1.0, 2.0, 3.0])
+                A[i, j] = bad
+                with pytest.raises(ValueError, match="A and c must be finite"):
+                    Problem(A, np.zeros(3))
+
+    def test_negative_zero_off_diagonal_takes_the_dense_route(self):
+        A = np.diag([1.0, 2.0, 3.0])
+        A[0, 2] = -0.0
+        p = Problem(A, np.array([0.3, -0.1, 0.2]))
+        assert p.diag is None
+        q = oracle_solve(p)
+        assert kkt_residual(p, q) <= 1e-12
 
     def test_diagonal_of_is_bit_exact(self):
         A = np.diag([1.0, 2.0, 3.0])
@@ -216,6 +237,62 @@ class TestOracle:
         p = Problem(np.diag([2.0, 1.0, 3.0]), np.zeros(3))
         q = oracle_solve(p, x0=np.array([1.0, 0.0, 0.0]))
         assert kkt_residual(p, q) <= 1e-9
+
+    def test_rejects_non_finite_or_misshapen_warm_start(self):
+        p = Problem(np.diag([2.0, 1.0, 3.0]), np.zeros(3))
+        for x0 in (np.full(3, np.nan), [np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [0.5, 0.5], np.full(4, 0.25)):
+            with pytest.raises(ValueError, match="x0 must lie in the simplex"):
+                oracle_solve(p, x0=x0)
+
+
+def assert_same_bits(a, b):
+    assert a.support == b.support
+    assert a.v.tobytes() == b.v.tobytes()
+    assert np.float64(a.mu0).tobytes() == np.float64(b.mu0).tobytes()
+
+
+class TestDiagonalSeed:
+    """Over a diagonal A the oracle seeds from c / diag instead of a dense solve."""
+
+    @staticmethod
+    def dense_twin(p):
+        # No `diag` attribute: oracle_solve takes the dense np.linalg.solve seed.
+        return SimpleNamespace(A=p.A, c=p.c, n=p.n)
+
+    def test_flows_match_the_dense_seed_bit_for_bit(self):
+        for kind in ("synthetic", "ons", "markowitz"):
+            for seed in range(4):
+                flow = flow_for_config(FlowConfig(kind, 30, 5, seed=seed), x_feedback=lambda: None)
+                p = Problem(flow.a0, flow.c0)
+                assert p.diag is not None
+                assert_same_bits(oracle_solve(p), oracle_solve(self.dense_twin(p)))
+
+    def test_random_diagonals_match_the_dense_seed_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(2, 60))
+            d = np.exp(rng.uniform(-10.0, 4.0, n))
+            p = Problem(np.diag(d), d * rng.standard_normal(n))
+            assert_same_bits(oracle_solve(p), oracle_solve(self.dense_twin(p)))
+
+    def test_session_setup_factorizes_nothing_of_size_n(self, monkeypatch):
+        from hones.driver import init_session
+
+        n = 400
+        flow = flow_for_config(FlowConfig("synthetic", n, 5, seed=3))
+
+        def guarded(fn):
+            def wrapper(a, *args, **kwargs):
+                if np.shape(a)[0] == n:
+                    raise AssertionError(f"{fn.__name__} on an operand with n = {n} rows")
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "solve", guarded(np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "cholesky", guarded(np.linalg.cholesky))
+        session = init_session(flow.a0, flow.c0)
+        assert 0 < session.quadruple.support.size < n
 
 
 def brute_force_projection(y):
