@@ -49,9 +49,12 @@ def pg_warmstart_solve(problem, x0, tol=1e-8, max_iter=5000, memory=10):
     """Minimize over the simplex starting from a feasible x0.
 
     Returns PGResult; converged is False when the iteration cap is reached,
-    which callers report rather than treat as fatal.  Raises ValueError
-    before any work unless x0 is a finite length-n point of the simplex.
+    which callers report rather than treat as fatal.  max_iter = 0 checks the
+    residual of x0 once.  Raises ValueError before any work unless x0 is a
+    finite length-n point of the simplex and max_iter is nonnegative.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     A, c = problem.A, problem.c
     x = simplex_start(x0, c.shape[0])
 

@@ -71,11 +71,19 @@ CSV_COLUMNS = [
 ]
 
 
-def _positive_int(text):
+def _int_at_least(text, low):
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(text):
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text):
+    return _int_at_least(text, 0)
 
 
 def build_parser():
@@ -92,7 +100,7 @@ def build_parser():
         sp.add_argument("--tol", type=float, default=1e-8, help="optimality tolerance")
         sp.add_argument("--epoch", type=_positive_int, default=250, help="steps per timing epoch")
         sp.add_argument("--eager", action="store_true", help="disable lazy row maintenance")
-        sp.add_argument("--pg-max-iter", type=int, default=20000, help="iteration cap for pg-warm")
+        sp.add_argument("--pg-max-iter", type=_nonnegative_int, default=20000, help="iteration cap for pg-warm")
         sp.add_argument("--out-dir", type=Path, default=Path("out"))
         sp.add_argument("--tag", default="", help="suffix for output file names")
         if name == "run-synthetic":
@@ -111,9 +119,9 @@ def build_parser():
     gp.add_argument("--out-dir", type=Path, default=Path("out"))
 
     vp = sub.add_parser("verify", help="seeded correctness gate")
-    vp.add_argument("--n", type=int, default=8)
-    vp.add_argument("--seeds", type=int, default=25)
-    vp.add_argument("--steps", type=int, default=60)
+    vp.add_argument("--n", type=_positive_int, default=8)
+    vp.add_argument("--seeds", type=_positive_int, default=25)
+    vp.add_argument("--steps", type=_positive_int, default=60)
     vp.add_argument("--exhaustive", action="store_true", help="cross-check against full support enumeration")
     vp.add_argument("--inject-fault", choices=["m-corruption"], default=None)
     return parser

@@ -33,12 +33,14 @@ and Par1, and nothing else: each leg derives its own cache from Par1 when it
 starts (Par2 for the matrix leg, Par3 for the vector leg) and drops it when
 it ends.  A checkpoint (`HSS6`) holds that lasting state and its config.
 
-Per step the driver emits a StepReport with the turning-point counts, the
-excess over the support symmetric-difference lower bound, the optimality
-residual, wall time split into solve and matrix-maintenance parts, and the
-scalar-multiplication tally used by the complexity check.
+Per step the driver emits a StepReport with that step's turning points and
+their counts, the excess over the support symmetric-difference lower bound,
+the optimality residual, wall time split into solve and matrix-maintenance
+parts, and the step's own scalar-multiplication tally, used by the complexity
+check.  The session keeps none of it between steps except the report list.
 """
 
+import numbers
 import struct
 import time
 from dataclasses import dataclass
@@ -49,17 +51,9 @@ import numpy as np
 from .counters import MultCounter
 from .errors import HonesError
 from .kkt import DEFAULT_COND_CAP, Problem, Quadruple, Support, kkt_residual, oracle_solve
-from .path_matrix import run_lambda_leg
+from .path_matrix import PathEvent, run_lambda_leg
 from .path_vector import run_utilde_leg
-from .state import (
-    Par1,
-    direct_update_par2,
-    direct_update_par3,
-    init_par1,
-    par1_from_matrix,
-    refresh_quadruple,
-    validate_state,
-)
+from .state import Par1, init_par1, par1_from_matrix, refresh_quadruple, validate_state
 
 
 # Re-derive (v, mu0) from M when the step's residual exceeds this share of tol.
@@ -93,13 +87,15 @@ class SolverConfig:
     cond_cap: ClassVar[float] = DEFAULT_COND_CAP
 
     def __post_init__(self):
+        if not (isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if not isinstance(self.lazy_a, bool):
             raise ValueError(f"lazy_a must be a bool, got {self.lazy_a!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepReport:
     """What one step did.
 
@@ -107,6 +103,7 @@ class StepReport:
     session solves (its matrix and linear term), not the caller's (A, c): the
     two share the iterate but differ in mu0 and in the stored matrix.
     refreshes counts the re-derivations of (v, mu0) from the cached inverse.
+    events lists the step's turning points, the matrix leg's first.
     """
 
     t: int
@@ -123,6 +120,7 @@ class StepReport:
     mult_count: int
     rebuilds: int
     refreshes: int
+    events: list[PathEvent]
 
 
 def _grown(buf, rows):
@@ -200,7 +198,7 @@ class SolverSession:
     A, c and the logged g's are in the gauge the legs run in; c_shift is that
     c minus the caller's last linear term (zero until a step fuses a drift).
     Of the caches only Par1 is kept: Par2 and Par3 belong to one step's g and
-    drift, so `step` derives each one from Par1 when its leg starts.
+    drift, so each leg derives its own from Par1 when it starts.
     """
 
     def __init__(self, A, a0, c0, quadruple, par1, config):
@@ -216,9 +214,7 @@ class SolverSession:
         self.s_star_mask = quadruple.support.mask.copy()
         self._log = np.empty((0, self.n))
         self.log_size = 0
-        self.counter = MultCounter()
         self.rebuild_count = 0
-        self.events = []
         self.reports = []
 
     @property
@@ -443,11 +439,10 @@ def step(session, g_t, c_t):
     anything changes; a broken turning point invariant raises HonesError.
     """
     cfg = session.config
-    counter = session.counter
+    counter = MultCounter()
     t_start = time.perf_counter_ns()
     a_ns = 0
     rebuilds_before = session.rebuild_count
-    mult_before = counter.total
 
     n = session.n
     g = np.asarray(g_t, dtype=np.float64)
@@ -480,26 +475,18 @@ def step(session, g_t, c_t):
         session.s_star_mask[j] = True
         a_ns += time.perf_counter_ns() - t0
 
-    # Each leg's cache lasts only that leg.  Its rebuild callback (passed by
-    # keyword, where a tracer can wrap it) refactorizes Par1 and re-derives
-    # the cache in place, so the leg's reference stays valid.
-    par2 = direct_update_par2(q.support, session.par1, session.c, g, counter)
-
-    def rebuild_matrix_leg(lam):
-        idx = q.support.idx
-        rebuild(session, session.A[idx] + lam * np.outer(g[idx], g))
-        par2.refresh_from(direct_update_par2(q.support, session.par1, session.c, g))
-
+    # Each leg derives its own cache from Par1.  Its rebuild hook (passed by
+    # keyword, where a tracer can wrap it) refactorizes Par1 in place, so the
+    # leg's reference stays valid, and the leg then re-derives its cache.
     events_a = run_lambda_leg(
         session.A,
         session.c,
         g,
         q,
         session.par1,
-        par2,
         counter=counter,
         ensure_column=ensure_column,
-        rebuild=rebuild_matrix_leg,
+        rebuild=lambda lam: rebuild(session, session.A[q.support.idx] + lam * np.outer(g[q.support.idx], g)),
     )
 
     t0 = time.perf_counter_ns()
@@ -507,23 +494,14 @@ def step(session, g_t, c_t):
     session._log_step(g)
     a_ns += time.perf_counter_ns() - t0
 
-    l = c_new - session.c
-
-    par3 = direct_update_par3(q.support, session.par1, l, counter)
-
-    def rebuild_vector_leg(_t):
-        rebuild(session)
-        par3.refresh_from(direct_update_par3(q.support, session.par1, l))
-
     events_c = run_utilde_leg(
         session.A,
-        l,
+        c_new - session.c,
         q,
         session.par1,
-        par3,
         counter=counter,
         ensure_column=ensure_column,
-        rebuild=rebuild_vector_leg,
+        rebuild=lambda _t: rebuild(session),
     )
     session.c = c_new
     session.c_shift = c_shift
@@ -546,8 +524,7 @@ def step(session, g_t, c_t):
             residual = session.residual()
 
     events = events_a + events_c
-    session.events.extend(events)
-    s_max = max([s_start] + [len(ev.support_after) for ev in events])
+    s_max = max([s_start] + [ev.support_size for ev in events])
 
     k_a, k_c = len(events_a), len(events_c)
     k_t = k_a + k_c
@@ -570,9 +547,10 @@ def step(session, g_t, c_t):
         kkt_residual=residual,
         wall_ns=time.perf_counter_ns() - t_start,
         a_update_ns=a_ns,
-        mult_count=counter.total - mult_before,
+        mult_count=counter.total,
         rebuilds=session.rebuild_count - rebuilds_before,
         refreshes=refreshes,
+        events=events,
     )
     session.reports.append(report)
     return report

@@ -15,20 +15,21 @@ import numpy as np
 from . import counters as cnt
 from .errors import CycleLimit, DegenerateDenominator, DegenerateError, DegeneratePivot, EmptySupport
 from .kkt import ZETA_SCALE, zero_tol
+from .state import direct_update_par2
 
 # A leg raises CycleLimit past this many turning points per index (10 n).
 CYCLE_CAP_PER_INDEX = 10
 
 
-@dataclass
+@dataclass(slots=True)
 class PathEvent:
-    """One turning point: where it happened, which index toggled, and the support after."""
+    """One turning point: where it happened, which index toggled, and the support size after."""
 
     leg: str  # "matrix" or "vector"
     param: float
     index: int
     kind: str  # "enter" or "leave"
-    support_after: tuple
+    support_size: int
 
 
 @dataclass
@@ -259,51 +260,55 @@ def shrink_support_lambda(support, j, c, par1, par2, counter=None):
     return new_support
 
 
-def run_lambda_leg(
-    A,
-    c,
-    g,
-    quadruple,
-    par1,
-    par2,
-    counter=None,
-    ensure_column=None,
-    rebuild=None,
-):
+def run_lambda_leg(A, c, g, quadruple, par1, counter=None, ensure_column=None, rebuild=None):
     """Drive the matrix leg from lam = 0 to lam = 1.
 
-    Mutates the quadruple and the caches in place and returns the list of
-    turning points.  `ensure_column(j)` is called before any expand so a
-    lazily kept A can make the needed row live.  `rebuild(lam)` may
-    refresh the caches in place after a degeneracy; it is tried once, after
-    which the error propagates.
+    Derives the leg's own Par2 from Par1 for direction g, mutates the
+    quadruple and Par1 in place and returns the list of turning points.
+    `ensure_column(j)` is called before any expand so a lazily kept A can
+    make the needed row live.  On a degeneracy, `rebuild(lam)` is called once
+    to refactorize Par1 in place from the support rows of A + lam g g'; the
+    leg then re-derives Par2 from it and retries, and a second degeneracy
+    propagates.
 
     Raises CycleLimit when the number of events exceeds CYCLE_CAP_PER_INDEX * n.
     """
     return _run_leg(
         "matrix",
         quadruple,
-        find=lambda exclude: find_lambda(quadruple.support, quadruple, par1, par2, exclude=exclude, counter=counter),
-        advance=lambda inc, scratch: update_by_lambda(inc, quadruple, par1, par2, scratch=scratch, counter=counter),
-        shrink=lambda j: shrink_support_lambda(quadruple.support, j, c, par1, par2, counter=counter),
-        expand=lambda lam, j: expand_support_lambda(lam, quadruple.support, j, A, c, g, par1, par2, counter=counter),
+        derive=lambda tally: direct_update_par2(quadruple.support, par1, c, g, tally),
+        find=lambda par2, exclude: find_lambda(
+            quadruple.support, quadruple, par1, par2, exclude=exclude, counter=counter
+        ),
+        advance=lambda par2, inc, scratch: update_by_lambda(
+            inc, quadruple, par1, par2, scratch=scratch, counter=counter
+        ),
+        shrink=lambda par2, j: shrink_support_lambda(quadruple.support, j, c, par1, par2, counter=counter),
+        expand=lambda par2, lam, j: expand_support_lambda(
+            lam, quadruple.support, j, A, c, g, par1, par2, counter=counter
+        ),
+        counter=counter,
         ensure_column=ensure_column,
         rebuild=rebuild,
     )
 
 
-def _run_leg(leg, quadruple, find, advance, shrink, expand, ensure_column, rebuild):
+def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ensure_column, rebuild):
     """Event loop shared by both legs: advance to each turning point, toggle, repeat.
 
-    The leg parameter runs from 0 to 1.  `find(exclude)` returns the next
-    turning point, `advance(inc, scratch)` moves the state by a parameter
-    increment, `shrink(j)` / `expand(lam, j)` toggle index j and return the
+    The leg parameter runs from 0 to 1.  `derive(counter)` returns the leg's
+    cache (Par2 or Par3) from the current Par1; it is tallied when the leg
+    starts and untallied after a rebuild.  Every other callback takes that
+    cache first: `find(cache, exclude)` returns the next turning point,
+    `advance(cache, inc, scratch)` moves the state by a parameter increment,
+    `shrink(cache, j)` / `expand(cache, lam, j)` toggle index j and return the
     new support.  More than CYCLE_CAP_PER_INDEX * n turning points raise
     CycleLimit.  The leg wrappers pass closures that look their step
     functions up by module global at call time, so a rebinding of those names
     (for instance by a tracer) takes effect here.
     """
     cap = CYCLE_CAP_PER_INDEX * quadruple.support.n
+    cache = derive(counter)
     events = []
     lam = 0.0
     exclude = None
@@ -311,27 +316,27 @@ def _run_leg(leg, quadruple, find, advance, shrink, expand, ensure_column, rebui
     last = None
     while True:
         try:
-            step = find(exclude)
+            step = find(cache, exclude)
             inc = step.lam_inc
             if not np.isfinite(inc) or inc >= 1.0 - lam:
-                advance(1.0 - lam, step.scratch)
+                advance(cache, 1.0 - lam, step.scratch)
                 return events
-            advance(inc, step.scratch)
+            advance(cache, inc, step.scratch)
             lam += inc
             j = step.j
             if last is not None and last[0] == j and abs(lam - last[1]) <= _tiny(lam):
                 raise DegeneratePivot(f"index {j} re-triggered at {leg} leg parameter {lam}")
             if quadruple.support.contains(j):
-                new_support = shrink(j)
+                new_support = shrink(cache, j)
                 kind = "leave"
             else:
                 if ensure_column is not None:
                     ensure_column(j)
-                new_support = expand(lam, j)
+                new_support = expand(cache, lam, j)
                 kind = "enter"
             quadruple.support = new_support
             quadruple.v[j] = 0.0
-            events.append(PathEvent(leg, lam, j, kind, new_support.as_tuple()))
+            events.append(PathEvent(leg, lam, j, kind, new_support.size))
             if len(events) > cap:
                 raise CycleLimit(f"{leg} leg exceeded {cap} turning points")
             exclude = j
@@ -341,5 +346,6 @@ def _run_leg(leg, quadruple, find, advance, shrink, expand, ensure_column, rebui
                 raise
             rebuilt = True
             rebuild(lam)
+            cache = derive(None)
             exclude = None
             last = None

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import counters as cnt
 from .path_matrix import PathStep, _expand_geometry, _first_zero, _pivot, _run_leg, _shrink_geometry
+from .state import direct_update_par3
 
 
 @dataclass
@@ -70,33 +71,28 @@ def shrink_support_utilde(support, j, l, par1, par3, counter=None):
     return new_support
 
 
-def run_utilde_leg(
-    A,
-    l,
-    quadruple,
-    par1,
-    par3,
-    counter=None,
-    ensure_column=None,
-    rebuild=None,
-):
+def run_utilde_leg(A, l, quadruple, par1, counter=None, ensure_column=None, rebuild=None):
     """Drive the vector leg from t = 0 to t = 1.
 
-    Mirror image of run_lambda_leg with the matrix frozen: mutates the
-    quadruple and caches in place, returns the turning points, retries once
-    through `rebuild(t)` on a degeneracy, and enforces the same event cap.
+    Mirror image of run_lambda_leg with the matrix frozen: derives the leg's
+    own Par3 from Par1 for drift l, mutates the quadruple and Par1 in place,
+    returns the turning points, and enforces the same event cap.  On a
+    degeneracy, `rebuild(t)` is called once to refactorize Par1 in place from
+    the support rows of A; the leg then re-derives Par3 and retries.
     """
     return _run_leg(
         "vector",
         quadruple,
-        find=lambda exclude: find_utilde_lambda(
+        derive=lambda tally: direct_update_par3(quadruple.support, par1, l, tally),
+        find=lambda par3, exclude: find_utilde_lambda(
             quadruple.support, quadruple, par1, par3, exclude=exclude, counter=counter
         ),
-        advance=lambda inc, scratch: update_by_utilde_lambda(
+        advance=lambda par3, inc, scratch: update_by_utilde_lambda(
             inc, quadruple, par1, par3, scratch=scratch, counter=counter
         ),
-        shrink=lambda j: shrink_support_utilde(quadruple.support, j, l, par1, par3, counter=counter),
-        expand=lambda _t, j: expand_support_utilde(quadruple.support, j, A, l, par1, par3, counter=counter),
+        shrink=lambda par3, j: shrink_support_utilde(quadruple.support, j, l, par1, par3, counter=counter),
+        expand=lambda par3, _t, j: expand_support_utilde(quadruple.support, j, A, l, par1, par3, counter=counter),
+        counter=counter,
         ensure_column=ensure_column,
         rebuild=rebuild,
     )

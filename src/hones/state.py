@@ -11,8 +11,8 @@ Three bundles are maintained alongside the KKT quadruple:
   Par3 = {xi, D_l}              specific to one linear-term drift l; it lasts
                                 one vector leg.
 
-Only Par1 outlives a step: the driver derives Par2 and Par3 from it by the
-direct_update_* products when their legs start.  Everything can be recomputed
+Only Par1 outlives a step: each leg derives its own cache from it by a
+direct_update_* product when it starts, and again after an in-leg rebuild.  Everything can be recomputed
 from scratch by factorization (init_par1); the path modules keep the same
 objects current with rank-one corrections, and validate_state measures how far
 they have drifted.  At a turning point path_matrix._pivot applies the block
@@ -68,7 +68,7 @@ class Par1:
         self.M = np.delete(self.M, pos, axis=1)
 
     def refresh_from(self, other):
-        """Adopt another Par1's fields in place, preserving object identity."""
+        """Adopt another Par1's fields in place, preserving object identity (a leg holds a reference)."""
         self.M = other.M
         self.eta_tilde = other.eta_tilde
         self.D = other.D
@@ -96,11 +96,6 @@ class Par2:
         self.eta[j] = 0.0
         self.eta += (eta_j * inv) * vec
 
-    def refresh_from(self, other):
-        self.eta = other.eta
-        self.D_g, self.D_gg, self.D_gc = other.D_g, other.D_gg, other.D_gc
-        self.g = other.g
-
 
 @dataclass
 class Par3:
@@ -116,11 +111,6 @@ class Par3:
         self.D_l += xi_j * teta_j * inv
         self.xi[j] = 0.0
         self.xi += (xi_j * inv) * vec
-
-    def refresh_from(self, other):
-        self.xi = other.xi
-        self.D_l = other.D_l
-        self.l = other.l
 
 
 def par1_from_matrix(rows, support, cond_cap=DEFAULT_COND_CAP):

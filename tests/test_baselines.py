@@ -58,6 +58,13 @@ class TestPgWarmstart:
         assert not res.converged
         assert res.iterations == 3
 
+    def test_max_iter_zero_checks_once_and_negative_is_rejected(self):
+        p = Problem(np.diag([2.0, 1.0, 3.0]), np.zeros(3))
+        res = pg_warmstart_solve(p, np.full(3, 1.0 / 3.0), tol=1e-12, max_iter=0)
+        assert res.iterations == 0 and np.isfinite(res.residual)
+        with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+            pg_warmstart_solve(p, np.full(3, 1.0 / 3.0), max_iter=-1)
+
     def test_rejects_non_finite_or_misshapen_warm_start(self):
         p = Problem(np.diag([2.0, 1.0, 3.0]), np.zeros(3))
         for x0 in (np.full(3, np.nan), [np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [0.5, 0.5], np.full(4, 0.25)):

@@ -52,6 +52,22 @@ class TestRunSynthetic:
         assert "--epoch: must be at least 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("value, ok", [("-1", False), ("0", True)])
+    def test_pg_max_iter_must_be_nonnegative(self, tmp_path, capsys, value, ok):
+        argv = ["run-synthetic", "--n", "8", "--steps", "3", "--solver", "pg-warm", "--pg-max-iter", value]
+        argv += ["--out-dir", str(tmp_path)]
+        if ok:
+            assert cli.main(argv) == 0
+            rows = read_csv(tmp_path / "synthetic-pg-warm-n8-s3-seed0.csv")
+            col = rows[0].index("iterations")
+            assert all(row[col] == "0" and float(row[rows[0].index("kkt_residual")]) < np.inf for row in rows[1:])
+            return
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 2
+        assert "--pg-max-iter: must be at least 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_epoching(self, tmp_path):
         code = cli.main(
             [
@@ -283,3 +299,12 @@ class TestVerify:
 
     def test_exhaustive_mode(self):
         assert cli.main(["verify", "--n", "12", "--seeds", "6", "--steps", "20", "--exhaustive"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--n", "--seeds", "--steps"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_counts_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["verify", flag, value])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: must be at least 1, got {value}" in err

@@ -252,17 +252,17 @@ class TestRunLambdaLeg:
     def test_zero_direction_no_events(self):
         rng = np.random.default_rng(2)
         p = random_spd_problem(rng, 6)
-        q, par1, par2 = fresh_state(p, np.zeros(6))
+        q, par1, _ = fresh_state(p, np.zeros(6))
         x0 = q.x.copy()
-        events = run_lambda_leg(p.A, p.c, np.zeros(6), q, par1, par2)
+        events = run_lambda_leg(p.A, p.c, np.zeros(6), q, par1)
         assert events == []
         np.testing.assert_allclose(q.x, x0, atol=1e-14)
 
     def test_two_dim_closed_form(self):
         p = Problem(np.eye(2), np.zeros(2))
         g = np.array([1.0, 0.0])
-        q, par1, par2 = fresh_state(p, g)
-        events = run_lambda_leg(p.A, p.c, g, q, par1, par2)
+        q, par1, _ = fresh_state(p, g)
+        events = run_lambda_leg(p.A, p.c, g, q, par1)
         assert events == []
         np.testing.assert_allclose(q.x, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
@@ -271,8 +271,8 @@ class TestRunLambdaLeg:
         c = np.array([1.5, 0.0, 0.0])
         g = np.array([-1.0, 1.0, 1.0])
         p = Problem(A, c)
-        q, par1, par2 = fresh_state(p, g)
-        events = run_lambda_leg(A, c, g, q, par1, par2)
+        q, par1, _ = fresh_state(p, g)
+        events = run_lambda_leg(A, c, g, q, par1)
         assert [e.kind for e in events] == ["enter", "enter"]
         assert [e.index for e in events] == [1, 2]
         assert events[0].param == pytest.approx(0.25, abs=1e-10)
@@ -287,16 +287,22 @@ class TestRunLambdaLeg:
             n = int(rng.integers(3, 12))
             p = random_spd_problem(rng, n, c_scale=2.0)
             g = 2.0 * rng.standard_normal(n)
-            q, par1, par2 = fresh_state(p, g)
-            before = set(q.support.as_tuple())
-            events = run_lambda_leg(p.A, p.c, g, q, par1, par2)
+            q, par1, _ = fresh_state(p, g)
+            support = set(q.support.as_tuple())
+            events = run_lambda_leg(p.A, p.c, g, q, par1)
             found += len(events)
             params = [e.param for e in events]
             assert all(a <= b for a, b in zip(params, params[1:]))
+            # Replaying the toggles one at a time must walk the support.
             for e in events:
-                after = set(e.support_after)
-                assert len(before ^ after) == 1
-                before = after
+                if e.kind == "enter":
+                    assert e.index not in support
+                    support.add(e.index)
+                else:
+                    assert e.kind == "leave" and e.index in support
+                    support.remove(e.index)
+                assert len(support) == e.support_size
+            assert support == set(q.support.as_tuple())
         assert found > 50, "test corpus should exercise plenty of events"
 
     def test_leg_end_matches_oracle_500_seeds(self):
@@ -306,8 +312,8 @@ class TestRunLambdaLeg:
             n = int(rng.integers(2, 31))
             p = random_spd_problem(rng, n, c_scale=2.0)
             g = 2.0 * rng.standard_normal(n)
-            q, par1, par2 = fresh_state(p, g)
-            events = run_lambda_leg(p.A, p.c, g, q, par1, par2)
+            q, par1, _ = fresh_state(p, g)
+            events = run_lambda_leg(p.A, p.c, g, q, par1)
             hits += len(events)
             target = Problem(p.A + np.outer(g, g), p.c)
             ref = oracle_solve(target)
@@ -373,27 +379,25 @@ class TestRunLambdaLeg:
         c = np.array([1.5, 0.0, 0.0])
         g = np.array([-1.0, 1.0, 1.0])
         p = Problem(A, c)
-        q, par1, par2 = fresh_state(p, g)
+        q, par1, _ = fresh_state(p, g)
         with pytest.raises(CycleLimit):
-            run_lambda_leg(A, c, g, q, par1, par2)
+            run_lambda_leg(A, c, g, q, par1)
 
     def test_rebuild_retry_recovers(self):
         rng = np.random.default_rng(4)
         p = random_spd_problem(rng, 5)
         g = rng.standard_normal(5)
-        q, par1, par2 = fresh_state(p, g)
+        q, par1, _ = fresh_state(p, g)
         par1.D = 1e-30  # first update sees a vanishing denominator, before any motion
         calls = []
 
         def rebuild(lam):
+            # Par1 only: the leg re-derives its own Par2 after the hook.
             calls.append(lam)
             A_lam = p.A + lam * np.outer(g, g)
-            fresh1 = par1_from_matrix(A_lam[q.support.idx], q.support)
-            par1.refresh_from(fresh1)
-            fresh2 = direct_update_par2(q.support, par1, p.c, g)
-            par2.eta, par2.D_g, par2.D_gg, par2.D_gc = fresh2.eta, fresh2.D_g, fresh2.D_gg, fresh2.D_gc
+            par1.refresh_from(par1_from_matrix(A_lam[q.support.idx], q.support))
 
-        run_lambda_leg(p.A, p.c, g, q, par1, par2, rebuild=rebuild)
+        run_lambda_leg(p.A, p.c, g, q, par1, rebuild=rebuild)
         assert calls, "rebuild hook must have been invoked"
         target = Problem(p.A + np.outer(g, g), p.c)
         assert kkt_residual(target, q) <= 1e-8
@@ -402,7 +406,7 @@ class TestRunLambdaLeg:
         rng = np.random.default_rng(4)
         p = random_spd_problem(rng, 5)
         g = rng.standard_normal(5)
-        q, par1, par2 = fresh_state(p, g)
+        q, par1, _ = fresh_state(p, g)
         par1.D = 1e-30
         with pytest.raises(DegenerateDenominator):
-            run_lambda_leg(p.A, p.c, g, q, par1, par2)
+            run_lambda_leg(p.A, p.c, g, q, par1)

@@ -186,7 +186,7 @@ class TestRunUtildeLeg:
         p = random_spd_problem(rng, 5)
         q, par1, par3 = fresh_state(p, np.zeros(5))
         x0 = q.x.copy()
-        events = run_utilde_leg(p.A, np.zeros(5), q, par1, par3)
+        events = run_utilde_leg(p.A, np.zeros(5), q, par1)
         assert events == []
         np.testing.assert_allclose(q.x, x0, atol=1e-14)
 
@@ -194,7 +194,7 @@ class TestRunUtildeLeg:
         p = Problem(np.eye(2), np.zeros(2))
         l = np.array([2.0, 0.0])
         q, par1, par3 = fresh_state(p, l)
-        events = run_utilde_leg(p.A, l, q, par1, par3)
+        events = run_utilde_leg(p.A, l, q, par1)
         assert len(events) == 1
         assert events[0].kind == "leave" and events[0].index == 1
         assert events[0].param == pytest.approx(0.5, abs=1e-12)
@@ -228,7 +228,7 @@ class TestRunUtildeLeg:
             p = random_spd_problem(rng, n, c_scale=2.0)
             l = 3.0 * rng.standard_normal(n)
             q, par1, par3 = fresh_state(p, l)
-            events = run_utilde_leg(p.A, l, q, par1, par3)
+            events = run_utilde_leg(p.A, l, q, par1)
             hits += len(events)
             target = Problem(p.A, p.c + l)
             ref = oracle_solve(target)
@@ -247,20 +247,16 @@ class TestRunUtildeLeg:
             # matrix leg first, then vector leg on the updated matrix
             q1 = oracle_solve(p)
             par1 = init_par1(p, q1.support)
-            par2 = direct_update_par2(q1.support, par1, p.c, g)
-            run_lambda_leg(p.A, p.c, g, q1, par1, par2)
+            run_lambda_leg(p.A, p.c, g, q1, par1)
             A1 = p.A + np.outer(g, g)
-            par3 = direct_update_par3(q1.support, par1, l)
-            run_utilde_leg(A1, l, q1, par1, par3)
+            run_utilde_leg(A1, l, q1, par1)
 
             # vector leg first on the original matrix, then matrix leg
             q2 = oracle_solve(p)
             par1b = init_par1(p, q2.support)
-            par3b = direct_update_par3(q2.support, par1b, l)
-            run_utilde_leg(p.A, l, q2, par1b, par3b)
+            run_utilde_leg(p.A, l, q2, par1b)
             c1 = p.c + l
-            par2b = direct_update_par2(q2.support, par1b, c1, g)
-            run_lambda_leg(p.A, c1, g, q2, par1b, par2b)
+            run_lambda_leg(p.A, c1, g, q2, par1b)
 
             assert np.max(np.abs(q1.x - q2.x)) <= 1e-7
             ref = oracle_solve(Problem(A1, c1))

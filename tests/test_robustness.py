@@ -8,17 +8,14 @@ from hones.flows import FlowConfig, synthetic_flow
 from hones.kkt import Problem, kkt_residual, oracle_solve
 from hones.path_matrix import run_lambda_leg
 from hones.path_vector import run_utilde_leg
-from hones.state import direct_update_par2, direct_update_par3, init_par1
+from hones.state import init_par1
 
 from test_kkt import random_spd_problem
 
 
-def leg_state(problem, g=None, l=None):
+def leg_state(problem):
     q = oracle_solve(problem)
-    par1 = init_par1(problem, q.support)
-    par2 = direct_update_par2(q.support, par1, problem.c, g) if g is not None else None
-    par3 = direct_update_par3(q.support, par1, l) if l is not None else None
-    return q, par1, par2, par3
+    return q, init_par1(problem, q.support)
 
 
 class TestMatrixLegExtremes:
@@ -30,8 +27,8 @@ class TestMatrixLegExtremes:
         for scale in (0.3, 3.0, 30.0):
             p = random_spd_problem(rng, 8, c_scale=1.0)
             g = scale * np.ones(8)
-            q, par1, par2, _ = leg_state(p, g=g)
-            run_lambda_leg(p.A, p.c, g, q, par1, par2)
+            q, par1 = leg_state(p)
+            run_lambda_leg(p.A, p.c, g, q, par1)
             target = Problem(p.A + np.outer(g, g), p.c)
             assert np.max(np.abs(q.x - oracle_solve(target).x)) <= 1e-7
 
@@ -40,8 +37,8 @@ class TestMatrixLegExtremes:
         for scale in (1e-6, 1e-3, 1e3):
             p = random_spd_problem(rng, 10, c_scale=1.0)
             g = scale * rng.standard_normal(10)
-            q, par1, par2, _ = leg_state(p, g=g)
-            run_lambda_leg(p.A, p.c, g, q, par1, par2)
+            q, par1 = leg_state(p)
+            run_lambda_leg(p.A, p.c, g, q, par1)
             target = Problem(p.A + np.outer(g, g), p.c)
             assert kkt_residual(target, q) <= 1e-8 * max(1.0, scale * scale)
 
@@ -57,8 +54,8 @@ class TestMatrixLegExtremes:
             c = eps * rng.standard_normal(n)
             p = Problem(A, c)
             g = rng.standard_normal(n)
-            q, par1, par2, _ = leg_state(p, g=g)
-            run_lambda_leg(p.A, p.c, g, q, par1, par2)
+            q, par1 = leg_state(p)
+            run_lambda_leg(p.A, p.c, g, q, par1)
             target = Problem(A + np.outer(g, g), c)
             ref = oracle_solve(target)
             assert np.max(np.abs(q.x - ref.x)) <= 1e-7
@@ -69,8 +66,8 @@ class TestVectorLegExtremes:
         rng = np.random.default_rng(4)
         p = random_spd_problem(rng, 9, c_scale=1.0)
         l = 50.0 * rng.standard_normal(9)
-        q, par1, _, par3 = leg_state(p, l=l)
-        run_utilde_leg(p.A, l, q, par1, par3)
+        q, par1 = leg_state(p)
+        run_utilde_leg(p.A, l, q, par1)
         target = Problem(p.A, p.c + l)
         assert np.max(np.abs(q.x - oracle_solve(target).x)) <= 1e-7
 
@@ -79,8 +76,8 @@ class TestVectorLegExtremes:
         p = Problem(np.eye(5), np.zeros(5))
         l = np.zeros(5)
         l[2] = 25.0
-        q, par1, _, par3 = leg_state(p, l=l)
-        events = run_utilde_leg(p.A, l, q, par1, par3)
+        q, par1 = leg_state(p)
+        events = run_utilde_leg(p.A, l, q, par1)
         assert q.support.as_tuple() == (2,)
         assert all(e.kind == "leave" for e in events)
         np.testing.assert_allclose(q.x, [0, 0, 1, 0, 0], atol=1e-10)
