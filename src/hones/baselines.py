@@ -45,7 +45,7 @@ def pg_residual(x, grad, tol=None):
     return max(stat_support, sign_viol, comp, abs(float(np.sum(x)) - 1.0))
 
 
-def pg_warmstart_solve(problem, x0, tol=1e-8, max_iter=5000, memory=10):
+def pg_warmstart_solve(problem, x0, tol=1e-8, max_iter=5000):
     """Minimize over the simplex starting from a feasible x0.
 
     Returns PGResult; converged is False when the iteration cap is reached,
@@ -60,7 +60,7 @@ def pg_warmstart_solve(problem, x0, tol=1e-8, max_iter=5000, memory=10):
 
     grad = A @ x - c
     f = 0.5 * float(x @ grad) - 0.5 * float(c @ x)
-    fmem = deque([f], maxlen=memory)
+    fmem = deque([f], maxlen=10)  # the nonmonotone line search's memory
     alpha = 1.0
     best_res = np.inf
 

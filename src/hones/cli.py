@@ -44,12 +44,11 @@ from .flows import FlowConfig, flow_for_config, load_prices
 from .kkt import (
     Problem,
     enumerate_solve,
-    kkt_residual,
     oracle_solve,
     project_simplex,
     zero_tol,
 )
-from .state import condition_proxy, validate_state
+from .state import condition_proxy
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = [

@@ -18,17 +18,21 @@ caller's, its iterate does not, and it keeps the offset between the two
 linear terms so that the next drift is measured in the caller's terms.
 
 The problem matrix is kept lazily and by rows (A is symmetric, so row j
-stands for column j).  Only the live rows are stored: in lazy mode the rows
-whose index has ever touched a support (the set S*), in eager mode all n.
-They sit in one contiguous block with a slot map (LiveRows), and every step
-adds its rank-one term to that block in place.  A row that goes live is the
-initial row plus the logged g history; before that its only source is the
-pristine A0, kept as its diagonal when A0 is diagonal and as a dense copy
-otherwise.  Once every row is live the pristine A0 and the log are dropped.
-So memory is O(s* n + k n) for k logged g's, not O(n^2), until every row is
-live.  The eager twin must produce identical trajectories.
+stands for column j), and one object owns all of it: the LiveRows store.
+It keeps the touched set S* (the rows whose index has ever entered a
+support), the live rows in one contiguous block with a slot map, and the
+pristine A0 and the g log that a row is caught up from when it goes live.
+The live rows are those of S* in lazy mode and all n in eager mode;
+init_session picks them, and from then on both modes run the same code.
+The legs call the store's `touch(j)` before j enters a support, and `step`
+calls its `add_outer(g)` once, which adds the rank-one term to the live
+rows in place and logs g while a row is not live.  A0 is kept as its
+diagonal when it is diagonal and as a dense copy otherwise; once every row
+is live, A0 and the log are dropped.  So memory is O(s* n + k n) for k
+logged g's, not O(n^2), until every row is live.  The eager twin must
+produce identical trajectories.
 
-Between steps the session keeps the live rows, the linear term, the quadruple
+Between steps the session keeps the store, the linear term, the quadruple
 and Par1, and nothing else: each leg derives its own cache from Par1 when it
 starts (Par2 for the matrix leg, Par3 for the vector leg) and drops it when
 it ends.  A checkpoint (`HSS6`) holds that lasting state and its config.
@@ -36,8 +40,9 @@ it ends.  A checkpoint (`HSS6`) holds that lasting state and its config.
 Per step the driver emits a StepReport with that step's turning points and
 their counts, the excess over the support symmetric-difference lower bound,
 the optimality residual, wall time split into solve and matrix-maintenance
-parts, and the step's own scalar-multiplication tally, used by the complexity
-check.  The session keeps none of it between steps except the report list.
+parts (the time the store spent), and the step's own scalar-multiplication
+tally, used by the complexity check.  The session keeps none of it between
+steps except the report list.
 """
 
 import numbers
@@ -131,26 +136,45 @@ def _grown(buf, rows):
 
 
 class LiveRows:
-    """The live rows of a symmetric n x n matrix, read as if it were the matrix.
+    """A symmetric n x n matrix kept lazily by rows, read as if it were the matrix.
 
-    Row j sits in block row slot[j] of `rows`, and order[i] is the index of
-    block row i.  A row that is not live has slot n, which lies past the
-    block (it never holds more than n rows), so reading it raises IndexError
-    and never returns another row.  The reads the solver makes all go by row:
-    A[j], A[j, cols], A[idx] and A[np.ix_(idx, cols)].
+    The store is the session's whole matrix state.  `touched` marks the rows
+    whose index has ever entered a support (the set S*).  The live rows are
+    either all n (eager mode) or exactly the touched ones (lazy mode).  Row j
+    sits in block row slot[j] of `rows`, and order[i] is the index of block
+    row i.  A row that is not live has slot n, which lies past the block (it
+    never holds more than n rows), so reading it raises IndexError and never
+    returns another row.  The reads the solver makes all go by row: A[j],
+    A[j, cols], A[idx] and A[np.ix_(idx, cols)].
+
+    While a row is not live, `a0` keeps the pristine initial matrix (its
+    diagonal, or a dense copy) and the log keeps every g added since, one per
+    row of a doubling buffer; a row that goes live is rebuilt from the two.
+    Both are dropped as soon as every row is live.  `busy_ns` counts the
+    nanoseconds spent on catch-ups, row updates and the log.
     """
 
-    __slots__ = ("n", "rows", "slot", "order", "size")
+    __slots__ = ("n", "rows", "slot", "order", "size", "touched", "a0", "log", "log_size", "busy_ns")
 
-    def __init__(self, live, rows):
-        """`rows[i]` is row live[i]; the store adopts `rows` as its block."""
+    def __init__(self, rows, touched, a0, log):
+        """`rows` holds every row, or the touched rows in increasing index order.
+
+        The store adopts `rows`, the writable mask `touched` and `log` (the
+        logged g's, one per row); `a0` is None when every row is live.
+        """
         self.n = n = rows.shape[1]
+        live = np.arange(n) if rows.shape[0] == n else np.flatnonzero(touched)
         self.rows = rows
         self.size = live.size
         self.slot = np.full(n, n, dtype=np.intp)
         self.slot[live] = np.arange(live.size)
         self.order = np.zeros(n, dtype=np.intp)
         self.order[: live.size] = live
+        self.touched = touched
+        self.a0 = a0
+        self.log = log
+        self.log_size = log.shape[0]
+        self.busy_ns = 0
 
     def __getitem__(self, key):
         if isinstance(key, tuple):
@@ -161,39 +185,50 @@ class LiveRows:
     def full(self):
         return self.size == self.n
 
+    @property
+    def g_log(self):
+        """The logged g's, one per row, oldest first (a view of the log's filled prefix)."""
+        return self.log[: self.log_size]
+
     def live(self):
         """Indices of the live rows, increasing."""
         return np.flatnonzero(self.slot < self.n)
 
-    def make_live(self, j):
-        """Make row j live in the next free slot; returns that block row for the caller to fill."""
-        if self.size == self.rows.shape[0]:
-            self.rows = _grown(self.rows, min(2 * self.size, self.n))
-        i = self.size
-        self.slot[j] = i
-        self.order[i] = j
-        self.size += 1
-        return self.rows[i]
+    def touch(self, j):
+        """Add j to the touched set; a row j that is not live is caught up first."""
+        if self.slot[j] == self.n:
+            t0 = time.perf_counter_ns()
+            _catch_up_column(self, j)
+            self.busy_ns += time.perf_counter_ns() - t0
+        self.touched[j] = True
 
     def add_outer(self, g):
-        """Row j += g[j] g for every live j, over contiguous blocks of about UPDATE_BLOCK entries."""
+        """Row j += g[j] g for every live j, over contiguous blocks of about UPDATE_BLOCK entries.
+
+        While a row is not live, g is also logged for it.
+        """
+        t0 = time.perf_counter_ns()
         per = max(1, UPDATE_BLOCK // self.n)
         live = self.rows[: self.size]
         g_live = g[self.order[: self.size], None]
         for k in range(0, self.size, per):
             live[k : k + per] += g_live[k : k + per] * g
+        if not self.full:
+            if self.log_size == self.log.shape[0]:
+                self.log = _grown(self.log, max(2 * self.log_size, 1))
+            self.log[self.log_size] = g
+            self.log_size += 1
+        self.busy_ns += time.perf_counter_ns() - t0
 
 
 class SolverSession:
     """All state of one sequential solve that lasts from one step to the next.
 
-    `A` is the LiveRows store.  In lazy mode its live rows are those of S*,
-    and the invariant is: each equals the initial row plus the rank-one
-    contributions of every g logged so far and of every later step; a row
-    outside S* is not stored, and reading it raises.  Eager mode keeps all n
-    rows live from the start.  `a0` is the pristine initial matrix (its
-    diagonal, or a dense copy), the only source of a row before it goes live;
-    it is None, and the log is empty, once every row is live.
+    `A` is the LiveRows store, which owns the whole matrix state: the live
+    rows, the touched set S*, and the pristine A0 and g log that stale rows
+    are caught up from.  Its invariant: each live row equals the initial row
+    plus the rank-one contributions of every step so far; a row that is not
+    live is not stored, and reading it raises.
 
     A, c and the logged g's are in the gauge the legs run in; c_shift is that
     c minus the caller's last linear term (zero until a step fuses a drift).
@@ -201,19 +236,15 @@ class SolverSession:
     drift, so each leg derives its own from Par1 when it starts.
     """
 
-    def __init__(self, A, a0, c0, quadruple, par1, config):
+    def __init__(self, A, c0, quadruple, par1, config):
         self.config = config
         self.n = A.n
         self.A = A
-        self.a0 = a0
         self.c = np.array(c0, dtype=np.float64)
         self.c_shift = np.zeros(self.n)
         self.quadruple = quadruple
         self.par1 = par1
         self.t = 0
-        self.s_star_mask = quadruple.support.mask.copy()
-        self._log = np.empty((0, self.n))
-        self.log_size = 0
         self.rebuild_count = 0
         self.reports = []
 
@@ -224,23 +255,6 @@ class SolverSession:
     @property
     def support(self):
         return self.quadruple.support
-
-    @property
-    def s_star_idx(self):
-        return np.flatnonzero(self.s_star_mask)
-
-    @property
-    def g_log(self):
-        """The logged g's, one per row, oldest first (a view of the log's filled prefix)."""
-        return self._log[: self.log_size]
-
-    def _log_step(self, g):
-        """Log g for the rows that are not live yet (none once every row is)."""
-        if not self.A.full:
-            if self.log_size == self._log.shape[0]:
-                self._log = _grown(self._log, max(2 * self.log_size, 1))
-            self._log[self.log_size] = g
-            self.log_size += 1
 
     def residual(self):
         """Optimality residual of the current quadruple against the gauged (A_t, c_t).
@@ -279,14 +293,14 @@ class SolverSession:
         ]
 
     def save(self, path):
-        q, par1, cfg = self.quadruple, self.par1, self.config
-        k, s = self.log_size, q.support.size
-        a0 = np.empty(0) if self.a0 is None else self.a0
-        live = self.A.live()
-        fields = dict(A0=a0, c=self.c, c_shift=self.c_shift, mask=self.s_star_mask, g_log=self.g_log, A=self.A[live])
+        q, par1, cfg, A = self.quadruple, self.par1, self.config, self.A
+        k, s = A.log_size, q.support.size
+        a0 = np.empty(0) if A.a0 is None else A.a0
+        live = A.live()
+        fields = dict(A0=a0, c=self.c, c_shift=self.c_shift, mask=A.touched, g_log=A.g_log, A=A[live])
         fields.update(support=q.support.idx, v=q.v, mu0=q.mu0, M=par1.M, eta_tilde=par1.eta_tilde, D=par1.D)
         fields.update(tol=cfg.tol)
-        parts = [self.HEADER.pack(b"HSS6", self.n, self.t, k, s, cfg.lazy_a, 0 if self.a0 is None else self.a0.ndim)]
+        parts = [self.HEADER.pack(b"HSS6", self.n, self.t, k, s, cfg.lazy_a, 0 if A.a0 is None else a0.ndim)]
         sections = self._sections(self.n, k, s, a0.size, live.size)
         parts += [np.asarray(fields[name], dtype).tobytes() for name, dtype, _ in sections]
         with open(path, "wb") as fh:
@@ -343,15 +357,11 @@ class SolverSession:
         support = Support(n, idx)
         quadruple = Quadruple(support, vec("v"), float(f["mu0"][0]))
         par1 = Par1(vec("M").reshape(n, s), vec("eta_tilde"), float(f["D"][0]))
-        live = np.flatnonzero(mask) if lazy else np.arange(n)
-        A = LiveRows(live, vec("A").reshape(r, n))
         a0 = vec("A0").reshape((n,) * kind) if kind else None
-        ses = cls(A, a0, f["c"], quadruple, par1, config)
+        A = LiveRows(vec("A").reshape(r, n), mask.astype(bool), a0, vec("g_log").reshape(k, n))
+        ses = cls(A, f["c"], quadruple, par1, config)
         ses.t = t
         ses.c_shift = vec("c_shift")
-        ses.s_star_mask = mask.astype(bool)
-        ses._log = vec("g_log").reshape(k, n)
-        ses.log_size = k
         return ses
 
 
@@ -375,30 +385,38 @@ def init_session(A0, c0, config=None):
     a0 = None
     if live.size < problem.n:
         a0 = problem.A.copy() if problem.diag is None else problem.diag
-    return SolverSession(LiveRows(live, problem.A[live]), a0, c0, quadruple, par1, config)
+    A = LiveRows(problem.A[live], quadruple.support.mask.copy(), a0, np.empty((0, problem.n)))
+    return SolverSession(A, c0, quadruple, par1, config)
 
 
-def _catch_up_column(session, j):
-    """Make row j (column j of the symmetric A) live and current.
+def _catch_up_column(store, j):
+    """Make row j (column j of the symmetric A) of the LiveRows `store` live and current.
 
-    The new slot gets the pristine row of A0 plus G' G[:, j] over the logged
-    g's, which the log keeps as one contiguous block.  Once every row is
-    live, neither is needed again, so both are dropped.
+    The row takes the next free block row, grown by doubling when full, and
+    gets the pristine row of A0 plus G' G[:, j] over the logged g's, which
+    the log keeps as one contiguous block.  Once every row is live, neither
+    is needed again, so both are dropped.
     """
-    row = session.A.make_live(j)
-    a0 = session.a0
+    i = store.size
+    if i == store.rows.shape[0]:
+        store.rows = _grown(store.rows, min(2 * i, store.n))
+    store.slot[j] = i
+    store.order[i] = j
+    store.size += 1
+    row = store.rows[i]
+    a0 = store.a0
     if a0.ndim == 1:
         row[:] = 0.0
         row[j] = a0[j]
     else:
         row[:] = a0[j]
-    if session.log_size:
-        G = session.g_log
+    if store.log_size:
+        G = store.g_log
         row += G.T @ G[:, j]
-    if session.A.full:
-        session.a0 = None
-        session._log = np.empty((0, session.n))
-        session.log_size = 0
+    if store.full:
+        store.a0 = None
+        store.log = np.empty((0, store.n))
+        store.log_size = 0
 
 
 def _gauge_share(g, l):
@@ -438,10 +456,10 @@ def step(session, g_t, c_t):
     wrong shape or with non-finite entries is rejected with ValueError before
     anything changes; a broken turning point invariant raises HonesError.
     """
-    cfg = session.config
+    cfg, A = session.config, session.A
     counter = MultCounter()
     t_start = time.perf_counter_ns()
-    a_ns = 0
+    busy_before = A.busy_ns
     rebuilds_before = session.rebuild_count
 
     n = session.n
@@ -453,7 +471,7 @@ def step(session, g_t, c_t):
         raise ValueError("step vectors must be finite")
     session.t += 1
     q = session.quadruple
-    prev_mask = q.support.mask.copy()
+    prev_mask = q.support.mask
     s_start = q.support.size
 
     # The caller's drift, split against g; c_shift changes only when b != 0,
@@ -465,42 +483,28 @@ def step(session, g_t, c_t):
         g = g - b
     c_new = c_new + c_shift
 
-    def ensure_column(j):
-        nonlocal a_ns
-        if session.s_star_mask[j]:
-            return
-        t0 = time.perf_counter_ns()
-        if cfg.lazy_a:
-            _catch_up_column(session, j)
-        session.s_star_mask[j] = True
-        a_ns += time.perf_counter_ns() - t0
-
-    # Each leg derives its own cache from Par1.  Its rebuild hook (passed by
-    # keyword, where a tracer can wrap it) refactorizes Par1 in place, so the
-    # leg's reference stays valid, and the leg then re-derives its cache.
+    # Each leg derives its own cache from Par1 and makes a row live through
+    # the store before it enters.  Its rebuild hook (passed by keyword, where
+    # a tracer can wrap it) refactorizes Par1 in place, so the leg's
+    # reference stays valid, and the leg then re-derives its cache.
     events_a = run_lambda_leg(
-        session.A,
+        A,
         session.c,
         g,
         q,
         session.par1,
         counter=counter,
-        ensure_column=ensure_column,
-        rebuild=lambda lam: rebuild(session, session.A[q.support.idx] + lam * np.outer(g[q.support.idx], g)),
+        ensure_column=A.touch,
+        rebuild=lambda lam: rebuild(session, A[q.support.idx] + lam * np.outer(g[q.support.idx], g)),
     )
-
-    t0 = time.perf_counter_ns()
-    session.A.add_outer(g)
-    session._log_step(g)
-    a_ns += time.perf_counter_ns() - t0
-
+    A.add_outer(g)
     events_c = run_utilde_leg(
-        session.A,
+        A,
         c_new - session.c,
         q,
         session.par1,
         counter=counter,
-        ensure_column=ensure_column,
+        ensure_column=A.touch,
         rebuild=lambda _t: rebuild(session),
     )
     session.c = c_new
@@ -533,7 +537,7 @@ def step(session, g_t, c_t):
         raise HonesError(f"{k_t} turning points fell below the symmetric-difference bound {sym_diff}")
     if (k_t - sym_diff) % 2:
         raise HonesError(f"{k_t - sym_diff} toggles beyond the support change do not pair up")
-    if not session.s_star_mask[q.support.idx].all():
+    if not A.touched[q.support.idx].all():
         raise HonesError("support escaped the touched set")
     report = StepReport(
         t=session.t,
@@ -543,10 +547,10 @@ def step(session, g_t, c_t):
         e_t=(k_t - sym_diff) // 2,
         support_size=q.support.size,
         s_max=s_max,
-        s_star=int(session.s_star_mask.sum()),
+        s_star=int(A.touched.sum()),
         kkt_residual=residual,
         wall_ns=time.perf_counter_ns() - t_start,
-        a_update_ns=a_ns,
+        a_update_ns=A.busy_ns - busy_before,
         mult_count=counter.total,
         rebuilds=session.rebuild_count - rebuilds_before,
         refreshes=refreshes,

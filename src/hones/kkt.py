@@ -269,17 +269,17 @@ def kkt_residual(problem, quadruple):
     )
 
 
-def enumerate_solve(problem, limit=20):
+def enumerate_solve(problem):
     """Exhaustive-support solve: try every nonempty support, keep the KKT-feasible one.
 
-    Exponential in n; guarded by `limit`.  Each support goes through
+    Exponential in n, so limited to n <= 20.  Each support goes through
     solve_given_support without a condition cap, and one whose block does not
     factorize is skipped.  Serves as the ground-truth fallback for small
     problems and as a cross-check in tests.
     """
     n = problem.n
-    if n > limit:
-        raise ValueError(f"enumeration limited to n <= {limit}")
+    if n > 20:
+        raise ValueError("enumeration limited to n <= 20")
     arange = np.arange(n)
     best = None
     best_violation = np.inf
@@ -302,7 +302,7 @@ def enumerate_solve(problem, limit=20):
     return best
 
 
-def oracle_solve(problem, x0=None, max_changes=None, cond_cap=DEFAULT_COND_CAP):
+def oracle_solve(problem, x0=None, cond_cap=DEFAULT_COND_CAP):
     """Independent global solve by a primal active-set iteration.
 
     Starts from the uniform vector (or a feasible x0), alternates
@@ -321,10 +321,9 @@ def oracle_solve(problem, x0=None, max_changes=None, cond_cap=DEFAULT_COND_CAP):
     support change then costs one O(s^3) solve on the working support.
 
     Raises ValueError when x0 is not a finite length-n point of the simplex,
-    and NoConvergence after max_changes support changes (default 50 n).
+    and NoConvergence after 50 n support changes.
     """
     n = problem.n
-    cap = 50 * n if max_changes is None else max_changes
     if x0 is not None:
         x = simplex_start(x0, n)
     elif getattr(problem, "diag", None) is not None:
@@ -343,7 +342,7 @@ def oracle_solve(problem, x0=None, max_changes=None, cond_cap=DEFAULT_COND_CAP):
     support = Support.from_mask(mask)
 
     try:
-        result = _active_set_loop(problem, x, support, cap, cond_cap)
+        result = _active_set_loop(problem, x, support, 50 * n, cond_cap)
     except (NoConvergence, SingularSubmatrix):
         if n <= 12:
             result = enumerate_solve(problem)

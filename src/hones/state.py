@@ -113,19 +113,19 @@ class Par3:
         self.xi += (xi_j * inv) * vec
 
 
-def par1_from_matrix(rows, support, cond_cap=DEFAULT_COND_CAP):
+def par1_from_matrix(rows, support):
     """Build Par1 by direct factorization of A_SS.
 
     `rows` holds the support rows of A, A[support.idx] (|S| x n); A is
     symmetric, so they stand for its support columns, and they are all the
     driver needs to keep live.  Raises SingularSubmatrix when kkt.check_block
-    refuses A_SS.
+    refuses A_SS under DEFAULT_COND_CAP.
     """
     idx = support.idx
     n = rows.shape[1]
     # Column k of both blocks is read from row k of `rows`.
     ass = np.ascontiguousarray(rows[:, idx].T)
-    check_block(ass, support, cond_cap)
+    check_block(ass, support, DEFAULT_COND_CAP)
     inv = np.linalg.solve(ass, np.eye(idx.size))
     inv = 0.5 * (inv + inv.T)
     cols = np.empty((n, idx.size))
@@ -140,8 +140,8 @@ def par1_from_matrix(rows, support, cond_cap=DEFAULT_COND_CAP):
     return Par1(cols, eta_tilde, D)
 
 
-def init_par1(problem, support, cond_cap=DEFAULT_COND_CAP):
-    return par1_from_matrix(problem.A[support.idx], support, cond_cap=cond_cap)
+def init_par1(problem, support):
+    return par1_from_matrix(problem.A[support.idx], support)
 
 
 def direct_update_par2(support, par1, c, g, counter=None):

@@ -176,7 +176,7 @@ class TestInitSession:
         n = 7
         ses = init_session(1e-4 * np.eye(n), np.zeros(n))
         np.testing.assert_allclose(ses.x, np.full(n, 1.0 / n), atol=1e-12)
-        assert ses.s_star_idx.size == n
+        assert np.flatnonzero(ses.A.touched).size == n
 
     def test_diag(self):
         ses = init_session(np.diag([2.0, 1.0]), np.zeros(2))
@@ -339,7 +339,7 @@ class TestLazyA:
         eager, flow_b = synthetic_session(n, seed=11, config=SolverConfig(lazy_a=False))
         run_sequence(lazy, flow_a, steps)
         run_sequence(eager, flow_b, steps)
-        live = lazy.s_star_idx
+        live = np.flatnonzero(lazy.A.touched)
         assert live.size >= lazy.support.size
         np.testing.assert_allclose(
             lazy.A[live], eager.A[live], atol=1e-10 * max(1.0, np.max(np.abs(eager.A[np.arange(n)])))
@@ -351,7 +351,7 @@ class TestLazyA:
         n = 40
         ses, flow = synthetic_session(n, seed=19)
         run_sequence(ses, flow, 100)
-        live, stale = ses.s_star_idx, np.flatnonzero(~ses.s_star_mask)
+        live, stale = np.flatnonzero(ses.A.touched), np.flatnonzero(~ses.A.touched)
         assert stale.size and np.array_equal(ses.A.live(), live)
         j = int(stale[0])
         mixed = np.sort(np.append(live[:3], j))
@@ -376,8 +376,8 @@ class TestLazyA:
         lazy = init_session(A0, flow.c0, SolverConfig(lazy_a=True))
         eager = init_session(A0, flow.c0, SolverConfig(lazy_a=False))
         assert lazy.support == eager.support
-        assert lazy.a0.shape == (n, n) and np.array_equal(lazy.a0, A0)
-        assert not lazy.A.full and eager.A.full and eager.a0 is None
+        assert lazy.A.a0.shape == (n, n) and np.array_equal(lazy.A.a0, A0)
+        assert not lazy.A.full and eager.A.full and eager.A.a0 is None
         A = A0.copy()
         for t, (g, c) in enumerate(flow, start=1):
             if t == steps // 2:
@@ -391,22 +391,49 @@ class TestLazyA:
                 assert _fields(step(twin, g, c)) == _fields(rep) and np.array_equal(twin.x, lazy.x)
             A += np.outer(g, g)
             assert np.max(np.abs(lazy.x - eager.x)) <= 1e-9
-        assert lazy.reports[0].s_star < lazy.s_star_idx.size < n
+        assert lazy.reports[0].s_star < np.flatnonzero(lazy.A.touched).size < n
         assert np.max(np.abs(lazy.x - oracle_solve(Problem(A, c)).x)) <= 1e-9
 
     def test_lazy_session_holds_no_dense_matrix(self, tmp_path):
         n, steps = 200, 60
         ses, flow = synthetic_session(n, seed=89)
         run_sequence(ses, flow, steps)
-        r = ses.s_star_idx.size
-        assert r < n and ses.a0.shape == (n,)
-        arrays = [ses.A.rows, ses.A.slot, ses.A.order, ses.par1.M, ses.quadruple.v]
+        r = np.flatnonzero(ses.A.touched).size
+        assert r < n and ses.A.a0.shape == (n,)
+        arrays = [ses.A.rows, ses.A.slot, ses.A.order, ses.A.touched, ses.A.a0, ses.A.log, ses.par1.M, ses.quadruple.v]
         arrays += [v for v in vars(ses).values() if isinstance(v, np.ndarray)]
         assert all(a.size < n * n for a in arrays)
         path = tmp_path / "session.bin"
         ses.save(path)
         s = ses.support.size
         assert path.stat().st_size == sum(checkpoint_sizes(n, steps, s, n, r))
+
+    def test_only_lazy_sessions_catch_rows_up(self, monkeypatch):
+        # Eager sessions have every row live from the start, so no step may
+        # reach the catch-up; the lazy twin reaches it through the driver
+        # global, which a tracer rebinds.
+        n, steps = 20, 50
+        real, calls = driver._catch_up_column, []
+
+        def counted(store, j):
+            calls.append(j)
+            real(store, j)
+
+        monkeypatch.setattr(driver, "_catch_up_column", counted)
+        lazy, flow = synthetic_session(n, seed=11, config=SolverConfig(lazy_a=True))
+        initial = lazy.A.live()
+        run_sequence(lazy, flow, steps)
+        # Each row that went live after init was caught up exactly once.
+        assert calls and np.array_equal(np.sort(calls), np.setdiff1d(lazy.A.live(), initial))
+
+        def refuse(store, j):
+            raise AssertionError(f"eager session caught up row {j}")
+
+        monkeypatch.setattr(driver, "_catch_up_column", refuse)
+        eager, flow = synthetic_session(n, seed=11, config=SolverConfig(lazy_a=False))
+        run_sequence(eager, flow, steps)
+        assert eager.A.full and eager.A.log_size == 0 and eager.A.a0 is None
+        assert np.array_equal(eager.A.touched, lazy.A.touched)
 
     def test_trajectories_and_event_logs_identical(self):
         n, steps = 15, 60
@@ -559,13 +586,29 @@ class TestCheckpoint:
             assert np.array_equal(ses.x, twin.x)
         assert sum(r.rebuilds for r in twin.reports) == 4
 
+    def test_eager_session_resaves_to_the_same_bytes(self, tmp_path):
+        ses, flow = synthetic_session(12, seed=31, config=SolverConfig(lazy_a=False))
+        stream = list(flow)[:40]
+        for g, c in stream[:20]:
+            step(ses, g, c)
+        assert not ses.A.touched.all()
+        ses.save(tmp_path / "session.bin")
+        buf = (tmp_path / "session.bin").read_bytes()
+        twin = SolverSession.load(tmp_path / "session.bin")
+        assert twin.A.full and np.array_equal(twin.A.touched, ses.A.touched)
+        twin.save(tmp_path / "resaved.bin")
+        assert (tmp_path / "resaved.bin").read_bytes() == buf
+        for g, c in stream[20:]:
+            assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
+            assert np.array_equal(ses.x, twin.x)
+
     def test_log_dropped_once_every_row_is_live(self, tmp_path):
         # Every row is live from step 15 on; the log held rows before that.
         ses, flow = synthetic_session(12, seed=79)
         stream = list(flow)[:40]
         for g, c in stream[:30]:
             step(ses, g, c)
-        assert ses.s_star_mask.all() and ses.log_size == 0 and ses.a0 is None
+        assert ses.A.touched.all() and ses.A.log_size == 0 and ses.A.a0 is None
         path = tmp_path / "session.bin"
         ses.save(path)
         buf = path.read_bytes()
@@ -588,7 +631,7 @@ class TestCheckpoint:
         for t, (g, c) in enumerate(stream[:7]):
             step(ses, g, c)
             assert ses.A.full == (t == 6)
-        assert ses.reports[-1].k_c and ses.a0 is None and ses.log_size == 0
+        assert ses.reports[-1].k_c and ses.A.a0 is None and ses.A.log_size == 0
         path = tmp_path / "session.bin"
         ses.save(path)
         twin = SolverSession.load(path)
@@ -620,7 +663,7 @@ class TestCheckpoint:
         cfg = SolverConfig(tol=1e-7)
         old = SolverSession.load(GOLDEN_CHECKPOINT)
         assert old.config == cfg and old.t == 20
-        assert not old.s_star_mask.all() and len(old.g_log) == 20 and old.c_shift.any()
+        assert not old.A.touched.all() and len(old.A.g_log) == 20 and old.c_shift.any()
         old.save(tmp_path / "resaved.bin")
         assert (tmp_path / "resaved.bin").read_bytes() == buf
         ses, flow = synthetic_session(12, seed=61, config=cfg)
@@ -642,7 +685,7 @@ class TestCheckpoint:
         assert twin.t == 0
         live = ses.A.live()
         assert np.array_equal(twin.A.live(), live) and np.array_equal(twin.A[live], ses.A[live])
-        assert np.array_equal(twin.par1.M, ses.par1.M) and np.array_equal(twin.a0, ses.a0)
+        assert np.array_equal(twin.par1.M, ses.par1.M) and np.array_equal(twin.A.a0, ses.A.a0)
         for g, c in list(flow)[:15]:
             assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
             assert np.array_equal(ses.x, twin.x)

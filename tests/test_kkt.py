@@ -163,7 +163,7 @@ class TestSolveGivenSupport:
         with pytest.raises(SingularSubmatrix):
             solve_given_support(p, Support.full(2), cond_cap=1e12)
         with pytest.raises(SingularSubmatrix):
-            par1_from_matrix(p.A, Support.full(2), cond_cap=1e12)
+            par1_from_matrix(p.A, Support.full(2))
 
 
 class TestKktResidual:
