@@ -142,10 +142,12 @@ class LiveRows:
     whose index has ever entered a support (the set S*).  The live rows are
     either all n (eager mode) or exactly the touched ones (lazy mode).  Row j
     sits in block row slot[j] of `rows`, and order[i] is the index of block
-    row i.  A row that is not live has slot n, which lies past the block (it
-    never holds more than n rows), so reading it raises IndexError and never
-    returns another row.  The reads the solver makes all go by row: A[j],
-    A[j, cols], A[idx] and A[np.ix_(idx, cols)].
+    row i; once every row is live, the block is in index order and both maps
+    are the identity, so reads skip them.  A row that is not live has slot
+    n, which lies past the block (it never holds more than n rows), so
+    reading it raises IndexError and never returns another row.  The reads
+    the solver makes all go by row: A[j], A[j, cols], A[idx] and
+    A[np.ix_(idx, cols)].
 
     While a row is not live, `a0` keeps the pristine initial matrix (its
     diagonal, or a dense copy) and the log keeps every g added since, one per
@@ -177,6 +179,8 @@ class LiveRows:
         self.busy_ns = 0
 
     def __getitem__(self, key):
+        if self.size == self.n:  # every row live, in index order
+            return self.rows[key]
         if isinstance(key, tuple):
             return self.rows[(self.slot[key[0]],) + key[1:]]
         return self.rows[self.slot[key]]
@@ -208,12 +212,13 @@ class LiveRows:
         While a row is not live, g is also logged for it.
         """
         t0 = time.perf_counter_ns()
-        per = max(1, UPDATE_BLOCK // self.n)
-        live = self.rows[: self.size]
-        g_live = g[self.order[: self.size], None]
-        for k in range(0, self.size, per):
+        size = self.size
+        per = UPDATE_BLOCK // self.n or 1
+        live = self.rows[:size]
+        g_live = g[:, None] if size == self.n else g[self.order[:size], None]
+        for k in range(0, size, per):
             live[k : k + per] += g_live[k : k + per] * g
-        if not self.full:
+        if size < self.n:
             if self.log_size == self.log.shape[0]:
                 self.log = _grown(self.log, max(2 * self.log_size, 1))
             self.log[self.log_size] = g
@@ -414,6 +419,11 @@ def _catch_up_column(store, j):
         G = store.g_log
         row += G.T @ G[:, j]
     if store.full:
+        # Every row is live: put the block in index order, so that reads and
+        # the rank-one update no longer go through the slot map.
+        store.rows = store.rows[store.slot]
+        store.slot = np.arange(store.n)
+        store.order = np.arange(store.n)
         store.a0 = None
         store.log = np.empty((0, store.n))
         store.log_size = 0
@@ -428,20 +438,20 @@ def _gauge_share(g, l):
     11' and push the support's block toward singular.  The split costs O(n)
     and, like the matrix maintenance, stays out of the multiplication tally.
     """
-    if not l.any():
+    if not np.logical_or.reduce(l):
         return 0.0
     n = g.size
-    gc = g - g.sum() / n
+    gc = g - np.add.reduce(g) / n
     gg = float(gc @ gc)
     if gg == 0.0:
         return 0.0
     gl = float(gc @ l)
     a = gl / gg
     ll = float(l @ l)
-    sl = float(l.sum())
+    sl = float(np.add.reduce(l))
     # ||r||^2 = ||l - mean(l) 1||^2 - a gl, since r is orthogonal to g - mean(g) 1.
     rr = ll - sl * sl / n - a * gl
-    if 4.0 * rr <= ll and abs(a) <= float(np.abs(g).max()):
+    if 4.0 * rr <= ll and abs(a) <= float(np.maximum.reduce(np.abs(g))):
         return a
     return 0.0
 
@@ -467,7 +477,7 @@ def step(session, g_t, c_t):
     c_new = np.asarray(c_t, dtype=np.float64)
     if g.shape != (n,) or c_new.shape != (n,):
         raise ValueError(f"step vectors must have length {n}")
-    if not (np.isfinite(g).all() and np.isfinite(c_new).all()):
+    if not (np.logical_and.reduce(np.isfinite(g)) and np.logical_and.reduce(np.isfinite(c_new))):
         raise ValueError("step vectors must be finite")
     session.t += 1
     q = session.quadruple
@@ -528,16 +538,19 @@ def step(session, g_t, c_t):
             residual = session.residual()
 
     events = events_a + events_c
-    s_max = max([s_start] + [ev.support_size for ev in events])
+    s_max = s_start
+    for ev in events:
+        if ev.support_size > s_max:
+            s_max = ev.support_size
 
     k_a, k_c = len(events_a), len(events_c)
     k_t = k_a + k_c
-    sym_diff = int(np.count_nonzero(prev_mask ^ q.support.mask))
+    sym_diff = int(np.add.reduce(prev_mask ^ q.support.mask))
     if k_t < sym_diff:
         raise HonesError(f"{k_t} turning points fell below the symmetric-difference bound {sym_diff}")
     if (k_t - sym_diff) % 2:
         raise HonesError(f"{k_t - sym_diff} toggles beyond the support change do not pair up")
-    if not A.touched[q.support.idx].all():
+    if not np.logical_and.reduce(A.touched[q.support.idx]):
         raise HonesError("support escaped the touched set")
     report = StepReport(
         t=session.t,
@@ -547,7 +560,7 @@ def step(session, g_t, c_t):
         e_t=(k_t - sym_diff) // 2,
         support_size=q.support.size,
         s_max=s_max,
-        s_star=int(A.touched.sum()),
+        s_star=int(np.add.reduce(A.touched)),
         kkt_residual=residual,
         wall_ns=time.perf_counter_ns() - t_start,
         a_update_ns=A.busy_ns - busy_before,

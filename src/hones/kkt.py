@@ -31,9 +31,10 @@ class Support:
     """Ordered index set of coordinates allowed to be positive.
 
     Immutable.  Indices are 0-based, strictly increasing and nonempty.
+    `size` is |S|; the complement is computed on first use and kept.
     """
 
-    __slots__ = ("n", "idx", "mask")
+    __slots__ = ("n", "idx", "mask", "size", "_comp")
 
     def __init__(self, n, indices):
         idx = np.unique(np.asarray(indices, dtype=np.intp))
@@ -43,11 +44,23 @@ class Support:
             raise ValueError(f"support indices out of range for n={n}")
         mask = np.zeros(n, dtype=bool)
         mask[idx] = True
-        self.n = int(n)
+        self._adopt(idx, mask)
+
+    def _adopt(self, idx, mask):
+        self.n = mask.size
         self.idx = idx
         self.mask = mask
-        self.idx.setflags(write=False)
-        self.mask.setflags(write=False)
+        self.size = idx.size
+        self._comp = None
+        idx.flags.writeable = False
+        mask.flags.writeable = False
+
+    @classmethod
+    def from_sorted(cls, idx, mask):
+        """The support over the strictly increasing, nonempty `idx` and its `mask`, both adopted unchecked."""
+        self = cls.__new__(cls)
+        self._adopt(idx, mask)
+        return self
 
     @classmethod
     def full(cls, n):
@@ -57,25 +70,31 @@ class Support:
     def from_mask(cls, mask):
         return cls(len(mask), np.flatnonzero(mask))
 
-    @property
-    def size(self):
-        return self.idx.size
-
     def contains(self, j):
         return bool(self.mask[j])
 
     def complement(self):
-        return np.flatnonzero(~self.mask)
+        """The indices off the support, increasing (read-only)."""
+        if self._comp is None:
+            self._comp = (~self.mask).nonzero()[0]
+            self._comp.flags.writeable = False
+        return self._comp
 
     def with_added(self, j):
         if self.mask[j]:
             raise ValueError(f"index {j} already in support")
-        return Support(self.n, np.append(self.idx, j))
+        mask = self.mask.copy()
+        mask[j] = True
+        return Support.from_sorted(mask.nonzero()[0], mask)
 
     def with_removed(self, j):
         if not self.mask[j]:
             raise ValueError(f"index {j} not in support")
-        return Support(self.n, self.idx[self.idx != j])
+        if self.size == 1:
+            raise ValueError("support must be nonempty")
+        mask = self.mask.copy()
+        mask[j] = False
+        return Support.from_sorted(mask.nonzero()[0], mask)
 
     def as_tuple(self):
         return tuple(int(i) for i in self.idx)
@@ -228,19 +247,21 @@ def solve_given_support(problem, support, cond_cap=DEFAULT_COND_CAP):
     """
     A, c = problem.A, problem.c
     idx = support.idx
-    ass = A[np.ix_(idx, idx)]
+    ass = A[idx[:, None], idx]
     check_block(ass, support, cond_cap)
-    rhs = np.column_stack((np.ones(idx.size), c[idx]))
+    rhs = np.empty((idx.size, 2))
+    rhs[:, 0] = 1.0
+    rhs[:, 1] = c[idx]
     z = np.linalg.solve(ass, rhs)
     z1, z2 = z[:, 0], z[:, 1]
-    denom = float(np.sum(z1))
-    mu0 = (1.0 - float(np.sum(z2))) / denom
+    denom = float(np.add.reduce(z1))
+    mu0 = (1.0 - float(np.add.reduce(z2))) / denom
     x_s = mu0 * z1 + z2
     comp = support.complement()
     v = np.zeros(problem.n)
     v[idx] = x_s
     if comp.size:
-        mu_sc = A[np.ix_(comp, idx)] @ x_s - mu0 - c[comp]
+        mu_sc = A[comp[:, None], idx] @ x_s - mu0 - c[comp]
         v[comp] = -mu_sc
     return Quadruple(support, v, mu0)
 
@@ -248,24 +269,28 @@ def solve_given_support(problem, support, cond_cap=DEFAULT_COND_CAP):
 def kkt_residual(problem, quadruple):
     """Max-norm violation of the optimality conditions.
 
-    Covers stationarity, the sum-to-one constraint, complementary slackness
-    and both sign constraints.  Zero (to roundoff) exactly at the optimum.
-    Only the support rows of A are read (A is symmetric, so they stand for
-    its support columns), so `problem` may carry a store that holds no other
-    row (the driver's live rows).
+    Covers stationarity, the sum-to-one constraint and both sign
+    constraints.  Complementary slackness needs no term: the quadruple keeps
+    x_S and -mu_{S^c} in one vector v over disjoint coordinates, so x is zero
+    off the support and mu is zero on it by construction, and every mu_i x_i
+    is an exact zero.  Zero (to roundoff) exactly at the optimum.  Only the
+    support rows of A are read (A is symmetric, so they stand for its support
+    columns), so `problem` may carry a store that holds no other row (the
+    driver's live rows).
     """
     A, c = problem.A, problem.c
+    v = quadruple.v
     idx = quadruple.support.idx
-    x_s = quadruple.v[idx]
-    mu = quadruple.mu
-    stat = A[idx].T @ x_s - quadruple.mu0 - mu - c
-    x = quadruple.x
+    x_s = v[idx]
+    off = v.copy()
+    off[idx] = 0.0  # -mu: v off the support, zero on it
+    stat = A[idx].T @ x_s - quadruple.mu0 + off - c
+    # The first term is never negative, so the sign terms need no clamp at 0.
     return max(
-        float(np.max(np.abs(stat))),
-        abs(float(np.sum(x_s)) - 1.0),
-        float(np.max(np.abs(mu * x))),
-        max(0.0, -float(np.min(x))),
-        max(0.0, -float(np.min(mu))),
+        float(np.maximum.reduce(np.abs(stat))),
+        abs(float(np.add.reduce(x_s)) - 1.0),
+        -float(np.minimum.reduce(x_s)),
+        float(np.maximum.reduce(off)),
     )
 
 
@@ -284,15 +309,16 @@ def enumerate_solve(problem):
     best = None
     best_violation = np.inf
     for bits in range(1, 1 << n):
-        support = Support(n, arange[(bits >> arange & 1).astype(bool)])
+        mask = (bits >> arange & 1).astype(bool)
+        support = Support.from_sorted(arange[mask], mask)
         try:
             cand = solve_given_support(problem, support, cond_cap=np.inf)
         except SingularSubmatrix:
             continue
         mu_sc = cand.mu_sc
-        violation = max(0.0, -float(np.min(cand.x_s)))
+        violation = max(0.0, -float(np.minimum.reduce(cand.x_s)))
         if mu_sc.size:
-            violation = max(violation, -float(np.min(mu_sc)))
+            violation = max(violation, -float(np.minimum.reduce(mu_sc)))
         if violation < best_violation:
             best, best_violation = cand, violation
     if best is None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import counters as cnt
 from .errors import CycleLimit, DegenerateDenominator, DegenerateError, DegeneratePivot, EmptySupport
-from .kkt import ZETA_SCALE, zero_tol
+from .kkt import ZETA_SCALE
 from .state import direct_update_par2
 
 # A leg raises CycleLimit past this many turning points per index (10 n).
@@ -50,7 +50,8 @@ class PathStep:
 
 
 def _tiny(x):
-    return ZETA_SCALE * max(1.0, abs(x))
+    """ZETA_SCALE * max(1, |x|), without a builtin call."""
+    return ZETA_SCALE * (x if x > 1.0 else -x if x < -1.0 else 1.0)
 
 
 def _first_zero(support, v, dvec, w1, exclude, counter):
@@ -63,45 +64,48 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
     realizes simultaneous hits as a deterministic sequence of zero-length
     increments.  Smallest index wins ties.
     """
-    zeta = zero_tol(v)
-    eligible = np.ones(support.n, dtype=bool)
+    av = np.abs(v)
+    zeta = _tiny(float(np.maximum.reduce(av)))
+    live = av > zeta
+    near = av <= zeta
     if exclude is not None:
-        eligible[exclude] = False
+        live[exclude] = near[exclude] = False
     if support.size == 1:
         # A singleton support cannot lose its index: the sum constraint pins
         # x_j at one, so any leave ratio there is numerical noise.
-        eligible[support.idx[0]] = False
-    live = eligible & (np.abs(v) > zeta)
+        live[support.idx[0]] = near[support.idx[0]] = False
 
     # Coordinates already at zero that are being pushed infeasible must toggle
     # right now (leave needs velocity < 0, enter needs velocity > 0).
-    near = np.flatnonzero(eligible & (np.abs(v) <= zeta))
+    near = near.nonzero()[0]
     if near.size:
         u_near = w1 * dvec[near]
         cnt.add(counter, near.size)
-        zeta_u = ZETA_SCALE * max(1.0, float(np.max(np.abs(u_near))))
-        inward = np.where(support.mask[near], u_near < -zeta_u, u_near > zeta_u)
-        hits = near[inward]
+        zeta_u = _tiny(float(np.maximum.reduce(np.abs(u_near))))
+        on = support.mask[near]
+        hits = near[(on & (u_near < -zeta_u)) | (~on & (u_near > zeta_u))]
         if hits.size:
             return 0.0, int(hits[0])
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = -v / dvec
-    if w1 > 0.0:
-        cand = live & np.isfinite(ratios) & (ratios > 0.0)
-        if not cand.any():
-            return np.inf, None
-        masked = np.where(cand, ratios, np.inf)
-        j = int(np.argmin(masked))
-    elif w1 < 0.0:
-        cand = live & np.isfinite(ratios) & (ratios < 0.0)
-        if not cand.any():
-            return np.inf, None
-        masked = np.where(cand, ratios, -np.inf)
-        j = int(np.argmax(masked))
-    else:
+    if not (w1 > 0.0 or w1 < 0.0):
         return np.inf, None
-    return float(masked[j]) / w1, j
+    # Only a zero velocity can make the division warn.
+    if 0.0 in dvec:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = -v / dvec
+    else:
+        ratios = -v / dvec
+    # A candidate moves toward zero: its ratio has the sign of w1.
+    if w1 > 0.0:
+        fill, toward = np.inf, ratios > 0.0
+    else:
+        fill, toward = -np.inf, ratios < 0.0
+    ratios[~(live & np.isfinite(ratios) & toward)] = fill
+    j = int(ratios.argmin() if w1 > 0.0 else ratios.argmax())
+    a = float(ratios[j])
+    if a == fill:
+        return np.inf, None
+    return a / w1, j
 
 
 def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
@@ -127,7 +131,9 @@ def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
     alpha = atil * d / (1.0 + atil * d_g * d_g)
     if alpha * d_gg >= 1.0:
         return PathStep(np.inf, None, scratch)
-    lam_inc = max(alpha / (1.0 - alpha * d_gg), 0.0)
+    lam_inc = alpha / (1.0 - alpha * d_gg)
+    if lam_inc < 0.0:
+        lam_inc = 0.0
     return PathStep(lam_inc, j, scratch)
 
 
@@ -139,7 +145,7 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, scratch, counter=None):
     are rescaled last for that reason.  Raises DegenerateDenominator when the
     update denominators lose positivity, which signals a rebuild.
     """
-    if not (np.isfinite(lam_inc) and lam_inc >= 0.0):
+    if not 0.0 <= lam_inc < np.inf:
         raise ValueError(f"lam_inc must be finite and nonnegative, got {lam_inc}")
     support = quadruple.support
     d = par1.D
@@ -326,7 +332,7 @@ def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ens
             j = step.j
             if last is not None and last[0] == j and abs(lam - last[1]) <= _tiny(lam):
                 raise DegeneratePivot(f"index {j} re-triggered at {leg} leg parameter {lam}")
-            if quadruple.support.contains(j):
+            if quadruple.support.mask[j]:
                 new_support = shrink(cache, j)
                 kind = "leave"
             else:

@@ -41,7 +41,7 @@ def find_utilde_lambda(support, quadruple, par1, par3, exclude=None, counter=Non
 
 def update_by_utilde_lambda(lam_inc, quadruple, par1, par3, scratch, counter=None):
     """Advance v and mu0 along the velocity that find_utilde_lambda put in `scratch`; caches are untouched."""
-    if not (np.isfinite(lam_inc) and lam_inc >= 0.0):
+    if not 0.0 <= lam_inc < np.inf:
         raise ValueError(f"lam_inc must be finite and nonnegative, got {lam_inc}")
     quadruple.v -= lam_inc * scratch.d
     quadruple.mu0 += scratch.q * lam_inc

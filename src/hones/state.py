@@ -48,24 +48,32 @@ class Par1:
 
     def col(self, j, support):
         """Column j of M (j must be in the support) as a full-length vector."""
-        pos = int(np.searchsorted(support.idx, j))
-        return self.M[:, pos].copy()
+        return self.M[:, support.idx.searchsorted(j)].copy()
 
     def rank1(self, u, coef_s):
         """M += outer(u, coef_s) in place."""
-        self.M += np.outer(u, coef_s)
+        self.M += u[:, None] * coef_s
 
     def zero_row(self, j):
         self.M[j, :] = 0.0
 
     def insert_col(self, j, support_after):
         """Make room for a new zero column j."""
-        pos = int(np.searchsorted(support_after.idx, j))
-        self.M = np.insert(self.M, pos, 0.0, axis=1)
+        pos = support_after.idx.searchsorted(j)
+        M = self.M
+        grown = np.empty((M.shape[0], M.shape[1] + 1))
+        grown[:, :pos] = M[:, :pos]
+        grown[:, pos] = 0.0
+        grown[:, pos + 1 :] = M[:, pos:]
+        self.M = grown
 
     def remove_col(self, j, support_before):
-        pos = int(np.searchsorted(support_before.idx, j))
-        self.M = np.delete(self.M, pos, axis=1)
+        pos = support_before.idx.searchsorted(j)
+        M = self.M
+        cut = np.empty((M.shape[0], M.shape[1] - 1))
+        cut[:, :pos] = M[:, :pos]
+        cut[:, pos:] = M[:, pos + 1 :]
+        self.M = cut
 
     def refresh_from(self, other):
         """Adopt another Par1's fields in place, preserving object identity (a leg holds a reference)."""
@@ -151,9 +159,10 @@ def direct_update_par2(support, par1, c, g, counter=None):
     eta = par1.M @ gs
     off = ~support.mask
     eta[off] += g[off]
-    d_g = float(np.sum(eta[idx]))
-    d_gg = float(eta[idx] @ gs)
-    d_gc = -float(eta[idx] @ c[idx])
+    eta_s = eta[idx]
+    d_g = float(np.add.reduce(eta_s))
+    d_gg = float(eta_s @ gs)
+    d_gc = -float(eta_s @ c[idx])
     cnt.add(counter, support.n * idx.size + 2 * idx.size)
     return Par2(eta, d_g, d_gg, d_gc, g)
 
@@ -164,7 +173,7 @@ def direct_update_par3(support, par1, l, counter=None):
     xi = -(par1.M @ l[idx])
     off = ~support.mask
     xi[off] -= l[off]
-    d_l = float(np.sum(xi[idx]))
+    d_l = float(np.add.reduce(xi[idx]))
     cnt.add(counter, support.n * idx.size)
     return Par3(xi, d_l, l)
 
@@ -180,7 +189,7 @@ def refresh_quadruple(quadruple, par1, c, counter=None):
     support = quadruple.support
     idx = support.idx
     mc = par1.M @ c[idx]
-    mu0 = (1.0 - float(np.sum(mc[idx]))) / par1.D
+    mu0 = (1.0 - float(np.add.reduce(mc[idx]))) / par1.D
     v = mu0 * par1.eta_tilde + mc
     off = ~support.mask
     v[off] += c[off]

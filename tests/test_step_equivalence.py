@@ -1,0 +1,426 @@
+"""The per-step helpers compute every float from the same operands in the same order as before.
+
+Each helper on the step path was rewritten to make fewer interpreter calls.
+The `ref_*` functions below are the earlier implementations, kept here only
+as references: every case asserts identical outputs, arrays equal byte for
+byte (layout included, since later BLAS products depend on it) and scalars
+equal bit for bit, indices equal.
+"""
+
+import numpy as np
+import pytest
+
+from hones import counters as cnt
+from hones.kkt import ZETA_SCALE, Problem, Quadruple, Support, kkt_residual
+from hones.path_matrix import _first_zero
+from hones.state import Par1, direct_update_par2, direct_update_par3, par1_from_matrix
+
+from test_kkt import random_spd_problem
+
+# -- the earlier implementations -------------------------------------------
+
+
+def ref_zero_tol(v):
+    vmax = float(np.max(np.abs(v))) if np.size(v) else 0.0
+    return ZETA_SCALE * max(1.0, vmax)
+
+
+def ref_first_zero(support, v, dvec, w1, exclude, counter):
+    zeta = ref_zero_tol(v)
+    eligible = np.ones(support.n, dtype=bool)
+    if exclude is not None:
+        eligible[exclude] = False
+    if support.size == 1:
+        eligible[support.idx[0]] = False
+    live = eligible & (np.abs(v) > zeta)
+    near = np.flatnonzero(eligible & (np.abs(v) <= zeta))
+    if near.size:
+        u_near = w1 * dvec[near]
+        cnt.add(counter, near.size)
+        zeta_u = ZETA_SCALE * max(1.0, float(np.max(np.abs(u_near))))
+        inward = np.where(support.mask[near], u_near < -zeta_u, u_near > zeta_u)
+        hits = near[inward]
+        if hits.size:
+            return 0.0, int(hits[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = -v / dvec
+    if w1 > 0.0:
+        cand = live & np.isfinite(ratios) & (ratios > 0.0)
+        if not cand.any():
+            return np.inf, None
+        masked = np.where(cand, ratios, np.inf)
+        j = int(np.argmin(masked))
+    elif w1 < 0.0:
+        cand = live & np.isfinite(ratios) & (ratios < 0.0)
+        if not cand.any():
+            return np.inf, None
+        masked = np.where(cand, ratios, -np.inf)
+        j = int(np.argmax(masked))
+    else:
+        return np.inf, None
+    return float(masked[j]) / w1, j
+
+
+def ref_kkt_residual(problem, quadruple):
+    A, c = problem.A, problem.c
+    idx = quadruple.support.idx
+    x_s = quadruple.v[idx]
+    mu = quadruple.mu
+    stat = A[idx].T @ x_s - quadruple.mu0 - mu - c
+    x = quadruple.x
+    return max(
+        float(np.max(np.abs(stat))),
+        abs(float(np.sum(x_s)) - 1.0),
+        float(np.max(np.abs(mu * x))),
+        max(0.0, -float(np.min(x))),
+        max(0.0, -float(np.min(mu))),
+    )
+
+
+def ref_direct_update_par2(support, par1, c, g, counter=None):
+    idx = support.idx
+    gs = g[idx]
+    eta = par1.M @ gs
+    off = ~support.mask
+    eta[off] += g[off]
+    d_g = float(np.sum(eta[idx]))
+    d_gg = float(eta[idx] @ gs)
+    d_gc = -float(eta[idx] @ c[idx])
+    cnt.add(counter, support.n * idx.size + 2 * idx.size)
+    return eta, d_g, d_gg, d_gc
+
+
+def ref_direct_update_par3(support, par1, l, counter=None):
+    idx = support.idx
+    xi = -(par1.M @ l[idx])
+    off = ~support.mask
+    xi[off] -= l[off]
+    d_l = float(np.sum(xi[idx]))
+    cnt.add(counter, support.n * idx.size)
+    return xi, d_l
+
+
+def ref_with_added(support, j):
+    return Support(support.n, np.append(support.idx, j))
+
+
+def ref_with_removed(support, j):
+    return Support(support.n, support.idx[support.idx != j])
+
+
+def ref_insert_col(M, j, support_after):
+    return np.insert(M, int(np.searchsorted(support_after.idx, j)), 0.0, axis=1)
+
+
+def ref_remove_col(M, j, support_before):
+    return np.delete(M, int(np.searchsorted(support_before.idx, j)), axis=1)
+
+
+def ref_rank1(M, u, coef_s):
+    M += np.outer(u, coef_s)
+
+
+# -- helpers -----------------------------------------------------------------
+
+
+def bits(x):
+    """The exact bits of a float (or None), so that -0.0 and 0.0 differ."""
+    return None if x is None else np.float64(x).tobytes()
+
+
+def same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.flags.c_contiguous == b.flags.c_contiguous and a.flags.f_contiguous == b.flags.f_contiguous
+    assert a.tobytes() == b.tobytes()
+
+
+def both_first_zero(support, v, dvec, w1, exclude=None):
+    """Run both ratio tests on copies; assert the same result and tally, and untouched inputs."""
+    v0, d0 = v.copy(), dvec.copy()
+    c_new, c_ref = cnt.MultCounter(), cnt.MultCounter()
+    # A tiny velocity overflows the ratio to inf in both versions alike.
+    with np.errstate(over="ignore"):
+        a, j = _first_zero(support, v, dvec, w1, exclude, c_new)
+        a_ref, j_ref = ref_first_zero(support, v, dvec, w1, exclude, c_ref)
+    assert (bits(a), j) == (bits(a_ref), j_ref)
+    assert c_new.total == c_ref.total
+    same_array(v, v0)
+    same_array(dvec, d0)
+    return a, j
+
+
+# -- the ratio test ----------------------------------------------------------
+
+
+class TestFirstZero:
+    def test_tie_goes_to_the_smallest_index(self):
+        s = Support(5, [0, 2])
+        v = np.array([0.5, -1.0, 0.5, -1.0, -2.0])
+        dvec = np.array([1.0, 2.0, 1.0, 2.0, 1.0])
+        # Ratios -v / dvec are (-0.5, 0.5, -0.5, 0.5, 2): 1 and 3 tie when
+        # w1 > 0, 0 and 2 when w1 < 0.
+        assert both_first_zero(s, v, dvec, 1.0) == (0.5, 1)
+        assert both_first_zero(s, v, dvec, -1.0) == (0.5, 0)
+
+    def test_parked_tie_goes_to_the_smallest_index(self):
+        s = Support(4, [0, 1])
+        v = np.array([0.0, 1.0, 0.0, 0.0])
+        dvec = np.array([-1.0, 0.5, 1.0, 1.0])
+        assert both_first_zero(s, v, dvec, 1.0) == (0.0, 0)
+
+    def test_exclude(self):
+        s = Support(5, [0, 2])
+        v = np.array([0.5, -1.0, 0.5, -1.0, -2.0])
+        dvec = np.array([1.0, 2.0, 1.0, 2.0, 1.0])
+        a, j = both_first_zero(s, v, dvec, 1.0, exclude=1)
+        assert j == 3
+        # An excluded zero-parked index cannot fire either.
+        v[1] = 0.0
+        assert both_first_zero(s, v, dvec, 1.0, exclude=1)[1] == 3
+
+    def test_singleton_support_cannot_leave(self):
+        s = Support(3, [1])
+        v = np.array([-0.5, 1.0, -0.25])
+        dvec = np.array([0.0, -4.0, 0.0])
+        assert both_first_zero(s, v, dvec, 1.0) == (np.inf, None)
+        v[1] = 0.0  # parked and pushed out: still pinned
+        assert both_first_zero(s, v, dvec, 1.0) == (np.inf, None)
+
+    def test_zero_parked_pushed_inward_and_outward(self):
+        s = Support(4, [0, 1])
+        v = np.array([0.0, 1.0, 0.0, -1.0])
+        # In-support 0 pushed negative (leave), off-support 2 pushed positive (enter).
+        for dvec, want in (
+            (np.array([-1.0, 0.0, 0.0, 0.0]), (0.0, 0)),
+            (np.array([1.0, 0.0, 1.0, 0.0]), (0.0, 2)),
+        ):
+            assert both_first_zero(s, v, dvec, 1.0) == want
+        # Pushed the feasible way (0 up, 2 down): nothing fires at a = 0.
+        a, j = both_first_zero(s, v, np.array([1.0, 0.0, -1.0, 1.0]), 1.0)
+        assert (a, j) == (1.0, 3)
+        # A velocity below the parked tolerance does not fire.
+        both_first_zero(s, v, np.array([-1e-14, 0.0, 1e-14, 0.0]), 1.0)
+        for w1 in (-1.0, -3.0):
+            both_first_zero(s, v, np.array([-1.0, 0.0, 1.0, 0.0]), w1)
+
+    def test_w1_zero(self):
+        s = Support(3, [0, 1])
+        v = np.array([0.5, 0.5, -1.0])
+        assert both_first_zero(s, v, np.array([1.0, -1.0, 1.0]), 0.0) == (np.inf, None)
+        assert both_first_zero(s, v, np.array([1.0, -1.0, 1.0]), -0.0) == (np.inf, None)
+
+    def test_signed_zero_and_tiny_velocities(self):
+        s = Support(6, [0, 1, 2])
+        v = np.array([0.25, 0.25, 0.5, -1.0, -2.0, -3.0])
+        for dvec in (
+            np.array([0.0, -0.0, 1e-310, -1e-310, 0.0, -0.0]),
+            np.array([-0.0, 0.0, -1e-300, 1e-300, -5e-324, 5e-324]),
+            np.array([0.0, -1.0, 0.0, 1.0, -0.0, 2.0]),
+        ):
+            for w1 in (1.0, -1.0, 1e-300, -7.5):
+                both_first_zero(s, v, dvec, w1)
+
+    def test_zero_velocity_warns_nothing(self):
+        s = Support(3, [0, 1])
+        v = np.array([0.5, 0.5, 0.0])
+        with np.errstate(divide="raise", invalid="raise"):
+            both_first_zero(s, v, np.array([0.0, -0.0, 0.0]), 1.0)
+            both_first_zero(s, v, np.array([0.0, -1.0, 0.0]), -1.0)
+
+    def test_no_candidate(self):
+        s = Support(3, [0, 1])
+        v = np.array([0.5, 0.5, -1.0])
+        # Every coordinate moves away from zero.
+        assert both_first_zero(s, v, np.array([1.0, 1.0, -1.0]), 1.0) == (np.inf, None)
+        assert both_first_zero(s, v, np.array([-1.0, -1.0, 1.0]), -1.0) == (np.inf, None)
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(2024)
+        fired = parked = none = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 14))
+            k = int(rng.integers(1, n + 1))
+            s = Support(n, rng.choice(n, size=k, replace=False))
+            v = np.where(s.mask, rng.random(n), -rng.random(n)) * 10.0 ** rng.integers(-3, 4)
+            v[rng.random(n) < 0.2] = 0.0
+            v[rng.random(n) < 0.05] = -0.0
+            dvec = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, size=n)
+            dvec[rng.random(n) < 0.15] = rng.choice([0.0, -0.0, 1e-310, -1e-310])
+            w1 = float(rng.choice([0.0, 1.0, -1.0, rng.standard_normal()]))
+            exclude = int(rng.integers(n)) if rng.random() < 0.4 else None
+            a, j = both_first_zero(s, v, dvec, w1, exclude)
+            fired += j is not None and a > 0.0
+            parked += j is not None and a == 0.0
+            none += j is None
+        assert fired and parked and none
+
+
+# -- the residual ------------------------------------------------------------
+
+
+def random_quadruple(rng, n, k):
+    s = Support(n, rng.choice(n, size=k, replace=False))
+    v = np.where(s.mask, rng.random(n), -rng.random(n))
+    v[s.idx] /= v[s.idx].sum()
+    return s, v
+
+
+class TestKktResidual:
+    def same(self, problem, q):
+        r = kkt_residual(problem, q)
+        assert bits(r) == bits(ref_kkt_residual(problem, q))
+        return r
+
+    def test_at_the_optimum_and_off_it(self):
+        from hones.kkt import oracle_solve, solve_given_support
+
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5, 12):
+            p = random_spd_problem(rng, n, c_scale=2.0)
+            q = oracle_solve(p)
+            assert self.same(p, q) <= 1e-9
+            for k in range(1, n + 1):
+                cand = solve_given_support(p, Support(n, rng.choice(n, size=k, replace=False)))
+                self.same(p, cand)
+
+    def test_sign_terms_dominate(self):
+        p = Problem(np.eye(4), np.zeros(4))
+        s = Support(4, [0, 1])
+        for v in (
+            [1.5, -0.5, -0.25, 2.0],  # negative x and negative mu
+            [0.0, 1.0, 0.0, -0.0],  # exact zeros of either sign
+            [-0.0, 1.0, 3.0, 0.0],
+        ):
+            for mu0 in (0.0, -1.0, 2.5):
+                self.same(p, Quadruple(s, np.array(v), mu0))
+
+    def test_singleton_and_full_support(self):
+        rng = np.random.default_rng(11)
+        p = random_spd_problem(rng, 6)
+        for k in (1, 6):
+            for _ in range(20):
+                s, v = random_quadruple(rng, 6, k)
+                v += rng.standard_normal(6) * 1e-3
+                self.same(p, Quadruple(s, v, float(rng.standard_normal())))
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(99)
+        for _ in range(500):
+            n = int(rng.integers(1, 16))
+            p = random_spd_problem(rng, n, c_scale=float(rng.choice([0.0, 1.0, 10.0])))
+            s, v = random_quadruple(rng, n, int(rng.integers(1, n + 1)))
+            v *= 10.0 ** rng.integers(-8, 3)
+            v[rng.random(n) < 0.1] = -0.0
+            self.same(p, Quadruple(s, v, float(rng.standard_normal())))
+
+
+# -- the leg caches ----------------------------------------------------------
+
+
+def random_par1(rng, n, k):
+    p = random_spd_problem(rng, n)
+    s = Support(n, rng.choice(n, size=k, replace=False))
+    return p, s, par1_from_matrix(p.A[s.idx], s)
+
+
+class TestDirectUpdates:
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(1, 20))
+            p, s, par1 = random_par1(rng, n, int(rng.integers(1, n + 1)))
+            g = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 4)
+            g[rng.random(n) < 0.2] = 0.0
+            l = rng.standard_normal(n)
+            c_new, c_ref = cnt.MultCounter(), cnt.MultCounter()
+            par2 = direct_update_par2(s, par1, p.c, g, c_new)
+            eta, d_g, d_gg, d_gc = ref_direct_update_par2(s, par1, p.c, g, c_ref)
+            same_array(par2.eta, eta)
+            assert [bits(x) for x in (par2.D_g, par2.D_gg, par2.D_gc)] == [bits(x) for x in (d_g, d_gg, d_gc)]
+            par3 = direct_update_par3(s, par1, l, c_new)
+            xi, d_l = ref_direct_update_par3(s, par1, l, c_ref)
+            same_array(par3.xi, xi)
+            assert bits(par3.D_l) == bits(d_l)
+            assert c_new.total == c_ref.total
+
+
+# -- support toggles -----------------------------------------------------------
+
+
+def same_support(a, b):
+    assert a.n == b.n and a.size == b.size
+    same_array(a.idx, b.idx)
+    same_array(a.mask, b.mask)
+    assert not (a.idx.flags.writeable or a.mask.flags.writeable)
+    assert a == b and hash(a) == hash(b)
+    same_array(a.complement(), b.complement())
+
+
+class TestSupportToggles:
+    def test_every_toggle_of_small_supports(self):
+        for n in range(1, 7):
+            for bits_ in range(1, 1 << n):
+                s = Support(n, [i for i in range(n) if bits_ >> i & 1])
+                for j in range(n):
+                    if s.contains(j):
+                        if s.size > 1:
+                            same_support(s.with_removed(j), ref_with_removed(s, j))
+                        else:
+                            with pytest.raises(ValueError):
+                                s.with_removed(j)
+                    else:
+                        same_support(s.with_added(j), ref_with_added(s, j))
+
+    def test_refuses_what_it_refused(self):
+        s = Support(4, [1, 2])
+        with pytest.raises(ValueError):
+            s.with_added(1)
+        with pytest.raises(ValueError):
+            s.with_removed(0)
+
+    def test_from_sorted_matches_the_checked_constructor(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            mask = rng.random(n) < 0.5
+            mask[int(rng.integers(n))] = True
+            same_support(Support.from_sorted(np.flatnonzero(mask), mask.copy()), Support.from_mask(mask))
+
+
+# -- Par1 column updates -------------------------------------------------------
+
+
+class TestPar1Columns:
+    def test_insert_remove_rank1_sweep(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(2, 15))
+            _, s, par1 = random_par1(rng, n, int(rng.integers(1, n)))
+            j = int(rng.choice(s.complement()))
+            after = s.with_added(j)
+            ref = ref_insert_col(par1.M, j, after)
+            par1.insert_col(j, after)
+            same_array(par1.M, ref)
+
+            u = rng.standard_normal(n)
+            coef = rng.standard_normal(after.size) * 10.0 ** rng.integers(-5, 5)
+            ref = par1.M.copy()
+            ref_rank1(ref, u, coef)
+            par1.rank1(u, coef)
+            same_array(par1.M, ref)
+
+            k = int(rng.choice(after.idx))
+            if after.size > 1:
+                ref = ref_remove_col(par1.M, k, after)
+                par1.remove_col(k, after)
+                same_array(par1.M, ref)
+
+    def test_single_column(self):
+        M = np.arange(3.0).reshape(3, 1)
+        par1 = Par1(M.copy(), np.ones(3), 1.0)
+        s = Support(3, [1])
+        after = s.with_added(2)
+        par1.insert_col(2, after)
+        same_array(par1.M, ref_insert_col(M, 2, after))
+        par1.remove_col(2, after)
+        same_array(par1.M, M)
