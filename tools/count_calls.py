@@ -2,13 +2,13 @@
 
 Usage, from the root of a checkout:
 
-  python3 tools/count_calls.py ons-n100 [--seed 1]
+  python3 tools/count_calls.py ons-n100
 
-Feeds stream 0 of the seed through `perfbench/streams.run_stream`, set-up
-and input generation included, under `sys.setprofile`, and prints the
-`call` plus `c_call` events divided by the stream's step count.  The count
-is a pure function of the code and the seed, so it repeats run to run and
-can compare two checkouts on a noisy host.
+Feeds stream 0 of benchmark seed 1 through `perfbench/streams.run_stream`,
+set-up and input generation included, under `sys.setprofile`, and prints
+the `call` plus `c_call` events divided by the stream's step count.  The
+count is a pure function of the code and the seed, so it repeats run to run
+and can compare two checkouts on a noisy host.
 """
 
 import argparse
@@ -25,13 +25,12 @@ ROOT = Path(__file__).resolve().parents[1]
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import streams
 
     wl = streams.WORKLOADS[args.workload]
-    seed = streams.stream_seeds(args.seed, 1)[0]
+    seed = streams.stream_seeds(1, 1)[0]
     events = 0
 
     def count(frame, event, arg):
@@ -44,7 +43,7 @@ def main(argv=None):
         streams.run_stream(wl, seed)
     finally:
         sys.setprofile(None)
-    print(f"{args.workload} seed {args.seed}: {events / wl.steps:.1f} calls per step ({events} over {wl.steps} steps)")
+    print(f"{args.workload} seed 1: {events / wl.steps:.1f} calls per step ({events} over {wl.steps} steps)")
     return 0
 
 
