@@ -30,7 +30,8 @@ rows in place and logs g while a row is not live.  A0 is kept as its
 diagonal when it is diagonal and as a dense copy otherwise; once every row
 is live, A0 and the log are dropped.  So memory is O(s* n + k n) for k
 logged g's, not O(n^2), until every row is live.  The eager twin must
-produce identical trajectories.
+follow the same path: acceptance criterion 7 asserts equal event logs and
+per-step solutions within 1e-9 of the lazy run's.
 
 Between steps the session keeps the store, the linear term, the quadruple
 and Par1, and nothing else: each leg derives its own cache from Par1 when it
@@ -215,9 +216,9 @@ class LiveRows:
         size = self.size
         per = UPDATE_BLOCK // self.n or 1
         live = self.rows[:size]
-        g_live = g[:, None] if size == self.n else g[self.order[:size], None]
+        g_live = g if size == self.n else g[self.order[:size]]
         for k in range(0, size, per):
-            live[k : k + per] += g_live[k : k + per] * g
+            live[k : k + per] += np.einsum("i,j->ij", g_live[k : k + per], g)
         if size < self.n:
             if self.log_size == self.log.shape[0]:
                 self.log = _grown(self.log, max(2 * self.log_size, 1))
@@ -611,6 +612,9 @@ def complexity_bound(n, report):
       per refresh n s + n: one re-derivation of (v, mu0).
     Rebuilds factorize outside the tally.  An in-leg retry after a rebuild
     repeats one ratio test and advance, which this budget does not cover.
+    A step whose gauged drift is exactly zero (every markowitz step) skips
+    the vector leg and so spends none of its Par3 product, velocity and
+    advance (n s + 2 n + 1); the fixed term still counts them.
     """
     s = report.s_max
     fixed = 3 * n * s + 9 * n + 3 * s + 14

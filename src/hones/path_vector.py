@@ -79,7 +79,13 @@ def run_utilde_leg(A, l, quadruple, par1, counter=None, ensure_column=None, rebu
     returns the turning points, and enforces the same event cap.  On a
     degeneracy, `rebuild(t)` is called once to refactorize Par1 in place from
     the support rows of A; the leg then re-derives Par3 and retries.
+
+    An all-zero drift (every markowitz step) returns no turning points at
+    once, with no Par3, ratio test or advance: its velocity is exactly zero,
+    so the advance would only add signed zeros to v and mu0.
     """
+    if not np.logical_or.reduce(l):
+        return []
     return _run_leg(
         "vector",
         quadruple,

@@ -51,8 +51,12 @@ class Par1:
         return self.M[:, support.idx.searchsorted(j)].copy()
 
     def rank1(self, u, coef_s):
-        """M += outer(u, coef_s) in place."""
-        self.M += u[:, None] * coef_s
+        """M += outer(u, coef_s) in place.
+
+        einsum builds the product faster than u[:, None] * coef_s at large
+        n s, with the same values; it stores a product of -0.0 as +0.0.
+        """
+        self.M += np.einsum("i,j->ij", u, coef_s)
 
     def zero_row(self, j):
         self.M[j, :] = 0.0

@@ -190,6 +190,43 @@ class TestRunUtildeLeg:
         assert events == []
         np.testing.assert_allclose(q.x, x0, atol=1e-14)
 
+    def test_zero_drift_skips_the_leg(self, monkeypatch):
+        # A drift of exact zeros, of either sign, returns at once: no Par3,
+        # no ratio test, no advance, and every bit of the state as it was.
+        from hones import path_vector
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a zero drift derived Par3")
+
+        rng = np.random.default_rng(4)
+        p = random_spd_problem(rng, 6, c_scale=2.0)
+        q = oracle_solve(p)
+        par1 = init_par1(p, q.support)
+        q.v[q.support.complement()[:1]] = -0.0  # an advance by zero velocity would flip it
+        support, v0, mu0 = q.support, q.v.copy(), q.mu0
+        M0, teta0, D0 = par1.M.copy(), par1.eta_tilde.copy(), par1.D
+        monkeypatch.setattr(path_vector, "direct_update_par3", refuse)
+        for l in (np.zeros(6), np.full(6, -0.0), np.array([0.0, -0.0] * 3)):
+            assert run_utilde_leg(p.A, l, q, par1) == []
+            assert q.support is support and q.v.tobytes() == v0.tobytes()
+            assert np.float64(q.mu0).tobytes() == np.float64(mu0).tobytes()
+            assert par1.M.tobytes() == M0.tobytes() and par1.eta_tilde.tobytes() == teta0.tobytes()
+            assert np.float64(par1.D).tobytes() == np.float64(D0).tobytes()
+
+        # One nonzero entry, however small, runs the leg.
+        derived = []
+
+        def counted(*args, **kwargs):
+            derived.append(args)
+            return direct_update_par3(*args, **kwargs)
+
+        monkeypatch.setattr(path_vector, "direct_update_par3", counted)
+        for k in range(6):
+            l = np.zeros(6)
+            l[k] = 1e-12
+            run_utilde_leg(p.A, l, q, par1)
+        assert len(derived) == 6
+
     def test_single_leave_closed_form(self):
         p = Problem(np.eye(2), np.zeros(2))
         l = np.array([2.0, 0.0])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hones import counters as cnt
+from hones import driver
 from hones.kkt import ZETA_SCALE, Problem, Quadruple, Support, kkt_residual
 from hones.path_matrix import _first_zero
 from hones.state import Par1, direct_update_par2, direct_update_par3, par1_from_matrix
@@ -120,12 +121,49 @@ def ref_rank1(M, u, coef_s):
     M += np.outer(u, coef_s)
 
 
+def ref_par1_rank1(M, u, coef_s):
+    M += u[:, None] * coef_s
+
+
+def ref_add_outer(store, g):
+    size = store.size
+    per = driver.UPDATE_BLOCK // store.n or 1
+    live = store.rows[:size]
+    g_live = g[:, None] if size == store.n else g[store.order[:size], None]
+    for k in range(0, size, per):
+        live[k : k + per] += g_live[k : k + per] * g
+    if size < store.n:
+        if store.log_size == store.log.shape[0]:
+            store.log = driver._grown(store.log, max(2 * store.log_size, 1))
+        store.log[store.log_size] = g
+        store.log_size += 1
+
+
 # -- helpers -----------------------------------------------------------------
 
 
 def bits(x):
     """The exact bits of a float (or None), so that -0.0 and 0.0 differ."""
     return None if x is None else np.float64(x).tobytes()
+
+
+def same_up_to_zero_sign(got, want, before):
+    """Equal values, and equal bits wherever the accumulator `before` did not hold -0.0.
+
+    The einsum products store a product of -0.0 as +0.0, and only -0.0 plus
+    that product tells the two signs apart.
+    """
+    assert got.shape == want.shape and np.array_equal(got, want)
+    neg_zero = (before == 0.0) & np.signbit(before)
+    assert got[~neg_zero].tobytes() == want[~neg_zero].tobytes()
+
+
+def with_signed_zeros(rng, x, share=0.2):
+    """`x` with about `share` of its entries set to +0.0 and as many to -0.0."""
+    x = x.copy()
+    x[rng.random(x.shape) < share] = 0.0
+    x[rng.random(x.shape) < share] = -0.0
+    return x
 
 
 def same_array(a, b):
@@ -424,3 +462,77 @@ class TestPar1Columns:
         same_array(par1.M, ref_insert_col(M, 2, after))
         par1.remove_col(2, after)
         same_array(par1.M, M)
+
+
+# -- the outer products --------------------------------------------------------
+
+
+class TestOuterProducts:
+    def test_par1_rank1_with_signed_zeros(self):
+        rng = np.random.default_rng(23)
+        flipped = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 30))
+            s = int(rng.integers(1, n + 1))
+            M = with_signed_zeros(rng, rng.standard_normal((n, s)))
+            u = with_signed_zeros(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5))
+            coef = with_signed_zeros(rng, rng.standard_normal(s))
+            par1, ref = Par1(M.copy(), np.ones(n), 1.0), M.copy()
+            par1.rank1(u, coef)
+            ref_par1_rank1(ref, u, coef)
+            same_up_to_zero_sign(par1.M, ref, M)
+            assert par1.M.flags.c_contiguous
+            flipped += par1.M.tobytes() != ref.tobytes()
+        # The sweep does reach the one case where the bits differ.
+        assert flipped
+
+    def test_zero_sign_cases(self):
+        # Only -0.0 in M meeting a product of -0.0 (stored as +0.0) gives
+        # +0.0 where the broadcast product gave -0.0.
+        M = np.array([[-0.0, -0.0, 0.0, 0.0, 1.0]])
+        u, coef = np.array([1.0]), np.array([-0.0, 0.0, -0.0, 0.0, -0.0])
+        par1, ref = Par1(M.copy(), np.ones(1), 1.0), M.copy()
+        par1.rank1(u, coef)
+        ref_par1_rank1(ref, u, coef)
+        assert np.signbit(par1.M).ravel().tolist() == [False] * 5
+        assert np.signbit(ref).ravel().tolist() == [True, False, False, False, False]
+        same_up_to_zero_sign(par1.M, ref, M)
+
+    def stores(self, rng, n, lazy):
+        """Two equal LiveRows stores: all n rows live, or all but about a tenth of them."""
+        A0 = rng.standard_normal((n, n))
+        A0 = with_signed_zeros(rng, A0 + A0.T)
+        if not lazy:
+            return [driver.LiveRows(A0.copy(), np.ones(n, bool), None, np.empty((0, n))) for _ in range(2)]
+        touched = np.zeros(n, bool)
+        touched[rng.choice(n, size=n - 1 - n // 10, replace=False)] = True
+        rows = A0[touched]
+        return [driver.LiveRows(rows.copy(), touched.copy(), A0.copy(), np.empty((0, n))) for _ in range(2)]
+
+    @pytest.mark.parametrize("block", [driver.UPDATE_BLOCK, 64])
+    def test_add_outer_full_and_lazy(self, monkeypatch, block):
+        # At the real block size, n = 300 takes two blocks of up to
+        # 65536 // 300 = 218 rows, full or lazy (269 live rows); a block of 64
+        # entries splits every store into many.
+        monkeypatch.setattr(driver, "UPDATE_BLOCK", block)
+        rng = np.random.default_rng(31 + block)
+        blocks = {False: 0, True: 0}
+        for n, lazy in ((1, False), (5, True), (12, False), (40, True), (300, False), (300, True)):
+            new, ref = self.stores(rng, n, lazy)
+            for t in range(6):
+                g = with_signed_zeros(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3))
+                # Each update starts from the same rows in both stores.
+                ref.rows[: ref.size] = before = new.rows[: new.size].copy()
+                blocks[lazy] = max(blocks[lazy], -(-new.size // (block // n or 1)))
+                new.add_outer(g)
+                ref_add_outer(ref, g)
+                assert (new.size, new.log_size) == (ref.size, ref.log_size)
+                same_up_to_zero_sign(new.rows[: new.size], ref.rows[: ref.size], before)
+                same_array(new.g_log, ref.g_log)
+                if not new.full and t % 2:
+                    # A row that goes live is caught up from the same log in both.
+                    j = int(np.flatnonzero(new.slot == n)[0])
+                    new.touch(j)
+                    ref.touch(j)
+                    same_array(new[j], ref[j])
+        assert min(blocks.values()) > 1

@@ -1,54 +1,144 @@
-"""Compare the stream benchmark's `--probe` fingerprints of two checkouts.
+"""Compare the stream benchmark's fingerprints and step reports of two checkouts.
 
 Usage, from the root of a checkout:
 
   python3 tools/probe_diff.py BASE_DIR [--head HEAD_DIR] [--seeds 1 2 3]
 
-Runs `perfbench/run.py --probe` for every workload and seed in both trees,
-each in a fresh process, and prints one line per (workload, seed).  Every
-fingerprint field that moved is printed as a GitHub Actions `::warning::`
-annotation.  The exit code is 0 whether or not anything moved, so a CI step
-reports without gating; it is 2 when a probe fails to run.
+For every workload and seed it compares two things between the trees, each
+computed in a fresh process per tree:
+
+  - the `perfbench/run.py --probe` fingerprint of stream 0 (turning-point
+    counts, multiplication tally, rebuilds, support sizes, final iterate);
+  - a digest of every step of the two streams `stream_seeds(seed, 2)`: all
+    `StepReport` fields except the timings (`wall_ns`, `a_update_ns`) and
+    the multiplication tally (`mult_count`), so residuals, refreshes and
+    events to the bit, plus the final v, mu0 and M.  The per-step
+    `mult_count` sequence gets a line of its own, since a change may move
+    the tally and nothing else.
+
+It prints one line per comparison; everything that moved is also printed as
+a GitHub Actions `::warning::` annotation.  The exit code is 0 whether or
+not anything moved, so a CI step reports without gating; it is 2 when a
+child fails to run.
 """
 
 import argparse
+import dataclasses
+import hashlib
 import json
+import numbers
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 WORKLOADS = ("synthetic-n1000", "ons-n100", "markowitz-n200")
 
+# StepReport fields left out of the report digest: the two timings, and the
+# tally, which is compared on its own line.
+UNHASHED = ("wall_ns", "a_update_ns", "mult_count")
 
-def probe(root, workload, seed):
-    cmd = [sys.executable, str(Path(root) / "perfbench" / "run.py"), "--probe"]
-    cmd += ["--workload", workload, "--seed", str(seed)]
+
+def run_child(cmd):
     proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def probe(root, workload, seed):
+    cmd = [sys.executable, str(Path(root) / "perfbench" / "run.py"), "--probe"]
+    return run_child(cmd + ["--workload", workload, "--seed", str(seed)])
+
+
+def digest(root, workload, seed):
+    return run_child([sys.executable, __file__, "--digest-of", str(root), workload, str(seed)])
+
+
+def _feed(h, value):
+    """Feed `value` to the hash `h` exactly: floats by their bits, arrays by dtype, shape and bytes."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if f.name not in UNHASHED:
+                h.update(f.name.encode())
+                _feed(h, getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        h.update(b"[%d" % len(value))
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, numbers.Integral):
+        h.update(b"i%d" % int(value))
+    elif isinstance(value, numbers.Real):
+        h.update(b"f" + struct.pack("<d", float(value)))
+    elif hasattr(value, "dtype"):
+        h.update(f"a{value.dtype.str}{value.shape}".encode() + value.tobytes())
+    else:
+        h.update(b"s" + str(value).encode())
+
+
+def report_digest(root, workload, seed):
+    """The report and tally digests of the two streams of `seed`, from the tree at `root`."""
+    root = Path(root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import streams
+
+    wl = streams.WORKLOADS[workload]
+    step = streams.driver.step
+    reports = []
+
+    def recorded(*args, **kwargs):
+        report = step(*args, **kwargs)
+        reports.append(report)
+        return report
+
+    streams.driver.step = recorded
+    h_rep, h_mult = hashlib.sha256(), hashlib.sha256()
+    mult_total = 0
+    for s in streams.stream_seeds(seed, 2):
+        reports.clear()
+        res = streams.run_stream(wl, s)
+        ses = res.session
+        _feed(h_rep, [res.error, reports, ses.quadruple.v, ses.quadruple.mu0, ses.par1.M])
+        mults = [r.mult_count for r in reports]
+        _feed(h_mult, mults)
+        mult_total += sum(mults)
+    return {
+        "report digest": {"reports": h_rep.hexdigest()[:16]},
+        "mult_count sequence": {"mult_count": h_mult.hexdigest()[:16], "mult_total": mult_total},
+    }
+
+
 def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] == ["--digest-of"]:
+        _, root, workload, seed = argv
+        print(json.dumps(report_digest(root, workload, int(seed))))
+        return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="checkout of the base commit")
     parser.add_argument("--head", default=str(Path(__file__).resolve().parents[1]), help="checkout to compare")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
-    moved = 0
+    moved = dict.fromkeys(("fingerprint", "report digest", "mult_count sequence"), 0)
     for workload in WORKLOADS:
         for seed in args.seeds:
             try:
-                base, head = probe(args.base, workload, seed), probe(args.head, workload, seed)
+                fps = probe(args.base, workload, seed), probe(args.head, workload, seed)
+                digs = digest(args.base, workload, seed), digest(args.head, workload, seed)
             except RuntimeError as err:
                 print(f"::error::{err}")
                 return 2
-            diff = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
-            for key in diff:
-                print(f"::warning::{workload} seed {seed}: fingerprint {key} moved {base.get(key)} -> {head.get(key)}")
-            print(f"{'moved' if diff else 'same '} {workload} seed {seed}: {json.dumps(head, sort_keys=True)}")
-            moved += bool(diff)
-    print(f"{moved} of {len(WORKLOADS) * len(args.seeds)} fingerprints moved")
+            where = f"{workload} seed {seed}"
+            pairs = {"fingerprint": fps, **{name: (digs[0][name], digs[1][name]) for name in digs[0]}}
+            for name, (base, head) in pairs.items():
+                diff = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
+                for key in diff:
+                    print(f"::warning::{where}: {name} {key} moved {base.get(key)} -> {head.get(key)}")
+                print(f"{'moved' if diff else 'same '} {where}: {name} {json.dumps(head, sort_keys=True)}")
+                moved[name] += bool(diff)
+    total = len(WORKLOADS) * len(args.seeds)
+    print(", ".join(f"{count} of {total} {name}s moved" for name, count in moved.items()))
     return 0
 
 
