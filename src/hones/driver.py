@@ -25,11 +25,16 @@ pristine A0 and the g log that a row is caught up from when it goes live.
 The live rows are those of S* in lazy mode and all n in eager mode;
 init_session picks them, and from then on both modes run the same code.
 The legs call the store's `touch(j)` before j enters a support, and `step`
-calls its `add_outer(g)` once, which adds the rank-one term to the live
-rows in place and logs g while a row is not live.  A0 is kept as its
-diagonal when it is diagonal and as a dense copy otherwise; once every row
-is live, A0 and the log are dropped.  So memory is O(s* n + k n) for k
-logged g's, not O(n^2), until every row is live.  The eager twin must
+calls its `add_outer(g, idx)` once, with the support the matrix leg ends
+on.  While a row is not live, that call logs g and adds the rank-one term
+to the support's rows only, so a step costs O(s n) in the store plus its
+replays: every other live row carries a stamp, the number of logged g's it
+includes, and is brought current from the log, in step order and so bit
+for bit, when `touch` or a read reaches it or when the last row goes live.
+A0 is kept as its diagonal when it is diagonal and as a dense copy
+otherwise; once every row is live, every row is current, A0 and the log are
+dropped, and `add_outer` adds to all n rows.  So memory is O(s* n + k n)
+for k logged g's, not O(n^2), until every row is live.  The eager twin must
 follow the same path: acceptance criterion 7 asserts equal event logs and
 per-step solutions within 1e-9 of the lazy run's.
 
@@ -73,6 +78,9 @@ REBUILD_EVERY = 1000
 # the temporaries off fresh pages: one s* x n temporary (1.2 MB at s* = 150)
 # costs more in page faults than the adds.
 UPDATE_BLOCK = 65536
+
+# The stamp of a row that is not live: above any log size.
+NOT_LIVE = np.iinfo(np.intp).max
 
 
 @dataclass
@@ -142,9 +150,9 @@ class LiveRows:
     The store is the session's whole matrix state.  `touched` marks the rows
     whose index has ever entered a support (the set S*).  The live rows are
     either all n (eager mode) or exactly the touched ones (lazy mode).  Row j
-    sits in block row slot[j] of `rows`, and order[i] is the index of block
-    row i; once every row is live, the block is in index order and both maps
-    are the identity, so reads skip them.  A row that is not live has slot
+    sits in block row slot[j] of `rows`, in the order the rows went live;
+    once every row is live, the block is in index order and the slot map is
+    the identity, so reads skip it.  A row that is not live has slot
     n, which lies past the block (it never holds more than n rows), so
     reading it raises IndexError and never returns another row.  The reads
     the solver makes all go by row: A[j], A[j, cols], A[idx] and
@@ -153,17 +161,27 @@ class LiveRows:
     While a row is not live, `a0` keeps the pristine initial matrix (its
     diagonal, or a dense copy) and the log keeps every g added since, one per
     row of a doubling buffer; a row that goes live is rebuilt from the two.
-    Both are dropped as soon as every row is live.  `busy_ns` counts the
-    nanoseconds spent on catch-ups, row updates and the log.
+    Until every row is live, a live row j also carries a stamp, stamp[j]:
+    how many logged g's it already includes.  `add_outer` brings only the
+    rows it is given (the step's support) up to the new g, so a step costs
+    O(s n) and the other live rows fall behind.  A row that has fallen
+    behind (a stale row) is brought current by replaying its missed logged
+    terms in step order, which gives it the very bits the per-step adds
+    would have; that happens when `touch` reaches it, when any read covers
+    it (so `save` writes current rows) and, for every stale row at once,
+    when the last row goes live.  Then A0 and the log are dropped, and every
+    row is current from there on.  `busy_ns` counts the nanoseconds spent on
+    catch-ups, replays, row updates and the log.
     """
 
-    __slots__ = ("n", "rows", "slot", "order", "size", "touched", "a0", "log", "log_size", "busy_ns")
+    __slots__ = ("n", "rows", "slot", "size", "touched", "a0", "log", "log_size", "stamp", "scratch", "busy_ns")
 
     def __init__(self, rows, touched, a0, log):
         """`rows` holds every row, or the touched rows in increasing index order.
 
-        The store adopts `rows`, the writable mask `touched` and `log` (the
-        logged g's, one per row); `a0` is None when every row is live.
+        The store adopts `rows` (all current), the writable mask `touched` and
+        `log` (the logged g's, one per row); `a0` is None when every row is
+        live.
         """
         self.n = n = rows.shape[1]
         live = np.arange(n) if rows.shape[0] == n else np.flatnonzero(touched)
@@ -171,20 +189,28 @@ class LiveRows:
         self.size = live.size
         self.slot = np.full(n, n, dtype=np.intp)
         self.slot[live] = np.arange(live.size)
-        self.order = np.zeros(n, dtype=np.intp)
-        self.order[: live.size] = live
         self.touched = touched
         self.a0 = a0
         self.log = log
         self.log_size = log.shape[0]
+        # A row that is not live carries a stamp no log reaches, so no read
+        # takes it for stale; the read then raises at its slot.
+        self.stamp = np.full(n, NOT_LIVE, dtype=np.intp)
+        self.stamp[live] = self.log_size
+        self.scratch = None
         self.busy_ns = 0
 
     def __getitem__(self, key):
-        if self.size == self.n:  # every row live, in index order
+        if self.size == self.n:  # every row live and current, in index order
             return self.rows[key]
-        if isinstance(key, tuple):
-            return self.rows[(self.slot[key[0]],) + key[1:]]
-        return self.rows[self.slot[key]]
+        rows = key[0] if isinstance(key, tuple) else key
+        if np.minimum.reduce(self.stamp[rows], axis=None, initial=NOT_LIVE) < self.log_size:
+            t0 = time.perf_counter_ns()
+            self._bring_current(rows)
+            self.busy_ns += time.perf_counter_ns() - t0
+        if rows is key:
+            return self.rows[self.slot[key]]
+        return self.rows[(self.slot[rows],) + key[1:]]
 
     @property
     def full(self):
@@ -199,31 +225,48 @@ class LiveRows:
         """Indices of the live rows, increasing."""
         return np.flatnonzero(self.slot < self.n)
 
+    def _bring_current(self, rows):
+        """Replay every stale live row among `rows` (any row index); rows that are not live are left alone."""
+        stale = np.zeros(self.n, dtype=bool)
+        stale[rows] = True
+        stale &= self.stamp < self.log_size
+        for j in stale.nonzero()[0]:
+            _replay(self, j)
+
     def touch(self, j):
-        """Add j to the touched set; a row j that is not live is caught up first."""
-        if self.slot[j] == self.n:
+        """Add j to the touched set; row j is made live or brought current first if it is not."""
+        if self.stamp[j] != self.log_size:
             t0 = time.perf_counter_ns()
             _catch_up_column(self, j)
             self.busy_ns += time.perf_counter_ns() - t0
         self.touched[j] = True
 
-    def add_outer(self, g):
-        """Row j += g[j] g for every live j, over contiguous blocks of about UPDATE_BLOCK entries.
+    def add_outer(self, g, idx):
+        """Row j += g[j] g for every j in `idx` (distinct, live), or for every row once all are live.
 
-        While a row is not live, g is also logged for it.
+        The rows go in blocks of about UPDATE_BLOCK entries.  While a row is
+        not live, g is also logged, and the rows of `idx`, brought current
+        first, are stamped with the new log size; every other live row falls
+        one more logged g behind.
         """
         t0 = time.perf_counter_ns()
-        size = self.size
-        per = UPDATE_BLOCK // self.n or 1
-        live = self.rows[:size]
-        g_live = g if size == self.n else g[self.order[:size]]
-        for k in range(0, size, per):
-            live[k : k + per] += np.einsum("i,j->ij", g_live[k : k + per], g)
-        if size < self.n:
+        n = self.n
+        per = UPDATE_BLOCK // n or 1
+        if self.size == n:
+            live = self.rows
+            for k in range(0, n, per):
+                live[k : k + per] += np.einsum("i,j->ij", g[k : k + per], g)
+        else:
+            if np.minimum.reduce(self.stamp[idx], initial=NOT_LIVE) < self.log_size:
+                self._bring_current(idx)
+            slots, g_s = self.slot[idx], g[idx]
+            for k in range(0, idx.size, per):
+                self.rows[slots[k : k + per]] += np.einsum("i,j->ij", g_s[k : k + per], g)
             if self.log_size == self.log.shape[0]:
                 self.log = _grown(self.log, max(2 * self.log_size, 1))
             self.log[self.log_size] = g
             self.log_size += 1
+            self.stamp[idx] = self.log_size
         self.busy_ns += time.perf_counter_ns() - t0
 
 
@@ -231,10 +274,12 @@ class SolverSession:
     """All state of one sequential solve that lasts from one step to the next.
 
     `A` is the LiveRows store, which owns the whole matrix state: the live
-    rows, the touched set S*, and the pristine A0 and g log that stale rows
-    are caught up from.  Its invariant: each live row equals the initial row
-    plus the rank-one contributions of every step so far; a row that is not
-    live is not stored, and reading it raises.
+    rows, the touched set S*, and the pristine A0 and g log that rows are
+    caught up from.  Its invariant: each live row, as read, equals the
+    initial row plus the rank-one contributions of every step so far (the
+    store brings a stale row current before a read returns it, and the
+    support's rows are always current); a row that is not live is not
+    stored, and reading it raises.
 
     A, c and the logged g's are in the gauge the legs run in; c_shift is that
     c minus the caller's last linear term (zero until a step fuses a drift).
@@ -398,17 +443,22 @@ def init_session(A0, c0, config=None):
 def _catch_up_column(store, j):
     """Make row j (column j of the symmetric A) of the LiveRows `store` live and current.
 
-    The row takes the next free block row, grown by doubling when full, and
-    gets the pristine row of A0 plus G' G[:, j] over the logged g's, which
-    the log keeps as one contiguous block.  Once every row is live, neither
-    is needed again, so both are dropped.
+    A live row that has fallen behind is replayed (see `_replay`).  A row
+    that is not live takes the next free block row, grown by doubling when
+    full, and gets the pristine row of A0 plus G' G[:, j] over the logged
+    g's, which the log keeps as one contiguous block.  When that makes every
+    row live, every stale row is replayed, and A0, the log and the replay
+    scratch, no longer needed, are dropped.
     """
+    if store.slot[j] < store.n:
+        _replay(store, j)
+        return
     i = store.size
     if i == store.rows.shape[0]:
         store.rows = _grown(store.rows, min(2 * i, store.n))
     store.slot[j] = i
-    store.order[i] = j
     store.size += 1
+    store.stamp[j] = store.log_size
     row = store.rows[i]
     a0 = store.a0
     if a0.ndim == 1:
@@ -420,14 +470,42 @@ def _catch_up_column(store, j):
         G = store.g_log
         row += G.T @ G[:, j]
     if store.full:
-        # Every row is live: put the block in index order, so that reads and
-        # the rank-one update no longer go through the slot map.
+        store._bring_current(slice(None))
+        # Every row is live and current: put the block in index order, so
+        # that reads and the rank-one update no longer go through the slot map.
         store.rows = store.rows[store.slot]
         store.slot = np.arange(store.n)
-        store.order = np.arange(store.n)
         store.a0 = None
         store.log = np.empty((0, store.n))
         store.log_size = 0
+        store.stamp = np.zeros(store.n, dtype=np.intp)
+        store.scratch = None
+
+
+def _replay(store, j):
+    """Bring the live row j of `store` current: add the logged terms it missed, in step order.
+
+    Per chunk of logged g's, the scratch block P (UPDATE_BLOCK // n rows, at
+    least 2, kept by the store) takes the row followed by G[a:b, j] * G[a:b],
+    and the row becomes the sum of P down its rows.  numpy sums a
+    C-contiguous block of two or more columns down axis 0 one row after the
+    other, so this is the row plus each term in turn, the bits of the
+    per-step adds; only a one-column block is summed pairwise, and a
+    one-row store is always full, so it never replays.
+    """
+    P = store.scratch
+    if P is None:
+        P = store.scratch = np.empty((max(UPDATE_BLOCK // store.n, 2), store.n))
+    per = P.shape[0] - 1
+    row = store.rows[store.slot[j]]
+    G = store.g_log
+    end = store.log_size
+    for a in range(store.stamp[j], end, per):
+        b = min(a + per, end)
+        P[0] = row
+        np.einsum("k,ki->ki", G[a:b, j], G[a:b], out=P[1 : b - a + 1])
+        np.add.reduce(P[: b - a + 1], axis=0, out=row)
+    store.stamp[j] = end
 
 
 def _gauge_share(g, l):
@@ -508,7 +586,7 @@ def step(session, g_t, c_t):
         ensure_column=A.touch,
         rebuild=lambda lam: rebuild(session, A[q.support.idx] + lam * np.outer(g[q.support.idx], g)),
     )
-    A.add_outer(g)
+    A.add_outer(g, q.support.idx)
     events_c = run_utilde_leg(
         A,
         c_new - session.c,

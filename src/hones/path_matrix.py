@@ -20,6 +20,8 @@ from .state import direct_update_par2
 # A leg raises CycleLimit past this many turning points per index (10 n).
 CYCLE_CAP_PER_INDEX = 10
 
+DBL_MAX = float(np.finfo(np.float64).max)
+
 
 @dataclass(slots=True)
 class PathEvent:
@@ -65,7 +67,8 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
     increments.  Smallest index wins ties.
     """
     av = np.abs(v)
-    zeta = _tiny(float(np.maximum.reduce(av)))
+    vmax = float(np.maximum.reduce(av))
+    zeta = _tiny(vmax)
     live = av > zeta
     near = av <= zeta
     if exclude is not None:
@@ -89,9 +92,11 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
 
     if not (w1 > 0.0 or w1 < 0.0):
         return np.inf, None
-    # Only a zero velocity can make the division warn.
-    if 0.0 in dvec:
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # Only a zero velocity, or one so small that some |v_i / dvec_i| passes
+    # DBL_MAX, can make the division warn.  Such an entry has
+    # |dvec_i| < |v_i| / DBL_MAX, which rounds to at most vmax / DBL_MAX.
+    if True in (np.abs(dvec) <= vmax / DBL_MAX):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratios = -v / dvec
     else:
         ratios = -v / dvec

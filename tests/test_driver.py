@@ -31,6 +31,8 @@ from hones.errors import CycleLimit, DegenerateDenominator, HonesError
 from hones.kkt import DEFAULT_COND_CAP, Problem, oracle_solve
 from hones.path_matrix import PathEvent
 
+from test_step_equivalence import ref_add_outer
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -357,9 +359,9 @@ class TestLazyA:
             step(eager, *next(it_b))
             A = lazy.A
             if not A.full:
-                unsorted |= bool((np.diff(A.order[: A.size]) < 0).any())
+                unsorted |= bool((np.diff(A.slot[A.live()]) < 0).any())
         assert unsorted and lazy.A.full
-        assert np.array_equal(lazy.A.slot, np.arange(n)) and np.array_equal(lazy.A.order, np.arange(n))
+        assert np.array_equal(lazy.A.slot, np.arange(n))
         np.testing.assert_allclose(lazy.A.rows, eager.A.rows, rtol=1e-12)
         assert lazy.A[np.arange(n)].tobytes() == lazy.A.rows.tobytes()
 
@@ -382,6 +384,90 @@ class TestLazyA:
             with pytest.raises(IndexError):
                 read()
         assert ses.A[np.ix_(live, stale)].shape == (live.size, stale.size)
+
+    @staticmethod
+    def stale_and_reference(monkeypatch, n, seed, steps):
+        """A lazy session with stale rows after `steps`, and its twin whose store adds every g to every live row."""
+        with monkeypatch.context() as m:
+            m.setattr(driver.LiveRows, "add_outer", lambda store, g, idx: ref_add_outer(store, g))
+            ref, flow = synthetic_session(n, seed)
+            run_sequence(ref, flow, steps)
+        lazy, flow = synthetic_session(n, seed)
+        run_sequence(lazy, flow, steps)
+        A = lazy.A
+        live = A.live()
+        assert np.array_equal(live, ref.A.live()) and not A.full
+        assert (ref.A.stamp[live] == ref.A.log_size).all()
+        stale = live[A.stamp[live] < A.log_size]
+        assert stale.size >= 4 and (A.stamp[lazy.support.idx] == A.log_size).all()
+        return lazy, ref, stale
+
+    @pytest.mark.parametrize("read", ["row", "row-cols", "rows", "ix"])
+    def test_a_read_of_stale_rows_returns_them_current(self, monkeypatch, read):
+        # A read brings exactly the stale rows it covers current, to the
+        # bits of the per-step adds, and leaves the other stale rows behind.
+        lazy, ref, stale = self.stale_and_reference(monkeypatch, 60, 23, 60)
+        j = int(stale[0])
+        mixed = np.sort(np.append(lazy.support.idx, stale[:2]))
+        key, brought = {
+            "row": (j, stale[:1]),
+            "row-cols": ((j, mixed), stale[:1]),
+            "rows": (mixed, stale[:2]),
+            "ix": (np.ix_(mixed, mixed), stale[:2]),
+        }[read]
+        assert lazy.A[key].tobytes() == ref.A[key].tobytes()
+        behind = np.setdiff1d(stale, brought)
+        assert (lazy.A.stamp[brought] == lazy.A.log_size).all()
+        assert behind.size and (lazy.A.stamp[behind] < lazy.A.log_size).all()
+
+    @pytest.mark.parametrize("n, seed, marks", [(200, 89, (20, 30, 60)), (12, 2, (6, 40))])
+    def test_save_with_stale_rows_writes_the_reference_bytes(self, tmp_path, monkeypatch, n, seed, marks):
+        # The reference store adds every g to every live row as it comes; the
+        # lazy one saves with stale rows, and at n = 12 also after step 9,
+        # whose last row to go live replayed the rows stale since step 6.
+        steps = marks[-1]
+        saved = {}
+        for name in ("ref", "lazy"):
+            with monkeypatch.context() as m:
+                if name == "ref":
+                    m.setattr(driver.LiveRows, "add_outer", lambda store, g, idx: ref_add_outer(store, g))
+                ses, flow = synthetic_session(n, seed)
+                for t, (g, c) in enumerate(flow, start=1):
+                    step(ses, g, c)
+                    if t in marks:
+                        A = ses.A
+                        if name == "lazy" and t == marks[0]:
+                            assert (A.stamp[A.live()] < A.log_size).any()
+                        ses.save(tmp_path / f"{name}-{t}.bin")
+                        saved[name, t] = (tmp_path / f"{name}-{t}.bin").read_bytes()
+                    if t == steps:
+                        break
+        assert ses.A.full == (n == 12)
+        for t in marks:
+            assert saved["lazy", t] == saved["ref", t]
+
+    def test_session_continued_after_a_mid_stream_save_is_bit_identical(self, tmp_path):
+        # Saving brings the stale rows current, and loading makes every row
+        # current; neither moves a bit of what follows.
+        n, steps = 200, 120
+        plain, flow = synthetic_session(n, seed=89)
+        saver, _ = synthetic_session(n, seed=89)
+        twin = None
+        for t, (g, c) in enumerate(flow, start=1):
+            if t == steps // 2:
+                assert (saver.A.stamp[saver.A.live()] < saver.A.log_size).any()
+                saver.save(tmp_path / "mid.bin")
+                twin = SolverSession.load(tmp_path / "mid.bin")
+            reps = [step(ses, g, c) for ses in (plain, saver) + ((twin,) if twin else ())]
+            assert all(_fields(r) == _fields(reps[0]) for r in reps)
+            assert all(r.events == reps[0].events for r in reps)
+            assert all(ses.x.tobytes() == plain.x.tobytes() for ses in (saver, twin) if ses)
+            if t == steps:
+                break
+        for name, ses in (("plain", plain), ("saver", saver), ("twin", twin)):
+            ses.save(tmp_path / f"{name}.bin")
+        assert (tmp_path / "plain.bin").read_bytes() == (tmp_path / "saver.bin").read_bytes()
+        assert (tmp_path / "plain.bin").read_bytes() == (tmp_path / "twin.bin").read_bytes()
 
     def test_dense_initial_matrix_matches_eager_twin_and_oracle(self, tmp_path):
         # A non-diagonal A0 is kept as a dense copy, the pristine source of
@@ -418,7 +504,7 @@ class TestLazyA:
         run_sequence(ses, flow, steps)
         r = np.flatnonzero(ses.A.touched).size
         assert r < n and ses.A.a0.shape == (n,)
-        arrays = [ses.A.rows, ses.A.slot, ses.A.order, ses.A.touched, ses.A.a0, ses.A.log, ses.par1.M, ses.quadruple.v]
+        arrays = [ses.A.rows, ses.A.slot, ses.A.stamp, ses.A.touched, ses.A.a0, ses.A.log, ses.par1.M, ses.quadruple.v]
         arrays += [v for v in vars(ses).values() if isinstance(v, np.ndarray)]
         assert all(a.size < n * n for a in arrays)
         path = tmp_path / "session.bin"
@@ -429,12 +515,17 @@ class TestLazyA:
     def test_only_lazy_sessions_catch_rows_up(self, monkeypatch):
         # Eager sessions have every row live from the start, so no step may
         # reach the catch-up; the lazy twin reaches it through the driver
-        # global, which a tracer rebinds.
+        # global, which a tracer rebinds, both to make a row live and to
+        # replay a live row that has fallen behind.
         n, steps = 20, 50
-        real, calls = driver._catch_up_column, []
+        real, calls, replays = driver._catch_up_column, [], []
 
         def counted(store, j):
-            calls.append(j)
+            if store.slot[j] == store.n:
+                calls.append(j)
+            else:
+                assert store.stamp[j] < store.log_size
+                replays.append(j)
             real(store, j)
 
         monkeypatch.setattr(driver, "_catch_up_column", counted)
@@ -443,6 +534,7 @@ class TestLazyA:
         run_sequence(lazy, flow, steps)
         # Each row that went live after init was caught up exactly once.
         assert calls and np.array_equal(np.sort(calls), np.setdiff1d(lazy.A.live(), initial))
+        assert replays
 
         def refuse(store, j):
             raise AssertionError(f"eager session caught up row {j}")

@@ -129,7 +129,8 @@ def ref_add_outer(store, g):
     size = store.size
     per = driver.UPDATE_BLOCK // store.n or 1
     live = store.rows[:size]
-    g_live = g[:, None] if size == store.n else g[store.order[:size], None]
+    order = np.argsort(store.slot, kind="stable")[:size]  # the index of each block row
+    g_live = g[:, None] if size == store.n else g[order, None]
     for k in range(0, size, per):
         live[k : k + per] += g_live[k : k + per] * g
     if size < store.n:
@@ -137,6 +138,8 @@ def ref_add_outer(store, g):
             store.log = driver._grown(store.log, max(2 * store.log_size, 1))
         store.log[store.log_size] = g
         store.log_size += 1
+        # Every live row now holds every logged g.
+        store.stamp[order] = store.log_size
 
 
 # -- helpers -----------------------------------------------------------------
@@ -264,6 +267,30 @@ class TestFirstZero:
         with np.errstate(divide="raise", invalid="raise"):
             both_first_zero(s, v, np.array([0.0, -0.0, 0.0]), 1.0)
             both_first_zero(s, v, np.array([0.0, -1.0, 0.0]), -1.0)
+
+    def test_tiny_velocity_warns_nothing(self):
+        # A velocity entry so small that -v / dvec overflows takes the guarded
+        # division, like a zero one: the ratio is inf, and inf is no candidate.
+        s = Support(4, [0, 1])
+        v = np.array([0.5, 0.5, -1.0, -2.0])
+        for dvec in (np.array([1.0, -1.0, 5e-324, 1.0]), np.array([1e-300, -1.0, -1e-310, 2.0])):
+            for w1 in (1.0, -1.0):
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    got = _first_zero(s, v, dvec, w1, None, None)
+                a, j = both_first_zero(s, v, dvec, w1)
+                assert (bits(got[0]), got[1]) == (bits(a), j) and j != 2
+
+    def test_tiny_drift_runs_the_vector_leg_without_warning(self):
+        # A drift entry of 5e-324 at n = 6 made the leg's ratio test overflow,
+        # which pytest's warnings-as-errors turned into an exception.
+        from hones.path_vector import run_utilde_leg
+
+        problem = random_spd_problem(np.random.default_rng(4), 6)
+        for i in range(6):
+            ses = driver.init_session(problem.A, problem.c)
+            l = np.zeros(6)
+            l[i] = 5e-324
+            assert run_utilde_leg(ses.A, l, ses.quadruple, ses.par1) == []
 
     def test_no_candidate(self):
         s = Support(3, [0, 1])
@@ -512,8 +539,11 @@ class TestOuterProducts:
     @pytest.mark.parametrize("block", [driver.UPDATE_BLOCK, 64])
     def test_add_outer_full_and_lazy(self, monkeypatch, block):
         # At the real block size, n = 300 takes two blocks of up to
-        # 65536 // 300 = 218 rows, full or lazy (269 live rows); a block of 64
-        # entries splits every store into many.
+        # 65536 // 300 = 218 rows, full, or lazy on every live row (269); a
+        # block of 64 entries splits every store into many.  A lazy store
+        # adds only to the rows it is given (all live rows on even steps,
+        # about a third of them on odd ones), and the rest are replayed when
+        # the comparison reads them through the store.
         monkeypatch.setattr(driver, "UPDATE_BLOCK", block)
         rng = np.random.default_rng(31 + block)
         blocks = {False: 0, True: 0}
@@ -521,13 +551,15 @@ class TestOuterProducts:
             new, ref = self.stores(rng, n, lazy)
             for t in range(6):
                 g = with_signed_zeros(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3))
+                live = new.live()
+                idx = live if t % 2 == 0 else np.sort(rng.choice(live, size=live.size // 3, replace=False))
                 # Each update starts from the same rows in both stores.
-                ref.rows[: ref.size] = before = new.rows[: new.size].copy()
-                blocks[lazy] = max(blocks[lazy], -(-new.size // (block // n or 1)))
-                new.add_outer(g)
+                ref.rows[ref.slot[live]] = before = new[live].copy()
+                blocks[lazy] = max(blocks[lazy], -(-(n if new.full else idx.size) // (block // n or 1)))
+                new.add_outer(g, idx)
                 ref_add_outer(ref, g)
                 assert (new.size, new.log_size) == (ref.size, ref.log_size)
-                same_up_to_zero_sign(new.rows[: new.size], ref.rows[: ref.size], before)
+                same_up_to_zero_sign(new[live], ref.rows[ref.slot[live]], before)
                 same_array(new.g_log, ref.g_log)
                 if not new.full and t % 2:
                     # A row that goes live is caught up from the same log in both.
@@ -536,3 +568,53 @@ class TestOuterProducts:
                     ref.touch(j)
                     same_array(new[j], ref[j])
         assert min(blocks.values()) > 1
+
+
+# -- the replay of stale rows ------------------------------------------------
+
+
+class TestReplay:
+    @pytest.mark.parametrize("n", [2, 3, 7, 100, 1000])
+    @pytest.mark.parametrize("block", [driver.UPDATE_BLOCK, 64])
+    def test_replay_equals_per_step_adds(self, monkeypatch, n, block):
+        # Two equal stores take the same g's, with signed zeros in g and in
+        # the rows.  One adds each g to every live row as it comes; the other
+        # adds it to the first live row only when there are three, and its
+        # other rows catch up by replay: the middle one at every fifth step,
+        # the last one once, over more steps than one chunk of a replay holds
+        # (n = 2 has one live row, which only the replay brings current).
+        # The rows must agree to the bit.
+        monkeypatch.setattr(driver, "UPDATE_BLOCK", block)
+        rng = np.random.default_rng(n + block)
+        per = max(block // n, 2) - 1  # logged terms per chunk of a replay
+        steps = per + 3
+        live = np.arange(min(n - 1, 3))
+        touched = np.zeros(n, bool)
+        touched[live] = True
+        rows = with_signed_zeros(rng, rng.standard_normal((live.size, n)))
+        step_store, replay_store = (
+            driver.LiveRows(rows.copy(), touched.copy(), np.ones(n), np.empty((0, n))) for _ in range(2)
+        )
+        for t in range(steps):
+            g = with_signed_zeros(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3))
+            step_store.add_outer(g, live)
+            replay_store.add_outer(g, live[: live.size // 3])
+            if live.size == 3 and t % 5 == 0:
+                same_array(replay_store[live[1]], step_store[live[1]])
+        assert replay_store.stamp[live[-1]] == 0 and replay_store.log_size == steps
+        same_array(replay_store[live], step_store[live])
+        assert (replay_store.stamp[live] == steps).all()
+
+    def test_one_row_store_never_replays(self, monkeypatch):
+        # A one-row store is always full: its single row is live from the
+        # start and gets every g as it comes.
+        def refuse(store, j):
+            raise AssertionError(f"replayed row {j}")
+
+        monkeypatch.setattr(driver, "_replay", refuse)
+        ses = driver.init_session(np.array([[2.0]]), np.array([0.5]))
+        assert ses.A.full and ses.A.a0 is None
+        for t in range(5):
+            driver.step(ses, np.array([-0.0 if t % 2 else 1.5]), np.array([0.1 * t]))
+            assert ses.A[0, 0] == ses.A.rows[0, 0] and ses.A.log_size == 0
+        assert ses.A.full

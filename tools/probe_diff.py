@@ -14,7 +14,10 @@ computed in a fresh process per tree:
     the multiplication tally (`mult_count`), so residuals, refreshes and
     events to the bit, plus the final v, mu0 and M.  The per-step
     `mult_count` sequence gets a line of its own, since a change may move
-    the tally and nothing else.
+    the tally and nothing else;
+  - the sha256 of the `SolverSession.save` bytes at the end of each of the
+    same two streams: the stored rows, the touched-row mask and the g log,
+    which neither of the above sees.
 
 It prints one line per comparison; everything that moved is also printed as
 a GitHub Actions `::warning::` annotation.  The exit code is 0 whether or
@@ -30,6 +33,7 @@ import numbers
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("synthetic-n1000", "ons-n100", "markowitz-n200")
@@ -92,19 +96,24 @@ def report_digest(root, workload, seed):
         return report
 
     streams.driver.step = recorded
-    h_rep, h_mult = hashlib.sha256(), hashlib.sha256()
+    h_rep, h_mult, h_save = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     mult_total = 0
-    for s in streams.stream_seeds(seed, 2):
-        reports.clear()
-        res = streams.run_stream(wl, s)
-        ses = res.session
-        _feed(h_rep, [res.error, reports, ses.quadruple.v, ses.quadruple.mu0, ses.par1.M])
-        mults = [r.mult_count for r in reports]
-        _feed(h_mult, mults)
-        mult_total += sum(mults)
+    with tempfile.TemporaryDirectory() as tmp:
+        for s in streams.stream_seeds(seed, 2):
+            reports.clear()
+            res = streams.run_stream(wl, s)
+            ses = res.session
+            _feed(h_rep, [res.error, reports, ses.quadruple.v, ses.quadruple.mu0, ses.par1.M])
+            mults = [r.mult_count for r in reports]
+            _feed(h_mult, mults)
+            mult_total += sum(mults)
+            path = Path(tmp) / "session.bin"
+            ses.save(path)
+            h_save.update(path.read_bytes())
     return {
         "report digest": {"reports": h_rep.hexdigest()[:16]},
         "mult_count sequence": {"mult_count": h_mult.hexdigest()[:16], "mult_total": mult_total},
+        "checkpoint digest": {"checkpoint": h_save.hexdigest()[:16]},
     }
 
 
@@ -120,7 +129,7 @@ def main(argv=None):
     parser.add_argument("--head", default=str(Path(__file__).resolve().parents[1]), help="checkout to compare")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
-    moved = dict.fromkeys(("fingerprint", "report digest", "mult_count sequence"), 0)
+    moved = dict.fromkeys(("fingerprint", "report digest", "mult_count sequence", "checkpoint digest"), 0)
     for workload in WORKLOADS:
         for seed in args.seeds:
             try:
