@@ -339,15 +339,17 @@ def oracle_solve(problem, x0=None, cond_cap=DEFAULT_COND_CAP):
       * insertion of the most negative off-support multiplier otherwise,
 
     until the candidate is KKT-feasible.  Tolerates boundary warm starts, so
-    it doubles as a per-step cross-check for the path solver.  For n <= 12 an
-    exhaustive enumeration backs it up.
+    it doubles as a per-step cross-check for the path solver.  For n <= 12 one
+    exhaustive enumeration backs it up when the iteration fails or its result
+    misses a KKT residual of 1e-9.
 
     Without x0 the seed costs O(n log n) when `problem.diag` is set (a
     `Problem` over a diagonal A) and a dense O(n^3) solve otherwise; each
     support change then costs one O(s^3) solve on the working support.
 
     Raises ValueError when x0 is not a finite length-n point of the simplex,
-    and NoConvergence after 50 n support changes.
+    and, for n > 12, NoConvergence after 50 n support changes or on a result
+    that misses the residual check.
     """
     n = problem.n
     if x0 is not None:
@@ -369,16 +371,12 @@ def oracle_solve(problem, x0=None, cond_cap=DEFAULT_COND_CAP):
 
     try:
         result = _active_set_loop(problem, x, support, 50 * n, cond_cap)
-    except (NoConvergence, SingularSubmatrix):
-        if n <= 12:
-            result = enumerate_solve(problem)
-        else:
-            raise
-    if kkt_residual(problem, result) > 1e-9:
-        if n <= 12:
-            result = enumerate_solve(problem)
-        else:
+        if kkt_residual(problem, result) > 1e-9:
             raise NoConvergence("active-set result failed the residual check")
+    except (NoConvergence, SingularSubmatrix):
+        if n > 12:
+            raise
+        result = enumerate_solve(problem)
     return result
 
 

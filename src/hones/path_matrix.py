@@ -6,6 +6,12 @@ state moves along an explicit rational curve in lam; at a turning point one
 coordinate of v = (x_S, -mu_{S^c}) hits zero and the support gains or loses
 exactly that index.  All updates are rank-one corrections of the cached state,
 never a fresh factorization.
+
+The step functions hand each other plain values: find_lambda returns
+(lam increment, index, direction), and the direction (w1, dvec) goes on to
+update_by_lambda, which moves the state to that turning point.  _run_leg,
+the event loop both legs share, then toggles the index through
+expand_support_lambda or shrink_support_lambda.
 """
 
 from dataclasses import dataclass
@@ -32,23 +38,6 @@ class PathEvent:
     index: int
     kind: str  # "enter" or "leave"
     support_size: int
-
-
-@dataclass
-class LambdaScratch:
-    """Direction data shared between find_lambda and the following update."""
-
-    w1: float  # D_g mu0 - D_gc
-    dvec: np.ndarray  # D_g eta_tilde - D eta
-
-
-@dataclass
-class PathStep:
-    """The next turning point of a leg: increment, toggling index (None if none), direction data."""
-
-    lam_inc: float
-    j: int | None
-    scratch: object
 
 
 def _tiny(x):
@@ -114,13 +103,15 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
 
 
 def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
-    """Locate the next turning point of the matrix leg.
+    """Locate the next turning point of the matrix leg: (lam increment, index, direction).
 
     v as a function of lam is v + atil(lam) * w1 * dvec where atil is a
     monotone reparametrization of lam, so the ratio test runs in atil; its
-    result is mapped back to a lam increment, or infinity when no coordinate
-    ever hits zero on the forward path (equivalently when the minimizing
-    ratio fails alpha * D_gg < 1).
+    result is mapped back to a lam increment, or infinity (index None) when
+    no coordinate ever hits zero on the forward path (equivalently when the
+    minimizing ratio fails alpha * D_gg < 1).  The direction (w1, dvec) is
+    what update_by_lambda needs at this state: w1 = D_g mu0 - D_gc and
+    dvec = D_g eta_tilde - D eta.
     """
     n = support.n
     d = par1.D
@@ -128,24 +119,23 @@ def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
     w1 = d_g * quadruple.mu0 - d_gc
     dvec = d_g * par1.eta_tilde - d * par2.eta
     cnt.add(counter, 2 * n + 1)
-    scratch = LambdaScratch(w1, dvec)
 
     atil, j = _first_zero(support, quadruple.v, dvec, w1, exclude, counter)
     if j is None:
-        return PathStep(np.inf, None, scratch)
+        return np.inf, None, (w1, dvec)
     alpha = atil * d / (1.0 + atil * d_g * d_g)
     if alpha * d_gg >= 1.0:
-        return PathStep(np.inf, None, scratch)
+        return np.inf, None, (w1, dvec)
     lam_inc = alpha / (1.0 - alpha * d_gg)
     if lam_inc < 0.0:
         lam_inc = 0.0
-    return PathStep(lam_inc, j, scratch)
+    return lam_inc, j, (w1, dvec)
 
 
-def update_by_lambda(lam_inc, quadruple, par1, par2, scratch, counter=None):
+def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
     """Advance the quadruple and both caches by a lam increment.
 
-    `scratch` is the direction data of the find_lambda call at this state.
+    `direction` is the (w1, dvec) that find_lambda returned at this state.
     Every right-hand side uses the values from before the call; the scalars
     are rescaled last for that reason.  Raises DegenerateDenominator when the
     update denominators lose positivity, which signals a rebuild.
@@ -164,7 +154,7 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, scratch, counter=None):
     if denom <= _tiny(d):
         raise DegenerateDenominator(f"D - alpha D_g^2 = {denom}")
     atil = alpha / denom
-    w1, dvec = scratch.w1, scratch.dvec
+    w1, dvec = direction
 
     quadruple.v += (atil * w1) * dvec
     quadruple.mu0 += atil * d_g * w1
@@ -185,21 +175,23 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, scratch, counter=None):
 def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None):
     """Pivot and full-length gamma vector for adding index j to the support.
 
-    Only the j-th row of A plus the already-live support rows are read (A is
-    symmetric, so row j stands for column j).  The optional lam * eta_j
-    correction folds in the rank-one term when the matrix is still
-    parametrized by lam.
+    Only the j-th row of A plus the already-live support rows are read, each
+    once (A is symmetric, so row j stands for column j).  The optional
+    lam * eta_j correction folds in the rank-one term when the matrix is
+    still parametrized by lam.
     """
     if support.contains(j):
         raise ValueError(f"index {j} already in support")
     idx = support.idx
     mj_s = par1.M[j, :]
-    ajj = float(A[j, j]) + float(mj_s @ A[j, idx]) + lam_eta_g * (float(gvec[j]) if gvec is not None else 0.0)
+    aj = A[j]
+    a_jj = float(aj[j])
+    ajj = a_jj + float(mj_s @ aj[idx]) + lam_eta_g * (float(gvec[j]) if gvec is not None else 0.0)
     cnt.add(counter, idx.size + 2)
-    if ajj <= _tiny(float(A[j, j])):
+    if ajj <= _tiny(a_jj):
         raise DegeneratePivot(f"pivot {ajj} adding index {j}")
     w = A[idx].T @ mj_s
-    gamma = -(A[j] + w)
+    gamma = -(aj + w)
     cnt.add(counter, support.n * idx.size)
     if gvec is not None and lam_eta_g != 0.0:
         gamma -= lam_eta_g * gvec
@@ -233,7 +225,7 @@ def _pivot(support, new_support, j, vec, inv, par1, cache, b, counter):
     teta_j = float(par1.eta_tilde[j])
     par1.D += teta_j * teta_j * inv
     cache.pivot(j, vec, inv, teta_j, b)
-    par1.zero_row(j)
+    par1.M[j, :] = 0.0
     if new_support.size > support.size:
         par1.insert_col(j, new_support)
     else:
@@ -291,8 +283,8 @@ def run_lambda_leg(A, c, g, quadruple, par1, counter=None, ensure_column=None, r
         find=lambda par2, exclude: find_lambda(
             quadruple.support, quadruple, par1, par2, exclude=exclude, counter=counter
         ),
-        advance=lambda par2, inc, scratch: update_by_lambda(
-            inc, quadruple, par1, par2, scratch=scratch, counter=counter
+        advance=lambda par2, inc, direction: update_by_lambda(
+            inc, quadruple, par1, par2, direction, counter=counter
         ),
         shrink=lambda par2, j: shrink_support_lambda(quadruple.support, j, c, par1, par2, counter=counter),
         expand=lambda par2, lam, j: expand_support_lambda(
@@ -310,13 +302,16 @@ def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ens
     The leg parameter runs from 0 to 1.  `derive(counter)` returns the leg's
     cache (Par2 or Par3) from the current Par1; it is tallied when the leg
     starts and untallied after a rebuild.  Every other callback takes that
-    cache first: `find(cache, exclude)` returns the next turning point,
-    `advance(cache, inc, scratch)` moves the state by a parameter increment,
+    cache first: `find(cache, exclude)` returns the next turning point as
+    (increment, index, direction), `advance(cache, inc, direction)` moves the
+    state by a parameter increment along that direction, and
     `shrink(cache, j)` / `expand(cache, lam, j)` toggle index j and return the
-    new support.  More than CYCLE_CAP_PER_INDEX * n turning points raise
-    CycleLimit.  The leg wrappers pass closures that look their step
-    functions up by module global at call time, so a rebinding of those names
-    (for instance by a tracer) takes effect here.
+    new support.  The index that just toggled is passed back as `exclude`,
+    which the ratio test never returns, so no index can re-trigger at once;
+    more than CYCLE_CAP_PER_INDEX * n turning points raise CycleLimit.  The
+    leg wrappers pass closures that look their step functions up by module
+    global at call time, so a rebinding of those names (for instance by a
+    tracer) takes effect here.
     """
     cap = CYCLE_CAP_PER_INDEX * quadruple.support.n
     cache = derive(counter)
@@ -324,19 +319,14 @@ def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ens
     lam = 0.0
     exclude = None
     rebuilt = False
-    last = None
     while True:
         try:
-            step = find(cache, exclude)
-            inc = step.lam_inc
+            inc, j, direction = find(cache, exclude)
             if not np.isfinite(inc) or inc >= 1.0 - lam:
-                advance(cache, 1.0 - lam, step.scratch)
+                advance(cache, 1.0 - lam, direction)
                 return events
-            advance(cache, inc, step.scratch)
+            advance(cache, inc, direction)
             lam += inc
-            j = step.j
-            if last is not None and last[0] == j and abs(lam - last[1]) <= _tiny(lam):
-                raise DegeneratePivot(f"index {j} re-triggered at {leg} leg parameter {lam}")
             if quadruple.support.mask[j]:
                 new_support = shrink(cache, j)
                 kind = "leave"
@@ -351,7 +341,6 @@ def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ens
             if len(events) > cap:
                 raise CycleLimit(f"{leg} leg exceeded {cap} turning points")
             exclude = j
-            last = (j, lam)
         except DegenerateError:
             if rebuilt or rebuild is None:
                 raise
@@ -359,4 +348,3 @@ def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ens
             rebuild(lam)
             cache = derive(None)
             exclude = None
-            last = None

@@ -4,29 +4,22 @@ With the matrix frozen, the KKT state is exactly affine in the leg parameter:
 v moves along v - (xi - (D_l / D) eta_tilde) * t and mu0 along
 mu0 + (D_l / D) * t, so the between-event updates are division-free.  The
 rest is the matrix leg's machinery: the ratio test is path_matrix's
-_first_zero with weight -1, and a support change is path_matrix's _pivot
-with Par3 as the cache, through Par3.pivot.
+_first_zero with weight -1, a support change is path_matrix's _pivot with
+Par3 as the cache, through Par3.pivot, and the event loop is
+path_matrix._run_leg.  find_utilde_lambda returns (t increment, index,
+direction) with the direction (q, d) = (D_l / D, xi - q eta_tilde), which is
+all update_by_utilde_lambda reads.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import counters as cnt
-from .path_matrix import PathStep, _expand_geometry, _first_zero, _pivot, _run_leg, _shrink_geometry
+from .path_matrix import _expand_geometry, _first_zero, _pivot, _run_leg, _shrink_geometry
 from .state import direct_update_par3
 
 
-@dataclass
-class UtildeScratch:
-    """Affine velocity of the vector leg, shared between find and update."""
-
-    q: float  # D_l / D
-    d: np.ndarray  # xi - (D_l / D) eta_tilde
-
-
 def find_utilde_lambda(support, quadruple, par1, par3, exclude=None, counter=None):
-    """Locate the next turning point of the vector leg.
+    """Locate the next turning point of the vector leg: (t increment, index, direction).
 
     v(t) = v - d * t, so coordinate i crosses zero at t = v_i / d_i: the
     matrix leg's ratio test with weight -1.  Only the velocity enters the
@@ -36,20 +29,21 @@ def find_utilde_lambda(support, quadruple, par1, par3, exclude=None, counter=Non
     d = par3.xi - q * par1.eta_tilde
     cnt.add(counter, d.size)
     lam_inc, j = _first_zero(support, quadruple.v, d, -1.0, exclude, None)
-    return PathStep(lam_inc, j, UtildeScratch(q, d))
+    return lam_inc, j, (q, d)
 
 
-def update_by_utilde_lambda(lam_inc, quadruple, par1, par3, scratch, counter=None):
-    """Advance v and mu0 along the velocity that find_utilde_lambda put in `scratch`; caches are untouched."""
+def update_by_utilde_lambda(lam_inc, quadruple, direction, counter=None):
+    """Advance v and mu0 along the direction (q, d) of find_utilde_lambda; the caches are untouched."""
     if not 0.0 <= lam_inc < np.inf:
         raise ValueError(f"lam_inc must be finite and nonnegative, got {lam_inc}")
-    quadruple.v -= lam_inc * scratch.d
-    quadruple.mu0 += scratch.q * lam_inc
+    q, d = direction
+    quadruple.v -= lam_inc * d
+    quadruple.mu0 += q * lam_inc
     cnt.add(counter, quadruple.v.size + 1)
     return quadruple
 
 
-def expand_support_utilde(support, j, A, l, par1, par3, counter=None):
+def expand_support_utilde(support, j, A, par1, par3, counter=None):
     """Add index j during the vector leg; updates Par1 and Par3.
 
     The matrix is frozen here, so the pivot carries no lam correction; A must
@@ -62,7 +56,7 @@ def expand_support_utilde(support, j, A, l, par1, par3, counter=None):
     return new_support
 
 
-def shrink_support_utilde(support, j, l, par1, par3, counter=None):
+def shrink_support_utilde(support, j, par1, par3, counter=None):
     """Remove index j during the vector leg; updates Par1 and Par3."""
     mjj, beta = _shrink_geometry(support, j, par1)
     new_support = support.with_removed(j)
@@ -93,11 +87,9 @@ def run_utilde_leg(A, l, quadruple, par1, counter=None, ensure_column=None, rebu
         find=lambda par3, exclude: find_utilde_lambda(
             quadruple.support, quadruple, par1, par3, exclude=exclude, counter=counter
         ),
-        advance=lambda par3, inc, scratch: update_by_utilde_lambda(
-            inc, quadruple, par1, par3, scratch=scratch, counter=counter
-        ),
-        shrink=lambda par3, j: shrink_support_utilde(quadruple.support, j, l, par1, par3, counter=counter),
-        expand=lambda par3, _t, j: expand_support_utilde(quadruple.support, j, A, l, par1, par3, counter=counter),
+        advance=lambda _par3, inc, direction: update_by_utilde_lambda(inc, quadruple, direction, counter=counter),
+        shrink=lambda par3, j: shrink_support_utilde(quadruple.support, j, par1, par3, counter=counter),
+        expand=lambda par3, _t, j: expand_support_utilde(quadruple.support, j, A, par1, par3, counter=counter),
         counter=counter,
         ensure_column=ensure_column,
         rebuild=rebuild,

@@ -58,9 +58,6 @@ class Par1:
         """
         self.M += np.einsum("i,j->ij", u, coef_s)
 
-    def zero_row(self, j):
-        self.M[j, :] = 0.0
-
     def insert_col(self, j, support_after):
         """Make room for a new zero column j."""
         pos = support_after.idx.searchsorted(j)
@@ -117,8 +114,8 @@ class Par3:
     D_l: float
     l: np.ndarray = field(repr=False)
 
-    def pivot(self, j, vec, inv, teta_j, b):
-        """Carry the cache through a block pivot on j; the drift needs no `b`."""
+    def pivot(self, j, vec, inv, teta_j, _b):
+        """Carry the cache through a block pivot on j; the drift needs no linear-term product `_b`."""
         xi_j = float(self.xi[j])
         self.D_l += xi_j * teta_j * inv
         self.xi[j] = 0.0

@@ -598,7 +598,8 @@ class TestCountOps:
         assert rep.mult_count <= expected
 
 
-LEG_ADVANCES = [(path_matrix, "update_by_lambda"), (path_vector, "update_by_utilde_lambda")]
+# The vector leg's advance takes no Par1 or cache, so faults go into the ratio tests.
+LEG_RATIO_TESTS = [(path_matrix, "find_lambda"), (path_vector, "find_utilde_lambda")]
 
 
 class TestFaultInjection:
@@ -606,11 +607,11 @@ class TestFaultInjection:
 
     @staticmethod
     def _arm(monkeypatch, module, name, times):
-        """Make the leg's advance raise `times` times, each after spoiling Par1 and the leg's cache."""
+        """Make the leg's ratio test raise `times` times, each after spoiling Par1 and the leg's cache."""
         real = getattr(module, name)
         left = [times]
 
-        def flaky(lam_inc, quadruple, par1, cache, *args, **kwargs):
+        def flaky(support, quadruple, par1, cache, *args, **kwargs):
             if left[0]:
                 left[0] -= 1
                 # Only the rebuild callback can repair this: it must re-derive
@@ -621,12 +622,12 @@ class TestFaultInjection:
                     if key not in ("g", "l"):
                         setattr(cache, key, value * 1.001)
                 raise DegenerateDenominator("injected")
-            return real(lam_inc, quadruple, par1, cache, *args, **kwargs)
+            return real(support, quadruple, par1, cache, *args, **kwargs)
 
         monkeypatch.setattr(module, name, flaky)
         return left
 
-    @pytest.mark.parametrize("module, name", LEG_ADVANCES, ids=["matrix", "vector"])
+    @pytest.mark.parametrize("module, name", LEG_RATIO_TESTS, ids=["matrix", "vector"])
     def test_one_degeneracy_rebuilds_and_retries(self, monkeypatch, module, name):
         ses, flow = synthetic_session(20, seed=5)
         stream = list(flow)[:10]
@@ -643,7 +644,7 @@ class TestFaultInjection:
         ref = oracle_solve(Problem(flow.a0 + G.T @ G, c))
         assert np.max(np.abs(ses.x - ref.x)) <= 1e-9
 
-    @pytest.mark.parametrize("module, name", LEG_ADVANCES, ids=["matrix", "vector"])
+    @pytest.mark.parametrize("module, name", LEG_RATIO_TESTS, ids=["matrix", "vector"])
     def test_second_degeneracy_in_a_leg_propagates(self, monkeypatch, module, name):
         ses, flow = synthetic_session(20, seed=5)
         g, c = next(iter(flow))

@@ -1,8 +1,11 @@
-"""Every name a hones module imports is used in that module.
+"""Every name a hones module imports is used in that module, and every parameter in its function.
 
-`__init__.py` re-exports what it imports, so it is left out.  A name counts
-as used when the module reads it anywhere, as a name or as the root of an
-attribute chain.
+`__init__.py` re-exports what it imports, so it is left out of the import
+check.  A name counts as used when the module reads it anywhere, as a name or
+as the root of an attribute chain.  A parameter counts as read when its
+function's body, nested functions and lambdas included, loads it; a
+parameter whose name starts with `_` is exempt, for a slot that a caller
+fills positionally and the function does not need.
 """
 
 import ast
@@ -12,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hones"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source):
@@ -34,3 +38,30 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source):
+    """`function:parameter` for every parameter of `source` that its function never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}:{p.arg}" for p in params if p.arg not in read and not p.arg.startswith("_")]
+    return found
+
+
+def test_detects_an_unused_parameter():
+    source = "def f(a, b, _c, *args, d=1, **kw):\n    return a + d\n\ng = lambda x, _y, z: x\n"
+    assert unused_parameters(source) == ["f:b", "f:args", "f:kw", "<lambda>:z"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_function_reads_every_parameter(path):
+    assert unused_parameters(path.read_text()) == []

@@ -3,7 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hones.errors import SingularSubmatrix
+from hones import kkt
+from hones.errors import NoConvergence, SingularSubmatrix
 from hones.flows import FlowConfig, flow_for_config
 from hones.kkt import (
     Problem,
@@ -222,6 +223,26 @@ class TestOracle:
             ref = enumerate_solve(p)
             np.testing.assert_allclose(q.x, ref.x, atol=1e-8)
             assert kkt_residual(p, q) <= 1e-9
+
+    def test_a_failed_active_set_enumerates_once(self, monkeypatch):
+        # An enumerated result with a residual in (1e-9, 1e-8] passes the
+        # enumeration's own check; it is returned, not enumerated again.
+        def stuck(*args):
+            raise NoConvergence("injected")
+
+        calls = []
+        real = kkt.enumerate_solve
+
+        def counted(problem):
+            calls.append(problem)
+            return real(problem)
+
+        monkeypatch.setattr(kkt, "_active_set_loop", stuck)
+        monkeypatch.setattr(kkt, "kkt_residual", lambda problem, q: 5e-9)
+        monkeypatch.setattr(kkt, "enumerate_solve", counted)
+        q = oracle_solve(Problem(np.diag([2.0, 1.0, 3.0]), np.zeros(3)))
+        assert len(calls) == 1
+        np.testing.assert_allclose(q.x, [3.0 / 11.0, 6.0 / 11.0, 2.0 / 11.0], atol=1e-12)
 
     def test_unique_from_different_starts(self):
         rng = np.random.default_rng(23)

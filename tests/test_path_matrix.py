@@ -57,17 +57,17 @@ class TestFindLambda:
     def test_zero_direction_never_moves(self):
         p = Problem(np.diag([2.0, 1.0, 3.0]), np.array([0.1, 0.0, -0.2]))
         q, par1, par2 = fresh_state(p, np.zeros(3))
-        step = find_lambda(q.support, q, par1, par2)
-        assert step.lam_inc == np.inf
-        assert step.j is None
+        lam_inc, j, _ = find_lambda(q.support, q, par1, par2)
+        assert lam_inc == np.inf
+        assert j is None
 
     def test_asymptotic_crossing_is_infinite(self):
         # x(lam) = (1/(2+lam), (1+lam)/(2+lam)): the first coordinate decays
         # but never reaches zero at finite lam.
         p = Problem(np.eye(2), np.zeros(2))
         q, par1, par2 = fresh_state(p, np.array([1.0, 0.0]))
-        step = find_lambda(q.support, q, par1, par2)
-        assert step.lam_inc == np.inf
+        lam_inc, _, _ = find_lambda(q.support, q, par1, par2)
+        assert lam_inc == np.inf
 
     def test_first_event_matches_bisection(self):
         rng = np.random.default_rng(42)
@@ -79,9 +79,9 @@ class TestFindLambda:
         assert lam_ref is not None, "construction must produce an event in (0,1)"
         p = Problem(A, c)
         q, par1, par2 = fresh_state(p, g)
-        step = find_lambda(q.support, q, par1, par2)
-        assert step.j is not None
-        assert step.lam_inc == pytest.approx(lam_ref, abs=1e-9)
+        lam_inc, j, _ = find_lambda(q.support, q, par1, par2)
+        assert j is not None
+        assert lam_inc == pytest.approx(lam_ref, abs=1e-9)
 
 
 class TestUpdateByLambda:
@@ -91,7 +91,7 @@ class TestUpdateByLambda:
         g = rng.standard_normal(5)
         q, par1, par2 = fresh_state(p, g)
         v0, mu0, M0 = q.v.copy(), q.mu0, par1.M.copy()
-        update_by_lambda(0.0, q, par1, par2, find_lambda(q.support, q, par1, par2).scratch)
+        update_by_lambda(0.0, q, par1, par2, find_lambda(q.support, q, par1, par2)[2])
         np.testing.assert_array_equal(q.v, v0)
         assert q.mu0 == mu0
         np.testing.assert_array_equal(par1.M, M0)
@@ -100,14 +100,14 @@ class TestUpdateByLambda:
         p = Problem(np.diag([2.0, 1.0]), np.zeros(2))
         q, par1, par2 = fresh_state(p, np.zeros(2))
         v0, D0 = q.v.copy(), par1.D
-        update_by_lambda(0.7, q, par1, par2, find_lambda(q.support, q, par1, par2).scratch)
+        update_by_lambda(0.7, q, par1, par2, find_lambda(q.support, q, par1, par2)[2])
         np.testing.assert_array_equal(q.v, v0)
         assert par1.D == D0
 
     def test_full_step_closed_form(self):
         p = Problem(np.eye(2), np.zeros(2))
         q, par1, par2 = fresh_state(p, np.array([1.0, 0.0]))
-        update_by_lambda(1.0, q, par1, par2, find_lambda(q.support, q, par1, par2).scratch)
+        update_by_lambda(1.0, q, par1, par2, find_lambda(q.support, q, par1, par2)[2])
         np.testing.assert_allclose(q.x, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
         assert q.mu0 == pytest.approx(2.0 / 3.0, abs=1e-12)
         np.testing.assert_allclose(par1.M, np.diag([0.5, 1.0]), atol=1e-12)
@@ -120,11 +120,11 @@ class TestUpdateByLambda:
             g = rng.standard_normal(n)
             q, par1, par2 = fresh_state(p, g)
             lam = float(rng.uniform(0.05, 0.6))
-            step = find_lambda(q.support, q, par1, par2)
-            lam = min(lam, 0.9 * step.lam_inc)  # stay inside the first segment
+            lam_inc, _, direction = find_lambda(q.support, q, par1, par2)
+            lam = min(lam, 0.9 * lam_inc)  # stay inside the first segment
             if lam <= 0 or not np.isfinite(lam):
                 continue
-            update_by_lambda(lam, q, par1, par2, step.scratch)
+            update_by_lambda(lam, q, par1, par2, direction)
             A_lam = p.A + lam * np.outer(g, g)
             moved = Problem(A_lam, p.c)
             kappa = condition_proxy(A_lam, q.support, par1)
@@ -135,9 +135,9 @@ class TestUpdateByLambda:
         p = Problem(np.eye(2), np.zeros(2))
         q, par1, par2 = fresh_state(p, np.ones(2))
         par2.D_gg = -2.0  # corrupt so 1 + lam D_gg crosses zero
-        scratch = find_lambda(q.support, q, par1, par2).scratch
+        direction = find_lambda(q.support, q, par1, par2)[2]
         with pytest.raises(DegenerateDenominator):
-            update_by_lambda(1.0, q, par1, par2, scratch)
+            update_by_lambda(1.0, q, par1, par2, direction)
 
 
 class TestExpandShrink:
@@ -331,13 +331,12 @@ class TestRunLambdaLeg:
             q, par1, par2 = fresh_state(p, g)
             lam = 0.0
             while True:
-                step = find_lambda(q.support, q, par1, par2)
-                if not np.isfinite(step.lam_inc) or step.lam_inc >= 1.0 - lam:
-                    update_by_lambda(1.0 - lam, q, par1, par2, scratch=step.scratch)
+                lam_inc, j, direction = find_lambda(q.support, q, par1, par2)
+                if not np.isfinite(lam_inc) or lam_inc >= 1.0 - lam:
+                    update_by_lambda(1.0 - lam, q, par1, par2, direction)
                     break
-                update_by_lambda(step.lam_inc, q, par1, par2, scratch=step.scratch)
-                lam += step.lam_inc
-                j = step.j
+                update_by_lambda(lam_inc, q, par1, par2, direction)
+                lam += lam_inc
                 if q.support.contains(j):
                     support_new = shrink_support_lambda(q.support, j, p.c, par1, par2)
                 else:
@@ -361,14 +360,14 @@ class TestRunLambdaLeg:
             p = random_spd_problem(rng, n, c_scale=2.0)
             g = 2.0 * rng.standard_normal(n)
             q, par1, par2 = fresh_state(p, g)
-            step = find_lambda(q.support, q, par1, par2)
-            seg_end = min(step.lam_inc, 1.0)
+            lam_inc, _, direction = find_lambda(q.support, q, par1, par2)
+            seg_end = min(lam_inc, 1.0)
             if seg_end <= 0:
                 continue
             for frac in rng.uniform(0.05, 0.95, size=5):
                 lam = float(frac * seg_end)
                 qc, p1c, p2c = q.copy(), par1.copy(), par2.copy()
-                update_by_lambda(lam, qc, p1c, p2c, step.scratch)
+                update_by_lambda(lam, qc, p1c, p2c, direction)
                 A_lam = p.A + lam * np.outer(g, g)
                 kappa = condition_proxy(A_lam, qc.support, p1c)
                 assert kkt_residual(Problem(A_lam, p.c), qc) <= 1e-9 * max(1.0, kappa)

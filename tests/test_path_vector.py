@@ -34,28 +34,28 @@ class TestFindUtilde:
         rng = np.random.default_rng(1)
         p = random_spd_problem(rng, 4)
         q, par1, par3 = fresh_state(p, np.zeros(4))
-        step = find_utilde_lambda(q.support, q, par1, par3)
-        assert step.lam_inc == np.inf
-        assert step.j is None
+        lam_inc, j, _ = find_utilde_lambda(q.support, q, par1, par3)
+        assert lam_inc == np.inf
+        assert j is None
 
     def test_small_antisymmetric_drift_stays_interior(self):
         t = 0.3
         p = Problem(np.eye(2), np.zeros(2))
         l = np.array([t, -t])
         q, par1, par3 = fresh_state(p, l)
-        step = find_utilde_lambda(q.support, q, par1, par3)
+        lam_inc, _, _ = find_utilde_lambda(q.support, q, par1, par3)
         # x(t~) = (1/2 + t t~, 1/2 - t t~): second coordinate dies at 1/(2t) > 1
-        assert step.lam_inc == pytest.approx(1.0 / (2 * t), abs=1e-12)
-        assert step.lam_inc > 1.0
+        assert lam_inc == pytest.approx(1.0 / (2 * t), abs=1e-12)
+        assert lam_inc > 1.0
 
     def test_crossing_at_half(self):
         p = Problem(np.eye(2), np.zeros(2))
         l = np.array([2.0, 0.0])
         q, par1, par3 = fresh_state(p, l)
-        step = find_utilde_lambda(q.support, q, par1, par3)
-        assert step.lam_inc == pytest.approx(0.5, abs=1e-14)
-        assert step.j == 1
-        assert q.support.contains(step.j)  # a leave: the support becomes (0,)
+        lam_inc, j, _ = find_utilde_lambda(q.support, q, par1, par3)
+        assert lam_inc == pytest.approx(0.5, abs=1e-14)
+        assert j == 1
+        assert q.support.contains(j)  # a leave: the support becomes (0,)
 
 
 class TestUpdateByUtilde:
@@ -64,7 +64,7 @@ class TestUpdateByUtilde:
         l = np.array([2.0, 0.0])
         q, par1, par3 = fresh_state(p, l)
         v0, mu0 = q.v.copy(), q.mu0
-        update_by_utilde_lambda(0.0, q, par1, par3, find_utilde_lambda(q.support, q, par1, par3).scratch)
+        update_by_utilde_lambda(0.0, q, find_utilde_lambda(q.support, q, par1, par3)[2])
         np.testing.assert_array_equal(q.v, v0)
         assert q.mu0 == mu0
 
@@ -72,14 +72,14 @@ class TestUpdateByUtilde:
         p = Problem(np.eye(3), np.zeros(3))
         q, par1, par3 = fresh_state(p, np.zeros(3))
         v0 = q.v.copy()
-        update_by_utilde_lambda(0.8, q, par1, par3, find_utilde_lambda(q.support, q, par1, par3).scratch)
+        update_by_utilde_lambda(0.8, q, find_utilde_lambda(q.support, q, par1, par3)[2])
         np.testing.assert_array_equal(q.v, v0)
 
     def test_quarter_step_closed_form(self):
         p = Problem(np.eye(2), np.zeros(2))
         l = np.array([2.0, 0.0])
         q, par1, par3 = fresh_state(p, l)
-        update_by_utilde_lambda(0.25, q, par1, par3, find_utilde_lambda(q.support, q, par1, par3).scratch)
+        update_by_utilde_lambda(0.25, q, find_utilde_lambda(q.support, q, par1, par3)[2])
         np.testing.assert_allclose(q.x, [0.75, 0.25], atol=1e-14)
         ref = solve_given_support(Problem(np.eye(2), np.array([0.5, 0.0])), q.support)
         np.testing.assert_allclose(q.v, ref.v, atol=1e-12)
@@ -91,7 +91,7 @@ class TestUpdateByUtilde:
         l = rng.standard_normal(5)
         q, par1, par3 = fresh_state(p, l)
         M0, xi0 = par1.M.copy(), par3.xi.copy()
-        update_by_utilde_lambda(0.3, q, par1, par3, find_utilde_lambda(q.support, q, par1, par3).scratch)
+        update_by_utilde_lambda(0.3, q, find_utilde_lambda(q.support, q, par1, par3)[2])
         np.testing.assert_array_equal(par1.M, M0)
         np.testing.assert_array_equal(par3.xi, xi0)
 
@@ -102,7 +102,7 @@ class TestExpandShrinkUtilde:
         support = Support(2, [0])
         par1 = init_par1(p, support)
         par3 = direct_update_par3(support, par1, np.zeros(2))
-        new = expand_support_utilde(support, 1, p.A, np.zeros(2), par1, par3)
+        new = expand_support_utilde(support, 1, p.A, par1, par3)
         assert new.as_tuple() == (0, 1)
         np.testing.assert_allclose(par1.M, np.eye(2), atol=1e-14)
         assert np.all(par3.xi == 0.0)
@@ -115,7 +115,7 @@ class TestExpandShrinkUtilde:
         l = np.array([0.0, 1.0])
         par3 = direct_update_par3(support, par1, l)
         assert par3.xi[1] == pytest.approx(-1.0)
-        new = expand_support_utilde(support, 1, p.A, l, par1, par3)
+        new = expand_support_utilde(support, 1, p.A, par1, par3)
         assert par3.xi[1] == pytest.approx(-1.0, abs=1e-14)
         assert par3.D_l == pytest.approx(-1.0, abs=1e-14)
         fresh1 = par1_from_matrix(p.A[new.idx], new)
@@ -134,7 +134,7 @@ class TestExpandShrinkUtilde:
         par2 = direct_update_par2(support, par1a, p.c, np.zeros(6))
         par3 = direct_update_par3(support, par1b, np.zeros(6))
         shrink_support_lambda(support, 3, p.c, par1a, par2)
-        shrink_support_utilde(support, 3, np.zeros(6), par1b, par3)
+        shrink_support_utilde(support, 3, par1b, par3)
         np.testing.assert_array_equal(par1a.M, par1b.M)
         np.testing.assert_array_equal(par1a.eta_tilde, par1b.eta_tilde)
         assert par1a.D == par1b.D
@@ -153,8 +153,8 @@ class TestExpandShrinkUtilde:
             M0, teta0, D0 = par1.M.copy(), par1.eta_tilde.copy(), par1.D
             xi0, dl0 = par3.xi.copy(), par3.D_l
             j = int(rng.choice(support.complement()))
-            mid = expand_support_utilde(support, j, p.A, l, par1, par3)
-            shrink_support_utilde(mid, j, l, par1, par3)
+            mid = expand_support_utilde(support, j, p.A, par1, par3)
+            shrink_support_utilde(mid, j, par1, par3)
             np.testing.assert_allclose(par1.M, M0, atol=1e-12)
             np.testing.assert_allclose(par1.eta_tilde, teta0, atol=1e-12)
             assert par1.D == pytest.approx(D0, abs=1e-12)
@@ -172,10 +172,10 @@ class TestExpandShrinkUtilde:
             l = rng.standard_normal(n)
             par3 = direct_update_par3(support, par1, l)
             j_in = int(rng.choice(support.complement()))
-            support = expand_support_utilde(support, j_in, p.A, l, par1, par3)
+            support = expand_support_utilde(support, j_in, p.A, par1, par3)
             j_out = int(rng.choice(support.idx))
             if support.size > 1:
-                support = shrink_support_utilde(support, j_out, l, par1, par3)
+                support = shrink_support_utilde(support, j_out, par1, par3)
             kappa = condition_proxy(p.A, support, par1)
             assert validate_state(p, support, par1, par3=par3) <= 1e-10 * max(1.0, kappa)
 
@@ -244,15 +244,15 @@ class TestRunUtildeLeg:
             p = random_spd_problem(rng, n, c_scale=2.0)
             l = 2.0 * rng.standard_normal(n)
             q, par1, par3 = fresh_state(p, l)
-            step = find_utilde_lambda(q.support, q, par1, par3)
-            seg = min(step.lam_inc, 1.0)
+            lam_inc, _, direction = find_utilde_lambda(q.support, q, par1, par3)
+            seg = min(lam_inc, 1.0)
             if seg <= 0:
                 continue
             ts = np.array([0.2, 0.5, 0.8]) * seg
             vs = []
             for t in ts:
                 qc = q.copy()
-                update_by_utilde_lambda(float(t), qc, par1, par3, step.scratch)
+                update_by_utilde_lambda(float(t), qc, direction)
                 vs.append(qc.v)
             second_diff = vs[0] - 2.0 * vs[1] + vs[2]
             assert np.max(np.abs(second_diff)) <= 1e-12

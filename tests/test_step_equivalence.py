@@ -319,6 +319,30 @@ class TestFirstZero:
             none += j is None
         assert fired and parked and none
 
+    def test_never_returns_the_excluded_index(self):
+        # _run_leg passes the index that just toggled as `exclude` and relies
+        # on this to keep an index from re-triggering.  Each case excludes the
+        # index the test would pick without exclusion, and a random one.
+        rng = np.random.default_rng(2025)
+        parked = ratio = singleton = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 14))
+            k = 1 if rng.random() < 0.25 else int(rng.integers(1, n + 1))
+            s = Support(n, rng.choice(n, size=k, replace=False))
+            v = np.where(s.mask, rng.random(n), -rng.random(n)) * 10.0 ** rng.integers(-3, 4)
+            v[rng.random(n) < 0.3] = 0.0
+            dvec = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, size=n)
+            w1 = float(rng.choice([1.0, -1.0, rng.standard_normal()]))
+            a, j = both_first_zero(s, v, dvec, w1)
+            if j is None:
+                continue
+            parked += a == 0.0
+            ratio += a > 0.0
+            singleton += s.size == 1
+            for exclude in (j, int(rng.integers(n)), *s.idx[:1]):
+                assert both_first_zero(s, v, dvec, w1, exclude)[1] != exclude
+        assert parked > 100 and ratio > 100 and singleton > 100
+
 
 # -- the residual ------------------------------------------------------------
 
