@@ -40,6 +40,7 @@ from .flows import (
     synthetic_prices,
 )
 from .kkt import (
+    Diagonal,
     Problem,
     Quadruple,
     Support,

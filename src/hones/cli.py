@@ -195,7 +195,8 @@ def run_scenario(kind, args):
 
     rows = []
     deviations = []
-    A = np.array(flow.a0, dtype=np.float64)
+    # Only the oracle twin and pg-warm keep the dense matrix current.
+    A = np.array(flow.a0, dtype=np.float64) if args.solver != "hones" else None
     warm = None
     it = iter(flow)
     if args.solver != "pg-warm":

@@ -422,10 +422,12 @@ def init_session(A0, c0, config=None):
     Only the support's rows of A0 go live (all n in eager mode); the rest
     stay in the pristine A0 until their index first enters a support.
 
-    Set-up over a diagonal A0 (every shipped flow) costs one pass over A0
-    plus O(n log n) for the oracle's seed, O(s^3) per oracle support change
-    and O(n s^2) for Par1 on the initial support of size s; no n x n matrix
-    is factorized.  Any other A0 adds O(n^3) for its Cholesky check and the
+    A0 may be a `kkt.Diagonal` (every shipped flow carries one) or an
+    array.  Set-up over a Diagonal costs O(n) for the checks, O(n log n)
+    for the oracle's seed, O(s^3) per oracle support change and O(n s^2)
+    for Par1 on the initial support of size s; in lazy mode no n x n array
+    is allocated or read.  A dense A0 that is diagonal adds one pass over
+    it, and any other A0 adds O(n^3) for its Cholesky check and the
     oracle's dense seed.
     """
     config = config or SolverConfig()

@@ -12,6 +12,10 @@ Three flows produce the (g_t, c_t) streams consumed by the driver:
                   scaled sample covariance t * Sigma_t satisfies the exact
                   rank-one recursion with g_t = sqrt((t-1)/t) (w_t - mean_{t-1}).
 
+Every flow carries its initial matrix as `a0`, a `kkt.Diagonal` (eps I, or I
+for ons), so no n x n array is built, filled or scanned until a caller asks
+for one with `np.asarray(flow.a0)`; `c0` is the initial linear term.
+
 Randomness uses the Philox counter-based bit generator so streams are
 reproducible across platforms for a given seed.
 """
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySeries, ParseError
+from .kkt import Diagonal
 
 
 @dataclass
@@ -43,13 +48,6 @@ class FlowConfig:
             raise ValueError("epsilon must be positive")
         if self.c_factor < 0:
             raise ValueError("c_factor must be nonnegative")
-
-
-def scaled_identity(n, scale):
-    """scale * I in one n x n allocation, bit for bit `scale * np.eye(n)` for scale > 0."""
-    a = np.zeros((n, n))
-    np.fill_diagonal(a, scale)
-    return a
 
 
 def rng_for(seed):
@@ -93,7 +91,7 @@ class SyntheticFlow:
         rng = rng_for(config.seed)
         self.y = config.c_factor * rng.standard_normal(config.n)
         self._rng = rng
-        self.a0 = scaled_identity(config.n, config.epsilon)
+        self.a0 = Diagonal(np.full(config.n, config.epsilon))
         self.c0 = config.epsilon * self.y
 
     def __iter__(self):
@@ -122,7 +120,7 @@ class OnsFlow:
         self.prices = prices
         self.x_feedback = x_feedback
         n = prices.n
-        self.a0 = np.eye(n)
+        self.a0 = Diagonal(np.ones(n))
         self.c0 = np.zeros(n)
 
     def __iter__(self):
@@ -155,7 +153,7 @@ class MarkowitzFlow:
         self.w = w
         self.risk_aversion = float(risk_aversion)
         n = w.shape[1]
-        self.a0 = scaled_identity(n, epsilon)
+        self.a0 = Diagonal(np.full(n, epsilon))
         self.c0 = np.zeros(n)
 
     def __iter__(self):
@@ -180,8 +178,12 @@ def synthetic_prices(n, steps, seed=0, drift=0.0002, vol=0.01):
     """Geometric random-walk prices for exercising the price-driven flows."""
     rng = rng_for(seed ^ 0x5A17)
     shocks = drift + vol * rng.standard_normal((steps - 1, n))
-    levels = np.vstack([np.zeros(n), np.cumsum(shocks, axis=0)])
-    prices = 100.0 * np.exp(levels)
+    # Log levels, then prices, in one block: row 0 is the zero level.
+    prices = np.empty((steps, n))
+    prices[0] = 0.0
+    np.cumsum(shocks, axis=0, out=prices[1:])
+    np.exp(prices, out=prices)
+    prices *= 100.0
     dates = [f"t{k:05d}" for k in range(steps)]
     tickers = [f"A{k:03d}" for k in range(n)]
     return PriceSeries(dates, tickers, prices)

@@ -160,6 +160,44 @@ class Quadruple:
         return bool(np.all(self.x_s > -tol) and np.all(self.mu_sc > -tol))
 
 
+class Diagonal:
+    """A read-only n x n diagonal matrix that stores only its diagonal d.
+
+    A read `A[rows]` or `A[rows, cols]`, each an int, an int array or a
+    slice (A[j], A[j, cols], A[idx], A[np.ix_(rows, cols)], ...), returns,
+    bit for bit, what the dense matrix returns, +0.0 off the diagonal, so
+    the solver reads it as it reads an array.  `np.asarray` builds the
+    dense matrix on demand.
+    """
+
+    __slots__ = ("d", "shape", "_ar")
+
+    ndim = 2
+
+    def __init__(self, d):
+        d = np.array(d, dtype=np.float64)
+        if d.ndim != 1 or d.size < 1:
+            raise ValueError("the diagonal must be a nonempty vector")
+        d.flags.writeable = False
+        self.d = d
+        self.shape = (d.size, d.size)
+        self._ar = np.arange(d.size)
+
+    def __getitem__(self, key):
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        r, c = self._ar[rows], self._ar[cols]
+        if isinstance(cols, slice):
+            r = r[..., None]
+        return np.where(r == c, self.d[r], 0.0)[()]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a Diagonal has no dense array to view without a copy")
+        a = np.zeros(self.shape, dtype=dtype)
+        np.fill_diagonal(a, self.d)
+        return a
+
+
 def diagonal_of(A):
     """A copy of A's diagonal when every entry off it is +0.0, bit for bit; else None.
 
@@ -175,25 +213,28 @@ def diagonal_of(A):
 class Problem:
     """One simplex QP instance: finite, symmetric positive-definite A and finite linear term c.
 
-    A diagonal A is symmetric, and positive definite iff its diagonal is
-    positive, so it is checked in one pass over A plus O(n) work on its
-    diagonal: `diagonal_of` has already proven every entry off it +0.0, so
-    only the diagonal needs the finiteness check.  Any other A costs an
-    O(n^2) finiteness and symmetry check and an O(n^3) Cholesky
-    factorization.  `diag` keeps the diagonal (None when A is not diagonal).
+    A `Diagonal` A is checked in O(n): it is symmetric, and positive
+    definite iff its diagonal is finite and positive; it is kept as it is,
+    with no n x n array.  A dense A that is diagonal costs one pass over A
+    plus O(n) work on its diagonal: `diagonal_of` has already proven every
+    entry off it +0.0, so only the diagonal needs the finiteness check.  Any
+    other A costs an O(n^2) finiteness and symmetry check and an O(n^3)
+    Cholesky factorization.  `diag` keeps the diagonal (None when A is not
+    diagonal).
     """
 
     __slots__ = ("A", "c", "n", "diag")
 
     def __init__(self, A, c):
-        A = np.asarray(A, dtype=np.float64)
+        if not isinstance(A, Diagonal):
+            A = np.asarray(A, dtype=np.float64)
         c = np.asarray(c, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         n = A.shape[0]
         if n < 1 or c.shape != (n,):
             raise ValueError("c must have length n >= 1")
-        d = diagonal_of(A)
+        d = A.d if isinstance(A, Diagonal) else diagonal_of(A)
         if not (np.isfinite(A if d is None else d).all() and np.isfinite(c).all()):
             raise ValueError("A and c must be finite")
         if d is not None:
@@ -247,7 +288,7 @@ def solve_given_support(problem, support, cond_cap=DEFAULT_COND_CAP):
     """
     A, c = problem.A, problem.c
     idx = support.idx
-    ass = A[idx[:, None], idx]
+    ass = A[np.ix_(idx, idx)]
     check_block(ass, support, cond_cap)
     rhs = np.empty((idx.size, 2))
     rhs[:, 0] = 1.0
@@ -261,7 +302,7 @@ def solve_given_support(problem, support, cond_cap=DEFAULT_COND_CAP):
     v = np.zeros(problem.n)
     v[idx] = x_s
     if comp.size:
-        mu_sc = A[comp[:, None], idx] @ x_s - mu0 - c[comp]
+        mu_sc = A[np.ix_(comp, idx)] @ x_s - mu0 - c[comp]
         v[comp] = -mu_sc
     return Quadruple(support, v, mu0)
 

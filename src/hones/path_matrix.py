@@ -58,14 +58,13 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
     av = np.abs(v)
     vmax = float(np.maximum.reduce(av))
     zeta = _tiny(vmax)
-    live = av > zeta
     near = av <= zeta
     if exclude is not None:
-        live[exclude] = near[exclude] = False
+        near[exclude] = False
     if support.size == 1:
         # A singleton support cannot lose its index: the sum constraint pins
         # x_j at one, so any leave ratio there is numerical noise.
-        live[support.idx[0]] = near[support.idx[0]] = False
+        near[support.idx[0]] = False
 
     # Coordinates already at zero that are being pushed infeasible must toggle
     # right now (leave needs velocity < 0, enter needs velocity > 0).
@@ -83,23 +82,34 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
         return np.inf, None
     # Only a zero velocity, or one so small that some |v_i / dvec_i| passes
     # DBL_MAX, can make the division warn.  Such an entry has
-    # |dvec_i| < |v_i| / DBL_MAX, which rounds to at most vmax / DBL_MAX.
-    if True in (np.abs(dvec) <= vmax / DBL_MAX):
+    # |dvec_i| < |v_i| / DBL_MAX, which rounds to at most vmax / DBL_MAX;
+    # fmin skips a NaN, which must not hide a zero.
+    if np.fmin.reduce(np.abs(dvec)) <= vmax / DBL_MAX:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios = -v / dvec
+            r = v / dvec
     else:
-        ratios = -v / dvec
-    # A candidate moves toward zero: its ratio has the sign of w1.
+        r = v / dvec
+    # r is minus the ratio.  0.0 is never a candidate: it marks the indices
+    # at zero and the ones the test must skip.
+    r[near] = 0.0
+    if exclude is not None:
+        r[exclude] = 0.0
+    if support.size == 1:
+        r[support.idx[0]] = 0.0
+    # A candidate moves toward zero: its ratio has the sign of w1.  An
+    # infinite one equals the fill, and a NaN fails both comparisons.
     if w1 > 0.0:
-        fill, toward = np.inf, ratios > 0.0
+        fill = -np.inf
+        r[~(r < 0.0)] = fill
+        j = int(r.argmax())
     else:
-        fill, toward = -np.inf, ratios < 0.0
-    ratios[~(live & np.isfinite(ratios) & toward)] = fill
-    j = int(ratios.argmin() if w1 > 0.0 else ratios.argmax())
-    a = float(ratios[j])
+        fill = np.inf
+        r[~(r > 0.0)] = fill
+        j = int(r.argmin())
+    a = float(r[j])
     if a == fill:
         return np.inf, None
-    return a / w1, j
+    return -a / w1, j
 
 
 def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
@@ -322,7 +332,7 @@ def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ens
     while True:
         try:
             inc, j, direction = find(cache, exclude)
-            if not np.isfinite(inc) or inc >= 1.0 - lam:
+            if not inc < 1.0 - lam:
                 advance(cache, 1.0 - lam, direction)
                 return events
             advance(cache, inc, direction)

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,19 @@ class TestRunSynthetic:
         rows_b = strip_timing(read_csv(tmp_path / "b" / "synthetic-hones-n15-s40-seed3.csv"))
         assert rows_a == rows_b
 
+
+    def test_hones_solver_builds_no_dense_matrix(self, tmp_path):
+        # Only the oracle twin and pg-warm keep the n x n matrix current; at
+        # n = 3000 it would be 72 MB.
+        n = 3000
+        tracemalloc.start()
+        try:
+            code = cli.main(["run-synthetic", "--n", str(n), "--steps", "5", "--out-dir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * n * n / 4
 
 class TestOracleTwin:
     def test_agreement_file(self, tmp_path):

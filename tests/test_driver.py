@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from hones.flows import (
     synthetic_prices,
 )
 from hones.errors import CycleLimit, DegenerateDenominator, HonesError
-from hones.kkt import DEFAULT_COND_CAP, Problem, oracle_solve
+from hones.kkt import DEFAULT_COND_CAP, Diagonal, Problem, oracle_solve
 from hones.path_matrix import PathEvent
 
 from test_step_equivalence import ref_add_outer
@@ -197,6 +198,26 @@ class TestInitSession:
             with pytest.raises(ValueError, match="A and c must be finite"):
                 init_session(np.eye(3), c0)
 
+    def test_diagonal_matches_the_dense_matrix_bit_for_bit(self, tmp_path):
+        # The checkpoint holds the whole lasting state, so equal bytes after
+        # set-up and after each step mean equal sessions.
+        rng = np.random.default_rng(31)
+        for lazy_a in (True, False):
+            for n in (1, 5, 60):
+                d = np.exp(rng.uniform(-6.0, 2.0, n))
+                c = d * rng.standard_normal(n)
+                twins = [init_session(a0, c, SolverConfig(lazy_a=lazy_a)) for a0 in (Diagonal(d), np.diag(d))]
+                for t in range(6):
+                    if t:
+                        g, c = rng.standard_normal(n), c + rng.standard_normal(n)
+                        for ses in twins:
+                            step(ses, g, c)
+                    saved = []
+                    for k, ses in enumerate(twins):
+                        ses.save(tmp_path / f"{k}.bin")
+                        saved.append((tmp_path / f"{k}.bin").read_bytes())
+                    assert saved[0] == saved[1]
+
     def test_singleton(self):
         ses = init_session(np.eye(1), np.zeros(1))
         np.testing.assert_allclose(ses.x, [1.0], atol=1e-15)
@@ -238,7 +259,7 @@ class TestStep:
     def test_matches_oracle_every_step(self):
         n, steps = 10, 100
         ses, flow = synthetic_session(n, seed=123, steps=steps)
-        A = flow.a0.copy()
+        A = np.array(flow.a0)
         for g, c in flow:
             rep = step(ses, g, c)
             A += np.outer(g, g)
@@ -511,6 +532,20 @@ class TestLazyA:
         ses.save(path)
         s = ses.support.size
         assert path.stat().st_size == sum(checkpoint_sizes(n, steps, s, n, r))
+
+    def test_diagonal_a0_traces_no_n_by_n_array(self):
+        # At n = 20 000 a dense A0 alone would be 3.2 GB; the flow, set-up
+        # and five steps trace well under 100 MB.
+        n = 20_000
+        tracemalloc.start()
+        try:
+            ses, flow = synthetic_session(n, seed=1, steps=5)
+            run_sequence(ses, flow, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert ses.A.a0.shape == (n,) and not ses.A.full
 
     def test_only_lazy_sessions_catch_rows_up(self, monkeypatch):
         # Eager sessions have every row live from the start, so no step may

@@ -102,7 +102,7 @@ class TestMarkowitzFlow:
         w = 0.02 * rng.standard_normal((T, n))
         eps = 1e-4
         flow = markowitz_flow(w, epsilon=eps)
-        A = flow.a0.copy()
+        A = np.array(flow.a0)
         for t, (g, c) in enumerate(flow, start=1):
             A += np.outer(g, g)
             mean = w[:t].mean(axis=0)
@@ -116,7 +116,7 @@ class TestMarkowitzFlow:
             markowitz_flow(np.zeros((3, 7)), epsilon=eps).a0,
         )
         for a0 in a0s:
-            assert a0.tobytes() == (eps * np.eye(7)).tobytes()
+            assert np.asarray(a0).tobytes() == (eps * np.eye(7)).tobytes()
 
     def test_risk_aversion_emits_scaled_mean(self):
         rng = np.random.default_rng(2)
@@ -136,7 +136,7 @@ class TestSyntheticFlow:
     def test_drift_matches_direct_recomputation(self):
         cfg = FlowConfig("synthetic", 8, 30, c_factor=0.1, seed=11)
         flow = synthetic_flow(cfg)
-        A = flow.a0.copy()
+        A = np.array(flow.a0)
         c_prev = flow.c0.copy()
         for g, c in flow:
             A += np.outer(g, g)

@@ -7,6 +7,7 @@ from hones import kkt
 from hones.errors import NoConvergence, SingularSubmatrix
 from hones.flows import FlowConfig, flow_for_config
 from hones.kkt import (
+    Diagonal,
     Problem,
     Quadruple,
     Support,
@@ -105,6 +106,92 @@ class TestProblem:
         A[0, 2] = -0.0
         assert diagonal_of(A) is None
         assert diagonal_of(np.array([[1.0, 1e-300], [1e-300, 1.0]])) is None
+
+
+def dense_of(d):
+    """The dense matrix with diagonal d, built as the flows built A0 before `Diagonal`."""
+    a = np.zeros((d.size, d.size))
+    np.fill_diagonal(a, d)
+    return a
+
+
+class TestDiagonal:
+    def test_reads_equal_the_dense_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 7, 40):
+            d = rng.standard_normal(n)
+            d[rng.random(n) < 0.2] = -0.0
+            d[rng.random(n) < 0.1] = rng.choice([0.0, np.inf, -np.inf, np.nan])
+            A, dense = Diagonal(d), dense_of(d)
+            assert A.shape == dense.shape and A.ndim == 2
+            for _ in range(20):
+                j = int(rng.integers(n))
+                rows = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                cols = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                for key in (
+                    j, -1 - j, (j, cols), (j, j), (j, slice(None)), rows, (rows, slice(None)),
+                    np.ix_(rows, cols), np.ix_(rows, rows), (rows, rows), slice(1, None),
+                ):
+                    got, want = A[key], dense[key]
+                    assert np.shape(got) == np.shape(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_dense_matrix_on_demand(self):
+        for n in (1, 7, 100):
+            for eps in (1e-4, 3e-4, 1.0):
+                A = Diagonal(eps * np.ones(n))
+                assert np.asarray(A).tobytes() == (eps * np.eye(n)).tobytes()
+                dense = np.array(A, dtype=np.float64)
+                dense[0, 0] = 2.0  # a fresh array each time
+                assert A[0, 0] == eps
+        with pytest.raises(ValueError, match="without a copy"):
+            np.asarray(Diagonal(np.ones(3)), copy=False)
+
+    def test_keeps_its_own_read_only_copy(self):
+        d = np.array([1.0, 2.0, 3.0])
+        A = Diagonal(d)
+        d[0] = 5.0
+        assert A[0, 0] == 1.0 and not A.d.flags.writeable
+        with pytest.raises(ValueError):
+            Diagonal(np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            Diagonal(np.empty(0))
+
+    def test_problem_checks_it_in_linear_time(self, monkeypatch):
+        def no_dense(*_args, **_kwargs):
+            raise AssertionError("built the dense matrix")
+
+        monkeypatch.setattr(Diagonal, "__array__", no_dense)
+        p = Problem(Diagonal([1e-4, 2.0, 3.0]), np.zeros(3))
+        assert isinstance(p.A, Diagonal) and p.diag.tobytes() == np.array([1e-4, 2.0, 3.0]).tobytes()
+        for bad in ([1.0, np.inf, 2.0], [np.nan, 1.0, 2.0], [1.0, -np.inf, 2.0]):
+            with pytest.raises(ValueError, match="A and c must be finite"):
+                Problem(Diagonal(bad), np.zeros(3))
+        for bad in ([1.0, 0.0, 2.0], [1.0, -0.0, 2.0], [1.0, -1.0, 2.0]):
+            with pytest.raises(ValueError, match="positive definite"):
+                Problem(Diagonal(bad), np.zeros(3))
+        for c in (np.zeros(2), np.zeros((3, 1)), np.array([0.0, np.nan, 1.0]), np.array([np.inf, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="c must have length|A and c must be finite"):
+                Problem(Diagonal(np.ones(3)), c)
+        # The same errors as the dense route.
+        for d, c in (([1.0, np.inf], np.zeros(2)), ([1.0, -1.0], np.zeros(2)), ([1.0, 2.0], np.zeros(3))):
+            with pytest.raises(ValueError) as diag_err:
+                Problem(Diagonal(d), c)
+            with pytest.raises(ValueError) as dense_err:
+                Problem(np.diag(d), c)
+            assert str(diag_err.value) == str(dense_err.value)
+
+    def test_oracle_matches_the_dense_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            n = int(rng.integers(1, 80))
+            d = np.exp(rng.uniform(-10.0, 4.0, n))
+            c = d * rng.standard_normal(n)
+            p, dense = Problem(Diagonal(d), c), Problem(np.diag(d), c)
+            assert p.diag.tobytes() == dense.diag.tobytes()
+            assert_same_bits(oracle_solve(p), oracle_solve(dense))
+            support = Support(n, rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            assert_same_bits(solve_given_support(p, support), solve_given_support(dense, support))
 
 
 class TestSolveGivenSupport:

@@ -87,7 +87,7 @@ class TestDriverExtremes:
     def test_two_dim_long_sequence(self):
         flow = synthetic_flow(FlowConfig("synthetic", 2, 300, c_factor=0.5, seed=5))
         ses = init_session(flow.a0, flow.c0)
-        A = flow.a0.copy()
+        A = np.array(flow.a0)
         it = iter(flow)
         for _ in range(300):
             g_t, c_t = next(it)
@@ -101,7 +101,7 @@ class TestDriverExtremes:
         # big anchor point: solutions live on or near vertices and hop
         flow = synthetic_flow(FlowConfig("synthetic", 20, 150, c_factor=2.0, seed=6))
         ses = init_session(flow.a0, flow.c0)
-        A = flow.a0.copy()
+        A = np.array(flow.a0)
         it = iter(flow)
         for _ in range(150):
             g_t, c_t = next(it)

@@ -7,13 +7,15 @@ byte (layout included, since later BLAS products depend on it) and scalars
 equal bit for bit, indices equal.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from hones import counters as cnt
 from hones import driver
 from hones.kkt import ZETA_SCALE, Problem, Quadruple, Support, kkt_residual
-from hones.path_matrix import _first_zero
+from hones.path_matrix import DBL_MAX, _first_zero, _tiny
 from hones.state import Par1, direct_update_par2, direct_update_par3, par1_from_matrix
 
 from test_kkt import random_spd_problem
@@ -61,6 +63,44 @@ def ref_first_zero(support, v, dvec, w1, exclude, counter):
         return np.inf, None
     return float(masked[j]) / w1, j
 
+
+def ref_first_zero_masked(support, v, dvec, w1, exclude, counter):
+    """The ratio test with a live mask, -v / dvec and an isfinite pass."""
+    av = np.abs(v)
+    vmax = float(np.maximum.reduce(av))
+    zeta = _tiny(vmax)
+    live = av > zeta
+    near = av <= zeta
+    if exclude is not None:
+        live[exclude] = near[exclude] = False
+    if support.size == 1:
+        live[support.idx[0]] = near[support.idx[0]] = False
+    near = near.nonzero()[0]
+    if near.size:
+        u_near = w1 * dvec[near]
+        cnt.add(counter, near.size)
+        zeta_u = _tiny(float(np.maximum.reduce(np.abs(u_near))))
+        on = support.mask[near]
+        hits = near[(on & (u_near < -zeta_u)) | (~on & (u_near > zeta_u))]
+        if hits.size:
+            return 0.0, int(hits[0])
+    if not (w1 > 0.0 or w1 < 0.0):
+        return np.inf, None
+    if True in (np.abs(dvec) <= vmax / DBL_MAX):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratios = -v / dvec
+    else:
+        ratios = -v / dvec
+    if w1 > 0.0:
+        fill, toward = np.inf, ratios > 0.0
+    else:
+        fill, toward = -np.inf, ratios < 0.0
+    ratios[~(live & np.isfinite(ratios) & toward)] = fill
+    j = int(ratios.argmin() if w1 > 0.0 else ratios.argmax())
+    a = float(ratios[j])
+    if a == fill:
+        return np.inf, None
+    return a / w1, j
 
 def ref_kkt_residual(problem, quadruple):
     A, c = problem.A, problem.c
@@ -343,6 +383,42 @@ class TestFirstZero:
                 assert both_first_zero(s, v, dvec, w1, exclude)[1] != exclude
         assert parked > 100 and ratio > 100 and singleton > 100
 
+
+    def test_mirrored_division_matches_the_masked_one(self):
+        # The ratio test divides v / dvec once, writes 0.0 where no candidate
+        # may be, and keeps no live mask and no isfinite pass.  Against the
+        # masked version: the same (a, j) bits and the same warnings, on
+        # signed zeros, infinities and NaNs in v and dvec too.
+        rng = np.random.default_rng(2026)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310])
+        seen = {"ratio": 0, "parked": 0, "none": 0, "warned": 0, "singleton": 0, "exclude": 0}
+        for _ in range(4000):
+            n = int(rng.integers(1, 14))
+            k = 1 if rng.random() < 0.25 else int(rng.integers(1, n + 1))
+            s = Support(n, rng.choice(n, size=k, replace=False))
+            v = np.where(s.mask, rng.random(n), -rng.random(n)) * 10.0 ** rng.integers(-3, 4)
+            dvec = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, size=n)
+            v[rng.random(n) < 0.2] = 0.0
+            for x, share in ((v, 0.1), (dvec, 0.15)):
+                hit = rng.random(n) < share
+                x[hit] = rng.choice(special, size=int(hit.sum()))
+            w1 = float(rng.choice([1.0, -1.0, rng.standard_normal(), 0.0, 1e-300]))
+            exclude = int(rng.integers(n)) if rng.random() < 0.4 else None
+            outs = []
+            for f in (ref_first_zero_masked, _first_zero):
+                c = cnt.MultCounter()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    a, j = f(s, v, dvec, w1, exclude, c)
+                outs.append((bits(a), j, c.total, sorted(str(w.message) for w in caught)))
+            assert outs[0] == outs[1]
+            seen["ratio"] += j is not None and a > 0.0
+            seen["parked"] += j is not None and a == 0.0
+            seen["none"] += j is None
+            seen["warned"] += bool(caught)
+            seen["singleton"] += s.size == 1 and j is not None
+            seen["exclude"] += exclude is not None and j is not None
+        assert min(seen.values()) > 50, seen
 
 # -- the residual ------------------------------------------------------------
 
