@@ -55,7 +55,7 @@ def pg_warmstart_solve(problem, x0, tol=1e-8, max_iter=5000):
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    A, c = problem.A, problem.c
+    A, c = np.asarray(problem.A), problem.c  # a Diagonal A is made dense once, not per product
     x = simplex_start(x0, c.shape[0])
 
     grad = A @ x - c

@@ -31,9 +31,9 @@ to the support's rows only, so a step costs O(s n) in the store plus its
 replays: every other live row carries a stamp, the number of logged g's it
 includes, and is brought current from the log, in step order and so bit
 for bit, when `touch` or a read reaches it or when the last row goes live.
-A0 is kept as its diagonal when it is diagonal and as a dense copy
-otherwise; once every row is live, every row is current, A0 and the log are
-dropped, and `add_outer` adds to all n rows.  So memory is O(s* n + k n)
+A0 is kept as the problem's `kkt.Diagonal` when it is diagonal and as a
+dense copy otherwise; once every row is live, every row is current, A0 and
+the log are dropped, and `add_outer` adds to all n rows.  So memory is O(s* n + k n)
 for k logged g's, not O(n^2), until every row is live.  The eager twin must
 follow the same path: acceptance criterion 7 asserts equal event logs and
 per-step solutions within 1e-9 of the lazy run's.
@@ -61,7 +61,7 @@ import numpy as np
 
 from .counters import MultCounter
 from .errors import HonesError
-from .kkt import DEFAULT_COND_CAP, Problem, Quadruple, Support, kkt_residual, oracle_solve
+from .kkt import DEFAULT_COND_CAP, Diagonal, Problem, Quadruple, Support, kkt_residual, oracle_solve
 from .path_matrix import PathEvent, run_lambda_leg
 from .path_vector import run_utilde_leg
 from .state import Par1, init_par1, par1_from_matrix, refresh_quadruple, validate_state
@@ -158,9 +158,10 @@ class LiveRows:
     the solver makes all go by row: A[j], A[j, cols], A[idx] and
     A[np.ix_(idx, cols)].
 
-    While a row is not live, `a0` keeps the pristine initial matrix (its
-    diagonal, or a dense copy) and the log keeps every g added since, one per
-    row of a doubling buffer; a row that goes live is rebuilt from the two.
+    While a row is not live, `a0` keeps the pristine initial matrix (a
+    read-only `kkt.Diagonal`, or a dense copy; either is read by row) and the
+    log keeps every g added since, one per row of a doubling buffer; a row
+    that goes live is rebuilt from the two.
     Until every row is live, a live row j also carries a stamp, stamp[j]:
     how many logged g's it already includes.  `add_outer` brings only the
     rows it is given (the step's support) up to the new g, so a step costs
@@ -324,10 +325,11 @@ class SolverSession:
     #
     # The one checkpoint layout; little-endian, floats IEEE-754 binary64:
     #   "HSS6", n u32, t u32, k u32 (logged g's), s u32 (support size),
-    #       lazy_a u8, A0 kind u8 (0: none, 1: diagonal, 2: dense), 2 pad bytes
-    #   A0 0, n or n*n (by kind), c n, c_shift n, touched-row mask n u8,
-    #       g log k*n, A r*n (the live rows in increasing index order: one per
-    #       set mask byte in lazy mode, all n in eager mode)
+    #       lazy_a u8, A0 kind u8 (0: none, 1: a Diagonal, 2: dense), 2 pad bytes
+    #   A0 0, n (the Diagonal's d) or n*n (by kind), c n, c_shift n,
+    #       touched-row mask n u8, g log k*n, A r*n (the live rows in
+    #       increasing index order: one per set mask byte in lazy mode, all
+    #       n in eager mode)
     #   support s i64, v n, mu0, M n*s (row-major), eta_tilde n, D
     #   tol
     # `load` checks all of it before it builds anything.
@@ -346,7 +348,7 @@ class SolverSession:
     def save(self, path):
         q, par1, cfg, A = self.quadruple, self.par1, self.config, self.A
         k, s = A.log_size, q.support.size
-        a0 = np.empty(0) if A.a0 is None else A.a0
+        a0 = A.a0.d if isinstance(A.a0, Diagonal) else np.empty(0) if A.a0 is None else A.a0
         live = A.live()
         fields = dict(A0=a0, c=self.c, c_shift=self.c_shift, mask=A.touched, g_log=A.g_log, A=A[live])
         fields.update(support=q.support.idx, v=q.v, mu0=q.mu0, M=par1.M, eta_tilde=par1.eta_tilde, D=par1.D)
@@ -408,7 +410,7 @@ class SolverSession:
         support = Support(n, idx)
         quadruple = Quadruple(support, vec("v"), float(f["mu0"][0]))
         par1 = Par1(vec("M").reshape(n, s), vec("eta_tilde"), float(f["D"][0]))
-        a0 = vec("A0").reshape((n,) * kind) if kind else None
+        a0 = None if kind == 0 else Diagonal(f["A0"]) if kind == 1 else vec("A0").reshape(n, n)
         A = LiveRows(vec("A").reshape(r, n), mask.astype(bool), a0, vec("g_log").reshape(k, n))
         ses = cls(A, f["c"], quadruple, par1, config)
         ses.t = t
@@ -423,12 +425,14 @@ def init_session(A0, c0, config=None):
     stay in the pristine A0 until their index first enters a support.
 
     A0 may be a `kkt.Diagonal` (every shipped flow carries one) or an
-    array.  Set-up over a Diagonal costs O(n) for the checks, O(n log n)
-    for the oracle's seed, O(s^3) per oracle support change and O(n s^2)
-    for Par1 on the initial support of size s; in lazy mode no n x n array
-    is allocated or read.  A dense A0 that is diagonal adds one pass over
-    it, and any other A0 adds O(n^3) for its Cholesky check and the
-    oracle's dense seed.
+    array; `Problem` holds a diagonal array as a Diagonal too.  The store
+    keeps that Diagonal itself as its A0 (it is read-only, so no copy is
+    needed), or a dense copy of any other A0.  Set-up over a Diagonal costs
+    O(n) for the checks, O(n log n) for the oracle's seed, O(s^3) per oracle
+    support change and O(n s^2) for Par1 on the initial support of size s;
+    in lazy mode no n x n array is allocated or read.  A dense A0 that is
+    diagonal adds one pass over it, and any other A0 adds O(n^3) for its
+    Cholesky check and the oracle's dense seed.
     """
     config = config or SolverConfig()
     problem = Problem(A0, c0)
@@ -437,7 +441,7 @@ def init_session(A0, c0, config=None):
     live = quadruple.support.idx if config.lazy_a else np.arange(problem.n)
     a0 = None
     if live.size < problem.n:
-        a0 = problem.A.copy() if problem.diag is None else problem.diag
+        a0 = problem.A if isinstance(problem.A, Diagonal) else problem.A.copy()
     A = LiveRows(problem.A[live], quadruple.support.mask.copy(), a0, np.empty((0, problem.n)))
     return SolverSession(A, c0, quadruple, par1, config)
 
@@ -447,8 +451,9 @@ def _catch_up_column(store, j):
 
     A live row that has fallen behind is replayed (see `_replay`).  A row
     that is not live takes the next free block row, grown by doubling when
-    full, and gets the pristine row of A0 plus G' G[:, j] over the logged
-    g's, which the log keeps as one contiguous block.  When that makes every
+    full, and gets the pristine row of A0 (either form reads a dense row,
+    +0.0 off a Diagonal's diagonal) plus G' G[:, j] over the logged g's,
+    which the log keeps as one contiguous block.  When that makes every
     row live, every stale row is replayed, and A0, the log and the replay
     scratch, no longer needed, are dropped.
     """
@@ -462,12 +467,7 @@ def _catch_up_column(store, j):
     store.size += 1
     store.stamp[j] = store.log_size
     row = store.rows[i]
-    a0 = store.a0
-    if a0.ndim == 1:
-        row[:] = 0.0
-        row[j] = a0[j]
-    else:
-        row[:] = a0[j]
+    row[:] = store.a0[j]
     if store.log_size:
         G = store.g_log
         row += G.T @ G[:, j]
@@ -719,9 +719,15 @@ def count_ops(reports, n):
     return [OpCheck(r.t, r.mult_count, complexity_bound(n, r)) for r in reports]
 
 
-def run_summary(sizes, wall_ns, epoch):
-    """Step count, support-size statistics and wall seconds (total and per epoch) of any run."""
+def run_summary(sizes, wall_ns, a_update_ns, epoch):
+    """Step count, support-size statistics and seconds (total and per epoch) of any run.
+
+    Per step, wall_ns is the whole step and a_update_ns its matrix update;
+    the solve, wall_opt, is their difference.
+    """
     sizes = np.asarray(sizes, dtype=float)
+    wall = np.asarray(wall_ns, dtype=float)
+    opt = wall - np.asarray(a_update_ns, dtype=float)
     return {
         "steps": len(sizes),
         "support": {
@@ -730,13 +736,14 @@ def run_summary(sizes, wall_ns, epoch):
             "max": int(sizes.max()),
             "min": int(sizes.min()),
         },
-        "wall_s": float(np.sum(wall_ns, dtype=float) / 1e9),
-        "epoch_wall_s": _epoch_seconds(wall_ns, epoch),
+        "wall_s": float(wall.sum() / 1e9),
+        "epoch_wall_s": _epoch_seconds(wall, epoch),
+        "wall_opt_s": float(opt.sum() / 1e9),
+        "epoch_wall_opt_s": _epoch_seconds(opt, epoch),
     }
 
 
 def _epoch_seconds(ns, epoch):
-    ns = np.asarray(ns, dtype=float)
     return [float(ns[i : i + epoch].sum() / 1e9) for i in range(0, ns.size, epoch)]
 
 
@@ -751,9 +758,9 @@ def aggregate_reports(reports, epoch=250):
             "epoch_wall_opt_s": [],
         }
     e = np.array([r.e_t for r in reports], dtype=float)
-    wall = np.array([r.wall_ns for r in reports], dtype=float)
-    opt = wall - np.array([r.a_update_ns for r in reports], dtype=float)
-    summary = run_summary([r.support_size for r in reports], wall, epoch)
+    summary = run_summary(
+        [r.support_size for r in reports], [r.wall_ns for r in reports], [r.a_update_ns for r in reports], epoch
+    )
     summary.update(
         excess_turning_points={
             "proportion_zero": float(np.mean(e == 0)),
@@ -764,7 +771,5 @@ def aggregate_reports(reports, epoch=250):
         kkt_residual_max=float(max(r.kkt_residual for r in reports)),
         mult_total=int(sum(r.mult_count for r in reports)),
         rebuilds=int(sum(r.rebuilds for r in reports)),
-        wall_opt_s=float(opt.sum() / 1e9),
-        epoch_wall_opt_s=_epoch_seconds(opt, epoch),
     )
     return summary

@@ -21,10 +21,14 @@ ZETA_SCALE = 1e-12
 DEFAULT_COND_CAP = 1e12
 
 
+def _tiny(x):
+    """ZETA_SCALE * max(1, |x|), without a builtin call: the one zero-threshold rule."""
+    return ZETA_SCALE * (x if x > 1.0 else -x if x < -1.0 else 1.0)
+
+
 def zero_tol(v):
     """Absolute zero threshold for entries of v."""
-    vmax = float(np.max(np.abs(v))) if np.size(v) else 0.0
-    return ZETA_SCALE * max(1.0, vmax)
+    return _tiny(float(np.max(np.abs(v))) if np.size(v) else 0.0)
 
 
 class Support:
@@ -213,17 +217,19 @@ def diagonal_of(A):
 class Problem:
     """One simplex QP instance: finite, symmetric positive-definite A and finite linear term c.
 
-    A `Diagonal` A is checked in O(n): it is symmetric, and positive
-    definite iff its diagonal is finite and positive; it is kept as it is,
-    with no n x n array.  A dense A that is diagonal costs one pass over A
-    plus O(n) work on its diagonal: `diagonal_of` has already proven every
-    entry off it +0.0, so only the diagonal needs the finiteness check.  Any
-    other A costs an O(n^2) finiteness and symmetry check and an O(n^3)
-    Cholesky factorization.  `diag` keeps the diagonal (None when A is not
-    diagonal).
+    This is where "is A diagonal?" is decided, once: an A whose entries off
+    the diagonal are all +0.0 is held as a `Diagonal` from here on, so a
+    reader asks `isinstance(problem.A, Diagonal)` and nothing else.  A
+    `Diagonal` A is checked in O(n): it is symmetric, and positive definite
+    iff its diagonal is finite and positive; it is kept as it is, with no
+    n x n array.  A dense A that is diagonal costs one pass over A plus O(n)
+    work on its diagonal: `diagonal_of` has already proven every entry off
+    it +0.0, so only the diagonal needs the finiteness check.  Any other A
+    (a -0.0 off the diagonal included) stays dense and costs an O(n^2)
+    finiteness and symmetry check and an O(n^3) Cholesky factorization.
     """
 
-    __slots__ = ("A", "c", "n", "diag")
+    __slots__ = ("A", "c", "n")
 
     def __init__(self, A, c):
         if not isinstance(A, Diagonal):
@@ -248,10 +254,9 @@ class Problem:
                 np.linalg.cholesky(A)
             except np.linalg.LinAlgError:
                 raise ValueError("A must be positive definite") from None
-        self.A = A
+        self.A = A if d is None or isinstance(A, Diagonal) else Diagonal(d)
         self.c = c
         self.n = n
-        self.diag = d
 
 
 def check_block(ass, support, cond_cap):
@@ -384,9 +389,10 @@ def oracle_solve(problem, x0=None, cond_cap=DEFAULT_COND_CAP):
     exhaustive enumeration backs it up when the iteration fails or its result
     misses a KKT residual of 1e-9.
 
-    Without x0 the seed costs O(n log n) when `problem.diag` is set (a
-    `Problem` over a diagonal A) and a dense O(n^3) solve otherwise; each
-    support change then costs one O(s^3) solve on the working support.
+    Without x0 the seed costs O(n log n) when `problem.A` is a `Diagonal`
+    (a `Problem` holds every diagonal A as one) and a dense O(n^3) solve
+    otherwise; each support change then costs one O(s^3) solve on the
+    working support.
 
     Raises ValueError when x0 is not a finite length-n point of the simplex,
     and, for n > 12, NoConvergence after 50 n support changes or on a result
@@ -395,11 +401,11 @@ def oracle_solve(problem, x0=None, cond_cap=DEFAULT_COND_CAP):
     n = problem.n
     if x0 is not None:
         x = simplex_start(x0, n)
-    elif getattr(problem, "diag", None) is not None:
+    elif isinstance(problem.A, Diagonal):
         # Seed from the projected unconstrained minimizer, usually within a
         # few support changes of the answer.  Over a diagonal A it is c / d
         # in O(n), the exact bits LAPACK's LU solve returns.
-        x = project_simplex(problem.c / problem.diag)
+        x = project_simplex(problem.c / problem.A.d)
     else:
         try:
             x = project_simplex(np.linalg.solve(problem.A, problem.c))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import counters as cnt
 from .errors import CycleLimit, DegenerateDenominator, DegenerateError, DegeneratePivot, EmptySupport
-from .kkt import ZETA_SCALE
+from .kkt import _tiny
 from .state import direct_update_par2
 
 # A leg raises CycleLimit past this many turning points per index (10 n).
@@ -38,11 +38,6 @@ class PathEvent:
     index: int
     kind: str  # "enter" or "leave"
     support_size: int
-
-
-def _tiny(x):
-    """ZETA_SCALE * max(1, |x|), without a builtin call."""
-    return ZETA_SCALE * (x if x > 1.0 else -x if x < -1.0 else 1.0)
 
 
 def _first_zero(support, v, dvec, w1, exclude, counter):

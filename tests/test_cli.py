@@ -123,6 +123,28 @@ class TestRunSynthetic:
         assert code == 0
         assert peak < 8 * n * n / 4
 
+class TestTimingColumns:
+    @pytest.mark.parametrize("solver", ["hones", "pg-warm", "oracle"])
+    def test_every_mode_keeps_the_documented_identity(self, tmp_path, solver):
+        # The timing columns describe the solver the file is named for:
+        # wall_ns = a_update_ns + wall_opt_ns on every row, and the JSON's
+        # wall and epoch seconds sum those columns.
+        argv = ["run-synthetic", "--n", "10", "--steps", "25", "--seed", "2", "--epoch", "20", "--solver", solver]
+        argv += ["--pg-max-iter", "200"]  # a short pg-warm run; its timings are what is checked
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+        name = f"synthetic-{solver}-n10-s25-seed2"
+        rows = read_csv(tmp_path / f"{name}.csv")
+        wall, opt, upd = (
+            np.array([int(row[rows[0].index(col)]) for row in rows[1:]])
+            for col in ("wall_ns", "wall_opt_ns", "a_update_ns")
+        )
+        assert (wall == upd + opt).all() and (upd > 0).all() and (opt > 0).all()
+        summary = json.loads((tmp_path / f"{name}.json").read_text())
+        for key, ns in (("wall_s", wall), ("wall_opt_s", opt)):
+            assert summary[key] == pytest.approx(ns.sum() / 1e9, rel=1e-12)
+            assert summary[f"epoch_{key}"] == pytest.approx([ns[:20].sum() / 1e9, ns[20:].sum() / 1e9], rel=1e-12)
+
+
 class TestOracleTwin:
     def test_agreement_file(self, tmp_path):
         code = cli.main(
@@ -176,6 +198,18 @@ class TestPriceFlows:
         assert code == 0
         rows = read_csv(tmp_path / "ons-hones-n10-s40-seed4.csv")
         assert len(rows) == 41
+
+    def test_ons_takes_no_epsilon(self, tmp_path, capsys):
+        # The ons A0 is I whatever the ridge, so run-ons has no --epsilon,
+        # and its JSON echoes none.
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["run-ons", "--n", "8", "--steps", "5", "--epsilon", "1e-3", "--out-dir", str(tmp_path)])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --epsilon 1e-3" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert cli.main(["run-ons", "--n", "8", "--steps", "5", "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "ons-hones-n8-s5-seed0.json").read_text())
+        assert summary["scenario"]["epsilon"] is None
 
     def test_run_markowitz_with_price_file(self, tmp_path):
         from hones.flows import save_prices, synthetic_prices

@@ -524,14 +524,28 @@ class TestLazyA:
         ses, flow = synthetic_session(n, seed=89)
         run_sequence(ses, flow, steps)
         r = np.flatnonzero(ses.A.touched).size
-        assert r < n and ses.A.a0.shape == (n,)
-        arrays = [ses.A.rows, ses.A.slot, ses.A.stamp, ses.A.touched, ses.A.a0, ses.A.log, ses.par1.M, ses.quadruple.v]
+        assert r < n and ses.A.a0.d.shape == (n,)
+        arrays = [ses.A.rows, ses.A.slot, ses.A.stamp, ses.A.touched, ses.A.a0.d, ses.A.log, ses.par1.M, ses.quadruple.v]
         arrays += [v for v in vars(ses).values() if isinstance(v, np.ndarray)]
         assert all(a.size < n * n for a in arrays)
         path = tmp_path / "session.bin"
         ses.save(path)
         s = ses.support.size
         assert path.stat().st_size == sum(checkpoint_sizes(n, steps, s, n, r))
+
+    def test_lazy_session_over_a_dense_diagonal_holds_a_diagonal(self):
+        # Problem holds np.diag(d) as a Diagonal, and the store keeps that
+        # Diagonal as its A0; rows that go live later are read from it.
+        n, steps = 200, 60
+        flow = synthetic_flow(FlowConfig("synthetic", n, steps, c_factor=0.1, seed=89))
+        ses = init_session(np.diag(flow.a0.d), flow.c0)
+        assert isinstance(ses.A.a0, Diagonal) and ses.A.a0.d.tobytes() == flow.a0.d.tobytes()
+        run_sequence(ses, flow, steps)
+        assert ses.reports[0].s_star < np.count_nonzero(ses.A.touched) < n
+        assert isinstance(ses.A.a0, Diagonal)
+        arrays = [ses.A.rows, ses.A.slot, ses.A.stamp, ses.A.touched, ses.A.a0.d, ses.A.log, ses.par1.M]
+        arrays += [v for v in vars(ses).values() if isinstance(v, np.ndarray)]
+        assert all(a.size < n * n for a in arrays)
 
     def test_diagonal_a0_traces_no_n_by_n_array(self):
         # At n = 20 000 a dense A0 alone would be 3.2 GB; the flow, set-up
@@ -545,7 +559,7 @@ class TestLazyA:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
-        assert ses.A.a0.shape == (n,) and not ses.A.full
+        assert ses.A.a0.d.shape == (n,) and not ses.A.full
 
     def test_only_lazy_sessions_catch_rows_up(self, monkeypatch):
         # Eager sessions have every row live from the start, so no step may
@@ -822,6 +836,26 @@ class TestCheckpoint:
         G = np.array([g for g, _ in stream])
         ref = oracle_solve(Problem(flow.a0 + G.T @ G, stream[-1][1]))
         assert np.max(np.abs(old.x - ref.x)) <= 1e-9
+
+    def test_diagonal_a0_loads_as_a_diagonal_and_continues_bit_identically(self, tmp_path):
+        ses, flow = synthetic_session(12, seed=29)
+        stream = list(flow)[:40]
+        for g, c in stream[:5]:
+            step(ses, g, c)
+        path = tmp_path / "session.bin"
+        ses.save(path)
+        assert path.read_bytes()[21] == 1
+        twin = SolverSession.load(path)
+        assert isinstance(twin.A.a0, Diagonal) and twin.A.a0.d.tobytes() == ses.A.a0.d.tobytes()
+        live_at_save = np.count_nonzero(twin.A.touched)
+        for g, c in stream[5:]:
+            assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
+            assert np.array_equal(ses.x, twin.x)
+        # Rows went live from the loaded Diagonal after the load, the last of them too.
+        assert live_at_save < 12 and twin.A.full
+        ses.save(tmp_path / "ses.bin")
+        twin.save(tmp_path / "twin.bin")
+        assert (tmp_path / "ses.bin").read_bytes() == (tmp_path / "twin.bin").read_bytes()
 
     def test_saved_before_first_step_continues(self, tmp_path):
         ses, flow = synthetic_session(8, seed=67)

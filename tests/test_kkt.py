@@ -94,7 +94,7 @@ class TestProblem:
         A = np.diag([1.0, 2.0, 3.0])
         A[0, 2] = -0.0
         p = Problem(A, np.array([0.3, -0.1, 0.2]))
-        assert p.diag is None
+        assert not isinstance(p.A, Diagonal)
         q = oracle_solve(p)
         assert kkt_residual(p, q) <= 1e-12
 
@@ -163,7 +163,7 @@ class TestDiagonal:
 
         monkeypatch.setattr(Diagonal, "__array__", no_dense)
         p = Problem(Diagonal([1e-4, 2.0, 3.0]), np.zeros(3))
-        assert isinstance(p.A, Diagonal) and p.diag.tobytes() == np.array([1e-4, 2.0, 3.0]).tobytes()
+        assert isinstance(p.A, Diagonal) and p.A.d.tobytes() == np.array([1e-4, 2.0, 3.0]).tobytes()
         for bad in ([1.0, np.inf, 2.0], [np.nan, 1.0, 2.0], [1.0, -np.inf, 2.0]):
             with pytest.raises(ValueError, match="A and c must be finite"):
                 Problem(Diagonal(bad), np.zeros(3))
@@ -188,7 +188,9 @@ class TestDiagonal:
             d = np.exp(rng.uniform(-10.0, 4.0, n))
             c = d * rng.standard_normal(n)
             p, dense = Problem(Diagonal(d), c), Problem(np.diag(d), c)
-            assert p.diag.tobytes() == dense.diag.tobytes()
+            assert p.A.d.tobytes() == dense.A.d.tobytes()
+            # Problem holds np.diag(d) as a Diagonal too; a bare namespace keeps the dense matrix.
+            dense = SimpleNamespace(A=np.diag(d), c=c, n=n)
             assert_same_bits(oracle_solve(p), oracle_solve(dense))
             support = Support(n, rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
             assert_same_bits(solve_given_support(p, support), solve_given_support(dense, support))
@@ -364,15 +366,16 @@ class TestDiagonalSeed:
 
     @staticmethod
     def dense_twin(p):
-        # No `diag` attribute: oracle_solve takes the dense np.linalg.solve seed.
-        return SimpleNamespace(A=p.A, c=p.c, n=p.n)
+        # A dense A, which no Problem holds once it is diagonal: oracle_solve
+        # takes the dense np.linalg.solve seed.
+        return SimpleNamespace(A=np.asarray(p.A), c=p.c, n=p.n)
 
     def test_flows_match_the_dense_seed_bit_for_bit(self):
         for kind in ("synthetic", "ons", "markowitz"):
             for seed in range(4):
                 flow = flow_for_config(FlowConfig(kind, 30, 5, seed=seed), x_feedback=lambda: None)
                 p = Problem(flow.a0, flow.c0)
-                assert p.diag is not None
+                assert isinstance(p.A, Diagonal)
                 assert_same_bits(oracle_solve(p), oracle_solve(self.dense_twin(p)))
 
     def test_random_diagonals_match_the_dense_seed_bit_for_bit(self):

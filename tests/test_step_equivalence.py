@@ -14,7 +14,7 @@ import pytest
 
 from hones import counters as cnt
 from hones import driver
-from hones.kkt import ZETA_SCALE, Problem, Quadruple, Support, kkt_residual
+from hones.kkt import ZETA_SCALE, Diagonal, Problem, Quadruple, Support, kkt_residual
 from hones.path_matrix import DBL_MAX, _first_zero, _tiny
 from hones.state import Par1, direct_update_par2, direct_update_par3, par1_from_matrix
 
@@ -693,7 +693,7 @@ class TestReplay:
         touched[live] = True
         rows = with_signed_zeros(rng, rng.standard_normal((live.size, n)))
         step_store, replay_store = (
-            driver.LiveRows(rows.copy(), touched.copy(), np.ones(n), np.empty((0, n))) for _ in range(2)
+            driver.LiveRows(rows.copy(), touched.copy(), Diagonal(np.ones(n)), np.empty((0, n))) for _ in range(2)
         )
         for t in range(steps):
             g = with_signed_zeros(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3))

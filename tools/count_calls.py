@@ -70,4 +70,10 @@ def c_name(fn):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head -1`): send what is still
+        # buffered to devnull, so the flush at exit raises no second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
