@@ -367,8 +367,9 @@ class SolverSession:
         than its header and mask imply, a flag byte other than 0 or 1, an A0
         kind other than 0, 1 or 2, an A0 or log kept when every row is live
         or no A0 when one is not, a support that is not strictly increasing
-        inside the touched rows, a non-finite float, a tol SolverConfig
-        refuses) raises ValueError before any session is built.
+        inside the touched rows, a non-finite float, a diagonal A0 with an
+        entry that is not positive, a tol SolverConfig refuses) raises
+        ValueError before any session is built.
         """
         with open(path, "rb") as fh:
             buf = fh.read()
@@ -402,6 +403,8 @@ class SolverSession:
             raise ValueError("support must be nonempty, strictly increasing and inside the touched rows")
         if not all(np.isfinite(f[name]).all() for name, dtype, _ in sections if dtype == "<f8"):
             raise ValueError("checkpoint holds a NaN or infinite float")
+        if kind == 1 and not (f["A0"] > 0.0).all():
+            raise ValueError("a diagonal A0 must be positive")
         config = SolverConfig(tol=float(f["tol"][0]), lazy_a=bool(lazy))
 
         def vec(name):

@@ -32,21 +32,37 @@ from .kkt import Diagonal
 
 @dataclass
 class FlowConfig:
+    """The parameters of one flow; every field a config accepts changes the flow it configures.
+
+    `epsilon` (the ridge of A0 = eps I) and `c_factor` (the scale of the
+    synthetic anchor y) default to None, which the config replaces with the
+    kind's default, 1e-4 and 0.1.  A kind whose flow does not read one of
+    them keeps it None and refuses any other value: ons reads neither (its
+    A0 is I), markowitz no c_factor.
+    """
+
     kind: str  # "ons" | "markowitz" | "synthetic"
     n: int
     steps: int
-    epsilon: float = 1e-4
-    c_factor: float = 0.1
+    epsilon: float | None = None
+    c_factor: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("ons", "markowitz", "synthetic"):
+        # The knobs each kind's flow reads, with their defaults.
+        reads = {"ons": {}, "markowitz": {"epsilon": 1e-4}, "synthetic": {"epsilon": 1e-4, "c_factor": 0.1}}
+        if self.kind not in reads:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if self.n < 1 or self.steps < 1:
             raise ValueError("n and steps must be positive")
-        if self.epsilon <= 0:
+        for name in ("epsilon", "c_factor"):
+            if getattr(self, name) is None:
+                setattr(self, name, reads[self.kind].get(name))
+            elif name not in reads[self.kind]:
+                raise ValueError(f"the {self.kind} flow has no {name}")
+        if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.c_factor < 0:
+        if self.c_factor is not None and self.c_factor < 0:
             raise ValueError("c_factor must be nonnegative")
 
 

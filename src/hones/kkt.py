@@ -74,9 +74,6 @@ class Support:
     def from_mask(cls, mask):
         return cls(len(mask), np.flatnonzero(mask))
 
-    def contains(self, j):
-        return bool(self.mask[j])
-
     def complement(self):
         """The indices off the support, increasing (read-only)."""
         if self._comp is None:

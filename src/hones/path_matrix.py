@@ -44,22 +44,22 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
     """Ratio test: the first a >= 0 at which v + a * w1 * dvec has a zero coordinate.
 
     Returns (a, index), or (inf, None) when no coordinate ever hits zero.
-    `exclude` suppresses the index that toggled at the current parameter so a
-    just-processed zero cannot re-trigger.  Indices currently parked at zero
-    only fire (at a = 0) when their velocity pushes them infeasible, which
-    realizes simultaneous hits as a deterministic sequence of zero-length
-    increments.  Smallest index wins ties.
+    Two indices are skipped: `exclude`, the index that toggled at the
+    current parameter, so a just-processed zero cannot re-trigger, and a
+    singleton support's index, which cannot leave (the sum constraint pins
+    it at one, so any leave ratio there is numerical noise).  Indices
+    currently parked at zero only fire (at a = 0) when their velocity pushes
+    them infeasible, which realizes simultaneous hits as a deterministic
+    sequence of zero-length increments.  Smallest index wins ties.
     """
+    skip = () if exclude is None else (exclude,)
+    skip += (support.idx[0],) if support.size == 1 else ()
     av = np.abs(v)
     vmax = float(np.maximum.reduce(av))
     zeta = _tiny(vmax)
     near = av <= zeta
-    if exclude is not None:
-        near[exclude] = False
-    if support.size == 1:
-        # A singleton support cannot lose its index: the sum constraint pins
-        # x_j at one, so any leave ratio there is numerical noise.
-        near[support.idx[0]] = False
+    for i in skip:
+        near[i] = False
 
     # Coordinates already at zero that are being pushed infeasible must toggle
     # right now (leave needs velocity < 0, enter needs velocity > 0).
@@ -87,10 +87,8 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
     # r is minus the ratio.  0.0 is never a candidate: it marks the indices
     # at zero and the ones the test must skip.
     r[near] = 0.0
-    if exclude is not None:
-        r[exclude] = 0.0
-    if support.size == 1:
-        r[support.idx[0]] = 0.0
+    for i in skip:
+        r[i] = 0.0
     # A candidate moves toward zero: its ratio has the sign of w1.  An
     # infinite one equals the fill, and a NaN fails both comparisons.
     if w1 > 0.0:
@@ -140,13 +138,13 @@ def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
 def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
     """Advance the quadruple and both caches by a lam increment.
 
+    `lam_inc` is finite and nonnegative: _run_leg advances by find_lambda's
+    increment only while it is below 1 - lam, and by 1 - lam otherwise.
     `direction` is the (w1, dvec) that find_lambda returned at this state.
     Every right-hand side uses the values from before the call; the scalars
     are rescaled last for that reason.  Raises DegenerateDenominator when the
     update denominators lose positivity, which signals a rebuild.
     """
-    if not 0.0 <= lam_inc < np.inf:
-        raise ValueError(f"lam_inc must be finite and nonnegative, got {lam_inc}")
     support = quadruple.support
     d = par1.D
     d_g, d_gg, d_gc = par2.D_g, par2.D_gg, par2.D_gc
@@ -178,15 +176,15 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
 
 
 def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None):
-    """Pivot and full-length gamma vector for adding index j to the support.
+    """Pivot, full-length gamma vector and new support for adding index j.
 
-    Only the j-th row of A plus the already-live support rows are read, each
-    once (A is symmetric, so row j stands for column j).  The optional
-    lam * eta_j correction folds in the rank-one term when the matrix is
-    still parametrized by lam.
+    `Support.with_added` refuses a j already in the support before any
+    work.  Only the j-th row of A plus the already-live support rows are
+    read, each once (A is symmetric, so row j stands for column j).  The
+    optional lam * eta_j correction folds in the rank-one term when the
+    matrix is still parametrized by lam.
     """
-    if support.contains(j):
-        raise ValueError(f"index {j} already in support")
+    new_support = support.with_added(j)
     idx = support.idx
     mj_s = par1.M[j, :]
     aj = A[j]
@@ -203,21 +201,24 @@ def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None
         cnt.add(counter, support.n)
     gamma[idx] = mj_s
     gamma[j] = 1.0
-    return ajj, gamma
+    return ajj, gamma, new_support
 
 
 def _shrink_geometry(support, j, par1):
-    """Pivot M_jj and full-length beta vector (column j of M, -1 at j) for removing index j."""
-    if not support.contains(j):
-        raise ValueError(f"index {j} not in support")
+    """Pivot M_jj, full-length beta vector (column j of M, -1 at j) and new support for removing index j.
+
+    A singleton support raises EmptySupport for any j; otherwise
+    `Support.with_removed` refuses a j off the support before any work.
+    """
     if support.size < 2:
         raise EmptySupport("cannot shrink a singleton support")
+    new_support = support.with_removed(j)
     beta = par1.col(j, support)
     mjj = float(beta[j])
     if mjj <= _tiny(1.0):
         raise DegeneratePivot(f"pivot {mjj} removing index {j}")
     beta[j] = -1.0
-    return mjj, beta
+    return mjj, beta, new_support
 
 
 def _pivot(support, new_support, j, vec, inv, par1, cache, b, counter):
@@ -247,10 +248,9 @@ def expand_support_lambda(lam, support, j, A, c, g, par1, par2, counter=None):
 
     Requires the j-th row of A to be current.  Returns the new support.
     """
-    ajj, gamma = _expand_geometry(
+    ajj, gamma, new_support = _expand_geometry(
         support, j, A, par1, lam_eta_g=lam * float(par2.eta[j]), gvec=g, counter=counter
     )
-    new_support = support.with_added(j)
     b = -float(c[new_support.idx] @ gamma[new_support.idx])
     cnt.add(counter, new_support.size + 8)
     _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, b, counter)
@@ -259,8 +259,7 @@ def expand_support_lambda(lam, support, j, A, c, g, par1, par2, counter=None):
 
 def shrink_support_lambda(support, j, c, par1, par2, counter=None):
     """Remove index j from the support; updates Par1 and Par2."""
-    mjj, beta = _shrink_geometry(support, j, par1)
-    new_support = support.with_removed(j)
+    mjj, beta, new_support = _shrink_geometry(support, j, par1)
     idx2 = new_support.idx
     b = -float(c[idx2] @ beta[idx2]) - float(c[j]) * mjj
     cnt.add(counter, idx2.size + 9)

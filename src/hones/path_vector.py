@@ -33,9 +33,10 @@ def find_utilde_lambda(support, quadruple, par1, par3, exclude=None, counter=Non
 
 
 def update_by_utilde_lambda(lam_inc, quadruple, direction, counter=None):
-    """Advance v and mu0 along the direction (q, d) of find_utilde_lambda; the caches are untouched."""
-    if not 0.0 <= lam_inc < np.inf:
-        raise ValueError(f"lam_inc must be finite and nonnegative, got {lam_inc}")
+    """Advance v and mu0 along the direction (q, d) of find_utilde_lambda; the caches are untouched.
+
+    `lam_inc` is finite and nonnegative, as in update_by_lambda.
+    """
     q, d = direction
     quadruple.v -= lam_inc * d
     quadruple.mu0 += q * lam_inc
@@ -49,8 +50,7 @@ def expand_support_utilde(support, j, A, par1, par3, counter=None):
     The matrix is frozen here, so the pivot carries no lam correction; A must
     already include the step's rank-one update in row j.
     """
-    ajj, gamma = _expand_geometry(support, j, A, par1, counter=counter)
-    new_support = support.with_added(j)
+    ajj, gamma, new_support = _expand_geometry(support, j, A, par1, counter=counter)
     cnt.add(counter, 6)
     _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par3, None, counter)
     return new_support
@@ -58,8 +58,7 @@ def expand_support_utilde(support, j, A, par1, par3, counter=None):
 
 def shrink_support_utilde(support, j, par1, par3, counter=None):
     """Remove index j during the vector leg; updates Par1 and Par3."""
-    mjj, beta = _shrink_geometry(support, j, par1)
-    new_support = support.with_removed(j)
+    mjj, beta, new_support = _shrink_geometry(support, j, par1)
     cnt.add(counter, 6)
     _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par3, None, counter)
     return new_support

@@ -33,7 +33,8 @@ def record(name, ok, detail):
 
 
 def make_flow(kind, n, steps, seed, feedback):
-    cfg = FlowConfig(kind, n, steps, c_factor=0.1, seed=seed)
+    knobs = {"c_factor": 0.1} if kind == "synthetic" else {}
+    cfg = FlowConfig(kind, n, steps, seed=seed, **knobs)
     prices = synthetic_prices(n, steps + 1, seed=seed) if kind != "synthetic" else None
     return flow_for_config(cfg, prices=prices, x_feedback=feedback)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -344,6 +345,20 @@ class TestVerify:
 
     def test_fault_injection_fails(self):
         assert cli.main(["verify", "--steps", "30", "--seeds", "5", "--inject-fault", "m-corruption"]) == 1
+
+    def test_turning_point_check_reads_the_support(self, monkeypatch, capsys):
+        # A report whose k_t undercounts the support change by one still has
+        # k_t >= 2 e_t >= 0, but the check counts the change itself.
+        real_step = cli.step
+
+        def undercounting_step(session, g, c):
+            rep = real_step(session, g, c)
+            return dataclasses.replace(rep, k_t=rep.k_t - 1) if rep.k_t > 2 * rep.e_t else rep
+
+        monkeypatch.setattr(cli, "step", undercounting_step)
+        assert cli.main(["verify", "--steps", "30", "--seeds", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] turning-point-lower-bound" in out and out.count("[FAIL]") == 1
 
     def test_exhaustive_mode(self):
         assert cli.main(["verify", "--n", "12", "--seeds", "6", "--steps", "20", "--exhaustive"]) == 0

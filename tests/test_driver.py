@@ -78,6 +78,13 @@ def _support_outside_touched(buf, at):
     return buf
 
 
+def _a0_negative(buf, at):
+    """Set the diagonal A0 entry of the first row that is not live to -1.0."""
+    n = struct.unpack_from("<I", buf, 4)[0]
+    j = int(np.flatnonzero(np.frombuffer(buf, "u1", n, at["mask"]) == 0)[0])
+    return _put(buf, at["A0"] + 8 * j, "<d", -1.0)
+
+
 # Damage to the golden checkpoint that load must refuse, besides a cut at the
 # start of each section.
 DAMAGE = {
@@ -95,6 +102,7 @@ DAMAGE = {
     "header-s": lambda buf, at: _put(buf, 16, "<I", 9),
     "lazy-2": lambda buf, at: _put(buf, 20, "B", 2),
     "a0-kind-3": lambda buf, at: _put(buf, 21, "B", 3),
+    "a0-negative": _a0_negative,
     "mask-2": lambda buf, at: _put(buf, at["mask"] + 3, "B", 2),
     "support-duplicate": lambda buf, at: _put(buf, at["support"] + 8, "8s", buf[at["support"] : at["support"] + 8]),
     "support-outside-touched": _support_outside_touched,

@@ -33,6 +33,10 @@ class TestFlowConfig:
             FlowConfig("synthetic", 5, 10, epsilon=0.0)
         with pytest.raises(ValueError):
             FlowConfig("synthetic", 5, 10, c_factor=-1.0)
+        # A kind refuses a knob its flow does not read.
+        for kind, knob in [("ons", "epsilon"), ("ons", "c_factor"), ("markowitz", "c_factor")]:
+            with pytest.raises(ValueError, match=f"the {kind} flow has no {knob}"):
+                FlowConfig(kind, 5, 10, **{knob: 0.5})
 
 
 class TestOnsFlow:

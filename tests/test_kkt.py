@@ -47,7 +47,7 @@ class TestSupport:
     def test_basic(self):
         s = Support(5, [3, 1])
         assert list(s.idx) == [1, 3]
-        assert s.contains(3) and not s.contains(0)
+        assert s.mask[3] and not s.mask[0]
         assert list(s.complement()) == [0, 2, 4]
         assert s.with_added(0).as_tuple() == (0, 1, 3)
         assert s.with_removed(1).as_tuple() == (3,)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,13 @@ def fresh_state(problem, g):
     par1 = init_par1(problem, q.support)
     par2 = direct_update_par2(q.support, par1, problem.c, g)
     return q, par1, par2
+
+
+def state_bytes(support, par1, cache):
+    """The bytes of the support, Par1 and a leg cache (Par2 or Par3), field by field."""
+    fields = [support.idx, support.mask, par1.M, par1.eta_tilde, par1.D]
+    fields += [getattr(cache, f.name) for f in dataclasses.fields(cache)]
+    return [np.asarray(f).tobytes() for f in fields]
 
 
 def first_support_change(A, c, g, samples=400):
@@ -247,6 +256,22 @@ class TestExpandShrink:
             kappa = condition_proxy(p.A, new, par1)
             assert validate_state(p, new, par1, par2) <= 1e-10 * max(1.0, kappa)
 
+    def test_wrong_index_refused_before_any_work(self):
+        # An expand with a member and a shrink with a non-member raise
+        # ValueError and leave the support, Par1 and Par2 as they were.
+        p = random_spd_problem(np.random.default_rng(13), 5)
+        support = Support(5, [0, 2, 3])
+        par1 = init_par1(p, support)
+        g = np.arange(5.0) - 1.5
+        par2 = direct_update_par2(support, par1, p.c, g)
+        before = state_bytes(support, par1, par2)
+        with pytest.raises(ValueError, match="index 2 already in support"):
+            expand_support_lambda(0.5, support, 2, p.A, p.c, g, par1, par2)
+        assert state_bytes(support, par1, par2) == before
+        with pytest.raises(ValueError, match="index 1 not in support"):
+            shrink_support_lambda(support, 1, p.c, par1, par2)
+        assert state_bytes(support, par1, par2) == before
+
 
 class TestRunLambdaLeg:
     def test_zero_direction_no_events(self):
@@ -337,7 +362,7 @@ class TestRunLambdaLeg:
                     break
                 update_by_lambda(lam_inc, q, par1, par2, direction)
                 lam += lam_inc
-                if q.support.contains(j):
+                if q.support.mask[j]:
                     support_new = shrink_support_lambda(q.support, j, p.c, par1, par2)
                 else:
                     support_new = expand_support_lambda(lam, q.support, j, p.A, p.c, g, par1, par2)

@@ -20,6 +20,7 @@ from hones.state import (
 )
 
 from test_kkt import random_spd_problem
+from test_path_matrix import state_bytes
 
 
 def fresh_state(problem, l):
@@ -55,7 +56,7 @@ class TestFindUtilde:
         lam_inc, j, _ = find_utilde_lambda(q.support, q, par1, par3)
         assert lam_inc == pytest.approx(0.5, abs=1e-14)
         assert j == 1
-        assert q.support.contains(j)  # a leave: the support becomes (0,)
+        assert q.support.mask[j]  # a leave: the support becomes (0,)
 
 
 class TestUpdateByUtilde:
@@ -178,6 +179,21 @@ class TestExpandShrinkUtilde:
                 support = shrink_support_utilde(support, j_out, par1, par3)
             kappa = condition_proxy(p.A, support, par1)
             assert validate_state(p, support, par1, par3=par3) <= 1e-10 * max(1.0, kappa)
+
+    def test_wrong_index_refused_before_any_work(self):
+        # An expand with a member and a shrink with a non-member raise
+        # ValueError and leave the support, Par1 and Par3 as they were.
+        p = random_spd_problem(np.random.default_rng(17), 5)
+        support = Support(5, [1, 3, 4])
+        par1 = init_par1(p, support)
+        par3 = direct_update_par3(support, par1, np.arange(5.0) - 2.0)
+        before = state_bytes(support, par1, par3)
+        with pytest.raises(ValueError, match="index 3 already in support"):
+            expand_support_utilde(support, 3, p.A, par1, par3)
+        assert state_bytes(support, par1, par3) == before
+        with pytest.raises(ValueError, match="index 0 not in support"):
+            shrink_support_utilde(support, 0, par1, par3)
+        assert state_bytes(support, par1, par3) == before
 
 
 class TestRunUtildeLeg:

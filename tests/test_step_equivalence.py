@@ -527,7 +527,7 @@ class TestSupportToggles:
             for bits_ in range(1, 1 << n):
                 s = Support(n, [i for i in range(n) if bits_ >> i & 1])
                 for j in range(n):
-                    if s.contains(j):
+                    if s.mask[j]:
                         if s.size > 1:
                             same_support(s.with_removed(j), ref_with_removed(s, j))
                         else:

@@ -8,10 +8,19 @@ Feeds stream 0 of benchmark seed 1 through `perfbench/streams.run_stream`,
 set-up and input generation included, under `sys.setprofile`, and prints
 the `call` plus `c_call` events divided by the stream's step count.  The
 count is a pure function of the code and the seed, so it repeats run to run
-and can compare two checkouts on a noisy host.  Under the total it prints
-the ten functions that make the most calls, each per step and as a share of
-the total: a Python function by qualified name, file and first line, a C
-function by module or type and name.  A generator counts once per resume.
+and can compare two checkouts on a noisy host.
+
+Under the total it prints the per-event fit: the least-squares fit of each
+step's calls on (1, k_a, k_c), its matrix-leg and vector-leg turning points,
+as a base per step plus a cost per event of each leg (a leg with no event in
+the stream gets no term).  A step's calls are those from the moment its
+input is drawn, through `run_stream`'s `nxt` hook, to the moment the next
+step's is; the last step, whose count would take in the stream's wrap-up,
+is left out of the fit.  The hook's own call is not counted, so the total
+is the same as without it.  Then it prints the ten functions that make the
+most calls, each per step and as a share of the total: a Python function by
+qualified name, file and first line, a C function by module or type and
+name.  A generator counts once per resume.
 """
 
 import argparse
@@ -22,6 +31,8 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402  (after the thread settings, which it reads on import)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,16 +48,23 @@ def main(argv=None):
     seed = streams.stream_seeds(1, 1)[0]
     py_calls = collections.Counter()  # code object -> calls
     c_calls = collections.Counter()  # C function name -> calls
+    marks = []  # calls counted when each step's input was drawn
+
+    def draw(it):
+        return next(it)
 
     def count(frame, event, arg):
         if event == "call":
-            py_calls[frame.f_code] += 1
+            if frame.f_code is draw.__code__:
+                marks.append(py_calls.total() + c_calls.total())
+            else:
+                py_calls[frame.f_code] += 1
         elif event == "c_call":
             c_calls[c_name(arg)] += 1
 
     sys.setprofile(count)
     try:
-        streams.run_stream(wl, seed)
+        result = streams.run_stream(wl, seed, nxt=draw)
     finally:
         sys.setprofile(None)
     by_name = collections.Counter(c_calls)
@@ -54,9 +72,20 @@ def main(argv=None):
         by_name[py_name(code)] += calls
     events = sum(by_name.values())
     print(f"{args.workload} seed 1: {events / wl.steps:.1f} calls per step ({events} over {wl.steps} steps)")
+    print(f"  {event_fit(np.diff(marks), result.session.reports)}")
     for name, calls in by_name.most_common(10):
         print(f"  {calls / wl.steps:7.1f}  {calls / events:6.1%}  {name}")
     return 0
+
+
+def event_fit(calls, reports):
+    """The least-squares fit of each step's `calls` on (1, k_a, k_c), as one line of text."""
+    k = np.array([(1, r.k_a, r.k_c) for r in reports[: calls.size]], dtype=float)
+    terms = [(0, "base"), (1, "per matrix-leg event"), (2, "per vector-leg event")]
+    terms = [(col, label) for col, label in terms if k[:, col].any()]
+    coef = np.linalg.lstsq(k[:, [col for col, _ in terms]], calls.astype(float), rcond=None)[0]
+    fit = ", ".join(f"{c:.1f} {label}" for c, (_, label) in zip(coef, terms))
+    return f"fit over {calls.size} steps: {fit}"
 
 
 def py_name(code):
