@@ -33,15 +33,18 @@ includes, and is brought current from the log, in step order and so bit
 for bit, when `touch` or a read reaches it or when the last row goes live.
 A0 is kept as the problem's `kkt.Diagonal` when it is diagonal and as a
 dense copy otherwise; once every row is live, every row is current, A0 and
-the log are dropped, and `add_outer` adds to all n rows.  So memory is O(s* n + k n)
-for k logged g's, not O(n^2), until every row is live.  The eager twin must
-follow the same path: acceptance criterion 7 asserts equal event logs and
-per-step solutions within 1e-9 of the lazy run's.
+the log are dropped, and `add_outer` adds to all n rows.  So memory is
+O(s* n + k n) for k logged g's, not O(n^2), until every row is live.  Until
+then each live row is a pure function of A0, the log and the log size at
+which it went live, which the store keeps, so a checkpoint stores that size
+and not the row.  The eager twin must follow the same path: acceptance
+criterion 7 asserts equal event logs and per-step solutions within 1e-9 of
+the lazy run's.
 
 Between steps the session keeps the store, the linear term, the quadruple
 and Par1, and nothing else: each leg derives its own cache from Par1 when it
 starts (Par2 for the matrix leg, Par3 for the vector leg) and drops it when
-it ends.  A checkpoint (`HSS6`) holds that lasting state and its config.
+it ends.  A checkpoint (`HSS7`) holds that lasting state and its config.
 
 Per step the driver emits a StepReport with that step's turning points and
 their counts, the excess over the support symmetric-difference lower bound,
@@ -169,20 +172,26 @@ class LiveRows:
     behind (a stale row) is brought current by replaying its missed logged
     terms in step order, which gives it the very bits the per-step adds
     would have; that happens when `touch` reaches it, when any read covers
-    it (so `save` writes current rows) and, for every stale row at once,
-    when the last row goes live.  Then A0 and the log are dropped, and every
-    row is current from there on.  `busy_ns` counts the nanoseconds spent on
-    catch-ups, replays, row updates and the log.
+    it and, for every stale row at once, when the last row goes live.  Then
+    A0 and the log are dropped, and every row is current from there on.
+    Until then born[j] is the log size at which live row j went live (0
+    for the rows live from the start), so row j is a pure function of A0,
+    the first born[j] logged g's and the later ones: `save` writes born
+    instead of the rows, and `rebuilt` builds them back.  `busy_ns` counts
+    the nanoseconds spent on catch-ups, replays, row updates and the log.
     """
 
-    __slots__ = ("n", "rows", "slot", "size", "touched", "a0", "log", "log_size", "stamp", "scratch", "busy_ns")
+    __slots__ = (
+        "n", "rows", "slot", "size", "touched", "a0", "log", "log_size", "stamp", "born", "scratch", "busy_ns",
+    )
 
     def __init__(self, rows, touched, a0, log):
         """`rows` holds every row, or the touched rows in increasing index order.
 
-        The store adopts `rows` (all current), the writable mask `touched` and
-        `log` (the logged g's, one per row); `a0` is None when every row is
-        live.
+        The store adopts `rows`, the writable mask `touched` and `log`, the
+        buffer the g's are logged in, one per row; none is logged yet, so
+        the rows are those of the initial matrix.  `a0` is None when every
+        row is live.
         """
         self.n = n = rows.shape[1]
         live = np.arange(n) if rows.shape[0] == n else np.flatnonzero(touched)
@@ -193,13 +202,34 @@ class LiveRows:
         self.touched = touched
         self.a0 = a0
         self.log = log
-        self.log_size = log.shape[0]
+        self.log_size = 0
         # A row that is not live carries a stamp no log reaches, so no read
         # takes it for stale; the read then raises at its slot.
         self.stamp = np.full(n, NOT_LIVE, dtype=np.intp)
-        self.stamp[live] = self.log_size
+        self.stamp[live] = 0
+        self.born = None if a0 is None else self.stamp.copy()
         self.scratch = None
         self.busy_ns = 0
+
+    @classmethod
+    def rebuilt(cls, touched, a0, log, born):
+        """The lazy store over `a0` and the g's in `log` whose touched rows went live at log sizes `born`.
+
+        `born` has one entry per touched row, in increasing index order.
+        Each row goes live through the catch-up, in born order, with the log
+        cut to its first born g's, and is left stale at that stamp; the
+        first read replays the rest, so the store continues bit for bit like
+        the one whose born entries these are.
+        """
+        live = np.flatnonzero(touched)
+        store = cls(np.empty((live.size, touched.size)), np.zeros_like(touched), a0, log)
+        order = np.argsort(born, kind="stable")
+        for j, k in zip(live[order].tolist(), born[order].tolist()):
+            store.log_size = k
+            _catch_up_column(store, j)
+        store.log_size = log.shape[0]
+        store.touched = touched
+        return store
 
     def __getitem__(self, key):
         if self.size == self.n:  # every row live and current, in index order
@@ -324,37 +354,42 @@ class SolverSession:
     # -- checkpointing -------------------------------------------------------
     #
     # The one checkpoint layout; little-endian, floats IEEE-754 binary64:
-    #   "HSS6", n u32, t u32, k u32 (logged g's), s u32 (support size),
+    #   "HSS7", n u32, t u32, k u32 (logged g's), s u32 (support size),
     #       lazy_a u8, A0 kind u8 (0: none, 1: a Diagonal, 2: dense), 2 pad bytes
     #   A0 0, n (the Diagonal's d) or n*n (by kind), c n, c_shift n,
-    #       touched-row mask n u8, g log k*n, A r*n (the live rows in
-    #       increasing index order: one per set mask byte in lazy mode, all
-    #       n in eager mode)
+    #       touched-row mask n u8, g log k*n,
+    #       born r i64 (kind 1 or 2: the log size at which each of the r
+    #       touched rows went live, in increasing index order), or
+    #       A n*n (kind 0: every row is live, in index order)
     #   support s i64, v n, mu0, M n*s (row-major), eta_tilde n, D
     #   tol
-    # `load` checks all of it before it builds anything.
+    # While A0 is kept the file holds no row: `load` rebuilds each live row
+    # from A0, the log and its born entry.  `load` checks all of it before it
+    # builds anything.
 
     HEADER = struct.Struct("<4sIIIIBB2x")
 
     @staticmethod
     def _sections(n, k, s, a0_size, r):
-        """(name, dtype, count) of the arrays after the header, in file order."""
+        """(name, dtype, count) of the arrays after the header, in file order, for r live rows."""
+        born, rows = (r, 0) if a0_size else (0, r * n)
         return [
             ("A0", "<f8", a0_size), ("c", "<f8", n), ("c_shift", "<f8", n), ("mask", "u1", n), ("g_log", "<f8", k * n),
-            ("A", "<f8", r * n), ("support", "<i8", s), ("v", "<f8", n), ("mu0", "<f8", 1), ("M", "<f8", n * s),
-            ("eta_tilde", "<f8", n), ("D", "<f8", 1), ("tol", "<f8", 1),
+            ("born", "<i8", born), ("A", "<f8", rows), ("support", "<i8", s), ("v", "<f8", n), ("mu0", "<f8", 1),
+            ("M", "<f8", n * s), ("eta_tilde", "<f8", n), ("D", "<f8", 1), ("tol", "<f8", 1),
         ]
 
     def save(self, path):
+        """Write the session to `path`; it reads no row of the store, so it replays nothing."""
         q, par1, cfg, A = self.quadruple, self.par1, self.config, self.A
         k, s = A.log_size, q.support.size
         a0 = A.a0.d if isinstance(A.a0, Diagonal) else np.empty(0) if A.a0 is None else A.a0
-        live = A.live()
-        fields = dict(A0=a0, c=self.c, c_shift=self.c_shift, mask=A.touched, g_log=A.g_log, A=A[live])
+        born, rows = (np.empty(0), A.rows) if A.full else (A.born[A.live()], np.empty(0))
+        fields = dict(A0=a0, c=self.c, c_shift=self.c_shift, mask=A.touched, g_log=A.g_log, born=born, A=rows)
         fields.update(support=q.support.idx, v=q.v, mu0=q.mu0, M=par1.M, eta_tilde=par1.eta_tilde, D=par1.D)
         fields.update(tol=cfg.tol)
-        parts = [self.HEADER.pack(b"HSS6", self.n, self.t, k, s, cfg.lazy_a, 0 if A.a0 is None else a0.ndim)]
-        sections = self._sections(self.n, k, s, a0.size, live.size)
+        parts = [self.HEADER.pack(b"HSS7", self.n, self.t, k, s, cfg.lazy_a, 0 if A.a0 is None else a0.ndim)]
+        sections = self._sections(self.n, k, s, a0.size, A.size)
         parts += [np.asarray(fields[name], dtype).tobytes() for name, dtype, _ in sections]
         with open(path, "wb") as fh:
             fh.write(b"".join(parts))
@@ -366,14 +401,17 @@ class SolverSession:
         A file that is not exactly a checkpoint (wrong magic, a length other
         than its header and mask imply, a flag byte other than 0 or 1, an A0
         kind other than 0, 1 or 2, an A0 or log kept when every row is live
-        or no A0 when one is not, a support that is not strictly increasing
-        inside the touched rows, a non-finite float, a diagonal A0 with an
-        entry that is not positive, a tol SolverConfig refuses) raises
-        ValueError before any session is built.
+        or no A0 when one is not, a born entry outside 0..k, a support that
+        is not strictly increasing inside the touched rows, a non-finite
+        float, an A0 with a diagonal entry that is not positive, a dense A0
+        that is not symmetric by `Problem`'s rule, a tol SolverConfig
+        refuses) raises ValueError before any session is built.  While A0 is
+        kept, the live rows are rebuilt by the store's own catch-up
+        (`LiveRows.rebuilt`).
         """
         with open(path, "rb") as fh:
             buf = fh.read()
-        if len(buf) < cls.HEADER.size or buf[:4] != b"HSS6":
+        if len(buf) < cls.HEADER.size or buf[:4] != b"HSS7":
             raise ValueError("not a session checkpoint")
         _, n, t, k, s, lazy, kind = cls.HEADER.unpack_from(buf)
         if lazy > 1 or kind > 2:
@@ -398,13 +436,18 @@ class SolverSession:
         for name, dtype, count in sections:
             f[name] = np.frombuffer(buf, dtype, count, off)
             off += f[name].nbytes
+        if not ((f["born"] >= 0) & (f["born"] <= k)).all():
+            raise ValueError(f"born entries must lie in 0..{k}, the log size")
         idx = f["support"]
         if not (s and idx[0] >= 0 and idx[-1] < n and (np.diff(idx) > 0).all() and mask[idx].all()):
             raise ValueError("support must be nonempty, strictly increasing and inside the touched rows")
         if not all(np.isfinite(f[name]).all() for name, dtype, _ in sections if dtype == "<f8"):
             raise ValueError("checkpoint holds a NaN or infinite float")
-        if kind == 1 and not (f["A0"] > 0.0).all():
-            raise ValueError("a diagonal A0 must be positive")
+        a0 = f["A0"].reshape(n, n) if kind == 2 else f["A0"]
+        if kind and not (np.diagonal(a0) if kind == 2 else a0).min() > 0.0:
+            raise ValueError("the diagonal of A0 must be positive")
+        if kind == 2 and np.max(np.abs(a0 - a0.T)) > 1e-10 * max(1.0, float(np.max(np.abs(a0)))):
+            raise ValueError("a dense A0 must be symmetric within 1e-10 relative")
         config = SolverConfig(tol=float(f["tol"][0]), lazy_a=bool(lazy))
 
         def vec(name):
@@ -413,8 +456,12 @@ class SolverSession:
         support = Support(n, idx)
         quadruple = Quadruple(support, vec("v"), float(f["mu0"][0]))
         par1 = Par1(vec("M").reshape(n, s), vec("eta_tilde"), float(f["D"][0]))
-        a0 = None if kind == 0 else Diagonal(f["A0"]) if kind == 1 else vec("A0").reshape(n, n)
-        A = LiveRows(vec("A").reshape(r, n), mask.astype(bool), a0, vec("g_log").reshape(k, n))
+        touched = mask.astype(bool)
+        if kind:
+            a0 = Diagonal(a0) if kind == 1 else a0.astype(np.float64)
+            A = LiveRows.rebuilt(touched, a0, vec("g_log").reshape(k, n), f["born"])
+        else:
+            A = LiveRows(vec("A").reshape(n, n), touched, None, np.empty((0, n)))
         ses = cls(A, f["c"], quadruple, par1, config)
         ses.t = t
         ses.c_shift = vec("c_shift")
@@ -456,9 +503,10 @@ def _catch_up_column(store, j):
     that is not live takes the next free block row, grown by doubling when
     full, and gets the pristine row of A0 (either form reads a dense row,
     +0.0 off a Diagonal's diagonal) plus G' G[:, j] over the logged g's,
-    which the log keeps as one contiguous block.  When that makes every
-    row live, every stale row is replayed, and A0, the log and the replay
-    scratch, no longer needed, are dropped.
+    which the log keeps as one contiguous block; its stamp and born entry
+    are the log size.  When that makes every row live, every stale row is
+    replayed, and A0, the log, the born entries and the replay scratch, no
+    longer needed, are dropped.
     """
     if store.slot[j] < store.n:
         _replay(store, j)
@@ -468,7 +516,7 @@ def _catch_up_column(store, j):
         store.rows = _grown(store.rows, min(2 * i, store.n))
     store.slot[j] = i
     store.size += 1
-    store.stamp[j] = store.log_size
+    store.stamp[j] = store.born[j] = store.log_size
     row = store.rows[i]
     row[:] = store.a0[j]
     if store.log_size:
@@ -484,6 +532,7 @@ def _catch_up_column(store, j):
         store.log = np.empty((0, store.n))
         store.log_size = 0
         store.stamp = np.zeros(store.n, dtype=np.intp)
+        store.born = None
         store.scratch = None
 
 

@@ -37,29 +37,57 @@ from test_step_equivalence import ref_add_outer
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-GOLDEN_CHECKPOINT = GOLDEN_DIR / "session-hss6-synthetic-n12-seed61-t20.bin"
+GOLDEN_CHECKPOINT = GOLDEN_DIR / "session-hss7-synthetic-n12-seed61-t20.bin"
 
-# Checkpoint sections in file order; "A" holds the live rows.
+# Checkpoint sections in file order; "born" holds the log size at which each
+# live row went live while A0 is kept, "A" the rows once every row is live.
 CHECKPOINT_SECTIONS = (
-    "header", "A0", "c", "c_shift", "mask", "g_log", "A", "support", "v", "mu0", "M", "eta_tilde", "D", "config",
+    "header", "A0", "c", "c_shift", "mask", "g_log", "born", "A", "support", "v", "mu0", "M", "eta_tilde", "D",
+    "config",
 )
 
 
 def checkpoint_sizes(n, k, s, a0, r):
-    """Byte size of each section, for a0 floats of A0 and r live rows."""
-    return (24, 8 * a0, 8 * n, 8 * n, n, 8 * k * n, 8 * r * n, 8 * s, 8 * n, 8, 8 * n * s, 8 * n, 8, 8)
+    """Byte size of each section, for a0 floats of A0 and r live rows (their born entries while a0 > 0)."""
+    born, rows = (r, 0) if a0 else (0, r * n)
+    return (24, 8 * a0, 8 * n, 8 * n, n, 8 * k * n, 8 * born, 8 * rows, 8 * s, 8 * n, 8, 8 * n * s, 8 * n, 8, 8)
+
+
+def layout(buf):
+    """The start offset of each section of the checkpoint `buf`."""
+    n, _, k, s, lazy, kind = struct.unpack_from("<IIIIBB", buf, 4)
+    a0 = (0, n, n * n)[kind]
+    r = int(np.frombuffer(buf, "u1", n, 24 + 8 * (a0 + 2 * n)).sum()) if lazy else n
+    sizes = checkpoint_sizes(n, k, s, a0, r)
+    starts = np.cumsum((0,) + sizes[:-1])
+    assert starts[-1] + sizes[-1] == len(buf)
+    return {name: int(at) for name, at in zip(CHECKPOINT_SECTIONS, starts)}
 
 
 def golden_layout():
     """The golden checkpoint's bytes and the start offset of each section."""
     buf = GOLDEN_CHECKPOINT.read_bytes()
-    n, _, k, s, lazy, kind = struct.unpack_from("<IIIIBB", buf, 4)
-    assert (lazy, kind) == (1, 1)
-    r = int(np.frombuffer(buf, "u1", n, 24 + 8 * 3 * n).sum())
-    sizes = checkpoint_sizes(n, k, s, n, r)
-    starts = np.cumsum((0,) + sizes[:-1])
-    assert starts[-1] + sizes[-1] == len(buf)
-    return buf, {name: int(at) for name, at in zip(CHECKPOINT_SECTIONS, starts)}
+    assert struct.unpack_from("<BB", buf, 20) == (1, 1)
+    return buf, layout(buf)
+
+
+def full_checkpoint(path):
+    """An eager n = 12 session saved before its first step: every row is live, so the file holds all of them."""
+    flow = synthetic_flow(FlowConfig("synthetic", 12, 10, c_factor=0.1, seed=61))
+    init_session(flow.a0, flow.c0, SolverConfig(lazy_a=False)).save(path)
+    return path.read_bytes()
+
+
+def dense_checkpoint(path):
+    """A lazy n = 12 session over a dense SPD A0 (default_rng(3)) saved after 5 steps: A0 kind 2."""
+    n = 12
+    B = np.random.default_rng(3).standard_normal((n, n))
+    flow = synthetic_flow(FlowConfig("synthetic", n, 5, c_factor=0.1, seed=3))
+    ses = init_session(1e-3 * (B @ B.T / n + 0.1 * np.eye(n)), flow.c0)
+    run_sequence(ses, flow, 5)
+    assert not ses.A.full
+    ses.save(path)
+    return path.read_bytes()
 
 
 def _put(buf, at, fmt, value):
@@ -68,7 +96,7 @@ def _put(buf, at, fmt, value):
 
 
 def _support_outside_touched(buf, at):
-    """Swap one support index for a stale row, keeping the support increasing."""
+    """Swap one support index for a row that is not live, keeping the support increasing."""
     n = struct.unpack_from("<I", buf, 4)[0]
     mask = np.frombuffer(buf, "u1", n, at["mask"])
     idx = np.frombuffer(buf, "<i8", (at["v"] - at["support"]) // 8, at["support"]).copy()
@@ -85,32 +113,68 @@ def _a0_negative(buf, at):
     return _put(buf, at["A0"] + 8 * j, "<d", -1.0)
 
 
-# Damage to the golden checkpoint that load must refuse, besides a cut at the
-# start of each section.
+def _born(value):
+    """Damage that sets the last born entry to `value` (k + 1 for None)."""
+
+    def damage(buf, at):
+        k = struct.unpack_from("<I", buf, 12)[0]
+        return _put(buf, at["A"] - 8, "<q", k + 1 if value is None else value)
+
+    return damage
+
+
+NOT_A_CHECKPOINT = "not a session checkpoint"
+SIZE = r"checkpoint has \d+ bytes, its header and mask imply \d+"
+TOO_SHORT = r"checkpoint has \d+ bytes, too few for its header"
+NON_FINITE = "NaN or infinite float"
+
+# Damage that load must refuse, besides a cut at the start of each section:
+# the damage and the reason load must give.  Each applies to the golden
+# checkpoint unless CASE_SOURCE names another file.
 DAMAGE = {
-    "short-1": lambda buf, at: buf[:-1],
-    "extra-1": lambda buf, at: buf + b"\0",
-    "garbage": lambda buf, at: b"not a snapshot",
-    "short-header": lambda buf, at: buf[:10],
-    "magic-HSS1": lambda buf, at: _put(buf, 0, "4s", b"HSS1"),
-    "magic-HSS2": lambda buf, at: _put(buf, 0, "4s", b"HSS2"),
-    "magic-HSS3": lambda buf, at: _put(buf, 0, "4s", b"HSS3"),
-    "magic-HSS4": lambda buf, at: _put(buf, 0, "4s", b"HSS4"),
-    "magic-HSS5": lambda buf, at: _put(buf, 0, "4s", b"HSS5"),
-    "magic-junk": lambda buf, at: _put(buf, 0, "4s", b"junk"),
-    "header-n": lambda buf, at: _put(buf, 4, "<I", 11),
-    "header-s": lambda buf, at: _put(buf, 16, "<I", 9),
-    "lazy-2": lambda buf, at: _put(buf, 20, "B", 2),
-    "a0-kind-3": lambda buf, at: _put(buf, 21, "B", 3),
-    "a0-negative": _a0_negative,
-    "mask-2": lambda buf, at: _put(buf, at["mask"] + 3, "B", 2),
-    "support-duplicate": lambda buf, at: _put(buf, at["support"] + 8, "8s", buf[at["support"] : at["support"] + 8]),
-    "support-outside-touched": _support_outside_touched,
-    "nan-A": lambda buf, at: _put(buf, at["A"] + 8 * 13, "<d", float("nan")),
-    "nan-M": lambda buf, at: _put(buf, at["M"], "<d", float("nan")),
-    "inf-tol": lambda buf, at: _put(buf, at["config"], "<d", float("inf")),
-    "tol-minus-1": lambda buf, at: _put(buf, at["config"], "<d", -1.0),
+    "short-1": (lambda buf, at: buf[:-1], SIZE),
+    "extra-1": (lambda buf, at: buf + b"\0", SIZE),
+    "garbage": (lambda buf, at: b"not a snapshot", NOT_A_CHECKPOINT),
+    "short-header": (lambda buf, at: buf[:10], NOT_A_CHECKPOINT),
+    **{
+        f"magic-{magic}": (lambda buf, at, magic=magic: _put(buf, 0, "4s", magic.encode()), NOT_A_CHECKPOINT)
+        for magic in ("HSS1", "HSS2", "HSS3", "HSS4", "HSS5", "HSS6", "junk")
+    },
+    # n = 11 moves the mask onto the bytes of c_shift.
+    "header-n": (lambda buf, at: _put(buf, 4, "<I", 11), "touched-row bytes must be 0 or 1"),
+    "header-s": (lambda buf, at: _put(buf, 16, "<I", 9), SIZE),
+    "lazy-2": (lambda buf, at: _put(buf, 20, "B", 2), "lazy_a must be 0 or 1"),
+    "a0-kind-3": (lambda buf, at: _put(buf, 21, "B", 3), "the A0 kind 0, 1 or 2"),
+    "a0-negative": (_a0_negative, "diagonal of A0 must be positive"),
+    "a0-dense-asymmetric": (lambda buf, at: _put(buf, at["A0"] + 8 * 1, "<d", 5.0), "symmetric within 1e-10"),
+    "a0-dense-negative": (lambda buf, at: _put(buf, at["A0"] + 8 * 26, "<d", -1.0), "diagonal of A0 must be positive"),
+    "born-above-k": (_born(None), "born entries must lie in 0..20"),
+    "born-negative": (_born(-1), "born entries must lie in 0..20"),
+    "mask-2": (lambda buf, at: _put(buf, at["mask"] + 3, "B", 2), "touched-row bytes must be 0 or 1"),
+    "support-duplicate": (
+        lambda buf, at: _put(buf, at["support"] + 8, "8s", buf[at["support"] : at["support"] + 8]),
+        "support must be nonempty, strictly increasing",
+    ),
+    "support-outside-touched": (_support_outside_touched, "inside the touched rows"),
+    "nan-A": (lambda buf, at: _put(buf, at["A"] + 8 * 13, "<d", float("nan")), NON_FINITE),
+    "nan-M": (lambda buf, at: _put(buf, at["M"], "<d", float("nan")), NON_FINITE),
+    "inf-tol": (lambda buf, at: _put(buf, at["config"], "<d", float("inf")), NON_FINITE),
+    "tol-minus-1": (lambda buf, at: _put(buf, at["config"], "<d", -1.0), "tol must be finite and positive"),
 }
+
+# The golden checkpoint holds no rows and a diagonal A0; these cases need a
+# file that holds every row, or a dense A0 (A0[0, 1] and A0[2, 2] above).
+CASE_SOURCE = {
+    "cut-A": full_checkpoint,
+    "nan-A": full_checkpoint,
+    "a0-dense-asymmetric": dense_checkpoint,
+    "a0-dense-negative": dense_checkpoint,
+}
+
+# What load must say of a file cut at the start of each section.
+CUT_REASON = dict.fromkeys(CHECKPOINT_SECTIONS, SIZE) | {"header": NOT_A_CHECKPOINT} | dict.fromkeys(
+    ("A0", "c", "c_shift", "mask"), TOO_SHORT
+)
 
 
 def synthetic_session(n, seed, c_factor=0.1, config=None, steps=1000):
@@ -476,8 +540,8 @@ class TestLazyA:
             assert saved["lazy", t] == saved["ref", t]
 
     def test_session_continued_after_a_mid_stream_save_is_bit_identical(self, tmp_path):
-        # Saving brings the stale rows current, and loading makes every row
-        # current; neither moves a bit of what follows.
+        # Saving reads no row, and loading rebuilds every live row stale at
+        # the stamp it went live at; neither moves a bit of what follows.
         n, steps = 200, 120
         plain, flow = synthetic_session(n, seed=89)
         saver, _ = synthetic_session(n, seed=89)
@@ -780,7 +844,7 @@ class TestCheckpoint:
         path = tmp_path / "session.bin"
         ses.save(path)
         buf = path.read_bytes()
-        assert buf[:4] == b"HSS6"
+        assert buf[:4] == b"HSS7"
         n, _, k, s, _, kind = struct.unpack_from("<IIIIBB", buf, 4)
         # Neither the log nor the A0 section holds anything.
         assert k == 0 and kind == 0
@@ -865,6 +929,43 @@ class TestCheckpoint:
         twin.save(tmp_path / "twin.bin")
         assert (tmp_path / "ses.bin").read_bytes() == (tmp_path / "twin.bin").read_bytes()
 
+    def test_save_reads_no_row(self, tmp_path, monkeypatch):
+        # save writes each live row's born entry, not the row, so it replays
+        # no stale row and leaves the store exactly as it found it.
+        ses, flow = synthetic_session(30, seed=7)
+        run_sequence(ses, flow, 10)
+        A = ses.A
+        assert ((A.stamp < A.log_size) & (A.slot < A.n)).any()
+        before = A.stamp.copy(), A.rows.copy(), A.busy_ns
+
+        def refuse(store, j):
+            raise AssertionError(f"save replayed row {j}")
+
+        monkeypatch.setattr(driver, "_replay", refuse)
+        ses.save(tmp_path / "a.bin")
+        ses.save(tmp_path / "b.bin")
+        assert np.array_equal(A.stamp, before[0]) and np.array_equal(A.rows, before[1]) and A.busy_ns == before[2]
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_continuation_sweep_is_bit_identical(self, tmp_path):
+        # Sessions saved after 0, 3, 10 and 25 steps, at three sizes and four
+        # seeds, continue exactly like the runs that were never saved.
+        for n in (8, 30, 150):
+            for seed in range(1, 5):
+                flow = synthetic_flow(FlowConfig("synthetic", n, 60, c_factor=0.1, seed=seed))
+                stream = list(flow)
+                for at in (0, 3, 10, 25):
+                    ses = init_session(flow.a0, flow.c0)
+                    run_sequence(ses, stream, at)
+                    ses.save(tmp_path / "session.bin")
+                    twin = SolverSession.load(tmp_path / "session.bin")
+                    for g, c in stream[at:]:
+                        assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
+                        assert ses.x.tobytes() == twin.x.tobytes()
+                    live = ses.A.live()
+                    assert np.array_equal(twin.A.live(), live) and ses.A[live].tobytes() == twin.A[live].tobytes()
+                    assert ses.par1.M.tobytes() == twin.par1.M.tobytes()
+
     def test_saved_before_first_step_continues(self, tmp_path):
         ses, flow = synthetic_session(8, seed=67)
         path = tmp_path / "session.bin"
@@ -891,14 +992,20 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("case", [f"cut-{name}" for name in CHECKPOINT_SECTIONS] + sorted(DAMAGE))
     def test_damaged_checkpoint_rejected(self, tmp_path, case):
-        buf, at = golden_layout()
-        if case.startswith("cut-"):
-            bad = buf[: at[case[4:]]]
+        if case in CASE_SOURCE:
+            buf = CASE_SOURCE[case](tmp_path / "intact.bin")
+            at = layout(buf)
+            SolverSession.load(tmp_path / "intact.bin")
         else:
-            bad = DAMAGE[case](bytearray(buf), at)
+            buf, at = golden_layout()
+        if case.startswith("cut-"):
+            bad, reason = buf[: at[case[4:]]], CUT_REASON[case[4:]]
+        else:
+            damage, reason = DAMAGE[case]
+            bad = damage(bytearray(buf), at)
         path = tmp_path / "damaged.bin"
         path.write_bytes(bytes(bad))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=reason):
             SolverSession.load(path)
 
 

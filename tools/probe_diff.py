@@ -16,8 +16,13 @@ computed in a fresh process per tree:
     `mult_count` sequence gets a line of its own, since a change may move
     the tally and nothing else;
   - the sha256 of the `SolverSession.save` bytes at the end of each of the
-    same two streams: the stored rows, the touched-row mask and the g log,
-    which neither of the above sees.
+    same two streams: the touched-row mask, the g log and the stored rows or
+    their born entries, which neither of the above sees;
+  - a digest of what `SolverSession.load` gives back from those bytes, each
+    tree saving and loading with its own code: every live row as read, the
+    touched-row mask, the g log, A0, c, c_shift, the support, v, mu0, M,
+    eta_tilde, D, t and tol.  A change of checkpoint format that restores
+    the same session reads as "checkpoint bytes moved, restored state same".
 
 It prints one line per comparison; everything that moved is also printed as
 a GitHub Actions `::warning::` annotation.  The exit code is 0 whether or
@@ -96,7 +101,7 @@ def report_digest(root, workload, seed):
         return report
 
     streams.driver.step = recorded
-    h_rep, h_mult, h_save = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    h_rep, h_mult, h_save, h_load = hashlib.sha256(), hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     mult_total = 0
     with tempfile.TemporaryDirectory() as tmp:
         for s in streams.stream_seeds(seed, 2):
@@ -110,10 +115,18 @@ def report_digest(root, workload, seed):
             path = Path(tmp) / "session.bin"
             ses.save(path)
             h_save.update(path.read_bytes())
+            twin = type(ses).load(path)
+            A, q, par1 = twin.A, twin.quadruple, twin.par1
+            live = A.live()
+            # A Diagonal A0 by its diagonal, a dense one as it is.
+            a0 = getattr(A.a0, "d", A.a0)
+            state = [A[live], A.touched, A.g_log, a0, twin.c, twin.c_shift, q.support.idx, q.v, q.mu0]
+            _feed(h_load, state + [par1.M, par1.eta_tilde, par1.D, twin.t, twin.config.tol])
     return {
         "report digest": {"reports": h_rep.hexdigest()[:16]},
         "mult_count sequence": {"mult_count": h_mult.hexdigest()[:16], "mult_total": mult_total},
         "checkpoint digest": {"checkpoint": h_save.hexdigest()[:16]},
+        "restored state": {"restored": h_load.hexdigest()[:16]},
     }
 
 
@@ -129,7 +142,8 @@ def main(argv=None):
     parser.add_argument("--head", default=str(Path(__file__).resolve().parents[1]), help="checkout to compare")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
-    moved = dict.fromkeys(("fingerprint", "report digest", "mult_count sequence", "checkpoint digest"), 0)
+    names = ("fingerprint", "report digest", "mult_count sequence", "checkpoint digest", "restored state")
+    moved = dict.fromkeys(names, 0)
     for workload in WORKLOADS:
         for seed in args.seeds:
             try:
