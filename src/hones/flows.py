@@ -16,8 +16,20 @@ Every flow carries its initial matrix as `a0`, a `kkt.Diagonal` (eps I, or I
 for ons), so no n x n array is built, filled or scanned until a caller asks
 for one with `np.asarray(flow.a0)`; `c0` is the initial linear term.
 
+The price flows read their prices in blocks of PRICE_BLOCK rows as the stream
+runs, so they hold no T x n array of prices, ratios or log returns.  A price
+source is anything with `n` and `blocks()`: a `PriceSeries` (a CSV, or one
+built by hand) yields views of its array, and `SyntheticPrices`, which
+`flow_for_config` passes when it is given no series, draws each block when
+it is reached.  One rule generates prices (`price_blocks`; `synthetic_prices`
+joins the same blocks into its series) and one rule turns a source into
+ratios (`ratio_blocks`), so every (g_t, c_t) has the bits it would have from
+the whole series at once.
+
 Randomness uses the Philox counter-based bit generator so streams are
-reproducible across platforms for a given seed.
+reproducible across platforms for a given seed.  Every `iter(flow)` starts
+the stream afresh from its source or its saved generator state, so a flow
+replays the same pairs each time it is iterated.
 """
 
 import csv
@@ -66,6 +78,11 @@ class FlowConfig:
             raise ValueError("c_factor must be nonnegative")
 
 
+# Rows of prices a price flow generates or reads at a time: enough that a
+# step costs a row view, few enough that a block of n = 1000 is 2 MB.
+PRICE_BLOCK = 256
+
+
 def rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
 
@@ -84,12 +101,73 @@ class PriceSeries:
     def steps(self):
         return self.prices.shape[0]
 
+    def blocks(self):
+        """Views of the price array, PRICE_BLOCK rows at a time."""
+        return (self.prices[k : k + PRICE_BLOCK] for k in range(0, self.steps, PRICE_BLOCK))
+
     def ratios(self):
         """Elementwise price ratios r_t = p_t / p_{t-1}, shape (T-1) x n."""
-        return self.prices[1:] / self.prices[:-1]
+        return np.concatenate(list(ratio_blocks(self)))
 
     def log_returns(self):
         return np.log(self.ratios())
+
+
+@dataclass(frozen=True)
+class SyntheticPrices:
+    """The series `synthetic_prices(n, steps, seed)` as a source that holds no price.
+
+    Each `blocks()` call draws the series afresh, one block at a time.
+    """
+
+    n: int
+    steps: int
+    seed: int = 0
+
+    def blocks(self):
+        return price_blocks(self.n, self.steps, self.seed)
+
+
+def price_blocks(n, steps, seed=0, drift=0.0002, vol=0.01):
+    """The geometric random walk of `synthetic_prices`, PRICE_BLOCK rows at a time.
+
+    Row 0 is 100.  Each later block draws its log increments drift + vol * z
+    from one Philox stream, adds the last log level of the block before to
+    its first row, and sums, exponentiates and scales in place, so the rows
+    are those of a single block of `steps` rows.
+    """
+    rng = rng_for(seed ^ 0x5A17)
+    yield np.full((1, n), 100.0)
+    level = None
+    for start in range(1, steps, PRICE_BLOCK):
+        lv = rng.standard_normal((min(PRICE_BLOCK, steps - start), n))
+        lv *= vol
+        lv += drift
+        if level is not None:
+            lv[0] += level
+        np.cumsum(lv, axis=0, out=lv)
+        level = lv[-1].copy()
+        np.exp(lv, out=lv)
+        lv *= 100.0
+        yield lv
+
+
+def ratio_blocks(prices):
+    """The ratios r_t = p_t / p_{t-1} of a price source, one block per price block.
+
+    The first block has a row fewer than its prices; every later block
+    divides its first row by the last row of the block before.
+    """
+    last = None
+    for p in prices.blocks():
+        if last is None:
+            r = p[1:] / p[:-1]
+        else:
+            r = np.empty(p.shape)
+            np.divide(p[0], last, out=r[0])
+            np.divide(p[1:], p[:-1], out=r[1:])
+        last = p[-1].copy()
+        yield r
 
 
 class SyntheticFlow:
@@ -106,14 +184,18 @@ class SyntheticFlow:
         self.config = config
         rng = rng_for(config.seed)
         self.y = config.c_factor * rng.standard_normal(config.n)
-        self._rng = rng
+        # Where the g's start in the stream: each iteration resumes from here.
+        self._state = rng.bit_generator.state
         self.a0 = Diagonal(np.full(config.n, config.epsilon))
         self.c0 = config.epsilon * self.y
 
     def __iter__(self):
+        bits = np.random.Philox()
+        bits.state = self._state
+        rng = np.random.Generator(bits)
         c = self.c0.copy()
         for _ in range(self.config.steps):
-            g = self._rng.standard_normal(self.config.n)
+            g = rng.standard_normal(self.config.n)
             c = c + g * float(g @ self.y)
             yield g, c.copy()
 
@@ -123,7 +205,7 @@ def synthetic_flow(config):
 
 
 class OnsFlow:
-    """Closed-loop generalized-projection stream from a price series.
+    """Closed-loop generalized-projection stream from a price source.
 
     x_feedback must return the solver's current output; it is consulted right
     before each step so that g_t uses exactly the portfolio held when the
@@ -131,7 +213,7 @@ class OnsFlow:
     """
 
     def __init__(self, prices, x_feedback):
-        if np.any(prices.prices <= 0):
+        if isinstance(prices, PriceSeries) and np.any(prices.prices <= 0):
             raise ValueError("prices must be strictly positive")
         self.prices = prices
         self.x_feedback = x_feedback
@@ -140,14 +222,13 @@ class OnsFlow:
         self.c0 = np.zeros(n)
 
     def __iter__(self):
-        ratios = self.prices.ratios()
         c = self.c0.copy()
-        for t in range(ratios.shape[0]):
-            x = np.asarray(self.x_feedback(), dtype=np.float64)
-            r = ratios[t]
-            g = r / float(x @ r)
-            c = c + 0.25 * g
-            yield g, c.copy()
+        for ratios in ratio_blocks(self.prices):
+            for r in ratios:
+                x = np.asarray(self.x_feedback(), dtype=np.float64)
+                g = r / float(x @ r)
+                c = c + 0.25 * g
+                yield g, c.copy()
 
 
 def ons_flow(prices, x_feedback):
@@ -157,49 +238,46 @@ def ons_flow(prices, x_feedback):
 class MarkowitzFlow:
     """Minimum-variance stream from log returns.
 
-    With zero risk appetite the linear term vanishes identically; a positive
-    risk_aversion emits c_t = risk_aversion * t * mean_t instead.  The first
-    step only seeds the running mean, so g_1 = 0.
+    `returns` is a function of no argument that yields the T x n log returns
+    in row blocks, afresh on each call.  With zero risk appetite the linear
+    term vanishes identically; a positive risk_aversion emits
+    c_t = risk_aversion * t * mean_t instead.  The first step only seeds the
+    running mean, so g_1 = 0.
     """
 
-    def __init__(self, log_returns, epsilon=1e-4, risk_aversion=0.0):
-        w = np.asarray(log_returns, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError("log_returns must be a T x n matrix")
-        self.w = w
+    def __init__(self, returns, n, epsilon=1e-4, risk_aversion=0.0):
+        self.returns = returns
         self.risk_aversion = float(risk_aversion)
-        n = w.shape[1]
         self.a0 = Diagonal(np.full(n, epsilon))
         self.c0 = np.zeros(n)
 
     def __iter__(self):
-        n = self.w.shape[1]
+        n = self.c0.size
         mean = np.zeros(n)
-        for t in range(1, self.w.shape[0] + 1):
-            w_t = self.w[t - 1]
-            if t == 1:
-                g = np.zeros(n)
-            else:
-                g = math.sqrt((t - 1) / t) * (w_t - mean)
-            mean = mean + (w_t - mean) / t
-            c = self.risk_aversion * t * mean if self.risk_aversion else np.zeros(n)
-            yield g, c
+        t = 0
+        for block in self.returns():
+            for w_t in block:
+                t += 1
+                if t == 1:
+                    g = np.zeros(n)
+                else:
+                    g = math.sqrt((t - 1) / t) * (w_t - mean)
+                mean = mean + (w_t - mean) / t
+                c = self.risk_aversion * t * mean if self.risk_aversion else np.zeros(n)
+                yield g, c
 
 
 def markowitz_flow(log_returns, epsilon=1e-4, risk_aversion=0.0):
-    return MarkowitzFlow(log_returns, epsilon=epsilon, risk_aversion=risk_aversion)
+    """The markowitz flow over a T x n matrix of log returns."""
+    w = np.asarray(log_returns, dtype=np.float64)
+    if w.ndim != 2:
+        raise ValueError("log_returns must be a T x n matrix")
+    return MarkowitzFlow(lambda: (w,), w.shape[1], epsilon=epsilon, risk_aversion=risk_aversion)
 
 
 def synthetic_prices(n, steps, seed=0, drift=0.0002, vol=0.01):
-    """Geometric random-walk prices for exercising the price-driven flows."""
-    rng = rng_for(seed ^ 0x5A17)
-    shocks = drift + vol * rng.standard_normal((steps - 1, n))
-    # Log levels, then prices, in one block: row 0 is the zero level.
-    prices = np.empty((steps, n))
-    prices[0] = 0.0
-    np.cumsum(shocks, axis=0, out=prices[1:])
-    np.exp(prices, out=prices)
-    prices *= 100.0
+    """Geometric random-walk prices for exercising the price-driven flows, as one series."""
+    prices = np.concatenate(list(price_blocks(n, steps, seed, drift, vol)))
     dates = [f"t{k:05d}" for k in range(steps)]
     tickers = [f"A{k:03d}" for k in range(n)]
     return PriceSeries(dates, tickers, prices)
@@ -254,13 +332,18 @@ def save_prices(path, series):
 
 
 def flow_for_config(config, prices=None, x_feedback=None):
-    """Instantiate the flow named by the config; price flows need a series."""
+    """Instantiate the flow named by the config.
+
+    A price flow reads `prices` (a `PriceSeries`), or when it is None the
+    synthetic series of the config's n, steps + 1 rows and seed, drawn block
+    by block as the stream runs.
+    """
     if config.kind == "synthetic":
         return synthetic_flow(config)
     if prices is None:
-        prices = synthetic_prices(config.n, config.steps + 1, seed=config.seed)
+        prices = SyntheticPrices(config.n, config.steps + 1, config.seed)
     if config.kind == "ons":
         if x_feedback is None:
             raise ValueError("ons flow is closed-loop and needs x_feedback")
         return ons_flow(prices, x_feedback)
-    return markowitz_flow(prices.log_returns(), epsilon=config.epsilon)
+    return MarkowitzFlow(lambda: (np.log(r, out=r) for r in ratio_blocks(prices)), prices.n, epsilon=config.epsilon)

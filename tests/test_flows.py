@@ -1,14 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hones import flows
 from hones.errors import EmptySeries, ParseError
 from hones.flows import (
+    PRICE_BLOCK,
     FlowConfig,
     PriceSeries,
+    SyntheticPrices,
     flow_for_config,
     load_prices,
     markowitz_flow,
     ons_flow,
+    price_blocks,
     save_prices,
     synthetic_flow,
     synthetic_prices,
@@ -221,7 +227,136 @@ class TestFlowForConfig:
         with pytest.raises(ValueError):
             flow_for_config(FlowConfig("ons", 5, 10, seed=1))
 
+    def test_ons_refuses_missing_feedback_before_drawing(self, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("drew prices")
+
+        monkeypatch.setattr(flows, "rng_for", no_draw)
+        with pytest.raises(ValueError, match="needs x_feedback"):
+            flow_for_config(FlowConfig("ons", 5, 10, seed=1))
+
     def test_markowitz_from_generated_prices(self):
         flow = flow_for_config(FlowConfig("markowitz", 5, 10, seed=1))
         out = list(flow)
         assert len(out) == 10
+
+
+def feedback(n):
+    x = np.full(n, 1.0 / n)
+    x[0] += 0.3
+    x /= x.sum()
+    return lambda: x
+
+
+class TestReplay:
+    @pytest.mark.parametrize("kind", ["synthetic", "ons", "markowitz"])
+    def test_every_iteration_gives_the_same_bytes(self, kind):
+        # Steps past one price block, so the price flows replay their blocks too.
+        flow = flow_for_config(FlowConfig(kind, 6, PRICE_BLOCK + 3, seed=4), x_feedback=feedback(6))
+        first, second = list(flow), list(flow)
+        assert len(first) == len(second) == PRICE_BLOCK + 3
+        for (ga, ca), (gb, cb) in zip(first, second):
+            assert ga.tobytes() == gb.tobytes()
+            assert ca.tobytes() == cb.tobytes()
+
+
+def ref_synthetic_prices(n, steps, seed=0, drift=0.0002, vol=0.01):
+    """The whole-array recipe `synthetic_prices` followed before it drew its prices in blocks."""
+    rng = np.random.Generator(np.random.Philox(seed ^ 0x5A17))
+    shocks = drift + vol * rng.standard_normal((steps - 1, n))
+    prices = np.empty((steps, n))
+    prices[0] = 0.0
+    np.cumsum(shocks, axis=0, out=prices[1:])
+    np.exp(prices, out=prices)
+    prices *= 100.0
+    return prices
+
+
+def ref_ons(prices, x):
+    """The ons pairs from the whole ratio array at once, with a fixed portfolio x."""
+    ratios = prices[1:] / prices[:-1]
+    c = np.zeros(prices.shape[1])
+    for r in ratios:
+        g = r / float(x @ r)
+        c = c + 0.25 * g
+        yield g, c.copy()
+
+
+def series(prices):
+    return PriceSeries([f"t{k}" for k in range(len(prices))], [f"a{k}" for k in range(prices.shape[1])], prices)
+
+
+class TestPriceBlocks:
+    B = PRICE_BLOCK
+    STEPS = (1, 2, B, B + 1, B + 2, 2 * B + 1)
+
+    @pytest.mark.parametrize("n", [1, 9])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_equal_the_one_block_recipe(self, n, seed):
+        for steps in self.STEPS:
+            ref = ref_synthetic_prices(n, steps, seed)
+            blocks = list(price_blocks(n, steps, seed))
+            assert sum(len(b) for b in blocks) == steps
+            assert max(len(b) for b in blocks) <= PRICE_BLOCK
+            assert np.concatenate(blocks).tobytes() == ref.tobytes()
+            assert synthetic_prices(n, steps, seed).prices.tobytes() == ref.tobytes()
+            assert np.concatenate(list(SyntheticPrices(n, steps, seed).blocks())).tobytes() == ref.tobytes()
+            whole = series(ref)
+            assert whole.ratios().tobytes() == (ref[1:] / ref[:-1]).tobytes()
+            assert whole.log_returns().tobytes() == np.log(ref[1:] / ref[:-1]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_price_flows_match_the_whole_series(self, seed):
+        n = 5
+        for steps in self.STEPS:
+            ref = ref_synthetic_prices(n, steps + 1, seed)
+            x = feedback(n)
+            cfg = {kind: FlowConfig(kind, n, steps, seed=seed) for kind in ("ons", "markowitz")}
+            # The streamed source and a series in memory give the pairs of the whole arrays.
+            want = {
+                "ons": list(ref_ons(ref, x())),
+                "markowitz": list(markowitz_flow(np.log(ref[1:] / ref[:-1]))),
+            }
+            for kind, pairs in want.items():
+                for prices in (None, series(ref)):
+                    got = list(flow_for_config(cfg[kind], prices=prices, x_feedback=x))
+                    assert len(got) == len(pairs) == steps
+                    for (g, c), (g_ref, c_ref) in zip(got, pairs):
+                        assert g.tobytes() == g_ref.tobytes()
+                        assert c.tobytes() == c_ref.tobytes()
+
+
+class TestFlowMemory:
+    """A price flow holds blocks of prices, never the whole stream."""
+
+    N, T = 100, 20000
+    LIMIT = 2_000_000  # bytes; a T x n float64 array is 16 MB
+
+    @staticmethod
+    def traced_peak(run):
+        run(10)  # first use: numpy's lazily imported modules stay out of the figure
+        tracemalloc.start()
+        try:
+            run(None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind", ["ons", "markowitz"])
+    def test_generated_stream_does_not_grow_with_T(self, kind):
+        def run(steps):
+            cfg = FlowConfig(kind, self.N, steps or self.T, seed=1)
+            for _ in flow_for_config(cfg, x_feedback=feedback(self.N)):
+                pass
+
+        assert self.traced_peak(run) < self.LIMIT
+
+    def test_markowitz_over_a_series_adds_only_blocks(self):
+        prices = synthetic_prices(self.N, self.T + 1, seed=1)
+
+        def run(steps):
+            cfg = FlowConfig("markowitz", self.N, steps or self.T, seed=1)
+            for _ in flow_for_config(cfg, prices=prices):
+                pass
+
+        assert self.traced_peak(run) < self.LIMIT

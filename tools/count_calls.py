@@ -10,10 +10,12 @@ the `call` plus `c_call` events divided by the stream's step count.  The
 count is a pure function of the code and the seed, so it repeats run to run
 and can compare two checkouts on a noisy host.
 
-Under the total it prints the per-event fit: the least-squares fit of each
-step's calls on (1, k_a, k_c), its matrix-leg and vector-leg turning points,
-as a base per step plus a cost per event of each leg (a leg with no event in
-the stream gets no term).  A step's calls are those from the moment its
+Under the total it splits it in two: the set-up calls, those made inside
+`streams.open_stream` (flow construction plus `init_session`), and the
+calls per step without them.  Under that it prints the per-event fit: the
+least-squares fit of each step's calls on (1, k_a, k_c), its matrix-leg and
+vector-leg turning points, as a base per step plus a cost per event of each
+leg (a leg with no event in the stream gets no term).  A step's calls are those from the moment its
 input is drawn, through `run_stream`'s `nxt` hook, to the moment the next
 step's is; the last step, whose count would take in the stream's wrap-up,
 is left out of the fit.  The hook's own call is not counted, so the total
@@ -49,6 +51,8 @@ def main(argv=None):
     py_calls = collections.Counter()  # code object -> calls
     c_calls = collections.Counter()  # C function name -> calls
     marks = []  # calls counted when each step's input was drawn
+    setup = []  # calls counted when open_stream was entered and when it returned
+    open_code = streams.open_stream.__code__
 
     def draw(it):
         return next(it)
@@ -58,9 +62,13 @@ def main(argv=None):
             if frame.f_code is draw.__code__:
                 marks.append(py_calls.total() + c_calls.total())
             else:
+                if frame.f_code is open_code:
+                    setup.append(py_calls.total() + c_calls.total())
                 py_calls[frame.f_code] += 1
         elif event == "c_call":
             c_calls[c_name(arg)] += 1
+        elif event == "return" and frame.f_code is open_code:
+            setup.append(py_calls.total() + c_calls.total())
 
     sys.setprofile(count)
     try:
@@ -72,6 +80,11 @@ def main(argv=None):
         by_name[py_name(code)] += calls
     events = sum(by_name.values())
     print(f"{args.workload} seed 1: {events / wl.steps:.1f} calls per step ({events} over {wl.steps} steps)")
+    setup_calls = setup[1] - setup[0]
+    print(
+        f"  set-up (flow construction and init_session): {setup_calls} calls;"
+        f" without it {(events - setup_calls) / wl.steps:.1f} calls per step"
+    )
     print(f"  {event_fit(np.diff(marks), result.session.reports)}")
     for name, calls in by_name.most_common(10):
         print(f"  {calls / wl.steps:7.1f}  {calls / events:6.1%}  {name}")
