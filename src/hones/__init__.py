@@ -44,7 +44,7 @@ from .kkt import (
     Problem,
     Quadruple,
     Support,
-    enumerate_solve,
+    exact_solve,
     kkt_residual,
     oracle_solve,
     project_simplex,

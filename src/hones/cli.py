@@ -10,7 +10,8 @@ Subcommands
       Fan a JSON list of scenarios across worker threads.
   verify
       One-shot correctness gate over the seeded property suite; exit 0 iff
-      every invariant passes.
+      every invariant passes.  Its first check holds the oracle against the
+      exact rational reference on problems of sizes 2..--n.
 
 CSV schema (schema_version 1):
   t, k_a, k_c, k_t, e_t, support_size, kkt_residual, wall_ns, mult_count,
@@ -47,7 +48,7 @@ from .errors import HonesError
 from .flows import FlowConfig, flow_for_config, load_prices
 from .kkt import (
     Problem,
-    enumerate_solve,
+    exact_solve,
     oracle_solve,
     project_simplex,
     zero_tol,
@@ -126,7 +127,6 @@ def build_parser():
     vp.add_argument("--n", type=_positive_int, default=8)
     vp.add_argument("--seeds", type=_positive_int, default=25)
     vp.add_argument("--steps", type=_positive_int, default=60)
-    vp.add_argument("--exhaustive", action="store_true", help="cross-check against full support enumeration")
     vp.add_argument("--inject-fault", choices=["m-corruption"], default=None)
     return parser
 
@@ -334,15 +334,14 @@ def cmd_verify(args):
     rng = np.random.default_rng(0)
     print("oracle and projection spot checks")
     worst = 0.0
-    limit = 12 if args.exhaustive else min(args.n, 10)
     for seed in range(args.seeds):
-        n = 2 + seed % max(1, limit - 1)
+        n = 2 + seed % max(1, args.n - 1)
         B = rng.standard_normal((n, n))
         problem = Problem(B @ B.T + (0.1 + rng.random()) * np.eye(n), rng.standard_normal(n))
         a = oracle_solve(problem)
-        b = enumerate_solve(problem)
-        worst = max(worst, float(np.max(np.abs(a.x - b.x))))
-    _check(table, "oracle-vs-enumeration", worst <= 1e-8, f"max dev {worst:.2e}")
+        exact = np.array(exact_solve(problem, a.x)[1], dtype=float)
+        worst = max(worst, float(np.max(np.abs(a.x - exact))))
+    _check(table, "oracle-vs-exact", worst <= 1e-8, f"max dev {worst:.2e}")
 
     worst = 0.0
     for _ in range(200):

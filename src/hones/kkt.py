@@ -3,9 +3,9 @@
 The problem is  minimize 0.5 x'Ax - c'x  subject to sum(x) = 1, x >= 0, with A
 symmetric positive definite.  Everything here is static: given one (A, c) we can
 solve for a fixed support, evaluate optimality residuals, run an independent
-active-set oracle, or project a point onto the simplex.  The incremental path
-machinery lives in the path_* modules and is deliberately disjoint from this
-code so the two can cross-check each other.
+active-set oracle or its exact rational reference, or project a point onto
+the simplex.  The incremental path machinery lives in the path_* modules and
+is deliberately disjoint from this code so the two can cross-check each other.
 """
 
 from dataclasses import dataclass
@@ -41,14 +41,14 @@ class Support:
     __slots__ = ("n", "idx", "mask", "size", "_comp")
 
     def __init__(self, n, indices):
-        idx = np.unique(np.asarray(indices, dtype=np.intp))
+        idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
             raise ValueError("support must be nonempty")
-        if n < 1 or idx[0] < 0 or idx[-1] >= n:
+        if n < 1 or idx.min() < 0 or idx.max() >= n:
             raise ValueError(f"support indices out of range for n={n}")
         mask = np.zeros(n, dtype=bool)
         mask[idx] = True
-        self._adopt(idx, mask)
+        self._adopt(mask.nonzero()[0], mask)
 
     def _adopt(self, idx, mask):
         self.n = mask.size
@@ -260,13 +260,12 @@ def check_block(ass, support, cond_cap):
     """Raise SingularSubmatrix unless A_SS factorizes and its condition estimate is within cond_cap.
 
     The one rule for every A_SS: at init, in the oracle and in each rebuild.
+    The estimate is always computed, so an infinite cap still pays for it.
     """
     try:
         chol = np.linalg.cholesky(ass)
     except np.linalg.LinAlgError:
         raise SingularSubmatrix(f"A_SS not positive definite for S={list(support.idx)}") from None
-    if not np.isfinite(cond_cap):
-        return
     # Exact for small blocks; Cholesky-diagonal lower bound otherwise.  The
     # proxy under-reports, so the cap only fires on definite trouble.
     if ass.shape[0] <= 64:
@@ -337,40 +336,6 @@ def kkt_residual(problem, quadruple):
     )
 
 
-def enumerate_solve(problem):
-    """Exhaustive-support solve: try every nonempty support, keep the KKT-feasible one.
-
-    Exponential in n, so limited to n <= 20.  Each support goes through
-    solve_given_support without a condition cap, and one whose block does not
-    factorize is skipped.  Serves as the ground-truth fallback for small
-    problems and as a cross-check in tests.
-    """
-    n = problem.n
-    if n > 20:
-        raise ValueError("enumeration limited to n <= 20")
-    arange = np.arange(n)
-    best = None
-    best_violation = np.inf
-    for bits in range(1, 1 << n):
-        mask = (bits >> arange & 1).astype(bool)
-        support = Support.from_sorted(arange[mask], mask)
-        try:
-            cand = solve_given_support(problem, support, cond_cap=np.inf)
-        except SingularSubmatrix:
-            continue
-        mu_sc = cand.mu_sc
-        violation = max(0.0, -float(np.minimum.reduce(cand.x_s)))
-        if mu_sc.size:
-            violation = max(violation, -float(np.minimum.reduce(mu_sc)))
-        if violation < best_violation:
-            best, best_violation = cand, violation
-    if best is None:
-        raise NoConvergence("no solvable support found by enumeration")
-    if kkt_residual(problem, best) > 1e-8:
-        raise NoConvergence("no KKT-feasible support found by enumeration")
-    return best
-
-
 def oracle_solve(problem, x0=None, cond_cap=DEFAULT_COND_CAP):
     """Independent global solve by a primal active-set iteration.
 
@@ -382,9 +347,8 @@ def oracle_solve(problem, x0=None, cond_cap=DEFAULT_COND_CAP):
       * insertion of the most negative off-support multiplier otherwise,
 
     until the candidate is KKT-feasible.  Tolerates boundary warm starts, so
-    it doubles as a per-step cross-check for the path solver.  For n <= 12 one
-    exhaustive enumeration backs it up when the iteration fails or its result
-    misses a KKT residual of 1e-9.
+    it doubles as a per-step cross-check for the path solver.  `exact_solve`
+    is its exact reference.
 
     Without x0 the seed costs O(n log n) when `problem.A` is a `Diagonal`
     (a `Problem` holds every diagonal A as one) and a dense O(n^3) solve
@@ -392,8 +356,9 @@ def oracle_solve(problem, x0=None, cond_cap=DEFAULT_COND_CAP):
     working support.
 
     Raises ValueError when x0 is not a finite length-n point of the simplex,
-    and, for n > 12, NoConvergence after 50 n support changes or on a result
-    that misses the residual check.
+    SingularSubmatrix on a working block that fails `check_block`, and
+    NoConvergence after 50 n support changes or on a result whose KKT
+    residual is above 1e-9.
     """
     n = problem.n
     if x0 is not None:
@@ -413,14 +378,9 @@ def oracle_solve(problem, x0=None, cond_cap=DEFAULT_COND_CAP):
         mask[int(np.argmax(x))] = True
     support = Support.from_mask(mask)
 
-    try:
-        result = _active_set_loop(problem, x, support, 50 * n, cond_cap)
-        if kkt_residual(problem, result) > 1e-9:
-            raise NoConvergence("active-set result failed the residual check")
-    except (NoConvergence, SingularSubmatrix):
-        if n > 12:
-            raise
-        result = enumerate_solve(problem)
+    result = _active_set_loop(problem, x, support, 50 * n, cond_cap)
+    if kkt_residual(problem, result) > 1e-9:
+        raise NoConvergence("active-set result failed the residual check")
     return result
 
 
@@ -458,6 +418,65 @@ def _active_set_loop(problem, x, support, cap, cond_cap):
         changes += 1
         if changes > cap:
             raise NoConvergence(f"active set exceeded {cap} support changes")
+
+
+def exact_solve(problem, x0):
+    """The exact optimum, by a primal active set in rational arithmetic.
+
+    Reads A (through its symmetric part) and c as the exact binary values of
+    their floats, and starts from `simplex_start(x0, n)` read and
+    renormalized exactly.  Each iteration solves the bordered system
+    [A_SS -1; 1' 0][x_S; mu0] = [c_S; 1]; then, as in `oracle_solve`, a
+    candidate that leaves the simplex takes a ratio step and drops the
+    coordinate that blocks it, and one inside adds the most negative
+    off-support multiplier.  Ties go to the smallest index.
+
+    Returns (support, x, mu, mu0): the increasing support indices as a tuple,
+    x and mu as length-n lists of Fractions, and mu0 a Fraction.  They meet
+    stationarity, sum(x) = 1, x >= 0, mu >= 0 and x_i mu_i = 0 exactly, so
+    the result needs no tolerance.  Start it from a float answer, such as the
+    oracle's x: it then takes milliseconds at n = 12.  A long run of drops
+    from a far start grows the iterate's denominators, and costs seconds at
+    n = 30.
+
+    Raises ValueError as `simplex_start` does, and NoConvergence after 50 n
+    support changes.
+    """
+    from fractions import Fraction  # imported here, so `import hones` does not load it
+
+    n = problem.n
+    A = np.asarray(problem.A).tolist()
+    a = [[(Fraction(u) + Fraction(v)) / 2 for u, v in zip(row, col)] for row, col in zip(A, zip(*A))]
+    c = [Fraction(v) for v in problem.c.tolist()]
+    x = [Fraction(v) for v in simplex_start(x0, n).tolist()]
+    total = sum(x)
+    x = [v / total for v in x]
+    support = [i for i in range(n) if x[i]]
+    for _ in range(50 * n + 1):
+        # Gauss-Jordan on [A_SS -1 c_S; 1' 0 1] swaps no pivot: the first s pivots are those of
+        # the positive definite A_SS, and the last is its Schur complement 1'A_SS^-1 1 > 0.
+        rows = [[a[i][j] for j in support] + [-1, c[i]] for i in support] + [[1] * len(support) + [0, 1]]
+        for p, pivot in enumerate(rows):
+            pivot[p:] = [v / pivot[p] for v in pivot[p:]]
+            for row in rows:
+                if row is not pivot and row[p]:
+                    row[p:] = [u - row[p] * v for u, v in zip(row[p:], pivot[p:])]
+        *x_s, mu0 = (row[-1] for row in rows)
+        blocked = [(x[i] / (x[i] - v), k) for k, (i, v) in enumerate(zip(support, x_s)) if v < 0]
+        if blocked:
+            theta, k = min(blocked)
+            for i, v in zip(support, x_s):
+                x[i] += theta * (v - x[i])
+            del support[k]  # x there is now exactly 0
+            continue
+        on = dict(zip(support, x_s))
+        x = [on.get(i, Fraction(0)) for i in range(n)]
+        mu = [Fraction(0) if i in on else sum(a[i][j] * x[j] for j in support) - mu0 - c[i] for i in range(n)]
+        low = min(mu)
+        if low >= 0:
+            return tuple(support), x, mu, mu0
+        support = sorted(support + [mu.index(low)])
+    raise NoConvergence(f"exact active set exceeded {50 * n} support changes")
 
 
 def simplex_start(x0, n):

@@ -360,8 +360,9 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[FAIL] turning-point-lower-bound" in out and out.count("[FAIL]") == 1
 
-    def test_exhaustive_mode(self):
-        assert cli.main(["verify", "--n", "12", "--seeds", "6", "--steps", "20", "--exhaustive"]) == 0
+    def test_oracle_vs_exact_up_to_n_12(self, capsys):
+        assert cli.main(["verify", "--n", "12", "--seeds", "11", "--steps", "20"]) == 0
+        assert "[pass] oracle-vs-exact" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--n", "--seeds", "--steps"])
     @pytest.mark.parametrize("value", ["0", "-1"])

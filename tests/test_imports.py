@@ -6,9 +6,14 @@ as the root of an attribute chain.  A parameter counts as read when its
 function's body, nested functions and lambdas included, loads it; a
 parameter whose name starts with `_` is exempt, for a slot that a caller
 fills positionally and the function does not need.
+
+A stream's session stays light: it loads neither `numpy.ma` nor `fractions`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +70,21 @@ def test_detects_an_unused_parameter():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_function_reads_every_parameter(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def test_a_session_loads_neither_numpy_ma_nor_fractions():
+    # Both are heavy imports that a stream has no use for; fractions serves
+    # only kkt.exact_solve, which imports it when called.
+    code = """
+import sys
+import hones
+from hones.flows import FlowConfig, synthetic_flow
+flow = synthetic_flow(FlowConfig("synthetic", 20, 20, seed=1))
+session = hones.init_session(flow.a0, flow.c0, hones.SolverConfig())
+for g, c in flow:
+    hones.step(session, g, c)
+print(sorted({"numpy.ma", "fractions"} & set(sys.modules)))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hones.kkt import (
     Quadruple,
     Support,
     diagonal_of,
-    enumerate_solve,
+    exact_solve,
     kkt_residual,
     oracle_solve,
     project_simplex,
@@ -303,35 +304,33 @@ class TestOracle:
         assert q.mu0 == pytest.approx(-9.0, abs=1e-12)
         np.testing.assert_allclose(q.mu, [0.0, 9.0, 9.0], atol=1e-12)
 
-    def test_matches_enumeration_500_seeds(self):
+    def test_matches_exact_500_seeds(self):
         for seed in range(500):
             rng = np.random.default_rng(seed)
             n = 2 + seed % 11  # sizes 2..12
             p = random_spd_problem(rng, n, c_scale=2.0)
             q = oracle_solve(p)
-            ref = enumerate_solve(p)
-            np.testing.assert_allclose(q.x, ref.x, atol=1e-8)
+            ref = exact_solve(p, q.x)
+            certify(p, ref)
+            assert ref[0] == q.support.as_tuple()
+            np.testing.assert_allclose(q.x, [float(v) for v in ref[1]], atol=1e-8)
             assert kkt_residual(p, q) <= 1e-9
 
-    def test_a_failed_active_set_enumerates_once(self, monkeypatch):
-        # An enumerated result with a residual in (1e-9, 1e-8] passes the
-        # enumeration's own check; it is returned, not enumerated again.
+    def test_a_failed_active_set_raises(self, monkeypatch):
+        # No size has a second solver behind the active set: a failure, or a
+        # result above the residual check, reaches the caller.
+        p = Problem(np.diag([2.0, 1.0, 3.0]), np.zeros(3))
+        with monkeypatch.context() as patch:
+            patch.setattr(kkt, "kkt_residual", lambda problem, q: 5e-9)
+            with pytest.raises(NoConvergence, match="residual check"):
+                oracle_solve(p)
+
         def stuck(*args):
             raise NoConvergence("injected")
 
-        calls = []
-        real = kkt.enumerate_solve
-
-        def counted(problem):
-            calls.append(problem)
-            return real(problem)
-
         monkeypatch.setattr(kkt, "_active_set_loop", stuck)
-        monkeypatch.setattr(kkt, "kkt_residual", lambda problem, q: 5e-9)
-        monkeypatch.setattr(kkt, "enumerate_solve", counted)
-        q = oracle_solve(Problem(np.diag([2.0, 1.0, 3.0]), np.zeros(3)))
-        assert len(calls) == 1
-        np.testing.assert_allclose(q.x, [3.0 / 11.0, 6.0 / 11.0, 2.0 / 11.0], atol=1e-12)
+        with pytest.raises(NoConvergence, match="injected"):
+            oracle_solve(p)
 
     def test_unique_from_different_starts(self):
         rng = np.random.default_rng(23)
@@ -353,6 +352,73 @@ class TestOracle:
         for x0 in (np.full(3, np.nan), [np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [0.5, 0.5], np.full(4, 0.25)):
             with pytest.raises(ValueError, match="x0 must lie in the simplex"):
                 oracle_solve(p, x0=x0)
+
+
+def certify(problem, result):
+    """Check an exact (support, x, mu, mu0) against the KKT conditions, in Fractions.
+
+    Independent of `exact_solve`: stationarity of 0.5 x'Ax - c'x is read
+    from A's symmetric part entry by entry, and every condition must hold
+    exactly.
+    """
+    support, x, mu, mu0 = result
+    A, c, n = np.asarray(problem.A).tolist(), problem.c.tolist(), problem.n
+    assert all(isinstance(v, Fraction) for v in [*x, *mu, mu0])
+    assert len(x) == len(mu) == n
+    for i in range(n):
+        grad = sum((Fraction(A[i][j]) + Fraction(A[j][i])) / 2 * x[j] for j in range(n))
+        assert grad - mu0 - mu[i] - Fraction(c[i]) == 0
+    assert sum(x) == 1
+    assert min(x) >= 0 and min(mu) >= 0
+    assert all(xi * mi == 0 for xi, mi in zip(x, mu))
+    assert list(support) == sorted(set(support))
+    assert {i for i in range(n) if x[i]} <= set(support)
+    assert all(mu[i] == 0 for i in support)
+
+
+class TestExact:
+    def test_uniform_start_reaches_the_oracle_support(self):
+        for seed in range(0, 500, 5):  # every size 2..12
+            rng = np.random.default_rng(seed)
+            n = 2 + seed % 11
+            p = random_spd_problem(rng, n, c_scale=2.0)
+            ref = exact_solve(p, np.full(n, 1.0 / n))
+            certify(p, ref)
+            assert ref[0] == oracle_solve(p).support.as_tuple()
+
+    def test_vertex_optimum(self):
+        p = Problem(np.eye(3), [10.0, 0.0, 0.0])
+        ref = exact_solve(p, np.full(3, 1.0 / 3.0))
+        certify(p, ref)
+        assert ref == ((0,), [1, 0, 0], [0, 9, 9], -9)
+
+    def test_degenerate_optimum_keeps_its_zero(self):
+        # x = (1, 0) and mu = (0, 0): coordinate 1 is zero on both sides.
+        p = Problem(np.eye(2), [1.0, 0.0])
+        ref = exact_solve(p, [0.5, 0.5])
+        certify(p, ref)
+        assert ref == ((0, 1), [1, 0], [0, 0], 0)
+
+    def test_diagonal(self):
+        p = Problem(Diagonal([2.0, 1.0, 3.0]), np.zeros(3))
+        ref = exact_solve(p, [1.0, 0.0, 0.0])
+        certify(p, ref)
+        assert ref[1] == [Fraction(3, 11), Fraction(6, 11), Fraction(2, 11)]
+
+    def test_single_coordinate(self):
+        p = Problem(np.array([[2.0]]), [5.0])
+        ref = exact_solve(p, [1.0])
+        certify(p, ref)
+        assert ref == ((0,), [1], [0], -3)
+
+    def test_reads_the_symmetric_part(self):
+        p = Problem(np.array([[2.0, 1.0 + 2.0**-40], [1.0, 3.0]]), [0.5, 0.25])
+        ref = exact_solve(p, [0.5, 0.5])
+        certify(p, ref)
+
+    def test_rejects_a_start_off_the_simplex(self):
+        with pytest.raises(ValueError, match="x0 must lie in the simplex"):
+            exact_solve(Problem(np.eye(2), np.zeros(2)), [0.7, 0.7])
 
 
 def assert_same_bits(a, b):
