@@ -67,7 +67,7 @@ from .errors import HonesError
 from .kkt import DEFAULT_COND_CAP, Diagonal, Problem, Quadruple, Support, kkt_residual, oracle_solve
 from .path_matrix import PathEvent, run_lambda_leg
 from .path_vector import run_utilde_leg
-from .state import Par1, init_par1, par1_from_matrix, refresh_quadruple, validate_state
+from .state import Par1, init_par1, outer, par1_from_matrix, refresh_quadruple, validate_state
 
 
 # Re-derive (v, mu0) from M when the step's residual exceeds this share of tol.
@@ -286,13 +286,13 @@ class LiveRows:
         if self.size == n:
             live = self.rows
             for k in range(0, n, per):
-                live[k : k + per] += np.einsum("i,j->ij", g[k : k + per], g)
+                live[k : k + per] += outer(g[k : k + per], g)
         else:
             if np.minimum.reduce(self.stamp[idx], initial=NOT_LIVE) < self.log_size:
                 self._bring_current(idx)
             slots, g_s = self.slot[idx], g[idx]
             for k in range(0, idx.size, per):
-                self.rows[slots[k : k + per]] += np.einsum("i,j->ij", g_s[k : k + per], g)
+                self.rows[slots[k : k + per]] += outer(g_s[k : k + per], g)
             if self.log_size == self.log.shape[0]:
                 self.log = _grown(self.log, max(2 * self.log_size, 1))
             self.log[self.log_size] = g
@@ -638,7 +638,7 @@ def step(session, g_t, c_t):
         session.par1,
         counter=counter,
         ensure_column=A.touch,
-        rebuild=lambda lam: rebuild(session, A[q.support.idx] + lam * np.outer(g[q.support.idx], g)),
+        rebuild=lambda lam: rebuild(session, A[q.support.idx] + lam * outer(g[q.support.idx], g)),
     )
     A.add_outer(g, q.support.idx)
     events_c = run_utilde_leg(

@@ -27,6 +27,27 @@ import numpy as np
 from . import counters as cnt
 from .kkt import DEFAULT_COND_CAP, check_block
 
+
+def outer(u, v):
+    """The rank-one product u v' (1-D u and v) as one BLAS dgemm with K = 1.
+
+    Each entry is u[i] * v[j] rounded once, the bits of einsum's "i,j->ij"
+    product, and a product with a zero factor comes out +0.0 even when its
+    sign is negative, as einsum stores it; adding it to an accumulator
+    changes only a -0.0 there.  Not `@`: numpy's matmul does not hand K = 1
+    to BLAS and runs several times slower.  Not np.outer: it keeps the
+    -0.0, so its sums differ in the sign of a zero.  `ndarray.dot` skips
+    np.dot's dispatcher, so a product costs one interpreter call.
+
+    Two zero products can keep their sign, and so differ from einsum's in
+    it alone: a nonzero product that underflows to zero, under a BLAS
+    kernel that rounds by fused multiply-add (numpy's bundled OpenBLAS does
+    on x86-64), and the single product of a 1 x 1 call, which numpy makes
+    without BLAS.
+    """
+    return u[:, None].dot(v[None, :])
+
+
 class Par1:
     """Inverse-block cache M plus eta_tilde = (M + I_{S^c}) 1 and D = 1' A_SS^{-1} 1.
 
@@ -51,12 +72,8 @@ class Par1:
         return self.M[:, support.idx.searchsorted(j)].copy()
 
     def rank1(self, u, coef_s):
-        """M += outer(u, coef_s) in place.
-
-        einsum builds the product faster than u[:, None] * coef_s at large
-        n s, with the same values; it stores a product of -0.0 as +0.0.
-        """
-        self.M += np.einsum("i,j->ij", u, coef_s)
+        """M += outer(u, coef_s) in place, the product by one dgemm (see `outer`)."""
+        self.M += outer(u, coef_s)
 
     def insert_col(self, j, support_after):
         """Make room for a new zero column j."""

@@ -16,7 +16,7 @@ from hones import counters as cnt
 from hones import driver
 from hones.kkt import ZETA_SCALE, Diagonal, Problem, Quadruple, Support, kkt_residual
 from hones.path_matrix import DBL_MAX, _first_zero, _tiny
-from hones.state import Par1, direct_update_par2, direct_update_par3, par1_from_matrix
+from hones.state import Par1, direct_update_par2, direct_update_par3, outer, par1_from_matrix
 
 from test_kkt import random_spd_problem
 
@@ -193,8 +193,9 @@ def bits(x):
 def same_up_to_zero_sign(got, want, before):
     """Equal values, and equal bits wherever the accumulator `before` did not hold -0.0.
 
-    The einsum products store a product of -0.0 as +0.0, and only -0.0 plus
-    that product tells the two signs apart.
+    The dgemm products (`state.outer`) store a product with a zero factor as
+    +0.0 where the broadcast product may give -0.0, and only -0.0 plus that
+    product tells the two signs apart.
     """
     assert got.shape == want.shape and np.array_equal(got, want)
     neg_zero = (before == 0.0) & np.signbit(before)
@@ -206,6 +207,14 @@ def with_signed_zeros(rng, x, share=0.2):
     x = x.copy()
     x[rng.random(x.shape) < share] = 0.0
     x[rng.random(x.shape) < share] = -0.0
+    return x
+
+
+def with_subnormals(rng, x, share=0.1):
+    """`x` with about `share` of its entries set to subnormals of either sign."""
+    x = x.copy()
+    hit = rng.random(x.shape) < share
+    x[hit] = rng.choice([-1.0, 1.0], hit.sum()) * rng.integers(1, 2**52, hit.sum()) * 5e-324
     return x
 
 
@@ -595,6 +604,54 @@ class TestPar1Columns:
 
 
 class TestOuterProducts:
+    # Shapes on either side of the BLAS size regimes: numpy's own 1 x 1
+    # product, one row or one column, the benchmark's blocks (100 x 6,
+    # 200 x 191, 1000 x 15) and large ones up to n = 3000 and s = n.
+    SHAPES = [
+        (1, 1), (1, 7), (9, 1), (100, 6), (200, 191), (200, 200), (1000, 15), (1000, 1000), (3000, 30), (3000, 300)
+    ]
+
+    @pytest.mark.parametrize("n, s", SHAPES + [(3000, 3000)])
+    def test_outer_has_the_bits_of_einsum(self, n, s):
+        # Signed zeros and subnormals in u, and |v| >= 1 or a signed zero, so
+        # that no product underflows to zero.  The aliased products (v with
+        # itself, and a leading block of v with v) are the ones numpy hands
+        # to syrk rather than gemm.
+        rng = np.random.default_rng(41 + n + s)
+        u = with_signed_zeros(rng, with_subnormals(rng, rng.standard_normal(n)))
+        v = with_signed_zeros(rng, rng.choice([-1.0, 1.0], s) * (1.0 + rng.exponential(size=s)))
+        for a, b in ((u, v), (v, u), (v, v), (v[: s // 2 or 1], v)):
+            got, want = outer(a, b), np.einsum("i,j->ij", a, b)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            if got.size == 1:  # numpy's scalar product keeps the sign of a zero
+                assert np.array_equal(got, want)
+            else:
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_outer_zero_products(self):
+        # A product with a zero factor is +0.0, as einsum stores it; a
+        # product that underflows to zero, and the one product of a 1 x 1
+        # call, are zeros of either sign.
+        u, v = np.array([-0.0, 0.0, -1.0, 1e-170]), np.array([-1.0, 1.0, -0.0, 0.0, -1e-170])
+        got, want = outer(u, v), np.einsum("i,j->ij", u, v)
+        assert np.array_equal(got, want)
+        exact_zero = (u[:, None] == 0.0) | (v[None, :] == 0.0)
+        assert not np.signbit(got[exact_zero]).any()
+        for a, b in ((-1.0, 0.0), (0.0, -1.0), (-0.0, -0.0)):
+            assert outer(np.array([a]), np.array([b])).tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("n, s", SHAPES)
+    def test_par1_rank1_across_shapes(self, n, s):
+        rng = np.random.default_rng(53 + n + s)
+        M = with_signed_zeros(rng, rng.standard_normal((n, s)))
+        u = with_signed_zeros(rng, with_subnormals(rng, rng.standard_normal(n)))
+        coef = with_signed_zeros(rng, with_subnormals(rng, rng.standard_normal(s)))
+        par1, ref = Par1(M.copy(), np.ones(n), 1.0), M.copy()
+        par1.rank1(u, coef)
+        ref_par1_rank1(ref, u, coef)
+        same_up_to_zero_sign(par1.M, ref, M)
+        assert par1.M.flags.c_contiguous
+
     def test_par1_rank1_with_signed_zeros(self):
         rng = np.random.default_rng(23)
         flipped = 0
@@ -639,18 +696,25 @@ class TestOuterProducts:
     @pytest.mark.parametrize("block", [driver.UPDATE_BLOCK, 64])
     def test_add_outer_full_and_lazy(self, monkeypatch, block):
         # At the real block size, n = 300 takes two blocks of up to
-        # 65536 // 300 = 218 rows, full, or lazy on every live row (269); a
-        # block of 64 entries splits every store into many.  A lazy store
+        # 65536 // 300 = 218 rows, full, or lazy on every live row (269), and
+        # n = 1000 takes 65 rows a block; a full store of n <= 256 rows is
+        # one block, g with itself, which numpy hands to syrk.  A block of
+        # 64 entries splits every store into many.  g carries signed zeros
+        # and subnormals, so some products underflow.  A lazy store
         # adds only to the rows it is given (all live rows on even steps,
         # about a third of them on odd ones), and the rest are replayed when
         # the comparison reads them through the store.
         monkeypatch.setattr(driver, "UPDATE_BLOCK", block)
         rng = np.random.default_rng(31 + block)
         blocks = {False: 0, True: 0}
-        for n, lazy in ((1, False), (5, True), (12, False), (40, True), (300, False), (300, True)):
+        for n, lazy in (
+            (1, False), (5, True), (12, False), (40, True), (200, False),
+            (300, False), (300, True), (1000, False), (1000, True),
+        ):
             new, ref = self.stores(rng, n, lazy)
             for t in range(6):
-                g = with_signed_zeros(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3))
+                g = with_subnormals(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3))
+                g = with_signed_zeros(rng, g)
                 live = new.live()
                 idx = live if t % 2 == 0 else np.sort(rng.choice(live, size=live.size // 3, replace=False))
                 # Each update starts from the same rows in both stores.
