@@ -23,7 +23,7 @@ class PGResult:
     converged: bool
 
 
-def pg_residual(x, grad, tol=None):
+def pg_residual(x, grad):
     """Optimality residual of a feasible iterate given its gradient.
 
     Same quantity the path solver reports: the multiplier mu0 is fit to the
@@ -31,8 +31,7 @@ def pg_residual(x, grad, tol=None):
     the worst violation across stationarity, feasibility, sign constraints
     and complementary slackness is returned.
     """
-    tol = zero_tol(x) if tol is None else tol
-    mask = x > tol
+    mask = x > zero_tol(x)
     if not mask.any():
         mask[int(np.argmax(x))] = True
     gs = grad[mask]

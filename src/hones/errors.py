@@ -36,10 +36,9 @@ class CycleLimit(HonesError):
 class ParseError(HonesError):
     """Malformed input file."""
 
-    def __init__(self, message, row=None, column=None):
+    def __init__(self, message, row=None):
         super().__init__(message)
         self.row = row
-        self.column = column
 
 
 class EmptySeries(HonesError):

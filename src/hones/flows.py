@@ -105,13 +105,6 @@ class PriceSeries:
         """Views of the price array, PRICE_BLOCK rows at a time."""
         return (self.prices[k : k + PRICE_BLOCK] for k in range(0, self.steps, PRICE_BLOCK))
 
-    def ratios(self):
-        """Elementwise price ratios r_t = p_t / p_{t-1}, shape (T-1) x n."""
-        return np.concatenate(list(ratio_blocks(self)))
-
-    def log_returns(self):
-        return np.log(self.ratios())
-
 
 @dataclass(frozen=True)
 class SyntheticPrices:
@@ -128,21 +121,21 @@ class SyntheticPrices:
         return price_blocks(self.n, self.steps, self.seed)
 
 
-def price_blocks(n, steps, seed=0, drift=0.0002, vol=0.01):
+def price_blocks(n, steps, seed=0):
     """The geometric random walk of `synthetic_prices`, PRICE_BLOCK rows at a time.
 
-    Row 0 is 100.  Each later block draws its log increments drift + vol * z
-    from one Philox stream, adds the last log level of the block before to
-    its first row, and sums, exponentiates and scales in place, so the rows
-    are those of a single block of `steps` rows.
+    Row 0 is 100.  Each later block draws its log increments 0.0002 + 0.01 z
+    (a drift and a volatility) from one Philox stream, adds the last log
+    level of the block before to its first row, and sums, exponentiates and
+    scales in place, so the rows are those of a single block of `steps` rows.
     """
     rng = rng_for(seed ^ 0x5A17)
     yield np.full((1, n), 100.0)
     level = None
     for start in range(1, steps, PRICE_BLOCK):
         lv = rng.standard_normal((min(PRICE_BLOCK, steps - start), n))
-        lv *= vol
-        lv += drift
+        lv *= 0.01
+        lv += 0.0002
         if level is not None:
             lv[0] += level
         np.cumsum(lv, axis=0, out=lv)
@@ -275,9 +268,9 @@ def markowitz_flow(log_returns, epsilon=1e-4, risk_aversion=0.0):
     return MarkowitzFlow(lambda: (w,), w.shape[1], epsilon=epsilon, risk_aversion=risk_aversion)
 
 
-def synthetic_prices(n, steps, seed=0, drift=0.0002, vol=0.01):
+def synthetic_prices(n, steps, seed=0):
     """Geometric random-walk prices for exercising the price-driven flows, as one series."""
-    prices = np.concatenate(list(price_blocks(n, steps, seed, drift, vol)))
+    prices = np.concatenate(list(price_blocks(n, steps, seed)))
     dates = [f"t{k:05d}" for k in range(steps)]
     tickers = [f"A{k:03d}" for k in range(n)]
     return PriceSeries(dates, tickers, prices)

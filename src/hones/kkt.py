@@ -66,14 +66,6 @@ class Support:
         self._adopt(idx, mask)
         return self
 
-    @classmethod
-    def full(cls, n):
-        return cls(n, np.arange(n))
-
-    @classmethod
-    def from_mask(cls, mask):
-        return cls(len(mask), np.flatnonzero(mask))
-
     def complement(self):
         """The indices off the support, increasing (read-only)."""
         if self._comp is None:
@@ -100,12 +92,6 @@ class Support:
     def as_tuple(self):
         return tuple(int(i) for i in self.idx)
 
-    def __len__(self):
-        return self.idx.size
-
-    def __iter__(self):
-        return iter(self.idx)
-
     def __eq__(self, other):
         return (
             isinstance(other, Support)
@@ -128,7 +114,7 @@ class Quadruple:
     Stored as the length-n concatenation v with v_S = x_S and v_{S^c} =
     -mu_{S^c}, plus the equality multiplier mu0.  Sign feasibility is NOT
     enforced at construction; candidates from solve_given_support may violate
-    it and callers check with `is_feasible`.
+    it, and callers check the signs of `x_s` and `mu_sc`.
     """
 
     support: Support
@@ -147,18 +133,6 @@ class Quadruple:
     def x(self):
         """Full-length primal vector (zero off support)."""
         return np.where(self.support.mask, self.v, 0.0)
-
-    @property
-    def mu(self):
-        """Full-length inequality multipliers (zero on support)."""
-        return np.where(self.support.mask, 0.0, -self.v)
-
-    def copy(self):
-        return Quadruple(self.support, self.v.copy(), self.mu0)
-
-    def is_feasible(self, tol=None):
-        tol = zero_tol(self.v) if tol is None else tol
-        return bool(np.all(self.x_s > -tol) and np.all(self.mu_sc > -tol))
 
 
 class Diagonal:
@@ -376,7 +350,7 @@ def oracle_solve(problem, x0=None, cond_cap=DEFAULT_COND_CAP):
     mask = x > zero_tol(x)
     if not mask.any():
         mask[int(np.argmax(x))] = True
-    support = Support.from_mask(mask)
+    support = Support.from_sorted(mask.nonzero()[0], mask)
 
     result = _active_set_loop(problem, x, support, 50 * n, cond_cap)
     if kkt_residual(problem, result) > 1e-9:

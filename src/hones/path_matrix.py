@@ -172,7 +172,6 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
     par2.D_gc = alpha0 * d_gc
     n, s = support.n, support.size
     cnt.add(counter, (n * s + s) + 3 * n + n + 12)
-    return quadruple, par1, par2
 
 
 def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None):

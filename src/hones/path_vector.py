@@ -41,7 +41,6 @@ def update_by_utilde_lambda(lam_inc, quadruple, direction, counter=None):
     quadruple.v -= lam_inc * d
     quadruple.mu0 += q * lam_inc
     cnt.add(counter, quadruple.v.size + 1)
-    return quadruple
 
 
 def expand_support_utilde(support, j, A, par1, par3, counter=None):

@@ -62,9 +62,6 @@ class Par1:
         self.eta_tilde = eta_tilde
         self.D = float(D)
 
-    def copy(self):
-        return Par1(self.M.copy(), self.eta_tilde.copy(), self.D)
-
     # -- reads and updates used by the path legs ----------------------------
 
     def col(self, j, support):
@@ -109,9 +106,6 @@ class Par2:
     D_gg: float
     D_gc: float
     g: np.ndarray = field(repr=False)
-
-    def copy(self):
-        return Par2(self.eta.copy(), self.D_g, self.D_gg, self.D_gc, self.g)
 
     def pivot(self, j, vec, inv, teta_j, b):
         """Carry the cache through a block pivot on j (see path_matrix._pivot)."""
@@ -197,7 +191,7 @@ def direct_update_par3(support, par1, l, counter=None):
 
 
 def refresh_quadruple(quadruple, par1, c, counter=None):
-    """Recompute (v, mu0) for the current support from the cached inverse.
+    """Recompute (v, mu0) in place for the current support from the cached inverse.
 
     This is the closed-form fixed-support solution expressed through Par1:
     mu0 = (1 - 1'(Mc)_S) / D and v = mu0 eta_tilde + Mc + c off the support.
@@ -214,7 +208,6 @@ def refresh_quadruple(quadruple, par1, c, counter=None):
     quadruple.v = v
     quadruple.mu0 = mu0
     cnt.add(counter, support.n * idx.size + support.n)
-    return quadruple
 
 
 def condition_proxy(A, support, par1):

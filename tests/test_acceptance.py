@@ -141,9 +141,8 @@ def test_criterion_5_complexity_bound(criterion3_runs):
     violations = 0
     total = 0
     for _, reports in criterion3_runs:
-        checks = count_ops(reports, 100)
-        violations += sum(not c.ok for c in checks)
-        total += len(checks)
+        violations += count_ops(reports, 100)
+        total += len(reports)
     ok = violations == 0
     record("5 complexity-bound", ok, f"{violations} of {total} steps over budget")
     assert ok

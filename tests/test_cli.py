@@ -360,6 +360,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[FAIL] turning-point-lower-bound" in out and out.count("[FAIL]") == 1
 
+    def test_diverging_eager_twin_fails_only_the_twin_check(self, monkeypatch, capsys):
+        # The twin is compared with the x's of the lazy run the other checks
+        # read, so a fault in the eager run shows in its row alone.
+        real_run = cli.run_sequence
+
+        def diverging_run(session, flow, steps):
+            out = real_run(session, flow, steps)
+            return [(x + (0.0 if session.config.lazy_a else 1e-6), rep) for x, rep in out]
+
+        monkeypatch.setattr(cli, "run_sequence", diverging_run)
+        assert cli.main(["verify", "--steps", "30", "--seeds", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] lazy-vs-eager-twin" in out and out.count("[FAIL]") == 1
+
     def test_oracle_vs_exact_up_to_n_12(self, capsys):
         assert cli.main(["verify", "--n", "12", "--seeds", "11", "--steps", "20"]) == 0
         assert "[pass] oracle-vs-exact" in capsys.readouterr().out

@@ -42,3 +42,23 @@ def test_prints_each_module_and_the_total(capsys):
     names = [line.split()[1] for line in lines]
     assert names[-1] == "total" and "kkt.py" in names
     assert counts[-1] == sum(counts[:-1]) > 0
+
+
+def test_base_prints_both_counts_and_the_delta(tmp_path, capsys):
+    trees = {
+        "base": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
+        "head": {"a.py": "x = 1\n", "c.py": "w = (1,\n     2)\n"},
+    }
+    for tree, files in trees.items():
+        (tmp_path / tree / "src" / "hones").mkdir(parents=True)
+        for name, text in files.items():
+            (tmp_path / tree / "src" / "hones" / name).write_text(text)
+    assert code_lines.main([str(tmp_path / "head"), "--base", str(tmp_path / "base")]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines == [
+        ["base", "head", "delta", "module"],
+        ["2", "1", "-1", "a.py"],
+        ["1", "0", "-1", "b.py"],
+        ["0", "2", "+2", "c.py"],
+        ["3", "3", "+0", "total"],
+    ]

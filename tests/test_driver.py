@@ -145,9 +145,14 @@ DAMAGE = {
     "header-s": (lambda buf, at: _put(buf, 16, "<I", 9), SIZE),
     "lazy-2": (lambda buf, at: _put(buf, 20, "B", 2), "lazy_a must be 0 or 1"),
     "a0-kind-3": (lambda buf, at: _put(buf, 21, "B", 3), "the A0 kind 0, 1 or 2"),
-    "a0-negative": (_a0_negative, "diagonal of A0 must be positive"),
-    "a0-dense-asymmetric": (lambda buf, at: _put(buf, at["A0"] + 8 * 1, "<d", 5.0), "symmetric within 1e-10"),
-    "a0-dense-negative": (lambda buf, at: _put(buf, at["A0"] + 8 * 26, "<d", -1.0), "diagonal of A0 must be positive"),
+    "a0-negative": (_a0_negative, "A must be positive definite"),
+    "a0-dense-asymmetric": (lambda buf, at: _put(buf, at["A0"] + 8 * 1, "<d", 5.0), "A must be symmetric within 1e-10"),
+    "a0-dense-negative": (lambda buf, at: _put(buf, at["A0"] + 8 * 26, "<d", -1.0), "A must be positive definite"),
+    # A0[0, 1] = A0[1, 0] = 1 against a diagonal near 1e-3: symmetric, a positive diagonal, indefinite.
+    "a0-dense-indefinite": (
+        lambda buf, at: _put(_put(buf, at["A0"] + 8 * 1, "<d", 1.0), at["A0"] + 8 * 12, "<d", 1.0),
+        "A must be positive definite",
+    ),
     "born-above-k": (_born(None), "born entries must lie in 0..20"),
     "born-negative": (_born(-1), "born entries must lie in 0..20"),
     "mask-2": (lambda buf, at: _put(buf, at["mask"] + 3, "B", 2), "touched-row bytes must be 0 or 1"),
@@ -163,12 +168,13 @@ DAMAGE = {
 }
 
 # The golden checkpoint holds no rows and a diagonal A0; these cases need a
-# file that holds every row, or a dense A0 (A0[0, 1] and A0[2, 2] above).
+# file that holds every row, or a dense A0 (A0[0, 1], A0[1, 0] and A0[2, 2] above).
 CASE_SOURCE = {
     "cut-A": full_checkpoint,
     "nan-A": full_checkpoint,
     "a0-dense-asymmetric": dense_checkpoint,
     "a0-dense-negative": dense_checkpoint,
+    "a0-dense-indefinite": dense_checkpoint,
 }
 
 # What load must say of a file cut at the start of each section.
@@ -373,6 +379,12 @@ class TestRunSequence:
     def test_zero_steps(self):
         ses, flow = synthetic_session(4, seed=1)
         assert run_sequence(ses, flow, 0) == []
+
+    def test_flow_that_runs_out_raises_value_error(self):
+        ses, flow = synthetic_session(4, seed=1, steps=3)
+        with pytest.raises(ValueError, match="flow ended after 3 of 5 steps"):
+            run_sequence(ses, flow, 5)
+        assert ses.t == 3
 
     def test_lower_bound_and_excess_nonnegative(self):
         ses, flow = synthetic_session(12, seed=5)
@@ -704,8 +716,15 @@ class TestCountOps:
         n = 30
         ses, flow = synthetic_session(n, seed=23)
         out = run_sequence(ses, flow, 120)
-        checks = count_ops([r for _, r in out], n)
-        assert all(ch.ok for ch in checks)
+        assert count_ops([r for _, r in out], n) == 0
+
+    def test_counts_the_steps_over_budget(self):
+        n = 30
+        ses, flow = synthetic_session(n, seed=23)
+        reports = [r for _, r in run_sequence(ses, flow, 10)]
+        over = [dataclasses.replace(r, mult_count=complexity_bound(n, r) + 1) for r in reports[:3]]
+        at = [dataclasses.replace(r, mult_count=complexity_bound(n, r)) for r in reports[3:]]
+        assert count_ops(over + at, n) == 3
 
     def test_null_step_bound_formula(self):
         n = 6
@@ -1015,7 +1034,8 @@ class TestGauge:
         # about g - 10 and A would grow like 100 t 11'; the |a| <= max|g| cap
         # keeps that drift in the vector leg.
         n, steps = 200, 1500
-        flow = markowitz_flow(synthetic_prices(n, steps + 1, seed=3).log_returns(), risk_aversion=10.0)
+        prices = synthetic_prices(n, steps + 1, seed=3).prices
+        flow = markowitz_flow(np.log(prices[1:] / prices[:-1]), risk_aversion=10.0)
         ses = init_session(flow.a0, flow.c0)
         dev = run_against_oracle(ses, flow)
         assert sum(r.kkt_residual > ses.config.tol for r in ses.reports) == 0

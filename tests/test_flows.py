@@ -15,6 +15,7 @@ from hones.flows import (
     markowitz_flow,
     ons_flow,
     price_blocks,
+    ratio_blocks,
     save_prices,
     synthetic_flow,
     synthetic_prices,
@@ -302,8 +303,7 @@ class TestPriceBlocks:
             assert synthetic_prices(n, steps, seed).prices.tobytes() == ref.tobytes()
             assert np.concatenate(list(SyntheticPrices(n, steps, seed).blocks())).tobytes() == ref.tobytes()
             whole = series(ref)
-            assert whole.ratios().tobytes() == (ref[1:] / ref[:-1]).tobytes()
-            assert whole.log_returns().tobytes() == np.log(ref[1:] / ref[:-1]).tobytes()
+            assert np.concatenate(list(ratio_blocks(whole))).tobytes() == (ref[1:] / ref[:-1]).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_price_flows_match_the_whole_series(self, seed):

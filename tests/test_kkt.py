@@ -200,14 +200,14 @@ class TestDiagonal:
 class TestSolveGivenSupport:
     def test_identity_uniform(self):
         p = Problem(np.eye(2), np.zeros(2))
-        q = solve_given_support(p, Support.full(2))
+        q = solve_given_support(p, Support(2, range(2)))
         assert q.mu0 == pytest.approx(0.5, abs=1e-14)
         np.testing.assert_allclose(q.x_s, [0.5, 0.5], atol=1e-14)
         assert q.mu_sc.size == 0
 
     def test_diag_two_one(self):
         p = Problem(np.diag([2.0, 1.0]), np.zeros(2))
-        q = solve_given_support(p, Support.full(2))
+        q = solve_given_support(p, Support(2, range(2)))
         assert q.mu0 == pytest.approx(2.0 / 3.0, abs=1e-14)
         np.testing.assert_allclose(q.x_s, [1.0 / 3.0, 2.0 / 3.0], atol=1e-14)
 
@@ -230,7 +230,7 @@ class TestSolveGivenSupport:
             support = Support(n, rng.choice(n, size=k, replace=False))
             q = solve_given_support(p, support)
             # Stationarity and the sum constraint hold regardless of signs.
-            x, mu = q.x, q.mu
+            x, mu = q.x, np.where(q.support.mask, 0.0, -q.v)
             stat = p.A @ x - q.mu0 - mu - p.c
             scale = np.max(np.abs(p.A)) * max(1.0, np.max(np.abs(x)))
             assert np.max(np.abs(stat)) <= 1e-10 * scale
@@ -242,7 +242,7 @@ class TestSolveGivenSupport:
         p = Problem(np.eye(2), np.zeros(2))
         p.A = A  # bypass the SPD constructor check to exercise the guard
         with pytest.raises(SingularSubmatrix):
-            solve_given_support(p, Support.full(2), cond_cap=1e12)
+            solve_given_support(p, Support(2, range(2)), cond_cap=1e12)
 
     def test_one_conditioning_rule(self):
         # kappa = 2e12, but the Cholesky-diagonal proxy reads about 5e11: the
@@ -252,9 +252,9 @@ class TestSolveGivenSupport:
 
         p = Problem(np.array([[1.0, 1.0 - 1e-12], [1.0 - 1e-12, 1.0]]), np.zeros(2))
         with pytest.raises(SingularSubmatrix):
-            solve_given_support(p, Support.full(2), cond_cap=1e12)
+            solve_given_support(p, Support(2, range(2)), cond_cap=1e12)
         with pytest.raises(SingularSubmatrix):
-            par1_from_matrix(p.A, Support.full(2))
+            par1_from_matrix(p.A, Support(2, range(2)))
 
 
 class TestKktResidual:
@@ -295,14 +295,15 @@ class TestOracle:
         p = Problem(np.diag([2.0, 1.0]), np.zeros(2))
         q = oracle_solve(p)
         np.testing.assert_allclose(q.x, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-        assert q.is_feasible()
+        assert (q.x_s > 0.0).all() and q.mu_sc.size == 0
 
     def test_vertex_solution(self):
         p = Problem(np.eye(3), np.array([10.0, 0.0, 0.0]))
         q = oracle_solve(p)
         np.testing.assert_allclose(q.x, [1.0, 0.0, 0.0], atol=1e-12)
         assert q.mu0 == pytest.approx(-9.0, abs=1e-12)
-        np.testing.assert_allclose(q.mu, [0.0, 9.0, 9.0], atol=1e-12)
+        assert q.support.as_tuple() == (0,)
+        np.testing.assert_allclose(q.mu_sc, [9.0, 9.0], atol=1e-12)
 
     def test_matches_exact_500_seeds(self):
         for seed in range(500):

@@ -177,7 +177,7 @@ class TestExpandShrink:
 
     def test_shrink_identity_block(self):
         p = Problem(np.eye(2), np.zeros(2))
-        support = Support.full(2)
+        support = Support(2, range(2))
         par1 = init_par1(p, support)
         par2 = direct_update_par2(support, par1, p.c, np.zeros(2))
         new = shrink_support_lambda(support, 1, p.c, par1, par2)
@@ -391,7 +391,7 @@ class TestRunLambdaLeg:
                 continue
             for frac in rng.uniform(0.05, 0.95, size=5):
                 lam = float(frac * seg_end)
-                qc, p1c, p2c = q.copy(), par1.copy(), par2.copy()
+                qc, p1c, p2c = fresh_state(p, g)  # the same state afresh, as a copy
                 update_by_lambda(lam, qc, p1c, p2c, direction)
                 A_lam = p.A + lam * np.outer(g, g)
                 kappa = condition_proxy(A_lam, qc.support, p1c)

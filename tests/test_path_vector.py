@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -267,7 +269,7 @@ class TestRunUtildeLeg:
             ts = np.array([0.2, 0.5, 0.8]) * seg
             vs = []
             for t in ts:
-                qc = q.copy()
+                qc = dataclasses.replace(q, v=q.v.copy())
                 update_by_utilde_lambda(float(t), qc, direction)
                 vs.append(qc.v)
             second_diff = vs[0] - 2.0 * vs[1] + vs[2]

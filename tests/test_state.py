@@ -19,14 +19,14 @@ class TestInitPar1:
     def test_identity_full_support(self):
         n = 4
         p = Problem(np.eye(n), np.zeros(n))
-        par1 = init_par1(p, Support.full(n))
+        par1 = init_par1(p, Support(n, range(n)))
         np.testing.assert_allclose(par1.M, np.eye(n), atol=1e-14)
         np.testing.assert_allclose(par1.eta_tilde, np.ones(n), atol=1e-14)
         assert par1.D == pytest.approx(n, abs=1e-12)
 
     def test_diag(self):
         p = Problem(np.diag([2.0, 1.0]), np.zeros(2))
-        par1 = init_par1(p, Support.full(2))
+        par1 = init_par1(p, Support(2, range(2)))
         np.testing.assert_allclose(par1.M, np.diag([0.5, 1.0]), atol=1e-14)
         np.testing.assert_allclose(par1.eta_tilde, [0.5, 1.0], atol=1e-14)
         assert par1.D == pytest.approx(1.5, abs=1e-14)
@@ -61,7 +61,7 @@ class TestInitPar1:
 class TestDirectUpdates:
     def test_par2_zero_direction(self):
         p = Problem(np.diag([2.0, 1.0]), np.zeros(2))
-        s = Support.full(2)
+        s = Support(2, range(2))
         par2 = direct_update_par2(s, init_par1(p, s), p.c, np.zeros(2))
         assert np.all(par2.eta == 0.0)
         assert par2.D_g == par2.D_gg == par2.D_gc == 0.0
@@ -70,7 +70,7 @@ class TestDirectUpdates:
         rng = np.random.default_rng(1)
         n = 5
         p = Problem(np.eye(n), rng.standard_normal(n))
-        s = Support.full(n)
+        s = Support(n, range(n))
         g = rng.standard_normal(n)
         par2 = direct_update_par2(s, init_par1(p, s), p.c, g)
         np.testing.assert_allclose(par2.eta, g, atol=1e-14)
@@ -80,7 +80,7 @@ class TestDirectUpdates:
 
     def test_par2_worked_example(self):
         p = Problem(np.diag([2.0, 1.0]), np.array([1.0, 0.0]))
-        s = Support.full(2)
+        s = Support(2, range(2))
         par2 = direct_update_par2(s, init_par1(p, s), p.c, np.ones(2))
         np.testing.assert_allclose(par2.eta, [0.5, 1.0], atol=1e-14)
         assert par2.D_g == pytest.approx(1.5, abs=1e-14)
@@ -89,7 +89,7 @@ class TestDirectUpdates:
 
     def test_par3_zero_drift(self):
         p = Problem(np.eye(3), np.zeros(3))
-        s = Support.full(3)
+        s = Support(3, range(3))
         par3 = direct_update_par3(s, init_par1(p, s), np.zeros(3))
         assert np.all(par3.xi == 0.0)
         assert par3.D_l == 0.0
@@ -98,7 +98,7 @@ class TestDirectUpdates:
         rng = np.random.default_rng(4)
         n = 4
         p = Problem(np.eye(n), np.zeros(n))
-        s = Support.full(n)
+        s = Support(n, range(n))
         l = rng.standard_normal(n)
         par3 = direct_update_par3(s, init_par1(p, s), l)
         np.testing.assert_allclose(par3.xi, -l, atol=1e-14)
@@ -106,7 +106,7 @@ class TestDirectUpdates:
 
     def test_par3_worked_example(self):
         p = Problem(np.diag([2.0, 1.0]), np.zeros(2))
-        s = Support.full(2)
+        s = Support(2, range(2))
         par3 = direct_update_par3(s, init_par1(p, s), np.array([2.0, 0.0]))
         np.testing.assert_allclose(par3.xi, [-1.0, 0.0], atol=1e-14)
         assert par3.D_l == pytest.approx(-1.0, abs=1e-14)
@@ -144,13 +144,13 @@ class TestValidateState:
 
     def test_corruption_detected(self):
         p = Problem(np.eye(3), np.zeros(3))
-        support = Support.full(3)
+        support = Support(3, range(3))
         par1 = init_par1(p, support)
         par1.M[1, 1] += 1.0
         assert validate_state(p, support, par1) >= 0.5
 
     def test_condition_proxy_identity(self):
         p = Problem(np.eye(4), np.zeros(4))
-        support = Support.full(4)
+        support = Support(4, range(4))
         par1 = init_par1(p, support)
         assert condition_proxy(p.A, support, par1) == pytest.approx(1.0)

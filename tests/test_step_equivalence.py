@@ -106,7 +106,7 @@ def ref_kkt_residual(problem, quadruple):
     A, c = problem.A, problem.c
     idx = quadruple.support.idx
     x_s = quadruple.v[idx]
-    mu = quadruple.mu
+    mu = np.where(quadruple.support.mask, 0.0, -quadruple.v)
     stat = A[idx].T @ x_s - quadruple.mu0 - mu - c
     x = quadruple.x
     return max(
@@ -558,7 +558,7 @@ class TestSupportToggles:
             n = int(rng.integers(1, 30))
             mask = rng.random(n) < 0.5
             mask[int(rng.integers(n))] = True
-            same_support(Support.from_sorted(np.flatnonzero(mask), mask.copy()), Support.from_mask(mask))
+            same_support(Support.from_sorted(np.flatnonzero(mask), mask.copy()), Support(n, np.flatnonzero(mask)))
 
 
 # -- Par1 column updates -------------------------------------------------------

@@ -2,14 +2,17 @@
 
 Usage, from the root of a checkout:
 
-  python3 tools/code_lines.py [CHECKOUT]
+  python3 tools/code_lines.py [CHECKOUT] [--base BASE]
 
-CHECKOUT defaults to this checkout.  A code line is a source line that holds
-a token other than a comment or a docstring: blank lines, comment-only lines
-and the lines of a module, class or function docstring do not count.  A
-statement that spans lines counts each of them, and so does a string that is
-not a docstring.  The figures are a pure function of the source, so they
-compare two trees exactly.
+CHECKOUT defaults to this checkout.  With --base, each line holds the
+module's count in the checkout BASE, in CHECKOUT and their difference, for
+every module of either tree (0 where a tree lacks it).
+
+A code line is a source line that holds a token other than a comment or a
+docstring: blank lines, comment-only lines and the lines of a module, class
+or function docstring do not count.  A statement that spans lines counts
+each of them, and so does a string that is not a docstring.  The figures
+are a pure function of the source, so they compare two trees exactly.
 """
 
 import argparse
@@ -36,16 +39,26 @@ def code_lines(source):
     return len(lines)
 
 
+def module_counts(checkout):
+    """The code lines of each `src/hones` module of `checkout`, by file name."""
+    return {path.name: code_lines(path.read_text()) for path in (Path(checkout) / "src" / "hones").glob("*.py")}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", default=str(Path(__file__).resolve().parents[1]))
+    parser.add_argument("--base", help="a checkout to compare with: print its count, CHECKOUT's and the delta")
     args = parser.parse_args(argv)
-    total = 0
-    for path in sorted((Path(args.checkout) / "src" / "hones").glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    head = module_counts(args.checkout)
+    if args.base is None:
+        for name, count in sorted(head.items()) + [("total", sum(head.values()))]:
+            print(f"{count:6d}  {name}")
+        return 0
+    base = module_counts(args.base)
+    rows = [(name, base.get(name, 0), head.get(name, 0)) for name in sorted(base.keys() | head.keys())]
+    print("  base    head   delta  module")
+    for name, b, h in rows + [("total", sum(base.values()), sum(head.values()))]:
+        print(f"{b:6d}  {h:6d}  {h - b:+6d}  {name}")
     return 0
 
 
