@@ -3,7 +3,9 @@
 Convention: only multiplications are counted.  Additions, comparisons and
 divisions are ignored, and so is everything spent maintaining the problem
 matrix itself (rank-one row refreshes), which is accounted separately by
-the driver.
+the driver.  A routine that takes an optional counter tallies k
+multiplications with `if counter is not None: counter.total += k`, written
+out in place, so an untallied call costs one comparison and no call.
 """
 
 
@@ -12,9 +14,3 @@ class MultCounter:
 
     def __init__(self):
         self.total = 0
-
-
-def add(counter, k):
-    """Tally k multiplications if a counter is attached."""
-    if counter is not None:
-        counter.total += int(k)

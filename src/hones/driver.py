@@ -182,7 +182,8 @@ class LiveRows:
     """
 
     __slots__ = (
-        "n", "rows", "slot", "size", "touched", "a0", "log", "log_size", "stamp", "born", "scratch", "busy_ns",
+        "n", "rows", "slot", "size", "touched", "s_star", "a0", "log", "log_size", "stamp", "born", "scratch",
+        "busy_ns",
     )
 
     def __init__(self, rows, touched, a0, log):
@@ -191,10 +192,11 @@ class LiveRows:
         The store adopts `rows`, the writable mask `touched` and `log`, the
         buffer the g's are logged in, one per row; none is logged yet, so
         the rows are those of the initial matrix.  `a0` is None when every
-        row is live.
+        row is live.  `s_star` counts the touched rows; `touch` keeps it.
         """
         self.n = rows.shape[1]
         self.touched = touched
+        self.s_star = int(np.count_nonzero(touched))
         self.busy_ns = 0
         self._adopt(rows, a0, log)
 
@@ -234,6 +236,7 @@ class LiveRows:
             _catch_up_column(store, j)
         store.log_size = log.shape[0]
         store.touched = touched
+        store.s_star = live.size
         return store
 
     def __getitem__(self, key):
@@ -275,7 +278,9 @@ class LiveRows:
             t0 = time.perf_counter_ns()
             _catch_up_column(self, j)
             self.busy_ns += time.perf_counter_ns() - t0
-        self.touched[j] = True
+        if not self.touched[j]:
+            self.touched[j] = True
+            self.s_star += 1
 
     def add_outer(self, g, idx):
         """Row j += g[j] g for every j in `idx` (distinct, live), or for every row once all are live.
@@ -608,8 +613,8 @@ def step(session, g_t, c_t):
         raise ValueError("step vectors must be finite")
     session.t += 1
     q = session.quadruple
-    prev_mask = q.support.mask
-    s_start = q.support.size
+    prev_support = q.support
+    s_start = prev_support.size
 
     # The caller's drift, split against g; c_shift changes only when b != 0,
     # so a flow that never fuses keeps c_shift at exactly zero.
@@ -672,12 +677,16 @@ def step(session, g_t, c_t):
 
     k_a, k_c = len(events_a), len(events_c)
     k_t = k_a + k_c
-    sym_diff = int(np.add.reduce(prev_mask ^ q.support.mask))
+    # Every toggle builds a new Support, so a step that ends on the Support
+    # it started on changed nothing: its symmetric difference is 0, and its
+    # support lies in the touched set, which only grows, as it did before.
+    moved = q.support is not prev_support
+    sym_diff = int(np.add.reduce(prev_support.mask ^ q.support.mask)) if moved else 0
     if k_t < sym_diff:
         raise HonesError(f"{k_t} turning points fell below the symmetric-difference bound {sym_diff}")
     if (k_t - sym_diff) % 2:
         raise HonesError(f"{k_t - sym_diff} toggles beyond the support change do not pair up")
-    if not np.logical_and.reduce(A.touched[q.support.idx]):
+    if moved and not np.logical_and.reduce(A.touched[q.support.idx]):
         raise HonesError("support escaped the touched set")
     report = StepReport(
         t=session.t,
@@ -687,7 +696,7 @@ def step(session, g_t, c_t):
         e_t=(k_t - sym_diff) // 2,
         support_size=q.support.size,
         s_max=s_max,
-        s_star=int(np.add.reduce(A.touched)),
+        s_star=A.s_star,
         kkt_residual=residual,
         wall_ns=time.perf_counter_ns() - t_start,
         a_update_ns=A.busy_ns - busy_before,

@@ -296,10 +296,10 @@ def kkt_residual(problem, quadruple):
     """
     A, c = problem.A, problem.c
     v = quadruple.v
-    idx = quadruple.support.idx
+    support = quadruple.support
+    idx = support.idx
     x_s = v[idx]
-    off = v.copy()
-    off[idx] = 0.0  # -mu: v off the support, zero on it
+    off = np.where(support.mask, 0.0, v)  # -mu: v off the support, zero on it
     stat = A[idx].T @ x_s - quadruple.mu0 + off - c
     # The first term is never negative, so the sign terms need no clamp at 0.
     return max(

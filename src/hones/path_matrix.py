@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import counters as cnt
 from .errors import CycleLimit, DegenerateDenominator, DegenerateError, DegeneratePivot, EmptySupport
-from .kkt import _tiny
+from .kkt import ZETA_SCALE, _tiny
 from .state import direct_update_par2
 
 # A leg raises CycleLimit past this many turning points per index (10 n).
@@ -54,10 +53,11 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
     """
     skip = () if exclude is None else (exclude,)
     skip += (support.idx[0],) if support.size == 1 else ()
+    # Both zero thresholds are kkt._tiny's rule, written out for a maximum
+    # that is not negative (a NaN one gets the floor, as in _tiny).
     av = np.abs(v)
     vmax = float(np.maximum.reduce(av))
-    zeta = _tiny(vmax)
-    near = av <= zeta
+    near = av <= ZETA_SCALE * (vmax if vmax > 1.0 else 1.0)
     for i in skip:
         near[i] = False
 
@@ -66,8 +66,10 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
     near = near.nonzero()[0]
     if near.size:
         u_near = w1 * dvec[near]
-        cnt.add(counter, near.size)
-        zeta_u = _tiny(float(np.maximum.reduce(np.abs(u_near))))
+        if counter is not None:
+            counter.total += near.size
+        umax = float(np.maximum.reduce(np.abs(u_near)))
+        zeta_u = ZETA_SCALE * (umax if umax > 1.0 else 1.0)
         on = support.mask[near]
         hits = near[(on & (u_near < -zeta_u)) | (~on & (u_near > zeta_u))]
         if hits.size:
@@ -121,7 +123,8 @@ def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
     d_g, d_gg, d_gc = par2.D_g, par2.D_gg, par2.D_gc
     w1 = d_g * quadruple.mu0 - d_gc
     dvec = d_g * par1.eta_tilde - d * par2.eta
-    cnt.add(counter, 2 * n + 1)
+    if counter is not None:
+        counter.total += 2 * n + 1
 
     atil, j = _first_zero(support, quadruple.v, dvec, w1, exclude, counter)
     if j is None:
@@ -171,7 +174,8 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
     par2.D_gg = alpha0 * d_gg
     par2.D_gc = alpha0 * d_gc
     n, s = support.n, support.size
-    cnt.add(counter, (n * s + s) + 3 * n + n + 12)
+    if counter is not None:
+        counter.total += (n * s + s) + 3 * n + n + 12
 
 
 def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None):
@@ -189,15 +193,18 @@ def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None
     aj = A[j]
     a_jj = float(aj[j])
     ajj = a_jj + float(mj_s @ aj[idx]) + lam_eta_g * (float(gvec[j]) if gvec is not None else 0.0)
-    cnt.add(counter, idx.size + 2)
+    if counter is not None:
+        counter.total += idx.size + 2
     if ajj <= _tiny(a_jj):
         raise DegeneratePivot(f"pivot {ajj} adding index {j}")
     w = A[idx].T @ mj_s
     gamma = -(aj + w)
-    cnt.add(counter, support.n * idx.size)
+    if counter is not None:
+        counter.total += support.n * idx.size
     if gvec is not None and lam_eta_g != 0.0:
         gamma -= lam_eta_g * gvec
-        cnt.add(counter, support.n)
+        if counter is not None:
+            counter.total += support.n
     gamma[idx] = mj_s
     gamma[j] = 1.0
     return ajj, gamma, new_support
@@ -239,7 +246,8 @@ def _pivot(support, new_support, j, vec, inv, par1, cache, b, counter):
     par1.eta_tilde[j] = 0.0
     par1.eta_tilde += (teta_j * inv) * vec
     n, s1 = new_support.n, new_support.size
-    cnt.add(counter, s1 + n * s1 + 2 * n)
+    if counter is not None:
+        counter.total += s1 + n * s1 + 2 * n
 
 
 def expand_support_lambda(lam, support, j, A, c, g, par1, par2, counter=None):
@@ -251,7 +259,8 @@ def expand_support_lambda(lam, support, j, A, c, g, par1, par2, counter=None):
         support, j, A, par1, lam_eta_g=lam * float(par2.eta[j]), gvec=g, counter=counter
     )
     b = -float(c[new_support.idx] @ gamma[new_support.idx])
-    cnt.add(counter, new_support.size + 8)
+    if counter is not None:
+        counter.total += new_support.size + 8
     _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, b, counter)
     return new_support
 
@@ -261,7 +270,8 @@ def shrink_support_lambda(support, j, c, par1, par2, counter=None):
     mjj, beta, new_support = _shrink_geometry(support, j, par1)
     idx2 = new_support.idx
     b = -float(c[idx2] @ beta[idx2]) - float(c[j]) * mjj
-    cnt.add(counter, idx2.size + 9)
+    if counter is not None:
+        counter.total += idx2.size + 9
     _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par2, b, counter)
     return new_support
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import counters as cnt
 from .kkt import DEFAULT_COND_CAP, check_block
 
 
@@ -169,13 +168,14 @@ def direct_update_par2(support, par1, c, g, counter=None):
     idx = support.idx
     gs = g[idx]
     eta = par1.M @ gs
-    off = ~support.mask
+    off = support.complement()
     eta[off] += g[off]
     eta_s = eta[idx]
     d_g = float(np.add.reduce(eta_s))
     d_gg = float(eta_s @ gs)
     d_gc = -float(eta_s @ c[idx])
-    cnt.add(counter, support.n * idx.size + 2 * idx.size)
+    if counter is not None:
+        counter.total += support.n * idx.size + 2 * idx.size
     return Par2(eta, d_g, d_gg, d_gc, g)
 
 
@@ -183,10 +183,11 @@ def direct_update_par3(support, par1, l, counter=None):
     """Recompute the drift cache for a new l."""
     idx = support.idx
     xi = -(par1.M @ l[idx])
-    off = ~support.mask
+    off = support.complement()
     xi[off] -= l[off]
     d_l = float(np.add.reduce(xi[idx]))
-    cnt.add(counter, support.n * idx.size)
+    if counter is not None:
+        counter.total += support.n * idx.size
     return Par3(xi, d_l, l)
 
 
@@ -203,11 +204,12 @@ def refresh_quadruple(quadruple, par1, c, counter=None):
     mc = par1.M @ c[idx]
     mu0 = (1.0 - float(np.add.reduce(mc[idx]))) / par1.D
     v = mu0 * par1.eta_tilde + mc
-    off = ~support.mask
+    off = support.complement()
     v[off] += c[off]
     quadruple.v = v
     quadruple.mu0 = mu0
-    cnt.add(counter, support.n * idx.size + support.n)
+    if counter is not None:
+        counter.total += support.n * idx.size + support.n
 
 
 def condition_proxy(A, support, par1):

@@ -375,6 +375,37 @@ class TestStep:
             step(ses, np.zeros(3), np.zeros(3))
 
 
+    def test_support_escaping_the_touched_set_raises(self, monkeypatch):
+        # An eager session reads every row, so only the check stops a
+        # support that moved outside the touched set.
+        def phantom_entry(A, l, quadruple, *args, **kwargs):
+            quadruple.support = quadruple.support.with_added(3)
+            return [PathEvent("vector", 0.5, 3, "enter", quadruple.support.size)]
+
+        ses = init_session(np.eye(4), np.array([2.0, 0.0, 0.0, 0.0]), SolverConfig(lazy_a=False))
+        assert ses.support.as_tuple() == (0,) and not ses.A.touched[3]
+        monkeypatch.setattr(driver, "run_utilde_leg", phantom_entry)
+        monkeypatch.setattr(SolverSession, "residual", lambda _self: 0.0)
+        with pytest.raises(HonesError, match="escaped the touched set"):
+            step(ses, np.zeros(4), np.array([2.0, 0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_s_star_counts_the_touched_rows(self, tmp_path, lazy):
+        ses, flow = synthetic_session(100, seed=11, config=SolverConfig(lazy_a=lazy))
+        stream = list(flow)[:80]
+        for g, c in stream[:10]:
+            assert step(ses, g, c).s_star == np.count_nonzero(ses.A.touched)
+        ses.save(tmp_path / "session.bin")
+        twin = SolverSession.load(tmp_path / "session.bin")
+        assert twin.A.s_star == ses.A.s_star
+        grew = 0
+        for g, c in stream[10:]:
+            before = twin.A.s_star
+            assert step(twin, g, c).s_star == np.count_nonzero(twin.A.touched)
+            grew += twin.A.s_star > before
+        assert grew > 0
+
+
 class TestRunSequence:
     def test_zero_steps(self):
         ses, flow = synthetic_session(4, seed=1)

@@ -1,10 +1,12 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hones.kkt import Problem, Support, kkt_residual, oracle_solve, solve_given_support
-from hones.path_matrix import run_lambda_leg
+from hones import path_vector
+from hones.kkt import Problem, Support, _tiny, kkt_residual, oracle_solve, solve_given_support
+from hones.path_matrix import _first_zero, run_lambda_leg
 from hones.path_vector import (
     expand_support_utilde,
     find_utilde_lambda,
@@ -46,10 +48,13 @@ class TestFindUtilde:
         p = Problem(np.eye(2), np.zeros(2))
         l = np.array([t, -t])
         q, par1, par3 = fresh_state(p, l)
-        lam_inc, _, _ = find_utilde_lambda(q.support, q, par1, par3)
-        # x(t~) = (1/2 + t t~, 1/2 - t t~): second coordinate dies at 1/(2t) > 1
-        assert lam_inc == pytest.approx(1.0 / (2 * t), abs=1e-12)
-        assert lam_inc > 1.0
+        lam_inc, j, (_, d) = find_utilde_lambda(q.support, q, par1, par3)
+        # x(t~) = (1/2 + t t~, 1/2 - t t~): second coordinate dies at 1/(2t) > 1,
+        # past the leg's end, so the sign certificate ends the leg.
+        assert (lam_inc, j) == (np.inf, None)
+        full_inc, full_j = _first_zero(q.support, q.v, d, -1.0, None, None)
+        assert full_inc == pytest.approx(1.0 / (2 * t), abs=1e-12) and full_j == 1
+        assert full_inc > 1.0
 
     def test_crossing_at_half(self):
         p = Problem(np.eye(2), np.zeros(2))
@@ -316,3 +321,156 @@ class TestRunUtildeLeg:
             assert np.max(np.abs(q1.x - q2.x)) <= 1e-7
             ref = oracle_solve(Problem(A1, c1))
             assert np.max(np.abs(q1.x - ref.x)) <= 1e-7
+
+
+def certified_find(support, v, d, exclude=None):
+    """find_utilde_lambda on stub caches whose velocity is `d`, bit for bit: q = 0, so it is xi - 0 * 0."""
+    quadruple = SimpleNamespace(v=v)
+    par1 = SimpleNamespace(D=1.0, eta_tilde=np.zeros(v.size))
+    par3 = SimpleNamespace(D_l=0.0, xi=d)
+    return find_utilde_lambda(support, quadruple, par1, par3, exclude=exclude)
+
+
+class TestSignCertificate:
+    """The vector leg ends at its first ratio test only where the full ratio test would end it too."""
+
+    @staticmethod
+    def check(support, v, d, exclude=None, lam=0.0):
+        """Assert find_utilde_lambda's contract at (v, d); returns whether the certificate fired.
+
+        When it fires, find returns (inf, None) and the full ratio test gives
+        no index or an increment that _run_leg does not take (at least 1, so
+        not below 1 - lam); when it does not, find returns the full test's
+        result.
+        """
+        fired = path_vector._sign_certificate(v, d)
+        inc, j = _first_zero(support, v, d, -1.0, exclude, None)
+        got = certified_find(support, v, d, exclude)
+        if fired:
+            assert got[:2] == (np.inf, None)
+            assert j is None or (inc >= 1.0 and not inc < 1.0 - lam)
+        else:
+            assert got[:2] == (inc, j)
+        assert got[2][1].tobytes() == d.tobytes()
+        return fired
+
+    def test_exact_zero_at_the_excluded_index_mid_leg(self):
+        # Right after a toggle _run_leg sets v[j] = 0 and passes j back as
+        # exclude; an entry at zero fails the certificate, so the full test runs.
+        support = Support(5, [0, 1, 3])
+        v = np.array([0.4, 0.0, -0.3, 0.6, -0.1])
+        d = np.array([0.01, -0.02, 0.01, -0.01, 0.03])
+        assert not self.check(support, v, d, exclude=1, lam=0.37)
+        v[1] = -0.0
+        assert not self.check(support, v, d, exclude=1, lam=0.37)
+        # The same state with the zero lifted is certified.
+        v[1] = 0.2
+        assert self.check(support, v, d, exclude=1, lam=0.37)
+
+    def test_entries_at_and_just_above_the_zero_threshold(self):
+        for vmax in (0.25, 1.0, 7.5):
+            zeta = _tiny(vmax)
+            for sign in (1.0, -1.0):
+                # Entry 1 is x_1 on the support, or -mu_1 off it.
+                support = Support(4, [0, 1, 2] if sign > 0 else [0, 2])
+                v = np.array([vmax, sign * zeta, 0.5, -0.5])
+                d = np.array([0.0, sign * zeta / 4, 0.1, -0.1])
+                assert not self.check(support, v, d)
+                v[1] = sign * np.nextafter(zeta, np.inf)
+                assert self.check(support, v, d)
+                # Just above the threshold, but the entry crosses zero before t = 1.
+                d[1] = 2 * v[1]
+                assert not self.check(support, v, d)
+                inc, j = _first_zero(support, v, d, -1.0, None, None)
+                assert (inc, j) == (0.5, 1)
+
+    def test_singleton_support(self):
+        support = Support(4, [2])
+        v = np.array([-0.3, -0.1, 1.0, -0.7])
+        # A drift that keeps x_2 = 1 and moves every multiplier away from zero.
+        assert self.check(support, v, np.array([0.1, 0.05, 0.0, 0.2]))
+        # The pinned index is skipped by the full test, but the certificate
+        # sees its sign change and leaves the answer to the full test.
+        assert not self.check(support, v, np.array([0.1, 0.05, 2.0, 0.2]))
+        # A multiplier that reaches zero at t = 1/2.
+        assert not self.check(support, v, np.array([0.1, -0.2, 0.0, 0.2]))
+
+    def test_special_velocities(self):
+        support = Support(6, [0, 2, 4])
+        v = np.array([0.3, -0.2, 0.3, -0.1, 0.4, -0.5])
+        specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan]
+        fired = 0
+        for i in range(6):
+            for value in specials:
+                d = np.full(6, 1e-3) * np.sign(v)
+                d[i] = value
+                fired += self.check(support, v, d)
+                fired += self.check(support, v, d, exclude=(i + 1) % 6, lam=0.5)
+        # NaN and an infinity toward zero refuse; 0, subnormals and an
+        # infinity away from zero are certified.
+        d = np.full(6, 1e-3) * np.sign(v)
+        d[0] = np.nan
+        assert not path_vector._sign_certificate(v, d)
+        d[0] = np.inf
+        assert not path_vector._sign_certificate(v, d)
+        d[0] = -np.inf
+        assert path_vector._sign_certificate(v, d)
+        assert fired > 50
+
+    def test_seeded_adversarial_sweep(self):
+        rng = np.random.default_rng(41)
+        fired = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(1, n + 1))
+            support = Support(n, np.sort(rng.choice(n, size=k, replace=False)))
+            mag = rng.choice([1e-3, 0.5, 1.0, 40.0])
+            v = mag * rng.random(n)
+            v[~support.mask] *= -1.0
+            zeta = _tiny(float(np.max(np.abs(v))))
+            for i in np.flatnonzero(rng.random(n) < 0.2):
+                s = 1.0 if support.mask[i] else -1.0
+                v[i] = s * rng.choice([0.0, zeta, np.nextafter(zeta, np.inf), 2 * zeta])
+            ratio = rng.choice([-2.0, 0.0, 0.5, 1.0 - 2**-52, 1.0, 1.0 + 2**-52, 1.5, 1e300], size=n)
+            d = v * ratio
+            for i in np.flatnonzero(rng.random(n) < 0.1):
+                d[i] = rng.choice([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan])
+            exclude = int(rng.integers(n)) if rng.random() < 0.3 else None
+            fired += self.check(support, v, d, exclude=exclude, lam=float(rng.random()))
+        assert 300 < fired < 3000
+
+    @pytest.mark.parametrize(
+        "kind, n, steps, c_factor, seed",
+        [("synthetic", 40, 200, 0.6, 3), ("synthetic", 60, 200, 0.5, 7), ("ons", 30, 400, None, 3)],
+    )
+    def test_streams_end_in_the_same_bits_with_the_full_ratio_test(self, monkeypatch, kind, n, steps, c_factor, seed):
+        from hones.driver import init_session, step
+        from hones.flows import FlowConfig, flow_for_config
+
+        def run():
+            box = {}
+            cfg = FlowConfig(kind, n, steps, seed=seed, **({"c_factor": c_factor} if c_factor else {}))
+            flow = flow_for_config(cfg, x_feedback=lambda: box["ses"].x)
+            ses = box["ses"] = init_session(flow.a0, flow.c0)
+            trail = []
+            for g, c in flow:
+                rep = step(ses, g, c)
+                events = [(e.leg, e.param.hex(), e.index, e.kind, e.support_size) for e in rep.events]
+                trail.append((rep.mult_count, rep.rebuilds, rep.refreshes, rep.kkt_residual.hex(), events))
+            par1, q = ses.par1, ses.quadruple
+            state = [q.support.idx, q.v, np.float64(q.mu0), par1.M, par1.eta_tilde, np.float64(par1.D)]
+            return trail, [np.asarray(a).tobytes() for a in state]
+
+        real, calls = path_vector._sign_certificate, []
+
+        def spy(v, d):
+            calls.append(real(v, d))
+            return calls[-1]
+
+        monkeypatch.setattr(path_vector, "_sign_certificate", spy)
+        certified = run()
+        monkeypatch.setattr(path_vector, "_sign_certificate", lambda _v, _d: False)
+        assert run() == certified
+        assert sum(calls) > steps // 2
+        if kind == "synthetic":  # unfused steps turn in the vector leg
+            assert sum(e[0] == "vector" for t in certified[0] for e in t[-1]) > 20

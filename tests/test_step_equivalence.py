@@ -39,7 +39,8 @@ def ref_first_zero(support, v, dvec, w1, exclude, counter):
     near = np.flatnonzero(eligible & (np.abs(v) <= zeta))
     if near.size:
         u_near = w1 * dvec[near]
-        cnt.add(counter, near.size)
+        if counter is not None:
+            counter.total += near.size
         zeta_u = ZETA_SCALE * max(1.0, float(np.max(np.abs(u_near))))
         inward = np.where(support.mask[near], u_near < -zeta_u, u_near > zeta_u)
         hits = near[inward]
@@ -78,7 +79,8 @@ def ref_first_zero_masked(support, v, dvec, w1, exclude, counter):
     near = near.nonzero()[0]
     if near.size:
         u_near = w1 * dvec[near]
-        cnt.add(counter, near.size)
+        if counter is not None:
+            counter.total += near.size
         zeta_u = _tiny(float(np.maximum.reduce(np.abs(u_near))))
         on = support.mask[near]
         hits = near[(on & (u_near < -zeta_u)) | (~on & (u_near > zeta_u))]
@@ -127,7 +129,8 @@ def ref_direct_update_par2(support, par1, c, g, counter=None):
     d_g = float(np.sum(eta[idx]))
     d_gg = float(eta[idx] @ gs)
     d_gc = -float(eta[idx] @ c[idx])
-    cnt.add(counter, support.n * idx.size + 2 * idx.size)
+    if counter is not None:
+        counter.total += support.n * idx.size + 2 * idx.size
     return eta, d_g, d_gg, d_gc
 
 
@@ -137,7 +140,8 @@ def ref_direct_update_par3(support, par1, l, counter=None):
     off = ~support.mask
     xi[off] -= l[off]
     d_l = float(np.sum(xi[idx]))
-    cnt.add(counter, support.n * idx.size)
+    if counter is not None:
+        counter.total += support.n * idx.size
     return xi, d_l
 
 
@@ -544,6 +548,26 @@ class TestSupportToggles:
                                 s.with_removed(j)
                     else:
                         same_support(s.with_added(j), ref_with_added(s, j))
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_random_toggle_sequences_keep_idx_the_mask_nonzero(self, n):
+        rng = np.random.default_rng(n)
+        s = Support(n, [int(rng.integers(n))])
+        toggles = 0
+        for _ in range(600):
+            j = int(rng.integers(n))
+            if s.mask[j] and s.size == 1:
+                with pytest.raises(ValueError):
+                    s.with_removed(j)
+                with pytest.raises(ValueError):
+                    s.with_added(j)
+                continue
+            s = s.with_removed(j) if s.mask[j] else s.with_added(j)
+            toggles += 1
+            want = s.mask.nonzero()[0]
+            assert s.idx.dtype == want.dtype and np.array_equal(s.idx, want) and s.size == want.size
+            assert not (s.idx.flags.writeable or s.mask.flags.writeable)
+        assert toggles == 0 if n == 1 else toggles > 200
 
     def test_refuses_what_it_refused(self):
         s = Support(4, [1, 2])

@@ -19,10 +19,21 @@ leg (a leg with no event in the stream gets no term).  A step's calls are those 
 input is drawn, through `run_stream`'s `nxt` hook, to the moment the next
 step's is; the last step, whose count would take in the stream's wrap-up,
 is left out of the fit.  The hook's own call is not counted, so the total
-is the same as without it.  Then it prints the ten functions that make the
-most calls, each per step and as a share of the total: a Python function by
-qualified name, file and first line, a C function by module or type and
-name.  A generator counts once per resume.
+is the same as without it.  Next comes the mean over the steps with no
+turning point (k_t = 0), the cost of a step that changes nothing.  Then it
+prints the ten functions that make the most calls, each per step and as a
+share of the total: a Python function by qualified name, file and first
+line, a C function by module or type and name.  A generator counts once per
+resume.
+
+Its blind spot: `sys.setprofile` reports a C function only when the
+interpreter calls it as a Python-level builtin or method.  It sees
+`ufunc.reduce` (`np.maximum.reduce(...)`) and `ndarray.dot`, but not a
+ufunc called directly (`np.abs`, `np.isfinite`, `np.sign`) or an operator
+on arrays (`a + b`, `a[idx]`).  So the count can rise while the work falls:
+moving a ratio test from one `ufunc.reduce` to a few `np.abs` and operator
+passes changes the count by the reduces alone.  Read it beside a timing,
+never as one.
 """
 
 import argparse
@@ -85,7 +96,9 @@ def main(argv=None):
         f"  set-up (flow construction and init_session): {setup_calls} calls;"
         f" without it {(events - setup_calls) / wl.steps:.1f} calls per step"
     )
-    print(f"  {event_fit(np.diff(marks), result.session.reports)}")
+    per_step = np.diff(marks)
+    print(f"  {event_fit(per_step, result.session.reports)}")
+    print(f"  {quiet_steps(per_step, result.session.reports)}")
     for name, calls in by_name.most_common(10):
         print(f"  {calls / wl.steps:7.1f}  {calls / events:6.1%}  {name}")
     return 0
@@ -99,6 +112,14 @@ def event_fit(calls, reports):
     coef = np.linalg.lstsq(k[:, [col for col, _ in terms]], calls.astype(float), rcond=None)[0]
     fit = ", ".join(f"{c:.1f} {label}" for c, (_, label) in zip(coef, terms))
     return f"fit over {calls.size} steps: {fit}"
+
+
+def quiet_steps(calls, reports):
+    """The mean of `calls` over the steps with no turning point (k_t = 0), as one line of text."""
+    quiet = np.array([r.k_t == 0 for r in reports[: calls.size]], dtype=bool)
+    if not quiet.any():
+        return "no step without a turning point"
+    return f"steps with k_t = 0: {calls[quiet].mean():.1f} calls on average over {int(quiet.sum())} steps"
 
 
 def py_name(code):
