@@ -41,6 +41,14 @@ and not the row.  The eager twin must follow the same path: acceptance
 criterion 7 asserts equal event logs and per-step solutions within 1e-9 of
 the lazy run's.
 
+After the legs one residual rule pins down the path's roundoff: when the
+step's residual exceeds REFRESH_FACTOR * tol, (v, mu0) take one step of
+iterative refinement through M (state.refresh_quadruple), and M is first
+refactorized from the live rows when the residual exceeds tol itself.
+Refinement corrects the iterate by its residual, so its error does not grow
+with |c| or |mu0|, which the gauge lets grow with t; there is no periodic
+rebuild.
+
 Between steps the session keeps the store, the linear term, the quadruple
 and Par1, and nothing else: each leg derives its own cache from Par1 when it
 starts (Par2 for the matrix leg, Par3 for the vector leg) and drops it when
@@ -70,11 +78,8 @@ from .path_vector import run_utilde_leg
 from .state import Par1, init_par1, outer, par1_from_matrix, refresh_quadruple, validate_state
 
 
-# Re-derive (v, mu0) from M when the step's residual exceeds this share of tol.
+# Refine (v, mu0) through M when the step's residual exceeds this share of tol.
 REFRESH_FACTOR = 0.25
-
-# Refactorize Par1 from the live rows every this many steps.
-REBUILD_EVERY = 1000
 
 # Entries per block of the rank-one update of the live rows.  Blocks of up to
 # 512 KB update all rows at n <= 256 in one piece, while at n = 1000 they keep
@@ -91,7 +96,9 @@ class SolverConfig:
     """The two settings of one solver session.
 
     tol: residual target; a step whose residual exceeds REFRESH_FACTOR * tol
-        re-derives (v, mu0) from the cached inverse, then rebuilds if needed.
+        takes one step of iterative refinement of (v, mu0) through the cached
+        inverse, and refactorizes that inverse first when the residual
+        exceeds tol.
     lazy_a: keep only the touched rows of A current (False: the whole A, the
         eager twin).
     A tol that is not finite and positive, or a lazy_a that is not a bool,
@@ -119,7 +126,8 @@ class StepReport:
     kkt_residual is measured against the equivalent gauged problem the
     session solves (its matrix and linear term), not the caller's (A, c): the
     two share the iterate but differ in mu0 and in the stored matrix.
-    refreshes counts the re-derivations of (v, mu0) from the cached inverse.
+    refreshes is 1 when the step refined (v, mu0) through the cached
+    inverse, and 0 otherwise; rebuilds counts its refactorizations of Par1.
     events lists the step's turning points, the matrix leg's first.
     """
 
@@ -631,7 +639,6 @@ def step(session, g_t, c_t):
     # reference stays valid, and the leg then re-derives its cache.
     events_a = run_lambda_leg(
         A,
-        session.c,
         g,
         q,
         session.par1,
@@ -652,22 +659,15 @@ def step(session, g_t, c_t):
     session.c = c_new
     session.c_shift = c_shift
 
-    if session.t % REBUILD_EVERY == 0:
-        rebuild(session)
-
-    refreshes = 0
     residual = session.residual()
-    if residual > REFRESH_FACTOR * cfg.tol:
-        # Accumulated path roundoff: pin (v, mu0) back to the cached inverse,
-        # rebuilding that first if it has drifted too.
-        refresh_quadruple(q, session.par1, session.c, counter)
-        refreshes += 1
-        residual = session.residual()
-        if residual > REFRESH_FACTOR * cfg.tol:
+    refreshes = int(residual > REFRESH_FACTOR * cfg.tol)
+    if refreshes:
+        # Accumulated path roundoff: one step of iterative refinement through
+        # M, which is refactorized first when the residual exceeds tol.
+        if residual > cfg.tol:
             rebuild(session)
-            refresh_quadruple(q, session.par1, session.c, counter)
-            refreshes += 1
-            residual = session.residual()
+        refresh_quadruple(q, session.par1, A, session.c, counter)
+        residual = session.residual()
 
     events = events_a + events_c
     s_max = s_start
@@ -748,7 +748,9 @@ def complexity_bound(n, report):
       per k_A     3 n s + 9 n + 4 s + 22: one more matrix ratio test and
                   advance, plus an entry (which costs more than a leave);
       per k_c     2 n s + 3 n + 2 s + 8: the same for the vector leg;
-      per refresh n s + n: one re-derivation of (v, mu0).
+      per refresh n s + n: one refinement of (v, mu0), its M product and
+                  eta_tilde term (its residual's A product, like the
+                  residual's own, is not tallied).
     Rebuilds factorize outside the tally.  An in-leg retry after a rebuild
     repeats one ratio test and advance, which this budget does not cover.
     A step whose gauged drift is exactly zero (every markowitz step) skips

@@ -9,7 +9,8 @@ never a fresh factorization.
 
 The step functions hand each other plain values: find_lambda returns
 (lam increment, index, direction), and the direction (w1, dvec) goes on to
-update_by_lambda, which moves the state to that turning point.  _run_leg,
+update_by_lambda, which moves the state to that turning point.  w1 = g_S'x_S
+is read off the iterate, so the leg never reads the linear term c.  _run_leg,
 the event loop both legs share, then toggles the index through
 expand_support_lambda or shrink_support_lambda.
 """
@@ -115,16 +116,17 @@ def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
     result is mapped back to a lam increment, or infinity (index None) when
     no coordinate ever hits zero on the forward path (equivalently when the
     minimizing ratio fails alpha * D_gg < 1).  The direction (w1, dvec) is
-    what update_by_lambda needs at this state: w1 = D_g mu0 - D_gc and
-    dvec = D_g eta_tilde - D eta.
+    what update_by_lambda needs at this state: w1 = g_S'x_S, read off the
+    iterate (on the support x_S = mu0 M_SS 1 + M_SS c_S, so it equals
+    D_g mu0 + g_S'M_SS c_S), and dvec = D_g eta_tilde - D eta.
     """
-    n = support.n
+    idx = support.idx
     d = par1.D
-    d_g, d_gg, d_gc = par2.D_g, par2.D_gg, par2.D_gc
-    w1 = d_g * quadruple.mu0 - d_gc
+    d_g, d_gg = par2.D_g, par2.D_gg
+    w1 = float(par2.g[idx] @ quadruple.v[idx])
     dvec = d_g * par1.eta_tilde - d * par2.eta
     if counter is not None:
-        counter.total += 2 * n + 1
+        counter.total += 2 * support.n + idx.size
 
     atil, j = _first_zero(support, quadruple.v, dvec, w1, exclude, counter)
     if j is None:
@@ -150,7 +152,7 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
     """
     support = quadruple.support
     d = par1.D
-    d_g, d_gg, d_gc = par2.D_g, par2.D_gg, par2.D_gc
+    d_g, d_gg = par2.D_g, par2.D_gg
     denom0 = 1.0 + lam_inc * d_gg
     if denom0 <= _tiny(1.0):
         raise DegenerateDenominator(f"1 + lam D_gg = {denom0}")
@@ -172,10 +174,9 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
     par2.eta = alpha0 * eta
     par2.D_g = alpha0 * d_g
     par2.D_gg = alpha0 * d_gg
-    par2.D_gc = alpha0 * d_gc
     n, s = support.n, support.size
     if counter is not None:
-        counter.total += (n * s + s) + 3 * n + n + 12
+        counter.total += (n * s + s) + 3 * n + n + 11
 
 
 def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None):
@@ -227,16 +228,15 @@ def _shrink_geometry(support, j, par1):
     return mjj, beta, new_support
 
 
-def _pivot(support, new_support, j, vec, inv, par1, cache, b, counter):
+def _pivot(support, new_support, j, vec, inv, par1, cache, counter):
     """Block pivot on index j: M <- R_j(M) + vec vec_S' inv, and the same on the caches.
 
     An entry passes vec = gamma and inv = 1 / pivot; a leave passes vec = beta
-    and inv = -1 / M_jj.  `cache` (Par2 or Par3) applies its own part, with
-    `b` the linear-term pivot product Par2 needs.
+    and inv = -1 / M_jj.  `cache` (Par2 or Par3) applies its own part.
     """
     teta_j = float(par1.eta_tilde[j])
     par1.D += teta_j * teta_j * inv
-    cache.pivot(j, vec, inv, teta_j, b)
+    cache.pivot(j, vec, inv, teta_j)
     par1.M[j, :] = 0.0
     if new_support.size > support.size:
         par1.insert_col(j, new_support)
@@ -250,7 +250,7 @@ def _pivot(support, new_support, j, vec, inv, par1, cache, b, counter):
         counter.total += s1 + n * s1 + 2 * n
 
 
-def expand_support_lambda(lam, support, j, A, c, g, par1, par2, counter=None):
+def expand_support_lambda(lam, support, j, A, g, par1, par2, counter=None):
     """Add index j to the support at parameter lam; updates Par1 and Par2.
 
     Requires the j-th row of A to be current.  Returns the new support.
@@ -258,25 +258,22 @@ def expand_support_lambda(lam, support, j, A, c, g, par1, par2, counter=None):
     ajj, gamma, new_support = _expand_geometry(
         support, j, A, par1, lam_eta_g=lam * float(par2.eta[j]), gvec=g, counter=counter
     )
-    b = -float(c[new_support.idx] @ gamma[new_support.idx])
     if counter is not None:
-        counter.total += new_support.size + 8
-    _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, b, counter)
+        counter.total += 8
+    _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, counter)
     return new_support
 
 
-def shrink_support_lambda(support, j, c, par1, par2, counter=None):
+def shrink_support_lambda(support, j, par1, par2, counter=None):
     """Remove index j from the support; updates Par1 and Par2."""
     mjj, beta, new_support = _shrink_geometry(support, j, par1)
-    idx2 = new_support.idx
-    b = -float(c[idx2] @ beta[idx2]) - float(c[j]) * mjj
     if counter is not None:
-        counter.total += idx2.size + 9
-    _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par2, b, counter)
+        counter.total += 8
+    _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par2, counter)
     return new_support
 
 
-def run_lambda_leg(A, c, g, quadruple, par1, counter=None, ensure_column=None, rebuild=None):
+def run_lambda_leg(A, g, quadruple, par1, counter=None, ensure_column=None, rebuild=None):
     """Drive the matrix leg from lam = 0 to lam = 1.
 
     Derives the leg's own Par2 from Par1 for direction g, mutates the
@@ -292,17 +289,15 @@ def run_lambda_leg(A, c, g, quadruple, par1, counter=None, ensure_column=None, r
     return _run_leg(
         "matrix",
         quadruple,
-        derive=lambda tally: direct_update_par2(quadruple.support, par1, c, g, tally),
+        derive=lambda tally: direct_update_par2(quadruple.support, par1, g, tally),
         find=lambda par2, exclude: find_lambda(
             quadruple.support, quadruple, par1, par2, exclude=exclude, counter=counter
         ),
         advance=lambda par2, inc, direction: update_by_lambda(
             inc, quadruple, par1, par2, direction, counter=counter
         ),
-        shrink=lambda par2, j: shrink_support_lambda(quadruple.support, j, c, par1, par2, counter=counter),
-        expand=lambda par2, lam, j: expand_support_lambda(
-            lam, quadruple.support, j, A, c, g, par1, par2, counter=counter
-        ),
+        shrink=lambda par2, j: shrink_support_lambda(quadruple.support, j, par1, par2, counter=counter),
+        expand=lambda par2, lam, j: expand_support_lambda(lam, quadruple.support, j, A, g, par1, par2, counter=counter),
         counter=counter,
         ensure_column=ensure_column,
         rebuild=rebuild,

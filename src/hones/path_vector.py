@@ -89,7 +89,7 @@ def expand_support_utilde(support, j, A, par1, par3, counter=None):
     ajj, gamma, new_support = _expand_geometry(support, j, A, par1, counter=counter)
     if counter is not None:
         counter.total += 6
-    _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par3, None, counter)
+    _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par3, counter)
     return new_support
 
 
@@ -98,7 +98,7 @@ def shrink_support_utilde(support, j, par1, par3, counter=None):
     mjj, beta, new_support = _shrink_geometry(support, j, par1)
     if counter is not None:
         counter.total += 6
-    _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par3, None, counter)
+    _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par3, counter)
     return new_support
 
 

@@ -6,7 +6,7 @@ Three bundles are maintained alongside the KKT quadruple:
                                 live columns: A_SS^{-1} on the support rows and
                                 -A_{S^c S} A_SS^{-1} below.  Column k belongs
                                 to the k-th support index in increasing order.
-  Par2 = {eta, D_g, D_gg, D_gc} specific to one rank-one direction g; it lasts
+  Par2 = {eta, D_g, D_gg}       specific to one rank-one direction g; it lasts
                                 one matrix leg.
   Par3 = {xi, D_l}              specific to one linear-term drift l; it lasts
                                 one vector leg.
@@ -98,20 +98,18 @@ class Par1:
 
 @dataclass
 class Par2:
-    """Direction-specific cache: eta = (M + I_{S^c}) g and three inner products."""
+    """Direction-specific cache: eta = (M + I_{S^c}) g, D_g = 1'eta_S and D_gg = g_S'eta_S."""
 
     eta: np.ndarray
     D_g: float
     D_gg: float
-    D_gc: float
     g: np.ndarray = field(repr=False)
 
-    def pivot(self, j, vec, inv, teta_j, b):
+    def pivot(self, j, vec, inv, teta_j):
         """Carry the cache through a block pivot on j (see path_matrix._pivot)."""
         eta_j = float(self.eta[j])
         self.D_g += eta_j * teta_j * inv
         self.D_gg += eta_j * eta_j * inv
-        self.D_gc += eta_j * b * inv
         self.eta[j] = 0.0
         self.eta += (eta_j * inv) * vec
 
@@ -124,8 +122,8 @@ class Par3:
     D_l: float
     l: np.ndarray = field(repr=False)
 
-    def pivot(self, j, vec, inv, teta_j, _b):
-        """Carry the cache through a block pivot on j; the drift needs no linear-term product `_b`."""
+    def pivot(self, j, vec, inv, teta_j):
+        """Carry the cache through a block pivot on j (see path_matrix._pivot)."""
         xi_j = float(self.xi[j])
         self.D_l += xi_j * teta_j * inv
         self.xi[j] = 0.0
@@ -163,8 +161,8 @@ def init_par1(problem, support):
     return par1_from_matrix(problem.A[support.idx], support)
 
 
-def direct_update_par2(support, par1, c, g, counter=None):
-    """Recompute the direction cache for a new g by four direct products."""
+def direct_update_par2(support, par1, g, counter=None):
+    """Recompute the direction cache for a new g by direct products."""
     idx = support.idx
     gs = g[idx]
     eta = par1.M @ gs
@@ -173,10 +171,9 @@ def direct_update_par2(support, par1, c, g, counter=None):
     eta_s = eta[idx]
     d_g = float(np.add.reduce(eta_s))
     d_gg = float(eta_s @ gs)
-    d_gc = -float(eta_s @ c[idx])
     if counter is not None:
-        counter.total += support.n * idx.size + 2 * idx.size
-    return Par2(eta, d_g, d_gg, d_gc, g)
+        counter.total += support.n * idx.size + idx.size
+    return Par2(eta, d_g, d_gg, g)
 
 
 def direct_update_par3(support, par1, l, counter=None):
@@ -191,23 +188,32 @@ def direct_update_par3(support, par1, l, counter=None):
     return Par3(xi, d_l, l)
 
 
-def refresh_quadruple(quadruple, par1, c, counter=None):
-    """Recompute (v, mu0) in place for the current support from the cached inverse.
+def refresh_quadruple(quadruple, par1, A, c, counter=None):
+    """One step of iterative refinement of (v, mu0) in place on the current support.
 
-    This is the closed-form fixed-support solution expressed through Par1:
-    mu0 = (1 - 1'(Mc)_S) / D and v = mu0 eta_tilde + Mc + c off the support.
-    The driver uses it to pin accumulated path-update roundoff back to M's
-    accuracy whenever the reported residual crosses its refresh threshold.
+    With the residual r = c + mu0 - A[idx]'x_S (A symmetric, so its support
+    rows stand for its support columns) the correction solves the
+    fixed-support KKT system through the cached inverse:
+    dmu0 = (1 - 1'x_S - 1'(M r_S)_S) / D and
+    v <- where(S, v, r) + dmu0 eta_tilde + M r_S, mu0 += dmu0.  Off the
+    support v becomes -mu at the corrected x_S.  The error of the result
+    scales with |r| and M's accuracy, not with |c|, so a large linear term
+    (the gauge's c grows with t) costs no accuracy (Wilkinson 1963; Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 12).  Only the M
+    product and the eta_tilde term are tallied; the residual's A product,
+    like kkt_residual's, is not.
     """
     support = quadruple.support
     idx = support.idx
-    mc = par1.M @ c[idx]
-    mu0 = (1.0 - float(np.add.reduce(mc[idx]))) / par1.D
-    v = mu0 * par1.eta_tilde + mc
-    off = support.complement()
-    v[off] += c[off]
-    quadruple.v = v
-    quadruple.mu0 = mu0
+    x_s = quadruple.v[idx]
+    r = c + quadruple.mu0 - A[idx].T @ x_s
+    mr = par1.M @ r[idx]
+    d_mu0 = (1.0 - float(np.add.reduce(x_s)) - float(np.add.reduce(mr[idx]))) / par1.D
+    r[idx] = x_s
+    r += d_mu0 * par1.eta_tilde
+    r += mr
+    quadruple.v = r
+    quadruple.mu0 += d_mu0
     if counter is not None:
         counter.total += support.n * idx.size + support.n
 
@@ -242,14 +248,8 @@ def validate_state(problem, support, par1, par2=None, par3=None):
         _rel(par1.D, fresh1.D),
     )
     if par2 is not None:
-        fresh2 = direct_update_par2(support, fresh1, problem.c, par2.g)
-        dev = max(
-            dev,
-            _rel(par2.eta, fresh2.eta),
-            _rel(par2.D_g, fresh2.D_g),
-            _rel(par2.D_gg, fresh2.D_gg),
-            _rel(par2.D_gc, fresh2.D_gc),
-        )
+        fresh2 = direct_update_par2(support, fresh1, par2.g)
+        dev = max(dev, _rel(par2.eta, fresh2.eta), _rel(par2.D_g, fresh2.D_g), _rel(par2.D_gg, fresh2.D_gg))
     if par3 is not None:
         fresh3 = direct_update_par3(support, fresh1, par3.l)
         dev = max(dev, _rel(par3.xi, fresh3.xi), _rel(par3.D_l, fresh3.D_l))

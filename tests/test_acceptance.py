@@ -235,11 +235,11 @@ def test_criterion_8_state_consistency():
         support = Support(m, rng.choice(m, size=k, replace=False))
         par1 = init_par1(problem, support)
         g = rng.standard_normal(m)
-        par2 = direct_update_par2(support, par1, problem.c, g)
-        before = (par1.M.copy(), par1.eta_tilde.copy(), par1.D, par2.eta.copy(), par2.D_g, par2.D_gg, par2.D_gc)
+        par2 = direct_update_par2(support, par1, g)
+        before = (par1.M.copy(), par1.eta_tilde.copy(), par1.D, par2.eta.copy(), par2.D_g, par2.D_gg)
         j = int(rng.choice(support.complement()))
-        mid = expand_support_lambda(0.0, support, j, problem.A, problem.c, g, par1, par2)
-        shrink_support_lambda(mid, j, problem.c, par1, par2)
+        mid = expand_support_lambda(0.0, support, j, problem.A, g, par1, par2)
+        shrink_support_lambda(mid, j, par1, par2)
         worst_rt = max(
             worst_rt,
             float(np.max(np.abs(par1.M - before[0]))),
@@ -248,7 +248,6 @@ def test_criterion_8_state_consistency():
             float(np.max(np.abs(par2.eta - before[3]))),
             abs(par2.D_g - before[4]),
             abs(par2.D_gg - before[5]),
-            abs(par2.D_gc - before[6]),
         )
     ok_rt = worst_rt <= 1e-12
     ok = ok_validate and ok_rt

@@ -9,6 +9,8 @@ import pytest
 
 from hones import cli, driver
 
+from test_driver import rebuilding_every
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # columns whose values are time measurements and therefore nondeterministic
@@ -87,15 +89,15 @@ class TestRunSynthetic:
 
     def test_golden_non_timing_columns(self, tmp_path, monkeypatch):
         # One test over all three flows, so that each flow's path is pinned.
-        # A rebuild period of 10 steps puts the periodic rebuild() on the ons
+        # A rebuild forced after every 10th step puts rebuild() on the ons
         # and markowitz paths too.
         runs = [
-            (["run-synthetic", "--steps", "30"], driver.REBUILD_EVERY, "synthetic-hones-n20-s30-seed7"),
-            (["run-ons", "--steps", "40"], 10, "ons-hones-n20-s40-seed7"),
-            (["run-markowitz", "--steps", "40"], 10, "markowitz-hones-n20-s40-seed7"),
+            (["run-synthetic", "--steps", "30"], driver.step, "synthetic-hones-n20-s30-seed7"),
+            (["run-ons", "--steps", "40"], rebuilding_every(10), "ons-hones-n20-s40-seed7"),
+            (["run-markowitz", "--steps", "40"], rebuilding_every(10), "markowitz-hones-n20-s40-seed7"),
         ]
-        for argv, period, name in runs:
-            monkeypatch.setattr(driver, "REBUILD_EVERY", period)
+        for argv, stepped, name in runs:
+            monkeypatch.setattr(cli, "step", stepped)
             code = cli.main(argv + ["--n", "20", "--seed", "7", "--out-dir", str(tmp_path)])
             assert code == 0
             got = strip_timing(read_csv(tmp_path / f"{name}.csv"))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import struct
 import tracemalloc
 from pathlib import Path
@@ -196,6 +197,22 @@ NON_TIMING = (
 
 def _fields(report):
     return [getattr(report, f) for f in NON_TIMING]
+
+
+def rebuilding_every(period):
+    """`step`, followed by a `rebuild` of Par1 after every `period`-th step of the session.
+
+    It forces rebuilds at fixed steps, so a test can pin a path through them;
+    the forced rebuild is counted by the session, not by the step's report.
+    """
+
+    def stepped(session, g, c):
+        report = step(session, g, c)
+        if session.t % period == 0:
+            rebuild(session)
+        return report
+
+    return stepped
 
 
 def event_keys(events):
@@ -456,15 +473,19 @@ class TestRebuild:
         rebuild(ses)
         assert ses.validate() <= 1e-12
 
-    def test_midrun_rebuild_leaves_trajectory_unchanged(self, monkeypatch):
-        # 60 steps stay below the default period; a period of 25 rebuilds twice.
+    def test_midrun_rebuild_leaves_trajectory_unchanged(self):
+        # A rebuild forced after every 25th step rebuilds twice in 60 steps.
         ses_b, flow_b = synthetic_session(8, seed=7)
         out_b = run_sequence(ses_b, flow_b, 60)
-        monkeypatch.setattr(driver, "REBUILD_EVERY", 25)
         ses_a, flow_a = synthetic_session(8, seed=7)
-        out_a = run_sequence(ses_a, flow_a, 60)
-        assert sum(r.rebuilds for _, r in out_a) >= 2
-        for (xa, _), (xb, _) in zip(out_a, out_b):
+        stepped = rebuilding_every(25)
+        xs_a = []
+        for g, c in itertools.islice(flow_a, 60):
+            stepped(ses_a, g, c)
+            xs_a.append(ses_a.x.copy())
+        assert ses_a.rebuild_count - ses_b.rebuild_count >= 2
+        assert len(xs_a) == len(out_b) == 60
+        for xa, (xb, _) in zip(xs_a, out_b):
             assert np.max(np.abs(xa - xb)) <= 1e-9
 
 
@@ -849,24 +870,24 @@ class TestCheckpoint:
             assert np.max(np.abs(ses.x - twin.x)) <= 1e-12
             assert (ra.k_a, ra.k_c) == (rb.k_a, rb.k_c)
 
-    def test_config_restored(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(driver, "REBUILD_EVERY", 5)
+    def test_config_restored(self, tmp_path):
         cfg = SolverConfig(tol=1e-6, lazy_a=False)
+        stepped = rebuilding_every(5)
         ses, flow = synthetic_session(9, seed=41, config=cfg)
         stream = list(flow)[:30]
         for g, c in stream[:10]:
-            step(ses, g, c)
+            stepped(ses, g, c)
         path = tmp_path / "session.bin"
         ses.save(path)
         twin = SolverSession.load(path)
         assert twin.config == cfg
         fields = ("t", "k_a", "k_c", "e_t", "support_size", "s_max", "s_star", "kkt_residual", "mult_count", "rebuilds")
         for g, c in stream[10:]:
-            ra = step(ses, g, c)
-            rb = step(twin, g, c)
+            ra = stepped(ses, g, c)
+            rb = stepped(twin, g, c)
             assert [getattr(ra, f) for f in fields] == [getattr(rb, f) for f in fields]
             assert np.array_equal(ses.x, twin.x)
-        assert sum(r.rebuilds for r in twin.reports) == 4
+        assert twin.rebuild_count == 4
 
     def test_eager_session_resaves_to_the_same_bytes(self, tmp_path):
         ses, flow = synthetic_session(12, seed=31, config=SolverConfig(lazy_a=False))
@@ -935,12 +956,12 @@ class TestCheckpoint:
             assert _fields(step(ses, g, c)) == _fields(step(twin, g, c))
             assert np.array_equal(ses.x, twin.x)
 
-    def test_golden_checkpoint_continues_bit_identically(self, tmp_path, monkeypatch):
-        # A lazy synthetic session (n=12, seed 61, tol=1e-7, rebuild period 7)
-        # saved after 20 steps, with two stale rows, a 20-entry log and a
-        # nonzero gauge offset.  It loads, re-saves to the same bytes, and
-        # continues exactly like the run that was never saved.
-        monkeypatch.setattr(driver, "REBUILD_EVERY", 7)
+    def test_golden_checkpoint_continues_bit_identically(self, tmp_path):
+        # A lazy synthetic session (n=12, seed 61, tol=1e-7, a rebuild forced
+        # after every 7th step) saved after 20 steps, with two stale rows, a
+        # 20-entry log and a nonzero gauge offset.  It loads, re-saves to the
+        # same bytes, and continues exactly like the run that was never saved.
+        stepped = rebuilding_every(7)
         buf = GOLDEN_CHECKPOINT.read_bytes()
         cfg = SolverConfig(tol=1e-7)
         old = SolverSession.load(GOLDEN_CHECKPOINT)
@@ -951,9 +972,9 @@ class TestCheckpoint:
         ses, flow = synthetic_session(12, seed=61, config=cfg)
         stream = list(flow)[:30]
         for g, c in stream[:20]:
-            step(ses, g, c)
+            stepped(ses, g, c)
         for g, c in stream[20:]:
-            assert _fields(step(ses, g, c)) == _fields(step(old, g, c))
+            assert _fields(stepped(ses, g, c)) == _fields(stepped(old, g, c))
             assert np.array_equal(ses.x, old.x)
         G = np.array([g for g, _ in stream])
         ref = oracle_solve(Problem(flow.a0 + G.T @ G, stream[-1][1]))
@@ -1059,6 +1080,37 @@ class TestCheckpoint:
             SolverSession.load(path)
 
 
+class TestResidualRule:
+    """One rule after the legs: refine once above REFRESH_FACTOR * tol, rebuilding first above tol."""
+
+    @pytest.mark.parametrize("shift, rebuilds", [(5e-9, 0), (1e-6, 1)])
+    def test_refines_and_rebuilds_by_the_residual(self, shift, rebuilds):
+        # A shifted mu0 moves every stationarity entry by the shift, and the
+        # legs carry the shift along: tol / 4 < 5e-9 <= tol refines only.
+        ses, flow = synthetic_session(12, seed=5)
+        it = iter(flow)
+        for _ in range(10):
+            assert step(ses, *next(it)).refreshes == 0
+        ses.quadruple.mu0 += shift
+        rep = step(ses, *next(it))
+        assert (rep.refreshes, rep.rebuilds) == (1, rebuilds)
+        assert rep.kkt_residual <= driver.REFRESH_FACTOR * ses.config.tol
+
+    def test_no_storm_on_a_long_ons_stream(self):
+        # ons FlowConfig seed 2, n = 100: the gauge grows |mu0| to about 4500
+        # by t = 8000, so re-deriving v from M c left residuals above tol
+        # (5 steps) and rebuilt on 1811 steps; refinement keeps every step in
+        # tol without a rebuild.
+        ses, flow = ons_session(100, seed=2, steps=8000)
+        over = rebuilds = 0
+        for g, c in flow:
+            rep = step(ses, g, c)
+            over += rep.kkt_residual > ses.config.tol
+            rebuilds += rep.rebuilds
+        assert ses.t == 8000 and abs(ses.quadruple.mu0) > 1000
+        assert over == 0 and rebuilds == 0
+
+
 class TestGauge:
     def test_capped_share_keeps_high_risk_aversion_in_tol(self):
         # risk_aversion = 10 makes the drift nearly 10 g, so g - b 1 would be
@@ -1098,18 +1150,19 @@ class TestGauge:
         assert ses.c_shift.any()
         assert dev <= 1e-9
 
-    def test_markowitz_matches_golden_rows(self, monkeypatch):
+    def test_markowitz_matches_golden_rows(self):
         # The drift is zero, so the gauge never fuses and the driver must
         # reproduce the pinned markowitz rows (cli run-markowitz --n 20
-        # --steps 40 --seed 7, rebuild period 10) with c_shift at exactly 0.
+        # --steps 40 --seed 7, a rebuild forced after every 10th step) with
+        # c_shift at exactly 0.
         with open(GOLDEN_DIR / "markowitz-hones-n20-s40-seed7.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         pick = [rows[0].index(col) for col in NON_TIMING]
         flow = flow_for_config(FlowConfig("markowitz", 20, 40, seed=7))
-        monkeypatch.setattr(driver, "REBUILD_EVERY", 10)
+        stepped = rebuilding_every(10)
         ses = init_session(flow.a0, flow.c0)
         for (g, c), row in zip(flow, rows[1:]):
-            rep = step(ses, g, c)
+            rep = stepped(ses, g, c)
             got = [repr(v) if isinstance(v, float) else str(v) for v in _fields(rep)]
             assert got == [row[i] for i in pick]
         assert len(ses.reports) == 40

@@ -28,7 +28,7 @@ def fresh_state(problem, g):
     """Optimal quadruple plus caches for one problem and one direction."""
     q = oracle_solve(problem)
     par1 = init_par1(problem, q.support)
-    par2 = direct_update_par2(q.support, par1, problem.c, g)
+    par2 = direct_update_par2(q.support, par1, g)
     return q, par1, par2
 
 
@@ -93,6 +93,30 @@ class TestFindLambda:
         assert lam_inc == pytest.approx(lam_ref, abs=1e-9)
 
 
+    def test_w1_is_read_off_the_iterate(self):
+        # find_lambda reads w1 = g_S'x_S; on the support x_S = mu0 M_SS 1 +
+        # M_SS c_S, so it equals D_g mu0 + g_S'M_SS c_S, at a fresh state and
+        # mid-leg, where M is the inverse block of A + lam g g'.
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 10))
+            p = random_spd_problem(rng, n)
+            g = rng.standard_normal(n)
+            q, par1, par2 = fresh_state(p, g)
+            for _ in range(2):
+                idx = q.support.idx
+                w1 = find_lambda(q.support, q, par1, par2)[2][0]
+                d_g_mu0 = par2.D_g * q.mu0
+                g_m_c = float(g[idx] @ par1.M[idx] @ p.c[idx])
+                assert w1 == float(g[idx] @ q.v[idx])
+                assert abs(w1 - (d_g_mu0 + g_m_c)) <= 1e-12 * max(abs(d_g_mu0), abs(g_m_c))
+                checked += 1
+                lam_inc, _, direction = find_lambda(q.support, q, par1, par2)
+                update_by_lambda(min(0.5, 0.5 * lam_inc), q, par1, par2, direction)
+        assert checked == 80
+
+
 class TestUpdateByLambda:
     def test_zero_increment_is_identity(self):
         rng = np.random.default_rng(3)
@@ -154,8 +178,8 @@ class TestExpandShrink:
         p = Problem(np.eye(3), np.zeros(3))
         support = Support(3, [0])
         par1 = init_par1(p, support)
-        par2 = direct_update_par2(support, par1, p.c, np.zeros(3))
-        new = expand_support_lambda(0.0, support, 1, p.A, p.c, np.zeros(3), par1, par2)
+        par2 = direct_update_par2(support, par1, np.zeros(3))
+        new = expand_support_lambda(0.0, support, 1, p.A, np.zeros(3), par1, par2)
         assert new.as_tuple() == (0, 1)
         expected = np.zeros((3, 2))
         expected[0, 0] = expected[1, 1] = 1.0
@@ -167,9 +191,9 @@ class TestExpandShrink:
         support = Support(2, [0])
         par1 = init_par1(p, support)
         g = np.array([0.0, 1.0])
-        par2 = direct_update_par2(support, par1, p.c, g)
+        par2 = direct_update_par2(support, par1, g)
         assert par2.eta[1] == pytest.approx(1.0)
-        new = expand_support_lambda(1.0, support, 1, p.A, p.c, g, par1, par2)
+        new = expand_support_lambda(1.0, support, 1, p.A, g, par1, par2)
         # pivot = A_jj + M_jS A_Sj + lam g_j eta_j = 1 + 0 + 1 = 2
         assert par1.M[1, 1] == pytest.approx(0.5, abs=1e-14)
         fresh = par1_from_matrix((p.A + np.outer(g, g))[new.idx], new)
@@ -179,8 +203,8 @@ class TestExpandShrink:
         p = Problem(np.eye(2), np.zeros(2))
         support = Support(2, range(2))
         par1 = init_par1(p, support)
-        par2 = direct_update_par2(support, par1, p.c, np.zeros(2))
-        new = shrink_support_lambda(support, 1, p.c, par1, par2)
+        par2 = direct_update_par2(support, par1, np.zeros(2))
+        new = shrink_support_lambda(support, 1, par1, par2)
         assert new.as_tuple() == (0,)
         expected = np.zeros((2, 1))
         expected[0, 0] = 1.0
@@ -192,9 +216,9 @@ class TestExpandShrink:
         p = Problem(np.eye(2), np.zeros(2))
         support = Support(2, [0])
         par1 = init_par1(p, support)
-        par2 = direct_update_par2(support, par1, p.c, np.zeros(2))
+        par2 = direct_update_par2(support, par1, np.zeros(2))
         with pytest.raises(EmptySupport):
-            shrink_support_lambda(support, 0, p.c, par1, par2)
+            shrink_support_lambda(support, 0, par1, par2)
 
     def test_expand_then_shrink_round_trip(self):
         rng = np.random.default_rng(5)
@@ -206,21 +230,20 @@ class TestExpandShrink:
             support = Support(n, idx)
             par1 = init_par1(p, support)
             g = rng.standard_normal(n)
-            par2 = direct_update_par2(support, par1, p.c, g)
+            par2 = direct_update_par2(support, par1, g)
             M0, teta0, D0 = par1.M.copy(), par1.eta_tilde.copy(), par1.D
-            eta0, dg0, dgg0, dgc0 = par2.eta.copy(), par2.D_g, par2.D_gg, par2.D_gc
+            eta0, dg0, dgg0 = par2.eta.copy(), par2.D_g, par2.D_gg
             j = int(rng.choice(support.complement()))
             lam = float(rng.uniform(0, 1))
-            mid = expand_support_lambda(lam, support, j, p.A + lam * np.outer(g, g) - lam * np.outer(g, g), p.c, g, par1, par2)
+            mid = expand_support_lambda(lam, support, j, p.A + lam * np.outer(g, g) - lam * np.outer(g, g), g, par1, par2)
             # matrix passed above is A itself; the lam term enters via eta
-            shrink_support_lambda(mid, j, p.c, par1, par2)
+            shrink_support_lambda(mid, j, par1, par2)
             np.testing.assert_allclose(par1.M, M0, atol=1e-12)
             np.testing.assert_allclose(par1.eta_tilde, teta0, atol=1e-12)
             assert par1.D == pytest.approx(D0, abs=1e-12)
             np.testing.assert_allclose(par2.eta, eta0, atol=1e-12)
             assert par2.D_g == pytest.approx(dg0, abs=1e-12)
             assert par2.D_gg == pytest.approx(dgg0, abs=1e-12)
-            assert par2.D_gc == pytest.approx(dgc0, abs=1e-12)
 
     def test_seeded_expand_validates(self):
         rng = np.random.default_rng(9)
@@ -233,10 +256,10 @@ class TestExpandShrink:
             g = rng.standard_normal(n)
             A_lam = p.A + lam * np.outer(g, g)
             par1 = par1_from_matrix(A_lam[support.idx], support)
-            par2 = direct_update_par2(support, par1, p.c, g)
+            par2 = direct_update_par2(support, par1, g)
             # par2 must describe g against A_lam, which it does by construction.
             j = int(rng.choice(support.complement()))
-            new = expand_support_lambda(0.0, support, j, A_lam, p.c, g, par1, par2)
+            new = expand_support_lambda(0.0, support, j, A_lam, g, par1, par2)
             moved = Problem(A_lam, p.c)
             kappa = condition_proxy(A_lam, new, par1)
             assert validate_state(moved, new, par1, par2) <= 1e-10 * max(1.0, kappa)
@@ -250,9 +273,9 @@ class TestExpandShrink:
             support = Support(n, rng.choice(n, size=k, replace=False))
             par1 = init_par1(p, support)
             g = rng.standard_normal(n)
-            par2 = direct_update_par2(support, par1, p.c, g)
+            par2 = direct_update_par2(support, par1, g)
             j = int(rng.choice(support.idx))
-            new = shrink_support_lambda(support, j, p.c, par1, par2)
+            new = shrink_support_lambda(support, j, par1, par2)
             kappa = condition_proxy(p.A, new, par1)
             assert validate_state(p, new, par1, par2) <= 1e-10 * max(1.0, kappa)
 
@@ -263,13 +286,13 @@ class TestExpandShrink:
         support = Support(5, [0, 2, 3])
         par1 = init_par1(p, support)
         g = np.arange(5.0) - 1.5
-        par2 = direct_update_par2(support, par1, p.c, g)
+        par2 = direct_update_par2(support, par1, g)
         before = state_bytes(support, par1, par2)
         with pytest.raises(ValueError, match="index 2 already in support"):
-            expand_support_lambda(0.5, support, 2, p.A, p.c, g, par1, par2)
+            expand_support_lambda(0.5, support, 2, p.A, g, par1, par2)
         assert state_bytes(support, par1, par2) == before
         with pytest.raises(ValueError, match="index 1 not in support"):
-            shrink_support_lambda(support, 1, p.c, par1, par2)
+            shrink_support_lambda(support, 1, par1, par2)
         assert state_bytes(support, par1, par2) == before
 
 
@@ -279,7 +302,7 @@ class TestRunLambdaLeg:
         p = random_spd_problem(rng, 6)
         q, par1, _ = fresh_state(p, np.zeros(6))
         x0 = q.x.copy()
-        events = run_lambda_leg(p.A, p.c, np.zeros(6), q, par1)
+        events = run_lambda_leg(p.A, np.zeros(6), q, par1)
         assert events == []
         np.testing.assert_allclose(q.x, x0, atol=1e-14)
 
@@ -287,7 +310,7 @@ class TestRunLambdaLeg:
         p = Problem(np.eye(2), np.zeros(2))
         g = np.array([1.0, 0.0])
         q, par1, _ = fresh_state(p, g)
-        events = run_lambda_leg(p.A, p.c, g, q, par1)
+        events = run_lambda_leg(p.A, g, q, par1)
         assert events == []
         np.testing.assert_allclose(q.x, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
@@ -297,7 +320,7 @@ class TestRunLambdaLeg:
         g = np.array([-1.0, 1.0, 1.0])
         p = Problem(A, c)
         q, par1, _ = fresh_state(p, g)
-        events = run_lambda_leg(A, c, g, q, par1)
+        events = run_lambda_leg(A, g, q, par1)
         assert [e.kind for e in events] == ["enter", "enter"]
         assert [e.index for e in events] == [1, 2]
         assert events[0].param == pytest.approx(0.25, abs=1e-10)
@@ -314,7 +337,7 @@ class TestRunLambdaLeg:
             g = 2.0 * rng.standard_normal(n)
             q, par1, _ = fresh_state(p, g)
             support = set(q.support.as_tuple())
-            events = run_lambda_leg(p.A, p.c, g, q, par1)
+            events = run_lambda_leg(p.A, g, q, par1)
             found += len(events)
             params = [e.param for e in events]
             assert all(a <= b for a, b in zip(params, params[1:]))
@@ -338,7 +361,7 @@ class TestRunLambdaLeg:
             p = random_spd_problem(rng, n, c_scale=2.0)
             g = 2.0 * rng.standard_normal(n)
             q, par1, _ = fresh_state(p, g)
-            events = run_lambda_leg(p.A, p.c, g, q, par1)
+            events = run_lambda_leg(p.A, g, q, par1)
             hits += len(events)
             target = Problem(p.A + np.outer(g, g), p.c)
             ref = oracle_solve(target)
@@ -363,9 +386,9 @@ class TestRunLambdaLeg:
                 update_by_lambda(lam_inc, q, par1, par2, direction)
                 lam += lam_inc
                 if q.support.mask[j]:
-                    support_new = shrink_support_lambda(q.support, j, p.c, par1, par2)
+                    support_new = shrink_support_lambda(q.support, j, par1, par2)
                 else:
-                    support_new = expand_support_lambda(lam, q.support, j, p.A, p.c, g, par1, par2)
+                    support_new = expand_support_lambda(lam, q.support, j, p.A, g, par1, par2)
                 q.support = support_new
                 q.v[j] = 0.0
                 A_lam = p.A + lam * np.outer(g, g)
@@ -405,7 +428,7 @@ class TestRunLambdaLeg:
         p = Problem(A, c)
         q, par1, _ = fresh_state(p, g)
         with pytest.raises(CycleLimit):
-            run_lambda_leg(A, c, g, q, par1)
+            run_lambda_leg(A, g, q, par1)
 
     def test_rebuild_retry_recovers(self):
         rng = np.random.default_rng(4)
@@ -421,7 +444,7 @@ class TestRunLambdaLeg:
             A_lam = p.A + lam * np.outer(g, g)
             par1.refresh_from(par1_from_matrix(A_lam[q.support.idx], q.support))
 
-        run_lambda_leg(p.A, p.c, g, q, par1, rebuild=rebuild)
+        run_lambda_leg(p.A, g, q, par1, rebuild=rebuild)
         assert calls, "rebuild hook must have been invoked"
         target = Problem(p.A + np.outer(g, g), p.c)
         assert kkt_residual(target, q) <= 1e-8
@@ -433,4 +456,4 @@ class TestRunLambdaLeg:
         q, par1, _ = fresh_state(p, g)
         par1.D = 1e-30
         with pytest.raises(DegenerateDenominator):
-            run_lambda_leg(p.A, p.c, g, q, par1)
+            run_lambda_leg(p.A, g, q, par1)

@@ -139,9 +139,9 @@ class TestExpandShrinkUtilde:
         support = Support(6, [0, 2, 3, 5])
         par1a = init_par1(p, support)
         par1b = init_par1(p, support)
-        par2 = direct_update_par2(support, par1a, p.c, np.zeros(6))
+        par2 = direct_update_par2(support, par1a, np.zeros(6))
         par3 = direct_update_par3(support, par1b, np.zeros(6))
-        shrink_support_lambda(support, 3, p.c, par1a, par2)
+        shrink_support_lambda(support, 3, par1a, par2)
         shrink_support_utilde(support, 3, par1b, par3)
         np.testing.assert_array_equal(par1a.M, par1b.M)
         np.testing.assert_array_equal(par1a.eta_tilde, par1b.eta_tilde)
@@ -307,7 +307,7 @@ class TestRunUtildeLeg:
             # matrix leg first, then vector leg on the updated matrix
             q1 = oracle_solve(p)
             par1 = init_par1(p, q1.support)
-            run_lambda_leg(p.A, p.c, g, q1, par1)
+            run_lambda_leg(p.A, g, q1, par1)
             A1 = p.A + np.outer(g, g)
             run_utilde_leg(A1, l, q1, par1)
 
@@ -316,7 +316,7 @@ class TestRunUtildeLeg:
             par1b = init_par1(p, q2.support)
             run_utilde_leg(p.A, l, q2, par1b)
             c1 = p.c + l
-            run_lambda_leg(p.A, c1, g, q2, par1b)
+            run_lambda_leg(p.A, g, q2, par1b)
 
             assert np.max(np.abs(q1.x - q2.x)) <= 1e-7
             ref = oracle_solve(Problem(A1, c1))

@@ -28,7 +28,7 @@ class TestMatrixLegExtremes:
             p = random_spd_problem(rng, 8, c_scale=1.0)
             g = scale * np.ones(8)
             q, par1 = leg_state(p)
-            run_lambda_leg(p.A, p.c, g, q, par1)
+            run_lambda_leg(p.A, g, q, par1)
             target = Problem(p.A + np.outer(g, g), p.c)
             assert np.max(np.abs(q.x - oracle_solve(target).x)) <= 1e-7
 
@@ -38,7 +38,7 @@ class TestMatrixLegExtremes:
             p = random_spd_problem(rng, 10, c_scale=1.0)
             g = scale * rng.standard_normal(10)
             q, par1 = leg_state(p)
-            run_lambda_leg(p.A, p.c, g, q, par1)
+            run_lambda_leg(p.A, g, q, par1)
             target = Problem(p.A + np.outer(g, g), p.c)
             assert kkt_residual(target, q) <= 1e-8 * max(1.0, scale * scale)
 
@@ -55,7 +55,7 @@ class TestMatrixLegExtremes:
             p = Problem(A, c)
             g = rng.standard_normal(n)
             q, par1 = leg_state(p)
-            run_lambda_leg(p.A, p.c, g, q, par1)
+            run_lambda_leg(p.A, g, q, par1)
             target = Problem(A + np.outer(g, g), c)
             ref = oracle_solve(target)
             assert np.max(np.abs(q.x - ref.x)) <= 1e-7

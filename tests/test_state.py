@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from hones.counters import MultCounter
 from hones.errors import SingularSubmatrix
-from hones.kkt import Problem, Support
+from hones.kkt import Problem, Quadruple, Support, solve_given_support
 from hones.state import (
     condition_proxy,
     direct_update_par2,
     direct_update_par3,
     init_par1,
     par1_from_matrix,
+    refresh_quadruple,
     validate_state,
 )
 
@@ -62,9 +64,9 @@ class TestDirectUpdates:
     def test_par2_zero_direction(self):
         p = Problem(np.diag([2.0, 1.0]), np.zeros(2))
         s = Support(2, range(2))
-        par2 = direct_update_par2(s, init_par1(p, s), p.c, np.zeros(2))
+        par2 = direct_update_par2(s, init_par1(p, s), np.zeros(2))
         assert np.all(par2.eta == 0.0)
-        assert par2.D_g == par2.D_gg == par2.D_gc == 0.0
+        assert par2.D_g == par2.D_gg == 0.0
 
     def test_par2_identity(self):
         rng = np.random.default_rng(1)
@@ -72,20 +74,18 @@ class TestDirectUpdates:
         p = Problem(np.eye(n), rng.standard_normal(n))
         s = Support(n, range(n))
         g = rng.standard_normal(n)
-        par2 = direct_update_par2(s, init_par1(p, s), p.c, g)
+        par2 = direct_update_par2(s, init_par1(p, s), g)
         np.testing.assert_allclose(par2.eta, g, atol=1e-14)
         assert par2.D_g == pytest.approx(g.sum(), abs=1e-12)
         assert par2.D_gg == pytest.approx(g @ g, abs=1e-12)
-        assert par2.D_gc == pytest.approx(-g @ p.c, abs=1e-12)
 
     def test_par2_worked_example(self):
         p = Problem(np.diag([2.0, 1.0]), np.array([1.0, 0.0]))
         s = Support(2, range(2))
-        par2 = direct_update_par2(s, init_par1(p, s), p.c, np.ones(2))
+        par2 = direct_update_par2(s, init_par1(p, s), np.ones(2))
         np.testing.assert_allclose(par2.eta, [0.5, 1.0], atol=1e-14)
         assert par2.D_g == pytest.approx(1.5, abs=1e-14)
         assert par2.D_gg == pytest.approx(1.5, abs=1e-14)
-        assert par2.D_gc == pytest.approx(-0.5, abs=1e-14)
 
     def test_par3_zero_drift(self):
         p = Problem(np.eye(3), np.zeros(3))
@@ -118,7 +118,7 @@ class TestDirectUpdates:
         par1 = init_par1(p, support)
         g = rng.standard_normal(7)
         l = rng.standard_normal(7)
-        par2 = direct_update_par2(support, par1, p.c, g)
+        par2 = direct_update_par2(support, par1, g)
         par3 = direct_update_par3(support, par1, l)
         idx, comp = support.idx, support.complement()
         inv = np.linalg.inv(p.A[np.ix_(idx, idx)])
@@ -132,13 +132,40 @@ class TestDirectUpdates:
         )
 
 
+class TestRefreshQuadruple:
+    def test_one_refinement_is_exact_under_a_large_shift_of_c(self):
+        # c + 1e6 * 1 moves only mu0 (c is rounded to a multiple of 2^-30, so
+        # the shift is exact), and the solution of the unshifted problem is
+        # the reference: x_S, and off the support v = -mu.  Recomputing
+        # v = mu0 eta_tilde + M c afresh loses about 1e6 * eps * |M|
+        # here; one refinement does not.
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 12))
+            p = random_spd_problem(rng, n)
+            p = Problem(p.A, np.round(p.c * 2**30) / 2**30)
+            support = Support(n, rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            ref = solve_given_support(p, support)
+            shifted = Problem(p.A, p.c + 1e6)
+            par1 = init_par1(shifted, support)
+            start = solve_given_support(shifted, support)
+            q = Quadruple(support, start.v + 1e-6 * rng.standard_normal(n), start.mu0 + 1e-3 * rng.standard_normal())
+            counter = MultCounter()
+            refresh_quadruple(q, par1, shifted.A, shifted.c, counter)
+            idx = support.idx
+            assert np.max(np.abs(q.v[idx] - ref.v[idx])) <= 1e-12
+            assert np.max(np.abs(q.v - ref.v)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref.v))))
+            assert q.mu0 == pytest.approx(ref.mu0 - 1e6, abs=1e-9)
+            assert counter.total == n * idx.size + n
+
+
 class TestValidateState:
     def test_fresh_state_validates(self):
         rng = np.random.default_rng(21)
         p = random_spd_problem(rng, 8)
         support = Support(8, [0, 3, 4, 7])
         par1 = init_par1(p, support)
-        par2 = direct_update_par2(support, par1, p.c, rng.standard_normal(8))
+        par2 = direct_update_par2(support, par1, rng.standard_normal(8))
         par3 = direct_update_par3(support, par1, rng.standard_normal(8))
         assert validate_state(p, support, par1, par2, par3) <= 1e-12
 

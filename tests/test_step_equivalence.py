@@ -120,7 +120,7 @@ def ref_kkt_residual(problem, quadruple):
     )
 
 
-def ref_direct_update_par2(support, par1, c, g, counter=None):
+def ref_direct_update_par2(support, par1, g, counter=None):
     idx = support.idx
     gs = g[idx]
     eta = par1.M @ gs
@@ -128,10 +128,9 @@ def ref_direct_update_par2(support, par1, c, g, counter=None):
     eta[off] += g[off]
     d_g = float(np.sum(eta[idx]))
     d_gg = float(eta[idx] @ gs)
-    d_gc = -float(eta[idx] @ c[idx])
     if counter is not None:
-        counter.total += support.n * idx.size + 2 * idx.size
-    return eta, d_g, d_gg, d_gc
+        counter.total += support.n * idx.size + idx.size
+    return eta, d_g, d_gg
 
 
 def ref_direct_update_par3(support, par1, l, counter=None):
@@ -511,10 +510,10 @@ class TestDirectUpdates:
             g[rng.random(n) < 0.2] = 0.0
             l = rng.standard_normal(n)
             c_new, c_ref = cnt.MultCounter(), cnt.MultCounter()
-            par2 = direct_update_par2(s, par1, p.c, g, c_new)
-            eta, d_g, d_gg, d_gc = ref_direct_update_par2(s, par1, p.c, g, c_ref)
+            par2 = direct_update_par2(s, par1, g, c_new)
+            eta, d_g, d_gg = ref_direct_update_par2(s, par1, g, c_ref)
             same_array(par2.eta, eta)
-            assert [bits(x) for x in (par2.D_g, par2.D_gg, par2.D_gc)] == [bits(x) for x in (d_g, d_gg, d_gc)]
+            assert [bits(x) for x in (par2.D_g, par2.D_gg)] == [bits(x) for x in (d_g, d_gg)]
             par3 = direct_update_par3(s, par1, l, c_new)
             xi, d_l = ref_direct_update_par3(s, par1, l, c_ref)
             same_array(par3.xi, xi)

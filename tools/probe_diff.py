@@ -4,7 +4,7 @@ Usage, from the root of a checkout:
 
   python3 tools/probe_diff.py BASE_DIR [--head HEAD_DIR] [--seeds 1 2 3]
 
-For every workload and seed it compares two things between the trees, each
+For every workload and seed it compares these things between the trees, each
 computed in a fresh process per tree:
 
   - the `perfbench/run.py --probe` fingerprint of stream 0 (turning-point
@@ -15,6 +15,10 @@ computed in a fresh process per tree:
     events to the bit, plus the final v, mu0 and M.  The per-step
     `mult_count` sequence gets a line of its own, since a change may move
     the tally and nothing else;
+  - a digest of the turning points alone: each step's events as
+    (leg, index, kind, support size), the parameter left out, so a change
+    that moves residuals or the parameters' last bits but no turning point
+    reads "events same";
   - the sha256 of the `SolverSession.save` bytes at the end of each of the
     same two streams: the touched-row mask, the g log and the stored rows or
     their born entries, which neither of the above sees;
@@ -101,8 +105,8 @@ def report_digest(root, workload, seed):
         return report
 
     streams.driver.step = recorded
-    h_rep, h_mult, h_save, h_load = hashlib.sha256(), hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    mult_total = 0
+    h_rep, h_mult, h_ev, h_save, h_load = (hashlib.sha256() for _ in range(5))
+    mult_total = event_total = 0
     with tempfile.TemporaryDirectory() as tmp:
         for s in streams.stream_seeds(seed, 2):
             reports.clear()
@@ -112,6 +116,9 @@ def report_digest(root, workload, seed):
             mults = [r.mult_count for r in reports]
             _feed(h_mult, mults)
             mult_total += sum(mults)
+            events = [[(ev.leg, ev.index, ev.kind, ev.support_size) for ev in r.events] for r in reports]
+            _feed(h_ev, events)
+            event_total += sum(map(len, events))
             path = Path(tmp) / "session.bin"
             ses.save(path)
             h_save.update(path.read_bytes())
@@ -125,6 +132,7 @@ def report_digest(root, workload, seed):
     return {
         "report digest": {"reports": h_rep.hexdigest()[:16]},
         "mult_count sequence": {"mult_count": h_mult.hexdigest()[:16], "mult_total": mult_total},
+        "events": {"events": h_ev.hexdigest()[:16], "event_total": event_total},
         "checkpoint digest": {"checkpoint": h_save.hexdigest()[:16]},
         "restored state": {"restored": h_load.hexdigest()[:16]},
     }
@@ -142,7 +150,7 @@ def main(argv=None):
     parser.add_argument("--head", default=str(Path(__file__).resolve().parents[1]), help="checkout to compare")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
-    names = ("fingerprint", "report digest", "mult_count sequence", "checkpoint digest", "restored state")
+    names = ("fingerprint", "report digest", "mult_count sequence", "events", "checkpoint digest", "restored state")
     moved = dict.fromkeys(names, 0)
     for workload in WORKLOADS:
         for seed in args.seeds:
@@ -161,7 +169,7 @@ def main(argv=None):
                 print(f"{'moved' if diff else 'same '} {where}: {name} {json.dumps(head, sort_keys=True)}")
                 moved[name] += bool(diff)
     total = len(WORKLOADS) * len(args.seeds)
-    print(", ".join(f"{count} of {total} {name}s moved" for name, count in moved.items()))
+    print(", ".join(f"{count} of {total} {name.removesuffix('s')}s moved" for name, count in moved.items()))
     return 0
 
 
