@@ -55,7 +55,6 @@ from .path_vector import run_utilde_leg
 from .state import (
     Par1,
     Par2,
-    Par3,
     direct_update_par2,
     direct_update_par3,
     init_par1,

@@ -50,9 +50,8 @@ with |c| or |mu0|, which the gauge lets grow with t; there is no periodic
 rebuild.
 
 Between steps the session keeps the store, the linear term, the quadruple
-and Par1, and nothing else: each leg derives its own cache from Par1 when it
-starts (Par2 for the matrix leg, Par3 for the vector leg) and drops it when
-it ends.  A checkpoint (`HSS7`) holds that lasting state and its config.
+and Par1, and nothing else: each leg derives its own cache, a Par2, from
+Par1 when it starts and drops it when it ends.  A checkpoint (`HSS7`) holds that lasting state and its config.
 
 Per step the driver emits a StepReport with that step's turning points and
 their counts, the excess over the support symmetric-difference lower bound,
@@ -81,10 +80,12 @@ from .state import Par1, init_par1, outer, par1_from_matrix, refresh_quadruple, 
 # Refine (v, mu0) through M when the step's residual exceeds this share of tol.
 REFRESH_FACTOR = 0.25
 
-# Entries per block of the rank-one update of the live rows.  Blocks of up to
-# 512 KB update all rows at n <= 256 in one piece, while at n = 1000 they keep
-# the temporaries off fresh pages: one s* x n temporary (1.2 MB at s* = 150)
-# costs more in page faults than the adds.
+# Entries per block of the rank-one update of the live rows, and of the
+# scratch block `_replay` sums in.  Until every row is live, `add_outer` adds
+# only to the support's rows, one block while s <= UPDATE_BLOCK // n (65 at
+# n = 1000).  A full store adds to all n rows: in one block up to n = 256,
+# and above it in blocks of 512 KB, which keep the temporaries off fresh
+# pages (one n x n temporary is 8 MB at n = 1000).
 UPDATE_BLOCK = 65536
 
 # The stamp of a row that is not live: above any log size.
@@ -332,7 +333,7 @@ class SolverSession:
 
     A, c and the logged g's are in the gauge the legs run in; c_shift is that
     c minus the caller's last linear term (zero until a step fuses a drift).
-    Of the caches only Par1 is kept: Par2 and Par3 belong to one step's g and
+    Of the caches only Par1 is kept: a leg's Par2 belongs to one step's g or
     drift, so each leg derives its own from Par1 when it starts.
     """
 
@@ -742,11 +743,14 @@ def complexity_bound(n, report):
     """Per-step multiplication budget, term by term from the tallied operations.
 
     With s = s_max, every tallied routine is bounded at size s:
-      fixed       3 n s + 9 n + 3 s + 14: the Par2 and Par3 products, the
+      fixed       3 n s + 9 n + 3 s + 14: both legs' cache products, the
                   last ratio test and advance of each leg (the matrix leg's
-                  ratio test counting up to n near-zero checks);
+                  ratio test counting up to n near-zero checks and its
+                  D_gg read-off);
       per k_A     3 n s + 9 n + 4 s + 22: one more matrix ratio test and
                   advance, plus an entry (which costs more than a leave);
+                  the ratio test and advance before an entry run on at most
+                  s - 1 indices, which leaves n - s + 8 to spare;
       per k_c     2 n s + 3 n + 2 s + 8: the same for the vector leg;
       per refresh n s + n: one refinement of (v, mu0), its M product and
                   eta_tilde term (its residual's A product, like the
@@ -754,7 +758,7 @@ def complexity_bound(n, report):
     Rebuilds factorize outside the tally.  An in-leg retry after a rebuild
     repeats one ratio test and advance, which this budget does not cover.
     A step whose gauged drift is exactly zero (every markowitz step) skips
-    the vector leg and so spends none of its Par3 product, velocity and
+    the vector leg and so spends none of its cache product, velocity and
     advance (n s + 2 n + 1); the fixed term still counts them.
     """
     s = report.s_max

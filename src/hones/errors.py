@@ -25,8 +25,12 @@ class DegenerateDenominator(DegenerateError):
     """Denominator of a path update fell below tolerance."""
 
 
-class EmptySupport(HonesError):
-    """A shrink would leave the support empty, which the simplex constraint forbids."""
+class EmptySupport(HonesError, ValueError):
+    """A shrink would leave the support empty, which the simplex constraint forbids.
+
+    It is a ValueError too: `Support.with_removed` raises it, and refuses any
+    other wrong index with ValueError.
+    """
 
 
 class CycleLimit(HonesError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, SingularSubmatrix
+from .errors import EmptySupport, NoConvergence, SingularSubmatrix
 
 # A coordinate counts as strictly positive only above this scale times the
 # iterate's magnitude; below it is treated as zero (roundoff at turning points).
@@ -81,10 +81,10 @@ class Support:
         return Support.from_sorted(mask.nonzero()[0], mask)
 
     def with_removed(self, j):
+        if self.size == 1:
+            raise EmptySupport("cannot shrink a singleton support")
         if not self.mask[j]:
             raise ValueError(f"index {j} not in support")
-        if self.size == 1:
-            raise ValueError("support must be nonempty")
         mask = self.mask.copy()
         mask[j] = False
         return Support.from_sorted(mask.nonzero()[0], mask)

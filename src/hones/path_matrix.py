@@ -8,18 +8,19 @@ exactly that index.  All updates are rank-one corrections of the cached state,
 never a fresh factorization.
 
 The step functions hand each other plain values: find_lambda returns
-(lam increment, index, direction), and the direction (w1, dvec) goes on to
-update_by_lambda, which moves the state to that turning point.  w1 = g_S'x_S
-is read off the iterate, so the leg never reads the linear term c.  _run_leg,
-the event loop both legs share, then toggles the index through
-expand_support_lambda or shrink_support_lambda.
+(lam increment, index, direction), and the direction (w1, dvec, D_gg) goes on
+to update_by_lambda, which moves the state to that turning point.
+w1 = g_S'x_S is read off the iterate and D_gg = g_S'eta_S off the leg cache,
+so the leg never reads the linear term c, and its cache is the one the
+vector leg carries.  _run_leg, the event loop both legs share, then toggles
+the index through expand_support_lambda or shrink_support_lambda.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CycleLimit, DegenerateDenominator, DegenerateError, DegeneratePivot, EmptySupport
+from .errors import CycleLimit, DegenerateDenominator, DegenerateError, DegeneratePivot
 from .kkt import ZETA_SCALE, _tiny
 from .state import direct_update_par2
 
@@ -108,36 +109,39 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
     return -a / w1, j
 
 
-def find_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
+def find_lambda(support, quadruple, par1, par2, g, exclude=None, counter=None):
     """Locate the next turning point of the matrix leg: (lam increment, index, direction).
 
     v as a function of lam is v + atil(lam) * w1 * dvec where atil is a
     monotone reparametrization of lam, so the ratio test runs in atil; its
     result is mapped back to a lam increment, or infinity (index None) when
     no coordinate ever hits zero on the forward path (equivalently when the
-    minimizing ratio fails alpha * D_gg < 1).  The direction (w1, dvec) is
-    what update_by_lambda needs at this state: w1 = g_S'x_S, read off the
+    minimizing ratio fails alpha * D_gg < 1).  The direction (w1, dvec, D_gg)
+    is what update_by_lambda needs at this state: w1 = g_S'x_S, read off the
     iterate (on the support x_S = mu0 M_SS 1 + M_SS c_S, so it equals
-    D_g mu0 + g_S'M_SS c_S), and dvec = D_g eta_tilde - D eta.
+    D_g mu0 + g_S'M_SS c_S), dvec = D_g eta_tilde - D eta, and
+    D_gg = g_S'eta_S, read off the leg cache (it equals g_S'M_SS g_S).
     """
     idx = support.idx
     d = par1.D
-    d_g, d_gg = par2.D_g, par2.D_gg
-    w1 = float(par2.g[idx] @ quadruple.v[idx])
+    d_g = par2.D_g
+    gs = g[idx]
+    w1 = float(gs @ quadruple.v[idx])
+    d_gg = float(par2.eta[idx] @ gs)
     dvec = d_g * par1.eta_tilde - d * par2.eta
     if counter is not None:
-        counter.total += 2 * support.n + idx.size
+        counter.total += 2 * support.n + 2 * idx.size
 
     atil, j = _first_zero(support, quadruple.v, dvec, w1, exclude, counter)
     if j is None:
-        return np.inf, None, (w1, dvec)
+        return np.inf, None, (w1, dvec, d_gg)
     alpha = atil * d / (1.0 + atil * d_g * d_g)
     if alpha * d_gg >= 1.0:
-        return np.inf, None, (w1, dvec)
+        return np.inf, None, (w1, dvec, d_gg)
     lam_inc = alpha / (1.0 - alpha * d_gg)
     if lam_inc < 0.0:
         lam_inc = 0.0
-    return lam_inc, j, (w1, dvec)
+    return lam_inc, j, (w1, dvec, d_gg)
 
 
 def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
@@ -145,14 +149,16 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
 
     `lam_inc` is finite and nonnegative: _run_leg advances by find_lambda's
     increment only while it is below 1 - lam, and by 1 - lam otherwise.
-    `direction` is the (w1, dvec) that find_lambda returned at this state.
+    `direction` is the (w1, dvec, D_gg) that find_lambda returned at this
+    state.
     Every right-hand side uses the values from before the call; the scalars
     are rescaled last for that reason.  Raises DegenerateDenominator when the
     update denominators lose positivity, which signals a rebuild.
     """
     support = quadruple.support
     d = par1.D
-    d_g, d_gg = par2.D_g, par2.D_gg
+    d_g = par2.D_g
+    w1, dvec, d_gg = direction
     denom0 = 1.0 + lam_inc * d_gg
     if denom0 <= _tiny(1.0):
         raise DegenerateDenominator(f"1 + lam D_gg = {denom0}")
@@ -162,7 +168,6 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
     if denom <= _tiny(d):
         raise DegenerateDenominator(f"D - alpha D_g^2 = {denom}")
     atil = alpha / denom
-    w1, dvec = direction
 
     quadruple.v += (atil * w1) * dvec
     quadruple.mu0 += atil * d_g * w1
@@ -173,10 +178,9 @@ def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
     par1.D = denom
     par2.eta = alpha0 * eta
     par2.D_g = alpha0 * d_g
-    par2.D_gg = alpha0 * d_gg
     n, s = support.n, support.size
     if counter is not None:
-        counter.total += (n * s + s) + 3 * n + n + 11
+        counter.total += (n * s + s) + 3 * n + n + 10
 
 
 def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None):
@@ -214,11 +218,9 @@ def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None
 def _shrink_geometry(support, j, par1):
     """Pivot M_jj, full-length beta vector (column j of M, -1 at j) and new support for removing index j.
 
-    A singleton support raises EmptySupport for any j; otherwise
-    `Support.with_removed` refuses a j off the support before any work.
+    `Support.with_removed` refuses before any work: a singleton support
+    with EmptySupport for any j, and a j off the support with ValueError.
     """
-    if support.size < 2:
-        raise EmptySupport("cannot shrink a singleton support")
     new_support = support.with_removed(j)
     beta = par1.col(j, support)
     mjj = float(beta[j])
@@ -229,10 +231,11 @@ def _shrink_geometry(support, j, par1):
 
 
 def _pivot(support, new_support, j, vec, inv, par1, cache, counter):
-    """Block pivot on index j: M <- R_j(M) + vec vec_S' inv, and the same on the caches.
+    """Block pivot on index j: M <- R_j(M) + vec vec_S' inv, and the same on the leg cache.
 
     An entry passes vec = gamma and inv = 1 / pivot; a leave passes vec = beta
-    and inv = -1 / M_jj.  `cache` (Par2 or Par3) applies its own part.
+    and inv = -1 / M_jj.  `cache`, the leg's Par2 in either leg, applies its
+    own part.  The tally counts the six scalar products of the pivot too.
     """
     teta_j = float(par1.eta_tilde[j])
     par1.D += teta_j * teta_j * inv
@@ -247,7 +250,7 @@ def _pivot(support, new_support, j, vec, inv, par1, cache, counter):
     par1.eta_tilde += (teta_j * inv) * vec
     n, s1 = new_support.n, new_support.size
     if counter is not None:
-        counter.total += s1 + n * s1 + 2 * n
+        counter.total += s1 + n * s1 + 2 * n + 6
 
 
 def expand_support_lambda(lam, support, j, A, g, par1, par2, counter=None):
@@ -258,8 +261,6 @@ def expand_support_lambda(lam, support, j, A, g, par1, par2, counter=None):
     ajj, gamma, new_support = _expand_geometry(
         support, j, A, par1, lam_eta_g=lam * float(par2.eta[j]), gvec=g, counter=counter
     )
-    if counter is not None:
-        counter.total += 8
     _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, counter)
     return new_support
 
@@ -267,8 +268,6 @@ def expand_support_lambda(lam, support, j, A, g, par1, par2, counter=None):
 def shrink_support_lambda(support, j, par1, par2, counter=None):
     """Remove index j from the support; updates Par1 and Par2."""
     mjj, beta, new_support = _shrink_geometry(support, j, par1)
-    if counter is not None:
-        counter.total += 8
     _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par2, counter)
     return new_support
 
@@ -291,7 +290,7 @@ def run_lambda_leg(A, g, quadruple, par1, counter=None, ensure_column=None, rebu
         quadruple,
         derive=lambda tally: direct_update_par2(quadruple.support, par1, g, tally),
         find=lambda par2, exclude: find_lambda(
-            quadruple.support, quadruple, par1, par2, exclude=exclude, counter=counter
+            quadruple.support, quadruple, par1, par2, g, exclude=exclude, counter=counter
         ),
         advance=lambda par2, inc, direction: update_by_lambda(
             inc, quadruple, par1, par2, direction, counter=counter
@@ -308,7 +307,7 @@ def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ens
     """Event loop shared by both legs: advance to each turning point, toggle, repeat.
 
     The leg parameter runs from 0 to 1.  `derive(counter)` returns the leg's
-    cache (Par2 or Par3) from the current Par1; it is tallied when the leg
+    cache, a Par2, from the current Par1; it is tallied when the leg
     starts and untallied after a rebuild.  Every other callback takes that
     cache first: `find(cache, exclude)` returns the next turning point as
     (increment, index, direction), `advance(cache, inc, direction)` moves the

@@ -1,14 +1,16 @@
 """Homotopy leg that moves the linear term from c to c + l.
 
 With the matrix frozen, the KKT state is exactly affine in the leg parameter:
-v moves along v - (xi - (D_l / D) eta_tilde) * t and mu0 along
-mu0 + (D_l / D) * t, so the between-event updates are division-free.  The
-rest is the matrix leg's machinery: the ratio test is path_matrix's
-_first_zero with weight -1, a support change is path_matrix's _pivot with
-Par3 as the cache, through Par3.pivot, and the event loop is
-path_matrix._run_leg.  find_utilde_lambda returns (t increment, index,
-direction) with the direction (q, d) = (D_l / D, xi - q eta_tilde), which is
-all update_by_utilde_lambda reads.
+with the leg cache xi = -(M + I_{S^c}) l and D_l = 1'xi_S (state.Par2 for
+u = -l, whose fields are eta and D_g), v moves along
+v - (xi - (D_l / D) eta_tilde) * t and mu0 along mu0 + (D_l / D) * t, so the
+between-event updates are division-free.  The rest is the matrix leg's
+machinery: the ratio test is path_matrix's _first_zero with weight -1, a
+support change is path_matrix's _pivot, which carries the cache through
+Par2.pivot as in the matrix leg, and the event loop is path_matrix._run_leg.
+find_utilde_lambda returns (t increment, index, direction) with the
+direction (q, d) = (D_l / D, xi - q eta_tilde), which is all
+update_by_utilde_lambda reads.
 
 In exact arithmetic the gauge leaves the shipped flows a drift of beta 1,
 whose velocity is zero, but in floating point every ons step and every fused
@@ -27,7 +29,7 @@ from .path_matrix import _expand_geometry, _first_zero, _pivot, _run_leg, _shrin
 from .state import direct_update_par3
 
 
-def find_utilde_lambda(support, quadruple, par1, par3, exclude=None, counter=None):
+def find_utilde_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
     """Locate the next turning point of the vector leg: (t increment, index, direction).
 
     v(t) = v - d * t, so coordinate i crosses zero at t = v_i / d_i: the
@@ -36,8 +38,8 @@ def find_utilde_lambda(support, quadruple, par1, par3, exclude=None, counter=Non
     direction) without that test; _run_leg then takes the same final
     advance.  Only the velocity enters the multiplication tally.
     """
-    q = par3.D_l / par1.D
-    d = par3.xi - q * par1.eta_tilde
+    q = par2.D_g / par1.D
+    d = par2.eta - q * par1.eta_tilde
     if counter is not None:
         counter.total += d.size
     v = quadruple.v
@@ -80,25 +82,21 @@ def update_by_utilde_lambda(lam_inc, quadruple, direction, counter=None):
         counter.total += quadruple.v.size + 1
 
 
-def expand_support_utilde(support, j, A, par1, par3, counter=None):
-    """Add index j during the vector leg; updates Par1 and Par3.
+def expand_support_utilde(support, j, A, par1, par2, counter=None):
+    """Add index j during the vector leg; updates Par1 and the leg's Par2.
 
     The matrix is frozen here, so the pivot carries no lam correction; A must
     already include the step's rank-one update in row j.
     """
     ajj, gamma, new_support = _expand_geometry(support, j, A, par1, counter=counter)
-    if counter is not None:
-        counter.total += 6
-    _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par3, counter)
+    _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, counter)
     return new_support
 
 
-def shrink_support_utilde(support, j, par1, par3, counter=None):
-    """Remove index j during the vector leg; updates Par1 and Par3."""
+def shrink_support_utilde(support, j, par1, par2, counter=None):
+    """Remove index j during the vector leg; updates Par1 and the leg's Par2."""
     mjj, beta, new_support = _shrink_geometry(support, j, par1)
-    if counter is not None:
-        counter.total += 6
-    _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par3, counter)
+    _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par2, counter)
     return new_support
 
 
@@ -106,13 +104,13 @@ def run_utilde_leg(A, l, quadruple, par1, counter=None, ensure_column=None, rebu
     """Drive the vector leg from t = 0 to t = 1.
 
     Mirror image of run_lambda_leg with the matrix frozen: derives the leg's
-    own Par3 from Par1 for drift l, mutates the quadruple and Par1 in place,
+    own Par2 from Par1 for drift l, mutates the quadruple and Par1 in place,
     returns the turning points, and enforces the same event cap.  On a
     degeneracy, `rebuild(t)` is called once to refactorize Par1 in place from
-    the support rows of A; the leg then re-derives Par3 and retries.
+    the support rows of A; the leg then re-derives its Par2 and retries.
 
     An all-zero drift (every markowitz step) returns no turning points at
-    once, with no Par3, ratio test or advance: its velocity is exactly zero,
+    once, with no cache, ratio test or advance: its velocity is exactly zero,
     so the advance would only add signed zeros to v and mu0.  A nonzero
     drift runs the leg even when it is only rounding (every ons step, and
     every fused synthetic step); where find_utilde_lambda's sign certificate
@@ -125,12 +123,12 @@ def run_utilde_leg(A, l, quadruple, par1, counter=None, ensure_column=None, rebu
         "vector",
         quadruple,
         derive=lambda tally: direct_update_par3(quadruple.support, par1, l, tally),
-        find=lambda par3, exclude: find_utilde_lambda(
-            quadruple.support, quadruple, par1, par3, exclude=exclude, counter=counter
+        find=lambda par2, exclude: find_utilde_lambda(
+            quadruple.support, quadruple, par1, par2, exclude=exclude, counter=counter
         ),
-        advance=lambda _par3, inc, direction: update_by_utilde_lambda(inc, quadruple, direction, counter=counter),
-        shrink=lambda par3, j: shrink_support_utilde(quadruple.support, j, par1, par3, counter=counter),
-        expand=lambda par3, _t, j: expand_support_utilde(quadruple.support, j, A, par1, par3, counter=counter),
+        advance=lambda _par2, inc, direction: update_by_utilde_lambda(inc, quadruple, direction, counter=counter),
+        shrink=lambda par2, j: shrink_support_utilde(quadruple.support, j, par1, par2, counter=counter),
+        expand=lambda par2, _t, j: expand_support_utilde(quadruple.support, j, A, par1, par2, counter=counter),
         counter=counter,
         ensure_column=ensure_column,
         rebuild=rebuild,

@@ -1,26 +1,29 @@
 """Cached intermediate state that makes every path step cheap.
 
-Three bundles are maintained alongside the KKT quadruple:
+Two bundles are maintained alongside the KKT quadruple:
 
   Par1 = {M, eta_tilde, D}      shared across steps; M is the n x |S| block of
                                 live columns: A_SS^{-1} on the support rows and
                                 -A_{S^c S} A_SS^{-1} below.  Column k belongs
                                 to the k-th support index in increasing order.
-  Par2 = {eta, D_g, D_gg}       specific to one rank-one direction g; it lasts
-                                one matrix leg.
-  Par3 = {xi, D_l}              specific to one linear-term drift l; it lasts
-                                one vector leg.
+  Par2 = {eta, D_g}             the leg cache: the image eta = (M + I_{S^c}) u
+                                of the leg's vector u and its support sum
+                                D_g = 1'eta_S.  u is the direction g in the
+                                matrix leg and minus the drift l in the vector
+                                leg; it lasts one leg.
 
-Only Par1 outlives a step: each leg derives its own cache from it by a
-direct_update_* product when it starts, and again after an in-leg rebuild.  Everything can be recomputed
+Only Par1 outlives a step: each leg derives its own Par2 from it by a direct
+product when it starts (direct_update_par2 for g, direct_update_par3 for l),
+and again after an in-leg rebuild.  Any other product of the cache is read
+off it where it is needed: the matrix leg's D_gg = g_S'eta_S, like its
+w1 = g_S'x_S, is formed by its ratio test.  Everything can be recomputed
 from scratch by factorization (init_par1); the path modules keep the same
 objects current with rank-one corrections, and validate_state measures how far
 they have drifted.  At a turning point path_matrix._pivot applies the block
-pivot to Par1 and hands the same pivot vector to Par2.pivot or Par3.pivot,
-whichever cache the leg carries.
+pivot to Par1 and hands the same pivot vector to Par2.pivot, in either leg.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,36 +101,17 @@ class Par1:
 
 @dataclass
 class Par2:
-    """Direction-specific cache: eta = (M + I_{S^c}) g, D_g = 1'eta_S and D_gg = g_S'eta_S."""
+    """Leg cache: eta = (M + I_{S^c}) u and D_g = 1'eta_S, for u = g in the matrix leg and u = -l in the vector leg."""
 
     eta: np.ndarray
     D_g: float
-    D_gg: float
-    g: np.ndarray = field(repr=False)
 
     def pivot(self, j, vec, inv, teta_j):
         """Carry the cache through a block pivot on j (see path_matrix._pivot)."""
         eta_j = float(self.eta[j])
         self.D_g += eta_j * teta_j * inv
-        self.D_gg += eta_j * eta_j * inv
         self.eta[j] = 0.0
         self.eta += (eta_j * inv) * vec
-
-
-@dataclass
-class Par3:
-    """Drift-specific cache: xi = -(M + I_{S^c}) l and D_l = 1' xi_S."""
-
-    xi: np.ndarray
-    D_l: float
-    l: np.ndarray = field(repr=False)
-
-    def pivot(self, j, vec, inv, teta_j):
-        """Carry the cache through a block pivot on j (see path_matrix._pivot)."""
-        xi_j = float(self.xi[j])
-        self.D_l += xi_j * teta_j * inv
-        self.xi[j] = 0.0
-        self.xi += (xi_j * inv) * vec
 
 
 def par1_from_matrix(rows, support):
@@ -162,30 +146,31 @@ def init_par1(problem, support):
 
 
 def direct_update_par2(support, par1, g, counter=None):
-    """Recompute the direction cache for a new g by direct products."""
+    """The matrix leg's cache for a new direction g, by direct products."""
     idx = support.idx
-    gs = g[idx]
-    eta = par1.M @ gs
+    eta = par1.M @ g[idx]
     off = support.complement()
     eta[off] += g[off]
-    eta_s = eta[idx]
-    d_g = float(np.add.reduce(eta_s))
-    d_gg = float(eta_s @ gs)
     if counter is not None:
-        counter.total += support.n * idx.size + idx.size
-    return Par2(eta, d_g, d_gg, g)
+        counter.total += support.n * idx.size
+    return Par2(eta, float(np.add.reduce(eta[idx])))
 
 
 def direct_update_par3(support, par1, l, counter=None):
-    """Recompute the drift cache for a new l."""
+    """The vector leg's cache for a new drift l: the Par2 of u = -l.
+
+    It negates the product, xi = -(M l_S), and then takes xi[off] -= l[off].
+    direct_update_par2(-l) gives the same values except the sign of a zero:
+    an entry whose sum cancels exactly is +0.0 in M (-l_S) and -0.0 in
+    -(M l_S).
+    """
     idx = support.idx
     xi = -(par1.M @ l[idx])
     off = support.complement()
     xi[off] -= l[off]
-    d_l = float(np.add.reduce(xi[idx]))
     if counter is not None:
         counter.total += support.n * idx.size
-    return Par3(xi, d_l, l)
+    return Par2(xi, float(np.add.reduce(xi[idx])))
 
 
 def refresh_quadruple(quadruple, par1, A, c, counter=None):
@@ -232,14 +217,14 @@ def _rel(stored, fresh):
     return err / scale
 
 
-def validate_state(problem, support, par1, par2=None, par3=None):
+def validate_state(problem, support, par1, par2=None, u=None):
     """Max relative deviation between the stored state and a fresh recomputation.
 
-    Rebuilds Par1 by factorization of the given problem matrix and, when Par2
-    or Par3 are supplied, re-derives them from their defining products (the g
-    and l vectors travel with the caches).  Returns the worst field deviation;
-    a freshly initialized state comes back at roundoff level and a corrupted
-    field shows up at order one.
+    Rebuilds Par1 by factorization of the given problem matrix and, when a
+    leg cache Par2 is supplied with its vector u (g in the matrix leg, -l in
+    the vector leg), re-derives it as direct_update_par2(u).  Returns the
+    worst field deviation; a freshly initialized state comes back at
+    roundoff level and a corrupted field shows up at order one.
     """
     fresh1 = par1_from_matrix(problem.A[support.idx], support)
     dev = max(
@@ -248,9 +233,6 @@ def validate_state(problem, support, par1, par2=None, par3=None):
         _rel(par1.D, fresh1.D),
     )
     if par2 is not None:
-        fresh2 = direct_update_par2(support, fresh1, par2.g)
-        dev = max(dev, _rel(par2.eta, fresh2.eta), _rel(par2.D_g, fresh2.D_g), _rel(par2.D_gg, fresh2.D_gg))
-    if par3 is not None:
-        fresh3 = direct_update_par3(support, fresh1, par3.l)
-        dev = max(dev, _rel(par3.xi, fresh3.xi), _rel(par3.D_l, fresh3.D_l))
+        fresh2 = direct_update_par2(support, fresh1, u)
+        dev = max(dev, _rel(par2.eta, fresh2.eta), _rel(par2.D_g, fresh2.D_g))
     return dev

@@ -236,7 +236,9 @@ def test_criterion_8_state_consistency():
         par1 = init_par1(problem, support)
         g = rng.standard_normal(m)
         par2 = direct_update_par2(support, par1, g)
-        before = (par1.M.copy(), par1.eta_tilde.copy(), par1.D, par2.eta.copy(), par2.D_g, par2.D_gg)
+        # D_gg is read off the cache, as find_lambda reads it.
+        d_gg = par2.eta[support.idx] @ g[support.idx]
+        before = (par1.M.copy(), par1.eta_tilde.copy(), par1.D, par2.eta.copy(), par2.D_g, d_gg)
         j = int(rng.choice(support.complement()))
         mid = expand_support_lambda(0.0, support, j, problem.A, g, par1, par2)
         shrink_support_lambda(mid, j, par1, par2)
@@ -247,7 +249,7 @@ def test_criterion_8_state_consistency():
             abs(par1.D - before[2]),
             float(np.max(np.abs(par2.eta - before[3]))),
             abs(par2.D_g - before[4]),
-            abs(par2.D_gg - before[5]),
+            abs(par2.eta[support.idx] @ g[support.idx] - before[5]),
         )
     ok_rt = worst_rt <= 1e-12
     ok = ok_validate and ok_rt

@@ -313,6 +313,20 @@ class TestInitSession:
                         saved.append((tmp_path / f"{k}.bin").read_bytes())
                     assert saved[0] == saved[1]
 
+    @pytest.mark.parametrize("kind", ["ons", "markowitz"])
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_price_flows_start_with_every_row_live(self, kind, n):
+        # A0 is a multiple of I and c0 = 0, so the oracle's first support is
+        # all n: the store starts full, keeps no A0 and so never logs, catches
+        # up or replays.  The synthetic flow starts on a partial support.
+        flow = flow_for_config(FlowConfig(kind, n, 10, seed=3), x_feedback=lambda: None)
+        assert np.all(flow.a0.d == flow.a0.d[0]) and not flow.c0.any()
+        A = init_session(flow.a0, flow.c0).A
+        assert A.full and A.a0 is None and A.s_star == n
+        flow = flow_for_config(FlowConfig("synthetic", 20, 10, seed=3))
+        A = init_session(flow.a0, flow.c0).A
+        assert not A.full and A.a0 is not None and A.s_star < 20
+
     def test_singleton(self):
         ses = init_session(np.eye(1), np.zeros(1))
         np.testing.assert_allclose(ses.x, [1.0], atol=1e-15)

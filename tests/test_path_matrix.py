@@ -33,7 +33,7 @@ def fresh_state(problem, g):
 
 
 def state_bytes(support, par1, cache):
-    """The bytes of the support, Par1 and a leg cache (Par2 or Par3), field by field."""
+    """The bytes of the support, Par1 and a leg cache, field by field."""
     fields = [support.idx, support.mask, par1.M, par1.eta_tilde, par1.D]
     fields += [getattr(cache, f.name) for f in dataclasses.fields(cache)]
     return [np.asarray(f).tobytes() for f in fields]
@@ -65,8 +65,9 @@ def first_support_change(A, c, g, samples=400):
 class TestFindLambda:
     def test_zero_direction_never_moves(self):
         p = Problem(np.diag([2.0, 1.0, 3.0]), np.array([0.1, 0.0, -0.2]))
-        q, par1, par2 = fresh_state(p, np.zeros(3))
-        lam_inc, j, _ = find_lambda(q.support, q, par1, par2)
+        g = np.zeros(3)
+        q, par1, par2 = fresh_state(p, g)
+        lam_inc, j, _ = find_lambda(q.support, q, par1, par2, g)
         assert lam_inc == np.inf
         assert j is None
 
@@ -74,8 +75,9 @@ class TestFindLambda:
         # x(lam) = (1/(2+lam), (1+lam)/(2+lam)): the first coordinate decays
         # but never reaches zero at finite lam.
         p = Problem(np.eye(2), np.zeros(2))
-        q, par1, par2 = fresh_state(p, np.array([1.0, 0.0]))
-        lam_inc, _, _ = find_lambda(q.support, q, par1, par2)
+        g = np.array([1.0, 0.0])
+        q, par1, par2 = fresh_state(p, g)
+        lam_inc, _, _ = find_lambda(q.support, q, par1, par2, g)
         assert lam_inc == np.inf
 
     def test_first_event_matches_bisection(self):
@@ -88,7 +90,7 @@ class TestFindLambda:
         assert lam_ref is not None, "construction must produce an event in (0,1)"
         p = Problem(A, c)
         q, par1, par2 = fresh_state(p, g)
-        lam_inc, j, _ = find_lambda(q.support, q, par1, par2)
+        lam_inc, j, _ = find_lambda(q.support, q, par1, par2, g)
         assert j is not None
         assert lam_inc == pytest.approx(lam_ref, abs=1e-9)
 
@@ -106,13 +108,36 @@ class TestFindLambda:
             q, par1, par2 = fresh_state(p, g)
             for _ in range(2):
                 idx = q.support.idx
-                w1 = find_lambda(q.support, q, par1, par2)[2][0]
+                w1 = find_lambda(q.support, q, par1, par2, g)[2][0]
                 d_g_mu0 = par2.D_g * q.mu0
                 g_m_c = float(g[idx] @ par1.M[idx] @ p.c[idx])
                 assert w1 == float(g[idx] @ q.v[idx])
                 assert abs(w1 - (d_g_mu0 + g_m_c)) <= 1e-12 * max(abs(d_g_mu0), abs(g_m_c))
                 checked += 1
-                lam_inc, _, direction = find_lambda(q.support, q, par1, par2)
+                lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g)
+                update_by_lambda(min(0.5, 0.5 * lam_inc), q, par1, par2, direction)
+        assert checked == 80
+
+    def test_d_gg_is_read_off_the_cache(self):
+        # find_lambda reads D_gg = g_S'eta_S off the leg cache and hands it on
+        # in the direction; on the support eta_S = M_SS g_S, so it equals
+        # g_S'M_SS g_S, at a fresh state and mid-leg, where M is the inverse
+        # block of A + lam g g'.
+        rng = np.random.default_rng(37)
+        checked = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 10))
+            p = random_spd_problem(rng, n)
+            g = rng.standard_normal(n)
+            q, par1, par2 = fresh_state(p, g)
+            for _ in range(2):
+                idx = q.support.idx
+                lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g)
+                d_gg = direction[2]
+                assert d_gg == float(par2.eta[idx] @ g[idx])
+                g_m_g = float(g[idx] @ par1.M[idx] @ g[idx])
+                assert abs(d_gg - g_m_g) <= 1e-12 * g_m_g
+                checked += 1
                 update_by_lambda(min(0.5, 0.5 * lam_inc), q, par1, par2, direction)
         assert checked == 80
 
@@ -124,23 +149,25 @@ class TestUpdateByLambda:
         g = rng.standard_normal(5)
         q, par1, par2 = fresh_state(p, g)
         v0, mu0, M0 = q.v.copy(), q.mu0, par1.M.copy()
-        update_by_lambda(0.0, q, par1, par2, find_lambda(q.support, q, par1, par2)[2])
+        update_by_lambda(0.0, q, par1, par2, find_lambda(q.support, q, par1, par2, g)[2])
         np.testing.assert_array_equal(q.v, v0)
         assert q.mu0 == mu0
         np.testing.assert_array_equal(par1.M, M0)
 
     def test_zero_direction_is_identity(self):
         p = Problem(np.diag([2.0, 1.0]), np.zeros(2))
-        q, par1, par2 = fresh_state(p, np.zeros(2))
+        g = np.zeros(2)
+        q, par1, par2 = fresh_state(p, g)
         v0, D0 = q.v.copy(), par1.D
-        update_by_lambda(0.7, q, par1, par2, find_lambda(q.support, q, par1, par2)[2])
+        update_by_lambda(0.7, q, par1, par2, find_lambda(q.support, q, par1, par2, g)[2])
         np.testing.assert_array_equal(q.v, v0)
         assert par1.D == D0
 
     def test_full_step_closed_form(self):
         p = Problem(np.eye(2), np.zeros(2))
-        q, par1, par2 = fresh_state(p, np.array([1.0, 0.0]))
-        update_by_lambda(1.0, q, par1, par2, find_lambda(q.support, q, par1, par2)[2])
+        g = np.array([1.0, 0.0])
+        q, par1, par2 = fresh_state(p, g)
+        update_by_lambda(1.0, q, par1, par2, find_lambda(q.support, q, par1, par2, g)[2])
         np.testing.assert_allclose(q.x, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
         assert q.mu0 == pytest.approx(2.0 / 3.0, abs=1e-12)
         np.testing.assert_allclose(par1.M, np.diag([0.5, 1.0]), atol=1e-12)
@@ -153,7 +180,7 @@ class TestUpdateByLambda:
             g = rng.standard_normal(n)
             q, par1, par2 = fresh_state(p, g)
             lam = float(rng.uniform(0.05, 0.6))
-            lam_inc, _, direction = find_lambda(q.support, q, par1, par2)
+            lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g)
             lam = min(lam, 0.9 * lam_inc)  # stay inside the first segment
             if lam <= 0 or not np.isfinite(lam):
                 continue
@@ -161,16 +188,16 @@ class TestUpdateByLambda:
             A_lam = p.A + lam * np.outer(g, g)
             moved = Problem(A_lam, p.c)
             kappa = condition_proxy(A_lam, q.support, par1)
-            assert validate_state(moved, q.support, par1, par2) <= 1e-10 * kappa
+            assert validate_state(moved, q.support, par1, par2, g) <= 1e-10 * kappa
             assert kkt_residual(moved, q) <= 1e-9 * max(1.0, kappa)
 
     def test_degenerate_denominator_raises(self):
         p = Problem(np.eye(2), np.zeros(2))
-        q, par1, par2 = fresh_state(p, np.ones(2))
-        par2.D_gg = -2.0  # corrupt so 1 + lam D_gg crosses zero
-        direction = find_lambda(q.support, q, par1, par2)[2]
-        with pytest.raises(DegenerateDenominator):
-            update_by_lambda(1.0, q, par1, par2, direction)
+        g = np.ones(2)
+        q, par1, par2 = fresh_state(p, g)
+        w1, dvec, _ = find_lambda(q.support, q, par1, par2, g)[2]
+        with pytest.raises(DegenerateDenominator):  # a D_gg of -2 makes 1 + lam D_gg cross zero
+            update_by_lambda(1.0, q, par1, par2, (w1, dvec, -2.0))
 
 
 class TestExpandShrink:
@@ -232,7 +259,8 @@ class TestExpandShrink:
             g = rng.standard_normal(n)
             par2 = direct_update_par2(support, par1, g)
             M0, teta0, D0 = par1.M.copy(), par1.eta_tilde.copy(), par1.D
-            eta0, dg0, dgg0 = par2.eta.copy(), par2.D_g, par2.D_gg
+            eta0, dg0 = par2.eta.copy(), par2.D_g
+            dgg0 = float(par2.eta[support.idx] @ g[support.idx])  # D_gg as find_lambda reads it
             j = int(rng.choice(support.complement()))
             lam = float(rng.uniform(0, 1))
             mid = expand_support_lambda(lam, support, j, p.A + lam * np.outer(g, g) - lam * np.outer(g, g), g, par1, par2)
@@ -243,7 +271,7 @@ class TestExpandShrink:
             assert par1.D == pytest.approx(D0, abs=1e-12)
             np.testing.assert_allclose(par2.eta, eta0, atol=1e-12)
             assert par2.D_g == pytest.approx(dg0, abs=1e-12)
-            assert par2.D_gg == pytest.approx(dgg0, abs=1e-12)
+            assert float(par2.eta[support.idx] @ g[support.idx]) == pytest.approx(dgg0, abs=1e-12)
 
     def test_seeded_expand_validates(self):
         rng = np.random.default_rng(9)
@@ -262,7 +290,7 @@ class TestExpandShrink:
             new = expand_support_lambda(0.0, support, j, A_lam, g, par1, par2)
             moved = Problem(A_lam, p.c)
             kappa = condition_proxy(A_lam, new, par1)
-            assert validate_state(moved, new, par1, par2) <= 1e-10 * max(1.0, kappa)
+            assert validate_state(moved, new, par1, par2, g) <= 1e-10 * max(1.0, kappa)
 
     def test_seeded_shrink_validates(self):
         rng = np.random.default_rng(13)
@@ -277,7 +305,7 @@ class TestExpandShrink:
             j = int(rng.choice(support.idx))
             new = shrink_support_lambda(support, j, par1, par2)
             kappa = condition_proxy(p.A, new, par1)
-            assert validate_state(p, new, par1, par2) <= 1e-10 * max(1.0, kappa)
+            assert validate_state(p, new, par1, par2, g) <= 1e-10 * max(1.0, kappa)
 
     def test_wrong_index_refused_before_any_work(self):
         # An expand with a member and a shrink with a non-member raise
@@ -379,7 +407,7 @@ class TestRunLambdaLeg:
             q, par1, par2 = fresh_state(p, g)
             lam = 0.0
             while True:
-                lam_inc, j, direction = find_lambda(q.support, q, par1, par2)
+                lam_inc, j, direction = find_lambda(q.support, q, par1, par2, g)
                 if not np.isfinite(lam_inc) or lam_inc >= 1.0 - lam:
                     update_by_lambda(1.0 - lam, q, par1, par2, direction)
                     break
@@ -408,7 +436,7 @@ class TestRunLambdaLeg:
             p = random_spd_problem(rng, n, c_scale=2.0)
             g = 2.0 * rng.standard_normal(n)
             q, par1, par2 = fresh_state(p, g)
-            lam_inc, _, direction = find_lambda(q.support, q, par1, par2)
+            lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g)
             seg_end = min(lam_inc, 1.0)
             if seg_end <= 0:
                 continue

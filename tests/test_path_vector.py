@@ -98,10 +98,10 @@ class TestUpdateByUtilde:
         p = random_spd_problem(rng, 5)
         l = rng.standard_normal(5)
         q, par1, par3 = fresh_state(p, l)
-        M0, xi0 = par1.M.copy(), par3.xi.copy()
+        M0, xi0 = par1.M.copy(), par3.eta.copy()
         update_by_utilde_lambda(0.3, q, find_utilde_lambda(q.support, q, par1, par3)[2])
         np.testing.assert_array_equal(par1.M, M0)
-        np.testing.assert_array_equal(par3.xi, xi0)
+        np.testing.assert_array_equal(par3.eta, xi0)
 
 
 class TestExpandShrinkUtilde:
@@ -113,8 +113,8 @@ class TestExpandShrinkUtilde:
         new = expand_support_utilde(support, 1, p.A, par1, par3)
         assert new.as_tuple() == (0, 1)
         np.testing.assert_allclose(par1.M, np.eye(2), atol=1e-14)
-        assert np.all(par3.xi == 0.0)
-        assert par3.D_l == 0.0
+        assert np.all(par3.eta == 0.0)
+        assert par3.D_g == 0.0
 
     def test_expand_unit_drift_worked_example(self):
         p = Problem(np.eye(2), np.zeros(2))
@@ -122,14 +122,14 @@ class TestExpandShrinkUtilde:
         par1 = init_par1(p, support)
         l = np.array([0.0, 1.0])
         par3 = direct_update_par3(support, par1, l)
-        assert par3.xi[1] == pytest.approx(-1.0)
+        assert par3.eta[1] == pytest.approx(-1.0)
         new = expand_support_utilde(support, 1, p.A, par1, par3)
-        assert par3.xi[1] == pytest.approx(-1.0, abs=1e-14)
-        assert par3.D_l == pytest.approx(-1.0, abs=1e-14)
+        assert par3.eta[1] == pytest.approx(-1.0, abs=1e-14)
+        assert par3.D_g == pytest.approx(-1.0, abs=1e-14)
         fresh1 = par1_from_matrix(p.A[new.idx], new)
         fresh3 = direct_update_par3(new, fresh1, l)
-        np.testing.assert_allclose(par3.xi, fresh3.xi, atol=1e-14)
-        assert par3.D_l == pytest.approx(fresh3.D_l, abs=1e-14)
+        np.testing.assert_allclose(par3.eta, fresh3.eta, atol=1e-14)
+        assert par3.D_g == pytest.approx(fresh3.D_g, abs=1e-14)
 
     def test_shrink_zero_drift_matches_matrix_leg(self):
         from hones.path_matrix import shrink_support_lambda
@@ -146,7 +146,7 @@ class TestExpandShrinkUtilde:
         np.testing.assert_array_equal(par1a.M, par1b.M)
         np.testing.assert_array_equal(par1a.eta_tilde, par1b.eta_tilde)
         assert par1a.D == par1b.D
-        assert np.all(par3.xi == 0.0) and par3.D_l == 0.0
+        assert np.all(par3.eta == 0.0) and par3.D_g == 0.0
 
     def test_expand_then_shrink_round_trip(self):
         rng = np.random.default_rng(11)
@@ -159,15 +159,15 @@ class TestExpandShrinkUtilde:
             l = rng.standard_normal(n)
             par3 = direct_update_par3(support, par1, l)
             M0, teta0, D0 = par1.M.copy(), par1.eta_tilde.copy(), par1.D
-            xi0, dl0 = par3.xi.copy(), par3.D_l
+            xi0, dl0 = par3.eta.copy(), par3.D_g
             j = int(rng.choice(support.complement()))
             mid = expand_support_utilde(support, j, p.A, par1, par3)
             shrink_support_utilde(mid, j, par1, par3)
             np.testing.assert_allclose(par1.M, M0, atol=1e-12)
             np.testing.assert_allclose(par1.eta_tilde, teta0, atol=1e-12)
             assert par1.D == pytest.approx(D0, abs=1e-12)
-            np.testing.assert_allclose(par3.xi, xi0, atol=1e-12)
-            assert par3.D_l == pytest.approx(dl0, abs=1e-12)
+            np.testing.assert_allclose(par3.eta, xi0, atol=1e-12)
+            assert par3.D_g == pytest.approx(dl0, abs=1e-12)
 
     def test_seeded_updates_validate(self):
         rng = np.random.default_rng(19)
@@ -185,11 +185,11 @@ class TestExpandShrinkUtilde:
             if support.size > 1:
                 support = shrink_support_utilde(support, j_out, par1, par3)
             kappa = condition_proxy(p.A, support, par1)
-            assert validate_state(p, support, par1, par3=par3) <= 1e-10 * max(1.0, kappa)
+            assert validate_state(p, support, par1, par3, -l) <= 1e-10 * max(1.0, kappa)
 
     def test_wrong_index_refused_before_any_work(self):
         # An expand with a member and a shrink with a non-member raise
-        # ValueError and leave the support, Par1 and Par3 as they were.
+        # ValueError and leave the support, Par1 and the leg cache as they were.
         p = random_spd_problem(np.random.default_rng(17), 5)
         support = Support(5, [1, 3, 4])
         par1 = init_par1(p, support)
@@ -214,12 +214,12 @@ class TestRunUtildeLeg:
         np.testing.assert_allclose(q.x, x0, atol=1e-14)
 
     def test_zero_drift_skips_the_leg(self, monkeypatch):
-        # A drift of exact zeros, of either sign, returns at once: no Par3,
+        # A drift of exact zeros, of either sign, returns at once: no cache,
         # no ratio test, no advance, and every bit of the state as it was.
         from hones import path_vector
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a zero drift derived Par3")
+            raise AssertionError("a zero drift derived a cache")
 
         rng = np.random.default_rng(4)
         p = random_spd_problem(rng, 6, c_scale=2.0)
@@ -324,10 +324,10 @@ class TestRunUtildeLeg:
 
 
 def certified_find(support, v, d, exclude=None):
-    """find_utilde_lambda on stub caches whose velocity is `d`, bit for bit: q = 0, so it is xi - 0 * 0."""
+    """find_utilde_lambda on stub caches whose velocity is `d`, bit for bit: q = 0, so it is eta - 0 * 0."""
     quadruple = SimpleNamespace(v=v)
     par1 = SimpleNamespace(D=1.0, eta_tilde=np.zeros(v.size))
-    par3 = SimpleNamespace(D_l=0.0, xi=d)
+    par3 = SimpleNamespace(D_g=0.0, eta=d)
     return find_utilde_lambda(support, quadruple, par1, par3, exclude=exclude)
 
 

@@ -66,7 +66,7 @@ class TestDirectUpdates:
         s = Support(2, range(2))
         par2 = direct_update_par2(s, init_par1(p, s), np.zeros(2))
         assert np.all(par2.eta == 0.0)
-        assert par2.D_g == par2.D_gg == 0.0
+        assert par2.D_g == 0.0
 
     def test_par2_identity(self):
         rng = np.random.default_rng(1)
@@ -77,7 +77,7 @@ class TestDirectUpdates:
         par2 = direct_update_par2(s, init_par1(p, s), g)
         np.testing.assert_allclose(par2.eta, g, atol=1e-14)
         assert par2.D_g == pytest.approx(g.sum(), abs=1e-12)
-        assert par2.D_gg == pytest.approx(g @ g, abs=1e-12)
+        assert par2.eta @ g == pytest.approx(g @ g, abs=1e-12)  # D_gg as find_lambda reads it
 
     def test_par2_worked_example(self):
         p = Problem(np.diag([2.0, 1.0]), np.array([1.0, 0.0]))
@@ -85,14 +85,14 @@ class TestDirectUpdates:
         par2 = direct_update_par2(s, init_par1(p, s), np.ones(2))
         np.testing.assert_allclose(par2.eta, [0.5, 1.0], atol=1e-14)
         assert par2.D_g == pytest.approx(1.5, abs=1e-14)
-        assert par2.D_gg == pytest.approx(1.5, abs=1e-14)
+        assert par2.eta @ np.ones(2) == pytest.approx(1.5, abs=1e-14)  # D_gg as find_lambda reads it
 
     def test_par3_zero_drift(self):
         p = Problem(np.eye(3), np.zeros(3))
         s = Support(3, range(3))
         par3 = direct_update_par3(s, init_par1(p, s), np.zeros(3))
-        assert np.all(par3.xi == 0.0)
-        assert par3.D_l == 0.0
+        assert np.all(par3.eta == 0.0)
+        assert par3.D_g == 0.0
 
     def test_par3_identity(self):
         rng = np.random.default_rng(4)
@@ -101,15 +101,15 @@ class TestDirectUpdates:
         s = Support(n, range(n))
         l = rng.standard_normal(n)
         par3 = direct_update_par3(s, init_par1(p, s), l)
-        np.testing.assert_allclose(par3.xi, -l, atol=1e-14)
-        assert par3.D_l == pytest.approx(-l.sum(), abs=1e-12)
+        np.testing.assert_allclose(par3.eta, -l, atol=1e-14)
+        assert par3.D_g == pytest.approx(-l.sum(), abs=1e-12)
 
     def test_par3_worked_example(self):
         p = Problem(np.diag([2.0, 1.0]), np.zeros(2))
         s = Support(2, range(2))
         par3 = direct_update_par3(s, init_par1(p, s), np.array([2.0, 0.0]))
-        np.testing.assert_allclose(par3.xi, [-1.0, 0.0], atol=1e-14)
-        assert par3.D_l == pytest.approx(-1.0, abs=1e-14)
+        np.testing.assert_allclose(par3.eta, [-1.0, 0.0], atol=1e-14)
+        assert par3.D_g == pytest.approx(-1.0, abs=1e-14)
 
     def test_off_support_blocks(self):
         rng = np.random.default_rng(8)
@@ -126,9 +126,9 @@ class TestDirectUpdates:
         np.testing.assert_allclose(
             par2.eta[comp], g[comp] - p.A[np.ix_(comp, idx)] @ inv @ g[idx], atol=1e-12
         )
-        np.testing.assert_allclose(par3.xi[idx], -inv @ l[idx], atol=1e-12)
+        np.testing.assert_allclose(par3.eta[idx], -inv @ l[idx], atol=1e-12)
         np.testing.assert_allclose(
-            par3.xi[comp], -l[comp] + p.A[np.ix_(comp, idx)] @ inv @ l[idx], atol=1e-12
+            par3.eta[comp], -l[comp] + p.A[np.ix_(comp, idx)] @ inv @ l[idx], atol=1e-12
         )
 
 
@@ -165,9 +165,12 @@ class TestValidateState:
         p = random_spd_problem(rng, 8)
         support = Support(8, [0, 3, 4, 7])
         par1 = init_par1(p, support)
-        par2 = direct_update_par2(support, par1, rng.standard_normal(8))
-        par3 = direct_update_par3(support, par1, rng.standard_normal(8))
-        assert validate_state(p, support, par1, par2, par3) <= 1e-12
+        g, l = rng.standard_normal(8), rng.standard_normal(8)
+        par2 = direct_update_par2(support, par1, g)
+        par3 = direct_update_par3(support, par1, l)
+        # Either leg's cache is a Par2, checked against its vector u.
+        assert validate_state(p, support, par1, par2, g) <= 1e-12
+        assert validate_state(p, support, par1, par3, -l) <= 1e-12
 
     def test_corruption_detected(self):
         p = Problem(np.eye(3), np.zeros(3))

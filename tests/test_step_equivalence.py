@@ -15,7 +15,8 @@ import pytest
 from hones import counters as cnt
 from hones import driver
 from hones.kkt import ZETA_SCALE, Diagonal, Problem, Quadruple, Support, kkt_residual
-from hones.path_matrix import DBL_MAX, _first_zero, _tiny
+from hones.path_matrix import DBL_MAX, _first_zero, _tiny, find_lambda
+from hones.path_vector import find_utilde_lambda
 from hones.state import Par1, direct_update_par2, direct_update_par3, outer, par1_from_matrix
 
 from test_kkt import random_spd_problem
@@ -127,10 +128,14 @@ def ref_direct_update_par2(support, par1, g, counter=None):
     off = ~support.mask
     eta[off] += g[off]
     d_g = float(np.sum(eta[idx]))
-    d_gg = float(eta[idx] @ gs)
     if counter is not None:
-        counter.total += support.n * idx.size + idx.size
-    return eta, d_g, d_gg
+        counter.total += support.n * idx.size
+    return eta, d_g
+
+
+def ref_d_gg(support, eta, g):
+    """D_gg = g_S'eta_S, as the cache derivation formed it when the cache kept it."""
+    return float(eta[support.idx] @ g[support.idx])
 
 
 def ref_direct_update_par3(support, par1, l, counter=None):
@@ -142,6 +147,11 @@ def ref_direct_update_par3(support, par1, l, counter=None):
     if counter is not None:
         counter.total += support.n * idx.size
     return xi, d_l
+
+
+def ref_utilde_direction(par1, xi, d_l):
+    q = d_l / par1.D
+    return q, xi - q * par1.eta_tilde
 
 
 def ref_with_added(support, j):
@@ -511,13 +521,21 @@ class TestDirectUpdates:
             l = rng.standard_normal(n)
             c_new, c_ref = cnt.MultCounter(), cnt.MultCounter()
             par2 = direct_update_par2(s, par1, g, c_new)
-            eta, d_g, d_gg = ref_direct_update_par2(s, par1, g, c_ref)
+            eta, d_g = ref_direct_update_par2(s, par1, g, c_ref)
             same_array(par2.eta, eta)
-            assert [bits(x) for x in (par2.D_g, par2.D_gg)] == [bits(x) for x in (d_g, d_gg)]
+            assert bits(par2.D_g) == bits(d_g)
+            # The matrix leg's ratio test reads D_gg off the cache with the
+            # derivation's former bits.
+            q = Quadruple(s, rng.standard_normal(n), 0.0)
+            assert bits(find_lambda(s, q, par1, par2, g)[2][2]) == bits(ref_d_gg(s, eta, g))
             par3 = direct_update_par3(s, par1, l, c_new)
             xi, d_l = ref_direct_update_par3(s, par1, l, c_ref)
-            same_array(par3.xi, xi)
-            assert bits(par3.D_l) == bits(d_l)
+            same_array(par3.eta, xi)
+            assert bits(par3.D_g) == bits(d_l)
+            got_q, got_d = find_utilde_lambda(s, q, par1, par3)[2]
+            want_q, want_d = ref_utilde_direction(par1, xi, d_l)
+            assert bits(got_q) == bits(want_q)
+            same_array(got_d, want_d)
             assert c_new.total == c_ref.total
 
 

@@ -29,7 +29,11 @@ computed in a fresh process per tree:
     the same session reads as "checkpoint bytes moved, restored state same".
 
 It prints one line per comparison; everything that moved is also printed as
-a GitHub Actions `::warning::` annotation.  The exit code is 0 whether or
+a GitHub Actions `::warning::` annotation.  A `repairs` line per workload and
+seed, and a total per workload over the seeds, give each tree's counts over
+the same two streams: refinements (`StepReport.refreshes` summed), rebuilds
+and steps whose residual is above the session's `tol`.  They move with the
+path's roundoff, so they are printed, not compared.  The exit code is 0 whether or
 not anything moved, so a CI step reports without gating; it is 2 when a
 child fails to run.
 """
@@ -50,6 +54,9 @@ WORKLOADS = ("synthetic-n1000", "ons-n100", "markowitz-n200")
 # StepReport fields left out of the report digest: the two timings, and the
 # tally, which is compared on its own line.
 UNHASHED = ("wall_ns", "a_update_ns", "mult_count")
+
+# The counts of the `repairs` line, summed over a seed's two streams.
+REPAIRS = ("refinements", "rebuilds", "over_tol")
 
 
 def run_child(cmd):
@@ -107,6 +114,7 @@ def report_digest(root, workload, seed):
     streams.driver.step = recorded
     h_rep, h_mult, h_ev, h_save, h_load = (hashlib.sha256() for _ in range(5))
     mult_total = event_total = 0
+    repairs = dict.fromkeys(REPAIRS, 0)
     with tempfile.TemporaryDirectory() as tmp:
         for s in streams.stream_seeds(seed, 2):
             reports.clear()
@@ -119,6 +127,9 @@ def report_digest(root, workload, seed):
             events = [[(ev.leg, ev.index, ev.kind, ev.support_size) for ev in r.events] for r in reports]
             _feed(h_ev, events)
             event_total += sum(map(len, events))
+            repairs["refinements"] += sum(r.refreshes for r in reports)
+            repairs["rebuilds"] += sum(r.rebuilds for r in reports)
+            repairs["over_tol"] += sum(r.kkt_residual > ses.config.tol for r in reports)
             path = Path(tmp) / "session.bin"
             ses.save(path)
             h_save.update(path.read_bytes())
@@ -135,6 +146,7 @@ def report_digest(root, workload, seed):
         "events": {"events": h_ev.hexdigest()[:16], "event_total": event_total},
         "checkpoint digest": {"checkpoint": h_save.hexdigest()[:16]},
         "restored state": {"restored": h_load.hexdigest()[:16]},
+        "repairs": repairs,
     }
 
 
@@ -153,6 +165,7 @@ def main(argv=None):
     names = ("fingerprint", "report digest", "mult_count sequence", "events", "checkpoint digest", "restored state")
     moved = dict.fromkeys(names, 0)
     for workload in WORKLOADS:
+        totals = [dict.fromkeys(REPAIRS, 0) for _ in range(2)]
         for seed in args.seeds:
             try:
                 fps = probe(args.base, workload, seed), probe(args.head, workload, seed)
@@ -161,6 +174,10 @@ def main(argv=None):
                 print(f"::error::{err}")
                 return 2
             where = f"{workload} seed {seed}"
+            repairs = [dig.pop("repairs") for dig in digs]
+            for total, counts in zip(totals, repairs):
+                for key in REPAIRS:
+                    total[key] += counts[key]
             pairs = {"fingerprint": fps, **{name: (digs[0][name], digs[1][name]) for name in digs[0]}}
             for name, (base, head) in pairs.items():
                 diff = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
@@ -168,6 +185,8 @@ def main(argv=None):
                     print(f"::warning::{where}: {name} {key} moved {base.get(key)} -> {head.get(key)}")
                 print(f"{'moved' if diff else 'same '} {where}: {name} {json.dumps(head, sort_keys=True)}")
                 moved[name] += bool(diff)
+            print(f"repairs {where}: base {json.dumps(repairs[0])} head {json.dumps(repairs[1])}")
+        print(f"repairs {workload} total: base {json.dumps(totals[0])} head {json.dumps(totals[1])}")
     total = len(WORKLOADS) * len(args.seeds)
     print(", ".join(f"{count} of {total} {name.removesuffix('s')}s moved" for name, count in moved.items()))
     return 0
