@@ -635,27 +635,18 @@ def step(session, g_t, c_t):
     c_new = c_new + c_shift
 
     # Each leg derives its own cache from Par1 and makes a row live through
-    # the store before it enters.  Its rebuild hook (passed by keyword, where
-    # a tracer can wrap it) refactorizes Par1 in place, so the leg's
-    # reference stays valid, and the leg then re-derives its cache.
+    # the store before it enters.  Both legs pivot the matrix the store
+    # holds: the matrix leg runs on the step's starting A and moves Par1 to
+    # A + g g' only at its end, after which the store takes the same update.
+    # So the rebuild hook (passed by keyword, where a tracer can wrap it)
+    # refactorizes Par1 in place from the stored support rows in either leg;
+    # the leg's reference stays valid, and the leg then re-derives its cache.
     events_a = run_lambda_leg(
-        A,
-        g,
-        q,
-        session.par1,
-        counter=counter,
-        ensure_column=A.touch,
-        rebuild=lambda lam: rebuild(session, A[q.support.idx] + lam * outer(g[q.support.idx], g)),
+        A, g, q, session.par1, counter=counter, ensure_column=A.touch, rebuild=lambda: rebuild(session)
     )
     A.add_outer(g, q.support.idx)
     events_c = run_utilde_leg(
-        A,
-        c_new - session.c,
-        q,
-        session.par1,
-        counter=counter,
-        ensure_column=A.touch,
-        rebuild=lambda _t: rebuild(session),
+        A, c_new - session.c, q, session.par1, counter=counter, ensure_column=A.touch, rebuild=lambda: rebuild(session)
     )
     session.c = c_new
     session.c_shift = c_shift
@@ -710,15 +701,14 @@ def step(session, g_t, c_t):
     return report
 
 
-def rebuild(session, rows=None):
-    """Refactorize Par1 in place from the support rows `rows` (default: the stored ones).
+def rebuild(session):
+    """Refactorize Par1 in place from the stored support rows.
 
-    The matrix leg passes the support rows of its parametrized A + lam g g'.
     The quadruple is untouched, and a leg re-derives its own cache after
     calling this.  Raises SingularSubmatrix if the live block cannot be
     factorized.
     """
-    fresh = par1_from_matrix(session.A[session.support.idx] if rows is None else rows, session.support)
+    fresh = par1_from_matrix(session.A[session.support.idx], session.support)
     session.rebuild_count += 1
     session.par1.refresh_from(fresh)
 
@@ -742,23 +732,36 @@ def run_sequence(session, flow, steps):
 def complexity_bound(n, report):
     """Per-step multiplication budget, term by term from the tallied operations.
 
-    With s = s_max, every tallied routine is bounded at size s:
-      fixed       3 n s + 9 n + 3 s + 14: both legs' cache products, the
-                  last ratio test and advance of each leg (the matrix leg's
-                  ratio test counting up to n near-zero checks and its
-                  D_gg read-off);
+    With s = s_max, every tallied routine is bounded at size s.  The matrix
+    leg's ratio test tallies its velocity and its two support products
+    (2 n + 2 s) plus up to n near-zero checks; its O(1) scalars (sigma, the
+    lam-current D, D_g and D_gg, and the map back to lam) are not tallied.
+    An interior advance moves only v and mu0 (n + 9), and the leg's last
+    advance adds the one rank-one that takes Par1 to A + g g'
+    (n s + s + n + 3).
+      fixed       3 n s + 9 n + 3 s + 14: both legs' cache products (2 n s),
+                  the matrix leg's last ratio test (3 n + 2 s) and last
+                  advance (n s + s + 2 n + 12), and the vector leg's
+                  velocity and advance (2 n + 1); they take
+                  3 n s + 7 n + 3 s + 13, which leaves 2 n + 1 to spare;
       per k_A     3 n s + 9 n + 4 s + 22: one more matrix ratio test and
-                  advance, plus an entry (which costs more than a leave);
-                  the ratio test and advance before an entry run on at most
-                  s - 1 indices, which leaves n - s + 8 to spare;
-      per k_c     2 n s + 3 n + 2 s + 8: the same for the vector leg;
+                  interior advance, plus an entry (which costs more than a
+                  leave), 2 n s' + 3 n + 2 s' + 9 on the support size s'
+                  it starts from, with no lam term; the three run on at
+                  most s - 1 indices, so they take 2 n s + 5 n + 4 s + 14,
+                  which leaves n s + 4 n + 8 to spare;
+      per k_c     2 n s + 3 n + 2 s + 8: the same for the vector leg, whose
+                  velocity (n) and advance (n + 1) it counts in full;
       per refresh n s + n: one refinement of (v, mu0), its M product and
                   eta_tilde term (its residual's A product, like the
                   residual's own, is not tallied).
-    Rebuilds factorize outside the tally.  An in-leg retry after a rebuild
-    repeats one ratio test and advance, which this budget does not cover.
-    A step whose gauged drift is exactly zero (every markowitz step) skips
-    the vector leg and so spends none of its cache product, velocity and
+    The budget is the one that held when every advance also moved Par1
+    and the cache (n s + s + 4 n + 10) and an entry carried the lam term
+    (n more); the spare is what the lam = 0 frame saves.  Rebuilds
+    factorize outside the tally.  An in-leg retry after a rebuild repeats
+    one ratio test and advance, which this budget does not cover.  A step
+    whose gauged drift is exactly zero (every markowitz step) skips the
+    vector leg and so spends none of its cache product, velocity and
     advance (n s + 2 n + 1); the fixed term still counts them.
     """
     s = report.s_max

@@ -7,13 +7,23 @@ coordinate of v = (x_S, -mu_{S^c}) hits zero and the support gains or loses
 exactly that index.  All updates are rank-one corrections of the cached state,
 never a fresh factorization.
 
+The leg runs on the step's starting matrix A (the lam = 0 frame): Par1 and
+the leg cache hold A's factorization on the current support for the whole
+leg, and a turning point pivots that frozen factorization, as the vector
+leg's do.  On a fixed support Sherman-Morrison gives the state of A + lam g g'
+from it in O(1) scalars (find_lambda), so a turning point costs one n x |S|
+pass over M, the pivot's, and one rank-one at the leg's end takes Par1 to
+A + g g'.  That frame is also the one the online active set of Ferreau,
+Bock and Diehl (IJRNC 18(8), 2008) keeps.
+
 The step functions hand each other plain values: find_lambda returns
-(lam increment, index, direction), and the direction (w1, dvec, D_gg) goes on
-to update_by_lambda, which moves the state to that turning point.
-w1 = g_S'x_S is read off the iterate and D_gg = g_S'eta_S off the leg cache,
-so the leg never reads the linear term c, and its cache is the one the
-vector leg carries.  _run_leg, the event loop both legs share, then toggles
-the index through expand_support_lambda or shrink_support_lambda.
+(lam increment, index, direction), and the direction goes on to
+update_by_lambda, which moves v and mu0 to that turning point, and on the
+leg's last advance Par1 to A + g g'.  w1 = g_S'x_S is read off the iterate
+and D_gg = g_S'eta_S off the leg cache, so the leg never reads the linear
+term c, and its cache is the one the vector leg carries.  _run_leg, the
+event loop both legs share, then toggles the index through
+expand_support_lambda or shrink_support_lambda.
 """
 
 from dataclasses import dataclass
@@ -109,95 +119,109 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
     return -a / w1, j
 
 
-def find_lambda(support, quadruple, par1, par2, g, exclude=None, counter=None):
-    """Locate the next turning point of the matrix leg: (lam increment, index, direction).
+def find_lambda(support, quadruple, par1, par2, g, lam, exclude=None, counter=None):
+    """Locate the next turning point of the matrix leg at parameter lam: (lam increment, index, direction).
 
-    v as a function of lam is v + atil(lam) * w1 * dvec where atil is a
-    monotone reparametrization of lam, so the ratio test runs in atil; its
-    result is mapped back to a lam increment, or infinity (index None) when
-    no coordinate ever hits zero on the forward path (equivalently when the
-    minimizing ratio fails alpha * D_gg < 1).  The direction (w1, dvec, D_gg)
-    is what update_by_lambda needs at this state: w1 = g_S'x_S, read off the
-    iterate (on the support x_S = mu0 M_SS 1 + M_SS c_S, so it equals
-    D_g mu0 + g_S'M_SS c_S), dvec = D_g eta_tilde - D eta, and
-    D_gg = g_S'eta_S, read off the leg cache (it equals g_S'M_SS g_S).
+    Par1 and the cache hold the step's starting matrix A on the current
+    support (the lam = 0 frame): M-hat, eta_tilde-hat, D-hat, eta-hat and
+    D_g-hat.  On that support Sherman-Morrison gives the state of A + lam g g'
+    through sigma = 1 / (1 + lam D_gg-hat), with D_gg-hat = g_S'eta_S read off
+    the cache (it equals g_S'M_SS g_S): D_g = sigma D_g-hat,
+    D_gg = sigma D_gg-hat, D = D-hat - lam sigma D_g-hat^2, and the
+    lam-current velocity is sigma (D_g-hat eta_tilde-hat - D-hat eta-hat).
+    v as a function of the increment is v + atil * w1 * dvec, where atil is a
+    monotone reparametrization of it, dvec is the bracket and sigma rides on
+    w1 = g_S'x_S, read off the iterate, so no pass over n is added; the ratio
+    test runs in atil and its result is mapped back to a lam increment, or
+    infinity (index None) when no coordinate ever hits zero on the forward
+    path (equivalently when the minimizing ratio fails alpha * D_gg < 1).
+    The direction (sigma w1, dvec, D, D_g, D_gg, D_gg-hat), its scalars at
+    lam but D_gg-hat, is what update_by_lambda needs.  At lam = 0, sigma is
+    exactly 1 and every value has the bits of a leg run on the current
+    matrix.
     """
     idx = support.idx
-    d = par1.D
     d_g = par2.D_g
     gs = g[idx]
-    w1 = float(gs @ quadruple.v[idx])
     d_gg = float(par2.eta[idx] @ gs)
-    dvec = d_g * par1.eta_tilde - d * par2.eta
+    sigma = 1.0 / (1.0 + lam * d_gg)
+    w1 = sigma * float(gs @ quadruple.v[idx])
+    dvec = d_g * par1.eta_tilde - par1.D * par2.eta
+    d_g_lam = sigma * d_g
+    d_lam = par1.D - lam * d_g * d_g_lam
+    d_gg_lam = sigma * d_gg
+    direction = (w1, dvec, d_lam, d_g_lam, d_gg_lam, d_gg)
     if counter is not None:
         counter.total += 2 * support.n + 2 * idx.size
 
     atil, j = _first_zero(support, quadruple.v, dvec, w1, exclude, counter)
     if j is None:
-        return np.inf, None, (w1, dvec, d_gg)
-    alpha = atil * d / (1.0 + atil * d_g * d_g)
-    if alpha * d_gg >= 1.0:
-        return np.inf, None, (w1, dvec, d_gg)
-    lam_inc = alpha / (1.0 - alpha * d_gg)
+        return np.inf, None, direction
+    alpha = atil * d_lam / (1.0 + atil * d_g_lam * d_g_lam)
+    if alpha * d_gg_lam >= 1.0:
+        return np.inf, None, direction
+    lam_inc = alpha / (1.0 - alpha * d_gg_lam)
     if lam_inc < 0.0:
         lam_inc = 0.0
-    return lam_inc, j, (w1, dvec, d_gg)
+    return lam_inc, j, direction
 
 
-def update_by_lambda(lam_inc, quadruple, par1, par2, direction, counter=None):
-    """Advance the quadruple and both caches by a lam increment.
+def update_by_lambda(lam_inc, quadruple, par1, par2, direction, end, counter=None):
+    """Advance v and mu0 by a lam increment; at the leg's end, also move Par1 to A + g g'.
 
     `lam_inc` is finite and nonnegative: _run_leg advances by find_lambda's
-    increment only while it is below 1 - lam, and by 1 - lam otherwise.
-    `direction` is the (w1, dvec, D_gg) that find_lambda returned at this
-    state.
-    Every right-hand side uses the values from before the call; the scalars
-    are rescaled last for that reason.  Raises DegenerateDenominator when the
-    update denominators lose positivity, which signals a rebuild.
+    increment only while it is below 1 - lam, and by 1 - lam otherwise,
+    with `end` set.  `direction` is what find_lambda returned at this state.
+    Between turning points Par1 and the cache stay in the lam = 0 frame, so
+    only v and mu0 move.  At the end one rank-one takes Par1 to lam = 1:
+    with c = 1 / (1 + D_gg-hat), M -= c eta eta_S', eta_tilde -= c D_g eta
+    and D -= c D_g^2, in the cache's hatted values; the cache, which the leg
+    drops, stays as it was.  Raises DegenerateDenominator, before anything
+    moves, when the update denominators lose positivity, which signals a
+    rebuild.
     """
     support = quadruple.support
-    d = par1.D
-    d_g = par2.D_g
-    w1, dvec, d_gg = direction
+    w1, dvec, d, d_g, d_gg, d_gg0 = direction
     denom0 = 1.0 + lam_inc * d_gg
     if denom0 <= _tiny(1.0):
         raise DegenerateDenominator(f"1 + lam D_gg = {denom0}")
-    alpha0 = 1.0 / denom0
-    alpha = lam_inc * alpha0
+    alpha = lam_inc * (1.0 / denom0)
     denom = d - alpha * d_g * d_g
     if denom <= _tiny(d):
         raise DegenerateDenominator(f"D - alpha D_g^2 = {denom}")
     atil = alpha / denom
 
     quadruple.v += (atil * w1) * dvec
-    quadruple.mu0 += atil * d_g * w1
-
-    eta = par2.eta
-    par1.rank1(eta, (-alpha) * eta[support.idx])
-    par1.eta_tilde -= (alpha * d_g) * eta
-    par1.D = denom
-    par2.eta = alpha0 * eta
-    par2.D_g = alpha0 * d_g
-    n, s = support.n, support.size
+    quadruple.mu0 += atil * par2.D_g * w1
+    n = support.n
     if counter is not None:
-        counter.total += (n * s + s) + 3 * n + n + 10
+        counter.total += n + 9
+    if end:
+        eta, eta_d_g = par2.eta, par2.D_g
+        c = 1.0 / (1.0 + d_gg0)
+        c_d_g = c * eta_d_g
+        par1.rank1(eta, (-c) * eta[support.idx])
+        par1.eta_tilde -= c_d_g * eta
+        par1.D -= c_d_g * eta_d_g
+        if counter is not None:
+            counter.total += (n * support.size + support.size) + n + 3
 
 
-def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None):
+def _expand_geometry(support, j, A, par1, counter=None):
     """Pivot, full-length gamma vector and new support for adding index j.
 
     `Support.with_added` refuses a j already in the support before any
     work.  Only the j-th row of A plus the already-live support rows are
-    read, each once (A is symmetric, so row j stands for column j).  The
-    optional lam * eta_j correction folds in the rank-one term when the
-    matrix is still parametrized by lam.
+    read, each once (A is symmetric, so row j stands for column j).  Both
+    legs pivot the matrix Par1 holds, which is the stored A during either
+    leg, so no rank-one term enters.
     """
     new_support = support.with_added(j)
     idx = support.idx
     mj_s = par1.M[j, :]
     aj = A[j]
     a_jj = float(aj[j])
-    ajj = a_jj + float(mj_s @ aj[idx]) + lam_eta_g * (float(gvec[j]) if gvec is not None else 0.0)
+    ajj = a_jj + float(mj_s @ aj[idx])
     if counter is not None:
         counter.total += idx.size + 2
     if ajj <= _tiny(a_jj):
@@ -206,10 +230,6 @@ def _expand_geometry(support, j, A, par1, lam_eta_g=0.0, gvec=None, counter=None
     gamma = -(aj + w)
     if counter is not None:
         counter.total += support.n * idx.size
-    if gvec is not None and lam_eta_g != 0.0:
-        gamma -= lam_eta_g * gvec
-        if counter is not None:
-            counter.total += support.n
     gamma[idx] = mj_s
     gamma[j] = 1.0
     return ajj, gamma, new_support
@@ -253,20 +273,19 @@ def _pivot(support, new_support, j, vec, inv, par1, cache, counter):
         counter.total += s1 + n * s1 + 2 * n + 6
 
 
-def expand_support_lambda(lam, support, j, A, g, par1, par2, counter=None):
-    """Add index j to the support at parameter lam; updates Par1 and Par2.
+def expand_support_lambda(support, j, A, par1, par2, counter=None):
+    """Add index j to the support; updates Par1 and Par2 in the lam = 0 frame.
 
-    Requires the j-th row of A to be current.  Returns the new support.
+    A is the step's starting matrix, whose j-th row must be current.
+    Returns the new support.
     """
-    ajj, gamma, new_support = _expand_geometry(
-        support, j, A, par1, lam_eta_g=lam * float(par2.eta[j]), gvec=g, counter=counter
-    )
+    ajj, gamma, new_support = _expand_geometry(support, j, A, par1, counter=counter)
     _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, counter)
     return new_support
 
 
 def shrink_support_lambda(support, j, par1, par2, counter=None):
-    """Remove index j from the support; updates Par1 and Par2."""
+    """Remove index j from the support; updates Par1 and Par2 in the lam = 0 frame."""
     mjj, beta, new_support = _shrink_geometry(support, j, par1)
     _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par2, counter)
     return new_support
@@ -277,11 +296,15 @@ def run_lambda_leg(A, g, quadruple, par1, counter=None, ensure_column=None, rebu
 
     Derives the leg's own Par2 from Par1 for direction g, mutates the
     quadruple and Par1 in place and returns the list of turning points.
-    `ensure_column(j)` is called before any expand so a lazily kept A can
-    make the needed row live.  On a degeneracy, `rebuild(lam)` is called once
-    to refactorize Par1 in place from the support rows of A + lam g g'; the
-    leg then re-derives Par2 from it and retries, and a second degeneracy
-    propagates.
+    A is the step's starting matrix and stays so for the whole leg: Par1 and
+    the cache hold its factorization on the current support, every toggle
+    pivots it as in the vector leg, and the final advance moves Par1 to
+    A + g g' with one rank-one.  So a leg that raises leaves Par1 consistent
+    with A.  `ensure_column(j)` is called before any expand so a lazily kept
+    A can make the needed row live.  On a degeneracy, `rebuild()` is called
+    once to refactorize Par1 in place from the support rows of A; the leg
+    then re-derives Par2 from it and retries at the same lam, and a second
+    degeneracy propagates.
 
     Raises CycleLimit when the number of events exceeds CYCLE_CAP_PER_INDEX * n.
     """
@@ -289,14 +312,14 @@ def run_lambda_leg(A, g, quadruple, par1, counter=None, ensure_column=None, rebu
         "matrix",
         quadruple,
         derive=lambda tally: direct_update_par2(quadruple.support, par1, g, tally),
-        find=lambda par2, exclude: find_lambda(
-            quadruple.support, quadruple, par1, par2, g, exclude=exclude, counter=counter
+        find=lambda par2, lam, exclude: find_lambda(
+            quadruple.support, quadruple, par1, par2, g, lam, exclude=exclude, counter=counter
         ),
-        advance=lambda par2, inc, direction: update_by_lambda(
-            inc, quadruple, par1, par2, direction, counter=counter
+        advance=lambda par2, inc, direction, end: update_by_lambda(
+            inc, quadruple, par1, par2, direction, end, counter=counter
         ),
         shrink=lambda par2, j: shrink_support_lambda(quadruple.support, j, par1, par2, counter=counter),
-        expand=lambda par2, lam, j: expand_support_lambda(lam, quadruple.support, j, A, g, par1, par2, counter=counter),
+        expand=lambda par2, j: expand_support_lambda(quadruple.support, j, A, par1, par2, counter=counter),
         counter=counter,
         ensure_column=ensure_column,
         rebuild=rebuild,
@@ -309,16 +332,17 @@ def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ens
     The leg parameter runs from 0 to 1.  `derive(counter)` returns the leg's
     cache, a Par2, from the current Par1; it is tallied when the leg
     starts and untallied after a rebuild.  Every other callback takes that
-    cache first: `find(cache, exclude)` returns the next turning point as
-    (increment, index, direction), `advance(cache, inc, direction)` moves the
-    state by a parameter increment along that direction, and
-    `shrink(cache, j)` / `expand(cache, lam, j)` toggle index j and return the
-    new support.  The index that just toggled is passed back as `exclude`,
-    which the ratio test never returns, so no index can re-trigger at once;
-    more than CYCLE_CAP_PER_INDEX * n turning points raise CycleLimit.  The
-    leg wrappers pass closures that look their step functions up by module
-    global at call time, so a rebinding of those names (for instance by a
-    tracer) takes effect here.
+    cache first: `find(cache, lam, exclude)` returns the next turning point
+    from parameter lam as (increment, index, direction),
+    `advance(cache, inc, direction, end)` moves the state by a parameter
+    increment along that direction, with `end` set on the leg's last
+    advance, and `shrink(cache, j)` / `expand(cache, j)` toggle index j and
+    return the new support.  The index that just toggled is passed back as
+    `exclude`, which the ratio test never returns, so no index can
+    re-trigger at once; more than CYCLE_CAP_PER_INDEX * n turning points
+    raise CycleLimit.  The leg wrappers pass closures that look their step
+    functions up by module global at call time, so a rebinding of those
+    names (for instance by a tracer) takes effect here.
     """
     cap = CYCLE_CAP_PER_INDEX * quadruple.support.n
     cache = derive(counter)
@@ -328,11 +352,11 @@ def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ens
     rebuilt = False
     while True:
         try:
-            inc, j, direction = find(cache, exclude)
+            inc, j, direction = find(cache, lam, exclude)
             if not inc < 1.0 - lam:
-                advance(cache, 1.0 - lam, direction)
+                advance(cache, 1.0 - lam, direction, True)
                 return events
-            advance(cache, inc, direction)
+            advance(cache, inc, direction, False)
             lam += inc
             if quadruple.support.mask[j]:
                 new_support = shrink(cache, j)
@@ -340,7 +364,7 @@ def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ens
             else:
                 if ensure_column is not None:
                     ensure_column(j)
-                new_support = expand(cache, lam, j)
+                new_support = expand(cache, j)
                 kind = "enter"
             quadruple.support = new_support
             quadruple.v[j] = 0.0
@@ -352,6 +376,6 @@ def _run_leg(leg, quadruple, derive, find, advance, shrink, expand, counter, ens
             if rebuilt or rebuild is None:
                 raise
             rebuilt = True
-            rebuild(lam)
+            rebuild()
             cache = derive(None)
             exclude = None

@@ -85,8 +85,7 @@ def update_by_utilde_lambda(lam_inc, quadruple, direction, counter=None):
 def expand_support_utilde(support, j, A, par1, par2, counter=None):
     """Add index j during the vector leg; updates Par1 and the leg's Par2.
 
-    The matrix is frozen here, so the pivot carries no lam correction; A must
-    already include the step's rank-one update in row j.
+    A must already include the step's rank-one update in row j.
     """
     ajj, gamma, new_support = _expand_geometry(support, j, A, par1, counter=counter)
     _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, counter)
@@ -103,10 +102,10 @@ def shrink_support_utilde(support, j, par1, par2, counter=None):
 def run_utilde_leg(A, l, quadruple, par1, counter=None, ensure_column=None, rebuild=None):
     """Drive the vector leg from t = 0 to t = 1.
 
-    Mirror image of run_lambda_leg with the matrix frozen: derives the leg's
+    Mirror image of run_lambda_leg for the linear term: derives the leg's
     own Par2 from Par1 for drift l, mutates the quadruple and Par1 in place,
     returns the turning points, and enforces the same event cap.  On a
-    degeneracy, `rebuild(t)` is called once to refactorize Par1 in place from
+    degeneracy, `rebuild()` is called once to refactorize Par1 in place from
     the support rows of A; the leg then re-derives its Par2 and retries.
 
     An all-zero drift (every markowitz step) returns no turning points at
@@ -123,12 +122,12 @@ def run_utilde_leg(A, l, quadruple, par1, counter=None, ensure_column=None, rebu
         "vector",
         quadruple,
         derive=lambda tally: direct_update_par3(quadruple.support, par1, l, tally),
-        find=lambda par2, exclude: find_utilde_lambda(
+        find=lambda par2, _t, exclude: find_utilde_lambda(
             quadruple.support, quadruple, par1, par2, exclude=exclude, counter=counter
         ),
-        advance=lambda _par2, inc, direction: update_by_utilde_lambda(inc, quadruple, direction, counter=counter),
+        advance=lambda _par2, inc, direction, _end: update_by_utilde_lambda(inc, quadruple, direction, counter=counter),
         shrink=lambda par2, j: shrink_support_utilde(quadruple.support, j, par1, par2, counter=counter),
-        expand=lambda par2, _t, j: expand_support_utilde(quadruple.support, j, A, par1, par2, counter=counter),
+        expand=lambda par2, j: expand_support_utilde(quadruple.support, j, A, par1, par2, counter=counter),
         counter=counter,
         ensure_column=ensure_column,
         rebuild=rebuild,

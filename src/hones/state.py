@@ -21,6 +21,14 @@ from scratch by factorization (init_par1); the path modules keep the same
 objects current with rank-one corrections, and validate_state measures how far
 they have drifted.  At a turning point path_matrix._pivot applies the block
 pivot to Par1 and hands the same pivot vector to Par2.pivot, in either leg.
+
+During either leg Par1 and the cache describe the matrix the store holds,
+on the current support.  In the vector leg that is A + g g'.  In the matrix
+leg it is the step's starting A (the lam = 0 frame): the leg reads the state
+of A + lam g g' off them through O(1) Sherman-Morrison scalars, and its last
+advance moves Par1 to A + g g' with one rank-one, after which the store
+takes the same update.  So between steps, and after an error raised inside
+a leg, Par1 factorizes the stored rows up to the path's roundoff.
 """
 
 from dataclasses import dataclass

@@ -240,7 +240,7 @@ def test_criterion_8_state_consistency():
         d_gg = par2.eta[support.idx] @ g[support.idx]
         before = (par1.M.copy(), par1.eta_tilde.copy(), par1.D, par2.eta.copy(), par2.D_g, d_gg)
         j = int(rng.choice(support.complement()))
-        mid = expand_support_lambda(0.0, support, j, problem.A, g, par1, par2)
+        mid = expand_support_lambda(support, j, problem.A, par1, par2)
         shrink_support_lambda(mid, j, par1, par2)
         worst_rt = max(
             worst_rt,

@@ -865,6 +865,19 @@ class TestFaultInjection:
         with pytest.raises(CycleLimit):
             run_sequence(ses, flow, 50)
 
+    def test_error_mid_matrix_leg_leaves_par1_on_the_stored_rows(self, monkeypatch):
+        # The matrix leg pivots the factorization of the stored A and moves
+        # Par1 to A + g g' only at its end, as the store's own update comes
+        # after the leg.  So a HonesError raised inside the leg leaves Par1
+        # the factorization of the stored rows on the current support.
+        monkeypatch.setattr(path_matrix, "CYCLE_CAP_PER_INDEX", 0)
+        flow = synthetic_flow(FlowConfig("synthetic", 40, 60, seed=3))
+        ses = init_session(flow.a0, flow.c0)
+        with pytest.raises(CycleLimit, match="matrix leg"):
+            for g, c in flow:
+                step(ses, g, c)
+        assert ses.validate() <= 1e-10
+
 
 class TestCheckpoint:
     def test_round_trip_continues_identically(self, tmp_path):

@@ -32,6 +32,28 @@ def fresh_state(problem, g):
     return q, par1, par2
 
 
+def at_lam(A, g, support, lam):
+    """A fresh Par1 and matrix-leg cache of A + lam g g' on `support`: what the lam-current scalars must equal."""
+    A_lam = A + lam * np.outer(g, g)
+    par1 = par1_from_matrix(A_lam[support.idx], support)
+    return par1, direct_update_par2(support, par1, g)
+
+
+def assert_frozen(A, support, par1, par2, g, tol):
+    """Par1 and the cache equal a fresh factorization of the step's starting A on the current support."""
+    kappa = condition_proxy(A, support, par1)
+    assert validate_state(Problem(A, np.zeros(support.n)), support, par1, par2, g) <= tol * max(1.0, kappa)
+
+
+def assert_lam_scalars(A, g, support, lam, direction, tol):
+    """find_lambda's lam-current D, D_g and D_gg equal those of a fresh factorization of A + lam g g'."""
+    fresh1, fresh2 = at_lam(A, g, support, lam)
+    _, _, d, d_g, d_gg, _ = direction
+    d_gg_fresh = float(fresh2.eta[support.idx] @ g[support.idx])
+    for got, want in ((d, fresh1.D), (d_g, fresh2.D_g), (d_gg, d_gg_fresh)):
+        assert abs(got - want) <= tol * max(1.0, abs(want))
+
+
 def state_bytes(support, par1, cache):
     """The bytes of the support, Par1 and a leg cache, field by field."""
     fields = [support.idx, support.mask, par1.M, par1.eta_tilde, par1.D]
@@ -67,7 +89,7 @@ class TestFindLambda:
         p = Problem(np.diag([2.0, 1.0, 3.0]), np.array([0.1, 0.0, -0.2]))
         g = np.zeros(3)
         q, par1, par2 = fresh_state(p, g)
-        lam_inc, j, _ = find_lambda(q.support, q, par1, par2, g)
+        lam_inc, j, _ = find_lambda(q.support, q, par1, par2, g, 0.0)
         assert lam_inc == np.inf
         assert j is None
 
@@ -77,7 +99,7 @@ class TestFindLambda:
         p = Problem(np.eye(2), np.zeros(2))
         g = np.array([1.0, 0.0])
         q, par1, par2 = fresh_state(p, g)
-        lam_inc, _, _ = find_lambda(q.support, q, par1, par2, g)
+        lam_inc, _, _ = find_lambda(q.support, q, par1, par2, g, 0.0)
         assert lam_inc == np.inf
 
     def test_first_event_matches_bisection(self):
@@ -90,15 +112,17 @@ class TestFindLambda:
         assert lam_ref is not None, "construction must produce an event in (0,1)"
         p = Problem(A, c)
         q, par1, par2 = fresh_state(p, g)
-        lam_inc, j, _ = find_lambda(q.support, q, par1, par2, g)
+        lam_inc, j, _ = find_lambda(q.support, q, par1, par2, g, 0.0)
         assert j is not None
         assert lam_inc == pytest.approx(lam_ref, abs=1e-9)
 
 
     def test_w1_is_read_off_the_iterate(self):
-        # find_lambda reads w1 = g_S'x_S; on the support x_S = mu0 M_SS 1 +
-        # M_SS c_S, so it equals D_g mu0 + g_S'M_SS c_S, at a fresh state and
-        # mid-leg, where M is the inverse block of A + lam g g'.
+        # find_lambda reads w1 = g_S'x_S off the iterate and hands on
+        # sigma w1, sigma = 1 / (1 + lam D_gg-hat).  On the support
+        # x_S = mu0 M_SS 1 + M_SS c_S with M the inverse block of
+        # A + lam g g', so w1 equals D_g mu0 + g_S'M_SS c_S in that matrix's
+        # terms, at a fresh state (sigma = 1 exactly) and mid-leg.
         rng = np.random.default_rng(31)
         checked = 0
         for _ in range(40):
@@ -106,23 +130,33 @@ class TestFindLambda:
             p = random_spd_problem(rng, n)
             g = rng.standard_normal(n)
             q, par1, par2 = fresh_state(p, g)
+            lam = 0.0
             for _ in range(2):
                 idx = q.support.idx
-                w1 = find_lambda(q.support, q, par1, par2, g)[2][0]
-                d_g_mu0 = par2.D_g * q.mu0
-                g_m_c = float(g[idx] @ par1.M[idx] @ p.c[idx])
-                assert w1 == float(g[idx] @ q.v[idx])
+                lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g, lam)
+                w1 = float(g[idx] @ q.v[idx])
+                sigma = 1.0 / (1.0 + lam * direction[5])
+                assert direction[0] == sigma * w1
+                if lam == 0.0:
+                    assert direction[0] == w1
+                fresh1, fresh2 = at_lam(p.A, g, q.support, lam)
+                d_g_mu0 = fresh2.D_g * q.mu0
+                g_m_c = float(g[idx] @ fresh1.M[idx] @ p.c[idx])
                 assert abs(w1 - (d_g_mu0 + g_m_c)) <= 1e-12 * max(abs(d_g_mu0), abs(g_m_c))
                 checked += 1
-                lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g)
-                update_by_lambda(min(0.5, 0.5 * lam_inc), q, par1, par2, direction)
+                inc = min(0.5, 0.5 * lam_inc)
+                update_by_lambda(inc, q, par1, par2, direction, end=False)
+                lam += inc
         assert checked == 80
 
     def test_d_gg_is_read_off_the_cache(self):
-        # find_lambda reads D_gg = g_S'eta_S off the leg cache and hands it on
-        # in the direction; on the support eta_S = M_SS g_S, so it equals
-        # g_S'M_SS g_S, at a fresh state and mid-leg, where M is the inverse
-        # block of A + lam g g'.
+        # find_lambda reads D_gg-hat = g_S'eta_S off the leg cache, which
+        # stays in the lam = 0 frame, and hands it on last in the direction;
+        # on the support eta_S = M_SS g_S, so it equals g_S'M_SS g_S with M
+        # the inverse block of the starting A.  The lam-current D, D_g and
+        # D_gg it derives equal those of a fresh factorization of
+        # A + lam g g', at a fresh state and mid-leg, and at lam = 0 they are
+        # Par1's and the cache's own bits.
         rng = np.random.default_rng(37)
         checked = 0
         for _ in range(40):
@@ -130,15 +164,22 @@ class TestFindLambda:
             p = random_spd_problem(rng, n)
             g = rng.standard_normal(n)
             q, par1, par2 = fresh_state(p, g)
+            lam = 0.0
             for _ in range(2):
                 idx = q.support.idx
-                lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g)
-                d_gg = direction[2]
+                lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g, lam)
+                d_gg = direction[5]
                 assert d_gg == float(par2.eta[idx] @ g[idx])
                 g_m_g = float(g[idx] @ par1.M[idx] @ g[idx])
                 assert abs(d_gg - g_m_g) <= 1e-12 * g_m_g
+                assert_lam_scalars(p.A, g, q.support, lam, direction, 1e-10)
+                if lam == 0.0:
+                    assert direction[2:5] == (par1.D, par2.D_g, d_gg)
                 checked += 1
-                update_by_lambda(min(0.5, 0.5 * lam_inc), q, par1, par2, direction)
+                inc = min(0.5, 0.5 * lam_inc)
+                update_by_lambda(inc, q, par1, par2, direction, end=False)
+                lam += inc
+                assert_frozen(p.A, q.support, par1, par2, g, 1e-12)
         assert checked == 80
 
 
@@ -149,7 +190,7 @@ class TestUpdateByLambda:
         g = rng.standard_normal(5)
         q, par1, par2 = fresh_state(p, g)
         v0, mu0, M0 = q.v.copy(), q.mu0, par1.M.copy()
-        update_by_lambda(0.0, q, par1, par2, find_lambda(q.support, q, par1, par2, g)[2])
+        update_by_lambda(0.0, q, par1, par2, find_lambda(q.support, q, par1, par2, g, 0.0)[2], end=False)
         np.testing.assert_array_equal(q.v, v0)
         assert q.mu0 == mu0
         np.testing.assert_array_equal(par1.M, M0)
@@ -159,45 +200,62 @@ class TestUpdateByLambda:
         g = np.zeros(2)
         q, par1, par2 = fresh_state(p, g)
         v0, D0 = q.v.copy(), par1.D
-        update_by_lambda(0.7, q, par1, par2, find_lambda(q.support, q, par1, par2, g)[2])
+        update_by_lambda(0.7, q, par1, par2, find_lambda(q.support, q, par1, par2, g, 0.0)[2], end=False)
         np.testing.assert_array_equal(q.v, v0)
         assert par1.D == D0
 
     def test_full_step_closed_form(self):
+        # The leg's one advance from 0 to 1 is also its end: Par1 moves to A + g g'.
         p = Problem(np.eye(2), np.zeros(2))
         g = np.array([1.0, 0.0])
         q, par1, par2 = fresh_state(p, g)
-        update_by_lambda(1.0, q, par1, par2, find_lambda(q.support, q, par1, par2, g)[2])
+        update_by_lambda(1.0, q, par1, par2, find_lambda(q.support, q, par1, par2, g, 0.0)[2], end=True)
         np.testing.assert_allclose(q.x, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
         assert q.mu0 == pytest.approx(2.0 / 3.0, abs=1e-12)
         np.testing.assert_allclose(par1.M, np.diag([0.5, 1.0]), atol=1e-12)
 
     def test_state_consistent_at_intermediate_lambda(self):
+        # An interior advance moves v and mu0 to the optimum of A + lam g g'
+        # and leaves Par1 and the cache alone, in the frame of the starting
+        # A; there find_lambda's lam-current scalars are those of
+        # A + lam g g'.  The leg's end then takes Par1 to a fresh
+        # factorization of A + g g'.
         rng = np.random.default_rng(17)
+        checked = 0
         for _ in range(20):
             n = int(rng.integers(2, 9))
             p = random_spd_problem(rng, n)
             g = rng.standard_normal(n)
             q, par1, par2 = fresh_state(p, g)
             lam = float(rng.uniform(0.05, 0.6))
-            lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g)
+            lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g, 0.0)
             lam = min(lam, 0.9 * lam_inc)  # stay inside the first segment
             if lam <= 0 or not np.isfinite(lam):
                 continue
-            update_by_lambda(lam, q, par1, par2, direction)
+            before = state_bytes(q.support, par1, par2)
+            update_by_lambda(lam, q, par1, par2, direction, end=False)
+            assert state_bytes(q.support, par1, par2) == before
             A_lam = p.A + lam * np.outer(g, g)
-            moved = Problem(A_lam, p.c)
-            kappa = condition_proxy(A_lam, q.support, par1)
-            assert validate_state(moved, q.support, par1, par2, g) <= 1e-10 * kappa
-            assert kkt_residual(moved, q) <= 1e-9 * max(1.0, kappa)
+            kappa = condition_proxy(A_lam, q.support, at_lam(p.A, g, q.support, lam)[0])
+            assert kkt_residual(Problem(A_lam, p.c), q) <= 1e-9 * max(1.0, kappa)
+            lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g, lam)
+            assert_lam_scalars(p.A, g, q.support, lam, direction, 1e-10 * max(1.0, kappa))
+            update_by_lambda(1.0 - lam, q, par1, par2, direction, end=True)
+            A_end = p.A + np.outer(g, g)
+            kappa = condition_proxy(A_end, q.support, par1)
+            assert validate_state(Problem(A_end, p.c), q.support, par1) <= 1e-10 * max(1.0, kappa)
+            checked += 1
+        assert checked >= 10
 
     def test_degenerate_denominator_raises(self):
         p = Problem(np.eye(2), np.zeros(2))
         g = np.ones(2)
         q, par1, par2 = fresh_state(p, g)
-        w1, dvec, _ = find_lambda(q.support, q, par1, par2, g)[2]
+        w1, dvec, d, d_g, _, d_gg0 = find_lambda(q.support, q, par1, par2, g, 0.0)[2]
+        before = state_bytes(q.support, par1, par2) + [q.v.tobytes()]
         with pytest.raises(DegenerateDenominator):  # a D_gg of -2 makes 1 + lam D_gg cross zero
-            update_by_lambda(1.0, q, par1, par2, (w1, dvec, -2.0))
+            update_by_lambda(1.0, q, par1, par2, (w1, dvec, d, d_g, -2.0, d_gg0), end=True)
+        assert state_bytes(q.support, par1, par2) + [q.v.tobytes()] == before
 
 
 class TestExpandShrink:
@@ -206,7 +264,7 @@ class TestExpandShrink:
         support = Support(3, [0])
         par1 = init_par1(p, support)
         par2 = direct_update_par2(support, par1, np.zeros(3))
-        new = expand_support_lambda(0.0, support, 1, p.A, np.zeros(3), par1, par2)
+        new = expand_support_lambda(support, 1, p.A, par1, par2)
         assert new.as_tuple() == (0, 1)
         expected = np.zeros((3, 2))
         expected[0, 0] = expected[1, 1] = 1.0
@@ -214,17 +272,28 @@ class TestExpandShrink:
         assert par1.D == pytest.approx(2.0, abs=1e-14)
 
     def test_expand_with_lambda_term(self):
+        # An entry at lam = 1 pivots the starting A: the pivot is
+        # A_jj + M_jS A_Sj = 1 + 0, with no lam term, and the cache follows.
+        # The rank-one term enters once, at the leg's end, which takes Par1
+        # to the factorization of A + g g' (M_jj = 1 / 2).
         p = Problem(np.eye(2), np.zeros(2))
         support = Support(2, [0])
         par1 = init_par1(p, support)
         g = np.array([0.0, 1.0])
         par2 = direct_update_par2(support, par1, g)
         assert par2.eta[1] == pytest.approx(1.0)
-        new = expand_support_lambda(1.0, support, 1, p.A, g, par1, par2)
-        # pivot = A_jj + M_jS A_Sj + lam g_j eta_j = 1 + 0 + 1 = 2
+        new = expand_support_lambda(support, 1, p.A, par1, par2)
+        np.testing.assert_allclose(par1.M, np.eye(2), atol=1e-14)
+        assert_frozen(p.A, new, par1, par2, g, 1e-14)
+        q = solve_given_support(Problem(p.A + np.outer(g, g), p.c), new)
+        direction = find_lambda(new, q, par1, par2, g, 1.0)[2]
+        assert direction[5] == pytest.approx(1.0, abs=1e-14)  # D_gg-hat = g_S'A_SS^{-1} g_S
+        update_by_lambda(0.0, q, par1, par2, direction, end=True)
         assert par1.M[1, 1] == pytest.approx(0.5, abs=1e-14)
         fresh = par1_from_matrix((p.A + np.outer(g, g))[new.idx], new)
         np.testing.assert_allclose(par1.M, fresh.M, atol=1e-14)
+        np.testing.assert_allclose(par1.eta_tilde, fresh.eta_tilde, atol=1e-14)
+        assert par1.D == pytest.approx(fresh.D, abs=1e-14)
 
     def test_shrink_identity_block(self):
         p = Problem(np.eye(2), np.zeros(2))
@@ -262,9 +331,7 @@ class TestExpandShrink:
             eta0, dg0 = par2.eta.copy(), par2.D_g
             dgg0 = float(par2.eta[support.idx] @ g[support.idx])  # D_gg as find_lambda reads it
             j = int(rng.choice(support.complement()))
-            lam = float(rng.uniform(0, 1))
-            mid = expand_support_lambda(lam, support, j, p.A + lam * np.outer(g, g) - lam * np.outer(g, g), g, par1, par2)
-            # matrix passed above is A itself; the lam term enters via eta
+            mid = expand_support_lambda(support, j, p.A, par1, par2)
             shrink_support_lambda(mid, j, par1, par2)
             np.testing.assert_allclose(par1.M, M0, atol=1e-12)
             np.testing.assert_allclose(par1.eta_tilde, teta0, atol=1e-12)
@@ -287,7 +354,7 @@ class TestExpandShrink:
             par2 = direct_update_par2(support, par1, g)
             # par2 must describe g against A_lam, which it does by construction.
             j = int(rng.choice(support.complement()))
-            new = expand_support_lambda(0.0, support, j, A_lam, g, par1, par2)
+            new = expand_support_lambda(support, j, A_lam, par1, par2)
             moved = Problem(A_lam, p.c)
             kappa = condition_proxy(A_lam, new, par1)
             assert validate_state(moved, new, par1, par2, g) <= 1e-10 * max(1.0, kappa)
@@ -317,7 +384,7 @@ class TestExpandShrink:
         par2 = direct_update_par2(support, par1, g)
         before = state_bytes(support, par1, par2)
         with pytest.raises(ValueError, match="index 2 already in support"):
-            expand_support_lambda(0.5, support, 2, p.A, g, par1, par2)
+            expand_support_lambda(support, 2, p.A, par1, par2)
         assert state_bytes(support, par1, par2) == before
         with pytest.raises(ValueError, match="index 1 not in support"):
             shrink_support_lambda(support, 1, par1, par2)
@@ -407,46 +474,62 @@ class TestRunLambdaLeg:
             q, par1, par2 = fresh_state(p, g)
             lam = 0.0
             while True:
-                lam_inc, j, direction = find_lambda(q.support, q, par1, par2, g)
+                lam_inc, j, direction = find_lambda(q.support, q, par1, par2, g, lam)
                 if not np.isfinite(lam_inc) or lam_inc >= 1.0 - lam:
-                    update_by_lambda(1.0 - lam, q, par1, par2, direction)
+                    update_by_lambda(1.0 - lam, q, par1, par2, direction, end=True)
                     break
-                update_by_lambda(lam_inc, q, par1, par2, direction)
+                update_by_lambda(lam_inc, q, par1, par2, direction, end=False)
                 lam += lam_inc
                 if q.support.mask[j]:
                     support_new = shrink_support_lambda(q.support, j, par1, par2)
                 else:
-                    support_new = expand_support_lambda(lam, q.support, j, p.A, g, par1, par2)
+                    support_new = expand_support_lambda(q.support, j, p.A, par1, par2)
                 q.support = support_new
                 q.v[j] = 0.0
+                # The toggle pivots the starting A's factorization; the
+                # iterate is the optimum of A + lam g g' on the new support.
+                assert_frozen(p.A, support_new, par1, par2, g, 1e-10)
                 A_lam = p.A + lam * np.outer(g, g)
                 re_solved = solve_given_support(Problem(A_lam, p.c), support_new)
-                kappa = condition_proxy(A_lam, support_new, par1)
+                kappa = condition_proxy(A_lam, support_new, at_lam(p.A, g, support_new, lam)[0])
                 assert np.max(np.abs(re_solved.v - q.v)) <= 1e-9 * max(1.0, kappa)
                 assert re_solved.mu0 == pytest.approx(q.mu0, abs=1e-9 * max(1.0, kappa))
                 checked += 1
                 if checked > 2000:
                     break
+            A_end = p.A + np.outer(g, g)
+            kappa = condition_proxy(A_end, q.support, par1)
+            assert validate_state(Problem(A_end, p.c), q.support, par1) <= 1e-10 * max(1.0, kappa)
         assert checked >= 50
 
     def test_interior_checkpoints_between_events(self):
+        # At any interior lam of the first segment the iterate is the
+        # optimum of A + lam g g', Par1 and the cache are still the starting
+        # A's fresh factorization, bit for bit, and find_lambda's lam-current
+        # scalars are those of a fresh factorization of A + lam g g'.
         rng = np.random.default_rng(55)
+        checked = 0
         for _ in range(30):
             n = int(rng.integers(3, 9))
             p = random_spd_problem(rng, n, c_scale=2.0)
             g = 2.0 * rng.standard_normal(n)
             q, par1, par2 = fresh_state(p, g)
-            lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g)
+            lam_inc, _, direction = find_lambda(q.support, q, par1, par2, g, 0.0)
             seg_end = min(lam_inc, 1.0)
             if seg_end <= 0:
                 continue
             for frac in rng.uniform(0.05, 0.95, size=5):
                 lam = float(frac * seg_end)
                 qc, p1c, p2c = fresh_state(p, g)  # the same state afresh, as a copy
-                update_by_lambda(lam, qc, p1c, p2c, direction)
+                update_by_lambda(lam, qc, p1c, p2c, direction, end=False)
+                assert state_bytes(qc.support, p1c, p2c) == state_bytes(q.support, par1, par2)
                 A_lam = p.A + lam * np.outer(g, g)
-                kappa = condition_proxy(A_lam, qc.support, p1c)
+                kappa = condition_proxy(A_lam, qc.support, at_lam(p.A, g, qc.support, lam)[0])
                 assert kkt_residual(Problem(A_lam, p.c), qc) <= 1e-9 * max(1.0, kappa)
+                lam_direction = find_lambda(qc.support, qc, p1c, p2c, g, lam)[2]
+                assert_lam_scalars(p.A, g, qc.support, lam, lam_direction, 1e-10 * max(1.0, kappa))
+                checked += 1
+        assert checked >= 50
 
     def test_cycle_cap_raises(self, monkeypatch):
         monkeypatch.setattr(path_matrix, "CYCLE_CAP_PER_INDEX", 0)
@@ -466,11 +549,11 @@ class TestRunLambdaLeg:
         par1.D = 1e-30  # first update sees a vanishing denominator, before any motion
         calls = []
 
-        def rebuild(lam):
-            # Par1 only: the leg re-derives its own Par2 after the hook.
-            calls.append(lam)
-            A_lam = p.A + lam * np.outer(g, g)
-            par1.refresh_from(par1_from_matrix(A_lam[q.support.idx], q.support))
+        def rebuild():
+            # Par1 only, from the starting A, the frame the leg runs in; the
+            # leg re-derives its own Par2 after the hook.
+            calls.append(q.support)
+            par1.refresh_from(par1_from_matrix(p.A[q.support.idx], q.support))
 
         run_lambda_leg(p.A, g, q, par1, rebuild=rebuild)
         assert calls, "rebuild hook must have been invoked"

@@ -4,7 +4,11 @@ Each helper on the step path was rewritten to make fewer interpreter calls.
 The `ref_*` functions below are the earlier implementations, kept here only
 as references: every case asserts identical outputs, arrays equal byte for
 byte (layout included, since later BLAS products depend on it) and scalars
-equal bit for bit, indices equal.
+equal bit for bit, indices equal.  One reference is not bit for bit: the
+matrix leg that moved Par1 and its cache to A + lam g g' at every advance
+(`ref_run_lambda_leg`).  The leg that keeps the lam = 0 frame rounds
+differently, so it is held to the same turning points and to x within 1e-9
+on seeded streams of every flow.
 """
 
 import warnings
@@ -13,9 +17,19 @@ import numpy as np
 import pytest
 
 from hones import counters as cnt
-from hones import driver
+from hones import driver, path_matrix
+from hones.errors import CycleLimit, DegenerateDenominator, DegenerateError, DegeneratePivot
+from hones.flows import FlowConfig, flow_for_config
 from hones.kkt import ZETA_SCALE, Diagonal, Problem, Quadruple, Support, kkt_residual
-from hones.path_matrix import DBL_MAX, _first_zero, _tiny, find_lambda
+from hones.path_matrix import (
+    DBL_MAX,
+    PathEvent,
+    _first_zero,
+    _pivot,
+    _tiny,
+    find_lambda,
+    shrink_support_lambda,
+)
 from hones.path_vector import find_utilde_lambda
 from hones.state import Par1, direct_update_par2, direct_update_par3, outer, par1_from_matrix
 
@@ -152,6 +166,105 @@ def ref_direct_update_par3(support, par1, l, counter=None):
 def ref_utilde_direction(par1, xi, d_l):
     q = d_l / par1.D
     return q, xi - q * par1.eta_tilde
+
+
+def ref_find_lambda(support, quadruple, par1, par2, g, exclude):
+    """The matrix leg's ratio test on a Par1 and cache kept at A + lam g g'."""
+    idx = support.idx
+    d, d_g = par1.D, par2.D_g
+    gs = g[idx]
+    w1 = float(gs @ quadruple.v[idx])
+    d_gg = float(par2.eta[idx] @ gs)
+    dvec = d_g * par1.eta_tilde - d * par2.eta
+    atil, j = _first_zero(support, quadruple.v, dvec, w1, exclude, None)
+    if j is None:
+        return np.inf, None, (w1, dvec, d_gg)
+    alpha = atil * d / (1.0 + atil * d_g * d_g)
+    if alpha * d_gg >= 1.0:
+        return np.inf, None, (w1, dvec, d_gg)
+    return max(alpha / (1.0 - alpha * d_gg), 0.0), j, (w1, dvec, d_gg)
+
+
+def ref_update_by_lambda(lam_inc, quadruple, par1, par2, direction):
+    """The advance that moved the quadruple, Par1 and the cache together by one rank-one."""
+    d, d_g = par1.D, par2.D_g
+    w1, dvec, d_gg = direction
+    denom0 = 1.0 + lam_inc * d_gg
+    if denom0 <= _tiny(1.0):
+        raise DegenerateDenominator(f"1 + lam D_gg = {denom0}")
+    alpha0 = 1.0 / denom0
+    alpha = lam_inc * alpha0
+    denom = d - alpha * d_g * d_g
+    if denom <= _tiny(d):
+        raise DegenerateDenominator(f"D - alpha D_g^2 = {denom}")
+    atil = alpha / denom
+    quadruple.v += (atil * w1) * dvec
+    quadruple.mu0 += atil * d_g * w1
+    eta = par2.eta
+    par1.rank1(eta, (-alpha) * eta[quadruple.support.idx])
+    par1.eta_tilde -= (alpha * d_g) * eta
+    par1.D = denom
+    par2.eta = alpha0 * eta
+    par2.D_g = alpha0 * d_g
+
+
+def ref_expand_support_lambda(lam, support, j, A, g, par1, par2):
+    """An entry at lam, whose pivot carried the rank-one term lam eta_j g."""
+    new_support = support.with_added(j)
+    idx = support.idx
+    mj_s = par1.M[j, :]
+    aj = A[j]
+    a_jj = float(aj[j])
+    lam_eta_g = lam * float(par2.eta[j])
+    ajj = a_jj + float(mj_s @ aj[idx]) + lam_eta_g * float(g[j])
+    if ajj <= _tiny(a_jj):
+        raise DegeneratePivot(f"pivot {ajj} adding index {j}")
+    gamma = -(aj + A[idx].T @ mj_s)
+    if lam_eta_g != 0.0:
+        gamma -= lam_eta_g * g
+    gamma[idx] = mj_s
+    gamma[j] = 1.0
+    _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, None)
+    return new_support
+
+
+def ref_run_lambda_leg(A, g, quadruple, par1, counter=None, ensure_column=None, rebuild=None):
+    """The matrix leg that kept Par1 and its cache at A + lam g g' through every advance.
+
+    Its in-leg rebuild refactorizes A[idx] + lam g_S g' itself; the driver's
+    hook, which refactorizes the stored rows, does not fit this frame.
+    """
+    cap = path_matrix.CYCLE_CAP_PER_INDEX * quadruple.support.n
+    par2 = direct_update_par2(quadruple.support, par1, g)
+    events, lam, exclude, rebuilt = [], 0.0, None, False
+    while True:
+        try:
+            inc, j, direction = ref_find_lambda(quadruple.support, quadruple, par1, par2, g, exclude)
+            if not inc < 1.0 - lam:
+                ref_update_by_lambda(1.0 - lam, quadruple, par1, par2, direction)
+                return events
+            ref_update_by_lambda(inc, quadruple, par1, par2, direction)
+            lam += inc
+            support = quadruple.support
+            if support.mask[j]:
+                new_support, kind = shrink_support_lambda(support, j, par1, par2), "leave"
+            else:
+                ensure_column(j)
+                new_support, kind = ref_expand_support_lambda(lam, support, j, A, g, par1, par2), "enter"
+            quadruple.support = new_support
+            quadruple.v[j] = 0.0
+            events.append(PathEvent("matrix", lam, j, kind, new_support.size))
+            if len(events) > cap:
+                raise CycleLimit(f"matrix leg exceeded {cap} turning points")
+            exclude = j
+        except DegenerateError:
+            if rebuilt:
+                raise
+            rebuilt = True
+            idx = quadruple.support.idx
+            par1.refresh_from(par1_from_matrix(A[idx] + lam * outer(g[idx], g), quadruple.support))
+            par2 = direct_update_par2(quadruple.support, par1, g)
+            exclude = None
 
 
 def ref_with_added(support, j):
@@ -525,9 +638,22 @@ class TestDirectUpdates:
             same_array(par2.eta, eta)
             assert bits(par2.D_g) == bits(d_g)
             # The matrix leg's ratio test reads D_gg off the cache with the
-            # derivation's former bits.
+            # derivation's former bits, and hands it on last.  At lam = 0
+            # sigma is exactly 1, so its lam-current w1, D, D_g and D_gg are
+            # the bits of the iterate, Par1 and the cache; mid-leg they are
+            # sigma-scaled from the same read-off.
             q = Quadruple(s, rng.standard_normal(n), 0.0)
-            assert bits(find_lambda(s, q, par1, par2, g)[2][2]) == bits(ref_d_gg(s, eta, g))
+            w1 = float(g[s.idx] @ q.v[s.idx])
+            d_gg = ref_d_gg(s, eta, g)
+            w1_lam, _, d, d_g_lam, d_gg_lam, d_gg_hat = find_lambda(s, q, par1, par2, g, 0.0)[2]
+            assert bits(d_gg_hat) == bits(d_gg)
+            assert [bits(x) for x in (w1_lam, d, d_g_lam, d_gg_lam)] == [bits(x) for x in (w1, par1.D, d_g, d_gg)]
+            lam = float(rng.uniform(0.0, 1.0))
+            w1_lam, _, d, d_g_lam, d_gg_lam, d_gg_hat = find_lambda(s, q, par1, par2, g, lam)[2]
+            sigma = 1.0 / (1.0 + lam * d_gg)
+            assert bits(d_gg_hat) == bits(d_gg)
+            assert [bits(x) for x in (w1_lam, d_g_lam, d_gg_lam)] == [bits(sigma * x) for x in (w1, d_g, d_gg)]
+            assert bits(d) == bits(par1.D - lam * d_g * (sigma * d_g))
             par3 = direct_update_par3(s, par1, l, c_new)
             xi, d_l = ref_direct_update_par3(s, par1, l, c_ref)
             same_array(par3.eta, xi)
@@ -537,6 +663,36 @@ class TestDirectUpdates:
             assert bits(got_q) == bits(want_q)
             same_array(got_d, want_d)
             assert c_new.total == c_ref.total
+
+
+class TestMatrixLegFrame:
+    """The lam = 0 frame keeps the turning points and iterates of the per-advance matrix leg."""
+
+    @staticmethod
+    def run(kind, n, steps, seed, leg):
+        """Per step: the events as (leg, index, kind, support size) and x, with `leg` as the matrix leg."""
+        box = {}
+        flow = flow_for_config(FlowConfig(kind, n, steps, seed=seed), x_feedback=lambda: box["ses"].x)
+        ses = box["ses"] = driver.init_session(flow.a0, flow.c0)
+        out = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(driver, "run_lambda_leg", leg)
+            for g, c in flow:
+                rep = driver.step(ses, g, c)
+                out.append(([(e.leg, e.index, e.kind, e.support_size) for e in rep.events], ses.x.copy()))
+        return out
+
+    @pytest.mark.parametrize("kind", ["synthetic", "ons", "markowitz"])
+    def test_same_events_and_x_as_the_per_advance_leg(self, kind):
+        events = 0
+        for seed in range(1, 7):
+            got = self.run(kind, 20, 60, seed, path_matrix.run_lambda_leg)
+            want = self.run(kind, 20, 60, seed, ref_run_lambda_leg)
+            for (ev, x), (ev_ref, x_ref) in zip(got, want, strict=True):
+                assert ev == ev_ref
+                assert np.max(np.abs(x - x_ref)) <= 1e-9
+                events += sum(e[0] == "matrix" for e in ev)
+        assert events >= 100
 
 
 # -- support toggles -----------------------------------------------------------

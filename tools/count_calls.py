@@ -54,9 +54,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload")
     args = parser.parse_args(argv)
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    import streams
-
+    streams = load_streams(ROOT)
     wl = streams.WORKLOADS[args.workload]
     seed = streams.stream_seeds(1, 1)[0]
     py_calls = collections.Counter()  # code object -> calls
@@ -104,11 +102,22 @@ def main(argv=None):
     return 0
 
 
-def event_fit(calls, reports):
-    """The least-squares fit of each step's `calls` on (1, k_a, k_c), as one line of text."""
+def load_streams(root):
+    """The benchmark's `streams` module of the checkout at `root`, with that checkout's `hones` on the path."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import streams
+
+    return streams
+
+
+def event_fit(calls, reports, unit=""):
+    """The least-squares fit of each step's `calls` on (1, k_a, k_c), as one line of text.
+
+    `unit` prefixes each term's label ("us " for a fit of step walls).
+    """
     k = np.array([(1, r.k_a, r.k_c) for r in reports[: calls.size]], dtype=float)
     terms = [(0, "base"), (1, "per matrix-leg event"), (2, "per vector-leg event")]
-    terms = [(col, label) for col, label in terms if k[:, col].any()]
+    terms = [(col, unit + label) for col, label in terms if k[:, col].any()]
     coef = np.linalg.lstsq(k[:, [col for col, _ in terms]], calls.astype(float), rcond=None)[0]
     fit = ", ".join(f"{c:.1f} {label}" for c, (_, label) in zip(coef, terms))
     return f"fit over {calls.size} steps: {fit}"

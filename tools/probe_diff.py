@@ -32,8 +32,11 @@ It prints one line per comparison; everything that moved is also printed as
 a GitHub Actions `::warning::` annotation.  A `repairs` line per workload and
 seed, and a total per workload over the seeds, give each tree's counts over
 the same two streams: refinements (`StepReport.refreshes` summed), rebuilds
-and steps whose residual is above the session's `tol`.  They move with the
-path's roundoff, so they are printed, not compared.  The exit code is 0 whether or
+and steps whose residual is above the session's `tol`, and beside them
+`par1_drift`, the largest end-of-stream `session.validate()` (Par1 against a
+fresh factorization of the live rows), whose total is the maximum over the
+seeds.  They move with the path's roundoff, so they are printed, not
+compared.  The exit code is 0 whether or
 not anything moved, so a CI step reports without gating; it is 2 when a
 child fails to run.
 """
@@ -55,8 +58,10 @@ WORKLOADS = ("synthetic-n1000", "ons-n100", "markowitz-n200")
 # tally, which is compared on its own line.
 UNHASHED = ("wall_ns", "a_update_ns", "mult_count")
 
-# The counts of the `repairs` line, summed over a seed's two streams.
+# The counts of the `repairs` line, summed over a seed's two streams, and
+# the key of its Par1 drift, the maximum over them.
 REPAIRS = ("refinements", "rebuilds", "over_tol")
+DRIFT = "par1_drift"
 
 
 def run_child(cmd):
@@ -115,6 +120,7 @@ def report_digest(root, workload, seed):
     h_rep, h_mult, h_ev, h_save, h_load = (hashlib.sha256() for _ in range(5))
     mult_total = event_total = 0
     repairs = dict.fromkeys(REPAIRS, 0)
+    repairs[DRIFT] = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         for s in streams.stream_seeds(seed, 2):
             reports.clear()
@@ -130,6 +136,7 @@ def report_digest(root, workload, seed):
             repairs["refinements"] += sum(r.refreshes for r in reports)
             repairs["rebuilds"] += sum(r.rebuilds for r in reports)
             repairs["over_tol"] += sum(r.kkt_residual > ses.config.tol for r in reports)
+            repairs[DRIFT] = max(repairs[DRIFT], ses.validate())
             path = Path(tmp) / "session.bin"
             ses.save(path)
             h_save.update(path.read_bytes())
@@ -165,7 +172,7 @@ def main(argv=None):
     names = ("fingerprint", "report digest", "mult_count sequence", "events", "checkpoint digest", "restored state")
     moved = dict.fromkeys(names, 0)
     for workload in WORKLOADS:
-        totals = [dict.fromkeys(REPAIRS, 0) for _ in range(2)]
+        totals = [{**dict.fromkeys(REPAIRS, 0), DRIFT: 0.0} for _ in range(2)]
         for seed in args.seeds:
             try:
                 fps = probe(args.base, workload, seed), probe(args.head, workload, seed)
@@ -178,6 +185,7 @@ def main(argv=None):
             for total, counts in zip(totals, repairs):
                 for key in REPAIRS:
                     total[key] += counts[key]
+                total[DRIFT] = max(total[DRIFT], counts[DRIFT])
             pairs = {"fingerprint": fps, **{name: (digs[0][name], digs[1][name]) for name in digs[0]}}
             for name, (base, head) in pairs.items():
                 diff = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
