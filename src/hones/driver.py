@@ -4,11 +4,10 @@ Each step runs the matrix leg (A -> A + g g') and then the vector leg
 (c -> c + l) on the updated matrix.  On the simplex 1'x = 1 the step
 (g, c_new) has the same solution as (g - b 1, c_new - b g) for any scalar b,
 up to multiples of 1 in c that only move mu0.  The driver writes the drift as
-l = a g + beta 1 + r, the least-squares split over span{g, 1}, and takes
-b = a whenever the remainder is small (||r|| <= ||l|| / 2) and a is no larger
-than the largest |g_i|; otherwise b = 0.  The matrix leg then follows the
-joint path of the a g part on its own, and the vector leg carries only
-beta 1 + r, where beta 1 has zero velocity.  The |a| <= max|g| cap refuses
+l = a g + beta 1 + r, the least-squares split over span{g, 1}, and fuses
+whenever |a| <= max|g|: b = a, and otherwise b = 0.  The matrix leg then
+follows the joint path of the a g part on its own, and the vector leg
+carries only beta 1 + r, where beta 1 has zero velocity.  The cap refuses
 the fuse on about 30% of synthetic steps at n = 1000 (a fused share of 0.70
 at FlowConfig seed 1, against 0.998 at n = 100); on those steps the vector
 leg carries the whole drift, and it takes about as many turning points as
@@ -573,28 +572,23 @@ def _replay(store, j):
 def _gauge_share(g, l):
     """The gauge scalar b of one step: the share of g in the drift l, or 0.
 
-    l = a g + beta 1 + r is the least-squares split over span{g, 1}; b = a
-    when ||r|| <= ||l|| / 2 and |a| <= max|g|, else 0.  The cap keeps g - b 1
-    from turning into a near multiple of 1, whose updates would grow A along
-    11' and push the support's block toward singular.  The split costs O(n)
-    and, like the matrix maintenance, stays out of the multiplication tally.
+    l = a g + beta 1 + r is the least-squares split over span{g, 1}; the
+    step fuses, b = a, whenever |a| <= max|g|, else b = 0.  The split is
+    exact for any b and beta 1 has zero velocity, so fusing the g part never
+    adds velocity to the vector leg, however large r is.  The cap keeps
+    g - b 1 from turning into a near multiple of 1, whose updates would grow
+    A along 11' and push the support's block toward singular.  The split
+    costs O(n) and, like the matrix maintenance, stays out of the
+    multiplication tally.
     """
     if not np.logical_or.reduce(l):
         return 0.0
-    n = g.size
-    gc = g - np.add.reduce(g) / n
+    gc = g - np.add.reduce(g) / g.size
     gg = float(gc @ gc)
     if gg == 0.0:
         return 0.0
-    gl = float(gc @ l)
-    a = gl / gg
-    ll = float(l @ l)
-    sl = float(np.add.reduce(l))
-    # ||r||^2 = ||l - mean(l) 1||^2 - a gl, since r is orthogonal to g - mean(g) 1.
-    rr = ll - sl * sl / n - a * gl
-    if 4.0 * rr <= ll and abs(a) <= float(np.maximum.reduce(np.abs(g))):
-        return a
-    return 0.0
+    a = float(gc @ l) / gg
+    return a if abs(a) <= float(np.maximum.reduce(np.abs(g))) else 0.0
 
 
 def step(session, g_t, c_t):
@@ -739,34 +733,28 @@ def complexity_bound(n, report):
     An interior advance moves only v and mu0 (n + 9), and the leg's last
     advance adds the one rank-one that takes Par1 to A + g g'
     (n s + s + n + 3).
-      fixed       3 n s + 9 n + 3 s + 14: both legs' cache products (2 n s),
+      fixed       3 n s + 7 n + 3 s + 13: both legs' cache products (2 n s),
                   the matrix leg's last ratio test (3 n + 2 s) and last
                   advance (n s + s + 2 n + 12), and the vector leg's
-                  velocity and advance (2 n + 1); they take
-                  3 n s + 7 n + 3 s + 13, which leaves 2 n + 1 to spare;
-      per k_A     3 n s + 9 n + 4 s + 22: one more matrix ratio test and
+                  velocity and advance (2 n + 1);
+      per k_A     2 n s + 5 n + 4 s + 14: one more matrix ratio test and
                   interior advance, plus an entry (which costs more than a
                   leave), 2 n s' + 3 n + 2 s' + 9 on the support size s'
-                  it starts from, with no lam term; the three run on at
-                  most s - 1 indices, so they take 2 n s + 5 n + 4 s + 14,
-                  which leaves n s + 4 n + 8 to spare;
+                  it starts from; the three run on at most s - 1 indices;
       per k_c     2 n s + 3 n + 2 s + 8: the same for the vector leg, whose
                   velocity (n) and advance (n + 1) it counts in full;
       per refresh n s + n: one refinement of (v, mu0), its M product and
                   eta_tilde term (its residual's A product, like the
                   residual's own, is not tallied).
-    The budget is the one that held when every advance also moved Par1
-    and the cache (n s + s + 4 n + 10) and an entry carried the lam term
-    (n more); the spare is what the lam = 0 frame saves.  Rebuilds
-    factorize outside the tally.  An in-leg retry after a rebuild repeats
-    one ratio test and advance, which this budget does not cover.  A step
-    whose gauged drift is exactly zero (every markowitz step) skips the
-    vector leg and so spends none of its cache product, velocity and
-    advance (n s + 2 n + 1); the fixed term still counts them.
+    Rebuilds factorize outside the tally.  An in-leg retry after a rebuild
+    repeats one ratio test and advance, which the budget does not cover.  A
+    step whose gauged drift is exactly zero (every markowitz step) skips the
+    vector leg and so spends none of its cache product, velocity and advance
+    (n s + 2 n + 1); the fixed term still counts them.
     """
     s = report.s_max
-    fixed = 3 * n * s + 9 * n + 3 * s + 14
-    per_a = 3 * n * s + 9 * n + 4 * s + 22
+    fixed = 3 * n * s + 7 * n + 3 * s + 13
+    per_a = 2 * n * s + 5 * n + 4 * s + 14
     per_c = 2 * n * s + 3 * n + 2 * s + 8
     return fixed + report.k_a * per_a + report.k_c * per_c + report.refreshes * (n * s + n)
 

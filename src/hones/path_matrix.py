@@ -23,7 +23,8 @@ leg's last advance Par1 to A + g g'.  w1 = g_S'x_S is read off the iterate
 and D_gg = g_S'eta_S off the leg cache, so the leg never reads the linear
 term c, and its cache is the one the vector leg carries.  _run_leg, the
 event loop both legs share, then toggles the index through
-expand_support_lambda or shrink_support_lambda.
+expand_support_lambda or shrink_support_lambda, which are the vector leg's
+toggles too.
 """
 
 from dataclasses import dataclass
@@ -274,10 +275,11 @@ def _pivot(support, new_support, j, vec, inv, par1, cache, counter):
 
 
 def expand_support_lambda(support, j, A, par1, par2, counter=None):
-    """Add index j to the support; updates Par1 and Par2 in the lam = 0 frame.
+    """Add index j to the support; updates Par1 and the leg's Par2 in either leg.
 
-    A is the step's starting matrix, whose j-th row must be current.
-    Returns the new support.
+    A is the matrix Par1 holds, whose j-th row must be current: the step's
+    starting matrix in the matrix leg (the lam = 0 frame), A + g g' in the
+    vector leg.  Returns the new support.
     """
     ajj, gamma, new_support = _expand_geometry(support, j, A, par1, counter=counter)
     _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, counter)
@@ -285,7 +287,7 @@ def expand_support_lambda(support, j, A, par1, par2, counter=None):
 
 
 def shrink_support_lambda(support, j, par1, par2, counter=None):
-    """Remove index j from the support; updates Par1 and Par2 in the lam = 0 frame."""
+    """Remove index j from the support; updates Par1 and the leg's Par2 in either leg."""
     mjj, beta, new_support = _shrink_geometry(support, j, par1)
     _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par2, counter)
     return new_support

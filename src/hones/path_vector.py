@@ -5,9 +5,10 @@ with the leg cache xi = -(M + I_{S^c}) l and D_l = 1'xi_S (state.Par2 for
 u = -l, whose fields are eta and D_g), v moves along
 v - (xi - (D_l / D) eta_tilde) * t and mu0 along mu0 + (D_l / D) * t, so the
 between-event updates are division-free.  The rest is the matrix leg's
-machinery: the ratio test is path_matrix's _first_zero with weight -1, a
-support change is path_matrix's _pivot, which carries the cache through
-Par2.pivot as in the matrix leg, and the event loop is path_matrix._run_leg.
+machinery: the ratio test is path_matrix's _first_zero with weight -1, the
+toggles are the matrix leg's expand_support_lambda and
+shrink_support_lambda, whose pivot carries the cache through Par2.pivot,
+and the event loop is path_matrix._run_leg.
 find_utilde_lambda returns (t increment, index, direction) with the
 direction (q, d) = (D_l / D, xi - q eta_tilde), which is all
 update_by_utilde_lambda reads.
@@ -22,11 +23,20 @@ and the full ratio test, which would return no index or an increment of at
 least 1, is skipped.
 """
 
+import functools
+
 import numpy as np
 
 from .kkt import ZETA_SCALE
-from .path_matrix import _expand_geometry, _first_zero, _pivot, _run_leg, _shrink_geometry
+from .path_matrix import _first_zero, _run_leg, expand_support_lambda, shrink_support_lambda
 from .state import direct_update_par3
+
+# The vector leg's toggles are the matrix leg's.  A partial is an object of
+# its own that holds the raw function, so a tracer that rebinds names wraps
+# each leg's toggles once, under that leg's name, with no span nested in
+# another; a plain alias would be wrapped twice.
+expand_support_utilde = functools.partial(expand_support_lambda)
+shrink_support_utilde = functools.partial(shrink_support_lambda)
 
 
 def find_utilde_lambda(support, quadruple, par1, par2, exclude=None, counter=None):
@@ -80,23 +90,6 @@ def update_by_utilde_lambda(lam_inc, quadruple, direction, counter=None):
     quadruple.mu0 += q * lam_inc
     if counter is not None:
         counter.total += quadruple.v.size + 1
-
-
-def expand_support_utilde(support, j, A, par1, par2, counter=None):
-    """Add index j during the vector leg; updates Par1 and the leg's Par2.
-
-    A must already include the step's rank-one update in row j.
-    """
-    ajj, gamma, new_support = _expand_geometry(support, j, A, par1, counter=counter)
-    _pivot(support, new_support, j, gamma, 1.0 / ajj, par1, par2, counter)
-    return new_support
-
-
-def shrink_support_utilde(support, j, par1, par2, counter=None):
-    """Remove index j during the vector leg; updates Par1 and the leg's Par2."""
-    mjj, beta, new_support = _shrink_geometry(support, j, par1)
-    _pivot(support, new_support, j, beta, -(1.0 / mjj), par1, par2, counter)
-    return new_support
 
 
 def run_utilde_leg(A, l, quadruple, par1, counter=None, ensure_column=None, rebuild=None):

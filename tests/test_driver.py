@@ -799,7 +799,7 @@ class TestCountOps:
         assert rep.k_t == 0
         assert rep.refreshes == 0 and rep.rebuilds == 0
         s = rep.s_max
-        expected = 3 * n * s + 9 * n + 3 * s + 14
+        expected = 3 * n * s + 7 * n + 3 * s + 13
         assert complexity_bound(n, rep) == expected
         assert rep.mult_count <= expected
 
@@ -1139,32 +1139,68 @@ class TestResidualRule:
 
 
 class TestGauge:
+    @staticmethod
+    def drift_step(ses, flow, drift):
+        """Ten steps of the flow, then its next g with the caller's drift `drift(g)`.
+
+        Returns that step's report and its problem in the caller's terms.
+        """
+        A = np.array(flow.a0, dtype=np.float64)
+        it = iter(flow)
+        for _ in range(10):
+            g, c = next(it)
+            step(ses, g, c)
+            A += np.outer(g, g)
+        g, _ = next(it)
+        c = ses.c - ses.c_shift + drift(g)
+        return step(ses, g, c), Problem(A + np.outer(g, g), c)
+
     def test_capped_share_keeps_high_risk_aversion_in_tol(self):
         # risk_aversion = 10 makes the drift nearly 10 g, so g - b 1 would be
         # about g - 10 and A would grow like 100 t 11'; the |a| <= max|g| cap
-        # keeps that drift in the vector leg.
+        # keeps that drift in the vector leg.  Without the cap no step ends
+        # over tol either, but the support's block drifts: the run then
+        # rebuilds and refines, which it never does with the cap.
         n, steps = 200, 1500
         prices = synthetic_prices(n, steps + 1, seed=3).prices
         flow = markowitz_flow(np.log(prices[1:] / prices[:-1]), risk_aversion=10.0)
         ses = init_session(flow.a0, flow.c0)
         dev = run_against_oracle(ses, flow)
         assert sum(r.kkt_residual > ses.config.tol for r in ses.reports) == 0
+        assert sum(r.rebuilds for r in ses.reports) == 0
+        assert sum(r.refreshes for r in ses.reports) == 0
         assert dev <= 1e-9
 
     def test_drift_along_g_leaves_vector_leg_idle(self, monkeypatch):
-        def drift_step(ses, flow):
-            it = iter(flow)
-            for _ in range(10):
-                step(ses, *next(it))
-            g, _ = next(it)
-            return step(ses, g, ses.c - ses.c_shift + 1.0 * g)
-
         n, seed = 30, 71
-        rep = drift_step(*synthetic_session(n, seed=seed))
+        rep = self.drift_step(*synthetic_session(n, seed=seed), lambda g: 1.0 * g)[0]
         assert rep.k_c == 0
         # The same step unfused moves coordinates across zero in the vector leg.
         monkeypatch.setattr(driver, "_gauge_share", lambda g, l: 0.0)
-        assert drift_step(*synthetic_session(n, seed=seed)).k_c > 0
+        assert self.drift_step(*synthetic_session(n, seed=seed), lambda g: 1.0 * g)[0].k_c > 0
+
+    def test_large_remainder_fuses(self):
+        # The drift a g + r has a remainder r, orthogonal to g and 1, longer
+        # than half of it.  With |a| <= max|g| the step still fuses: c_shift
+        # moves, and the vector leg carries only beta 1 + r.
+        n, seed = 30, 71
+        ses, flow = synthetic_session(n, seed=seed)
+        before = {}
+
+        def drift(g):
+            before["c_shift"] = ses.c_shift.copy()
+            gc = g - g.mean()
+            r = np.random.default_rng(seed).standard_normal(n)
+            r -= r.mean()
+            r -= (gc @ r) / (gc @ gc) * gc
+            a = 0.5 * np.abs(g).max()
+            r *= a * np.linalg.norm(g) / np.linalg.norm(r)
+            assert np.linalg.norm(r) > np.linalg.norm(a * g + r) / 2
+            return a * g + r
+
+        _, problem = self.drift_step(ses, flow, drift)
+        assert not np.array_equal(ses.c_shift, before["c_shift"])
+        assert np.max(np.abs(ses.x - oracle_solve(problem).x)) <= 1e-9
 
     @pytest.mark.parametrize("kind", ["synthetic", "ons"])
     def test_gauged_run_matches_oracle_in_callers_terms(self, kind):

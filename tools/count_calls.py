@@ -1,8 +1,11 @@
-"""Interpreter calls per step of one benchmark stream, counted exactly.
+"""Interpreter calls and wall time per step of one benchmark stream, and their fits per turning point.
 
 Usage, from the root of a checkout:
 
-  python3 tools/count_calls.py ons-n100
+  python3 tools/count_calls.py ons-n100 [--root CHECKOUT]
+
+`--root` measures the code of another checkout (default: this one) with
+this script, so a base commit that predates it can be measured too.
 
 Feeds stream 0 of benchmark seed 1 through `perfbench/streams.run_stream`,
 set-up and input generation included, under `sys.setprofile`, and prints
@@ -26,13 +29,22 @@ share of the total: a Python function by qualified name, file and first
 line, a C function by module or type and name.  A generator counts once per
 resume.
 
+Last comes the same fit of each step's wall, in microseconds: the stream is
+fed PASSES more times without the profiler, in the same process, and each
+step keeps its fastest pass.  The stream is a pure function of the code and
+the seed, so each pass repeats the same work and the host's jitter only ever
+adds.  A step's wall is the benchmark's own `step_ns`, the time of the
+`driver.step` call.  It is a wall time on the host that runs it, so compare
+two checkouts with runs on the same host, close together; the call counts
+are the exact side of the same comparison.
+
 Its blind spot: `sys.setprofile` reports a C function only when the
 interpreter calls it as a Python-level builtin or method.  It sees
 `ufunc.reduce` (`np.maximum.reduce(...)`) and `ndarray.dot`, but not a
 ufunc called directly (`np.abs`, `np.isfinite`, `np.sign`) or an operator
 on arrays (`a + b`, `a[idx]`).  So the count can rise while the work falls:
 moving a ratio test from one `ufunc.reduce` to a few `np.abs` and operator
-passes changes the count by the reduces alone.  Read it beside a timing,
+passes changes the count by the reduces alone.  Read it beside the timing,
 never as one.
 """
 
@@ -49,12 +61,15 @@ import numpy as np  # noqa: E402  (after the thread settings, which it reads on 
 
 ROOT = Path(__file__).resolve().parents[1]
 
+PASSES = 5
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload")
+    parser.add_argument("--root", type=Path, default=ROOT, help="checkout whose code is measured (default: this one)")
     args = parser.parse_args(argv)
-    streams = load_streams(ROOT)
+    streams = load_streams(args.root.resolve())
     wl = streams.WORKLOADS[args.workload]
     seed = streams.stream_seeds(1, 1)[0]
     py_calls = collections.Counter()  # code object -> calls
@@ -99,6 +114,14 @@ def main(argv=None):
     print(f"  {quiet_steps(per_step, result.session.reports)}")
     for name, calls in by_name.most_common(10):
         print(f"  {calls / wl.steps:7.1f}  {calls / events:6.1%}  {name}")
+    wall = np.inf
+    for _ in range(PASSES):
+        result = streams.run_stream(wl, seed)
+        if result.error:
+            print(f"  stream stopped at {result.error}")
+            return 1
+        wall = np.minimum(wall, result.step_ns)
+    print(f"  wall, fastest of {PASSES} passes unprofiled: {event_fit(wall / 1e3, result.session.reports, 'us ')}")
     return 0
 
 
