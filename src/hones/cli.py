@@ -38,6 +38,7 @@ import numpy as np
 from .baselines import pg_warmstart_solve
 from .driver import (
     SolverConfig,
+    StepReport,
     aggregate_reports,
     count_ops,
     init_session,
@@ -103,8 +104,8 @@ def build_parser():
         sp.add_argument("--solver", choices=["hones", "pg-warm", "oracle"], default="hones")
         sp.add_argument("--tol", type=float, default=1e-8, help="optimality tolerance")
         sp.add_argument("--epoch", type=_positive_int, default=250, help="steps per timing epoch")
-        sp.add_argument("--eager", action="store_true", help="disable lazy row maintenance")
-        sp.add_argument("--pg-max-iter", type=_nonnegative_int, default=20000, help="iteration cap for pg-warm")
+        sp.add_argument("--eager", action="store_true", help="disable lazy row maintenance (not for pg-warm)")
+        sp.add_argument("--pg-max-iter", type=_nonnegative_int, help="iteration cap for pg-warm (default 20000)")
         sp.add_argument("--out-dir", type=Path, default=Path("out"))
         sp.add_argument("--tag", default="", help="suffix for output file names")
         if name == "run-synthetic":
@@ -130,6 +131,23 @@ def build_parser():
     vp.add_argument("--steps", type=_positive_int, default=60)
     vp.add_argument("--inject-fault", choices=["m-corruption"], default=None)
     return parser
+
+
+def parse_args(parser, argv):
+    """Parse argv with `parser`, refusing as argparse does (exit 2) a run flag its solver does not read.
+
+    pg-warm keeps no session, so it takes no --eager; only pg-warm reads
+    --pg-max-iter, whose default is then 20000.
+    """
+    args = parser.parse_args(argv)
+    solver = getattr(args, "solver", None)
+    if solver == "pg-warm" and args.eager:
+        parser.error("--eager does not apply to --solver pg-warm")
+    if solver not in (None, "pg-warm") and args.pg_max_iter is not None:
+        parser.error(f"--pg-max-iter does not apply to --solver {solver}")
+    if solver == "pg-warm" and args.pg_max_iter is None:
+        args.pg_max_iter = 20000
+    return args
 
 
 def _flow_and_feedback(kind, args, feedback_box):
@@ -168,28 +186,28 @@ def _write_outputs(out_dir, name, rows, summary):
     return csv_path, json_path
 
 
+@dataclasses.dataclass(slots=True)
+class PgStepReport(StepReport):
+    """A pg-warm step: a StepReport with the zero counts of a run that takes no path, and its iteration count."""
+
+    iterations: int
+
+
 def _report_row(rep):
-    return [
-        rep.t,
-        rep.k_a,
-        rep.k_c,
-        rep.k_t,
-        rep.e_t,
-        rep.support_size,
-        repr(rep.kkt_residual),
-        rep.wall_ns,
-        rep.mult_count,
-        rep.wall_ns - rep.a_update_ns,
-        rep.a_update_ns,
-        rep.s_max,
-        rep.s_star,
-        rep.rebuilds,
-        0,
-    ]
+    """The CSV row of one StepReport, each column read off it by name (iterations is 0 but for pg-warm)."""
+    derived = {"kkt_residual": repr(rep.kkt_residual), "wall_opt_ns": rep.wall_ns - rep.a_update_ns}
+    return [derived[col] if col in derived else getattr(rep, col, 0) for col in CSV_COLUMNS]
 
 
 def run_scenario(kind, args):
-    """Run one scenario and write its files."""
+    """Run one scenario and write its files.
+
+    One loop steps every solver.  hones and the oracle twin step a session;
+    pg-warm builds none and starts from the initial problem's oracle
+    optimum, which is the session's first iterate.  The two reference
+    solvers keep the dense A current and re-solve each accumulated problem,
+    and their reports carry their own timings.
+    """
     config = SolverConfig(tol=args.tol, lazy_a=not args.eager)
     feedback_box = {"x": None}
     flow = _flow_and_feedback(kind, args, feedback_box)
@@ -197,61 +215,55 @@ def run_scenario(kind, args):
     if args.tag:
         name += f"-{args.tag}"
 
-    session = init_session(flow.a0, flow.c0, config)
-    feedback_box["x"] = session.x
+    pg = args.solver == "pg-warm"
+    session = None if pg else init_session(flow.a0, flow.c0, config)
+    feedback_box["x"] = oracle_solve(Problem(flow.a0, flow.c0)).x if pg else session.x
 
     reports = []
     deviations = []
     # Only the oracle twin and pg-warm keep the dense matrix current.
     A = np.array(flow.a0, dtype=np.float64) if args.solver != "hones" else None
     warm = None
-    it = iter(flow)
-    if args.solver != "pg-warm":
-        for _ in range(args.steps):
-            g_t, c_t = next(it)
+    unconverged = 0
+    for t, (g_t, c_t) in zip(range(1, args.steps + 1), flow):
+        if not pg:
             rep = step(session, g_t, c_t)
             feedback_box["x"] = session.x
-            if args.solver == "oracle":
-                # verification twin: the path solver drives the stream, the
-                # oracle re-solves the accumulated problem and the agreement
-                # is logged; the timings are the oracle's own
-                ta = time.perf_counter_ns()
-                A += np.outer(g_t, g_t)
-                t0 = time.perf_counter_ns()
-                problem = SimpleNamespace(A=A, c=np.asarray(c_t, dtype=np.float64), n=args.n)
-                ref = oracle_solve(problem, x0=warm)
-                rep = dataclasses.replace(rep, wall_ns=time.perf_counter_ns() - ta, a_update_ns=t0 - ta)
-                warm = ref.x
-                deviations.append((rep.t, float(np.max(np.abs(ref.x - session.x)))))
-            reports.append(rep)
-        rows = [_report_row(rep) for rep in reports]
-        summary = aggregate_reports(reports, epoch=args.epoch)
-        if deviations:
-            summary["x_agreement_max"] = max(d for _, d in deviations)
-    else:
-        rows = []
-        x = session.x.copy()
-        total_iters = 0
-        unconverged = 0
-        for t in range(1, args.steps + 1):
-            g_t, c_t = next(it)
+        if A is not None:
             ta = time.perf_counter_ns()
             A += np.outer(g_t, g_t)
             t0 = time.perf_counter_ns()
             problem = SimpleNamespace(A=A, c=np.asarray(c_t, dtype=np.float64), n=args.n)
-            res = pg_warmstart_solve(problem, x, tol=args.tol, max_iter=args.pg_max_iter)
-            wall, a_ns = time.perf_counter_ns() - ta, t0 - ta
-            x = res.x
-            feedback_box["x"] = x
-            total_iters += res.iterations
-            unconverged += 0 if res.converged else 1
-            support = int(np.sum(x > zero_tol(x)))
-            rows.append(
-                [t, 0, 0, 0, 0, support, repr(res.residual), wall, 0, wall - a_ns, a_ns, support, 0, 0, res.iterations]
+            res = (
+                pg_warmstart_solve(problem, feedback_box["x"], tol=args.tol, max_iter=args.pg_max_iter)
+                if pg
+                else oracle_solve(problem, x0=warm)
             )
-        summary = run_summary([r[5] for r in rows], [r[7] for r in rows], [r[10] for r in rows], args.epoch)
-        summary.update(iterations_total=total_iters, unconverged_steps=unconverged)
+            wall, a_ns = time.perf_counter_ns() - ta, t0 - ta
+            if pg:
+                x = feedback_box["x"] = res.x
+                unconverged += 0 if res.converged else 1
+                size = int(np.sum(x > zero_tol(x)))
+                # t, k_a, k_c, k_t, e_t, support_size, s_max, s_star, kkt_residual, wall_ns, a_update_ns,
+                # mult_count, rebuilds, refreshes, events, iterations
+                rep = PgStepReport(t, 0, 0, 0, 0, size, size, 0, res.residual, wall, a_ns, 0, 0, 0, [], res.iterations)
+            else:
+                # verification twin: the path solver drives the stream, the
+                # oracle re-solves the accumulated problem and the agreement
+                # is logged; the timings are the oracle's own
+                warm = res.x
+                deviations.append((t, float(np.max(np.abs(warm - session.x)))))
+                rep = dataclasses.replace(rep, wall_ns=wall, a_update_ns=a_ns)
+        reports.append(rep)
 
+    if pg:
+        columns = ([r.support_size for r in reports], [r.wall_ns for r in reports], [r.a_update_ns for r in reports])
+        summary = run_summary(*columns, args.epoch)
+        summary.update(iterations_total=sum(r.iterations for r in reports), unconverged_steps=unconverged)
+    else:
+        summary = aggregate_reports(reports, epoch=args.epoch)
+    if deviations:
+        summary["x_agreement_max"] = max(d for _, d in deviations)
     summary["schema_version"] = SCHEMA_VERSION
     summary["scenario"] = {
         "kind": kind,
@@ -267,7 +279,7 @@ def run_scenario(kind, args):
     if args.solver == "hones":
         summary["mult_bound_violations"] = count_ops(reports, args.n)
 
-    csv_path, json_path = _write_outputs(args.out_dir, name, rows, summary)
+    csv_path, json_path = _write_outputs(args.out_dir, name, [_report_row(rep) for rep in reports], summary)
     if deviations:
         dev_path = args.out_dir / f"{name}-agreement.csv"
         with open(dev_path, "w", newline="") as fh:
@@ -309,7 +321,7 @@ def cmd_run_grid(args):
             if val is not True:
                 argv.append(str(val))
         try:
-            sub_args = parser.parse_args(argv)
+            sub_args = parse_args(parser, argv)
         except SystemExit as stop:  # argparse has printed the usage and its error
             return stop.code
         sub_args.out_dir = args.out_dir
@@ -391,7 +403,7 @@ def cmd_verify(args):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(parser, argv)
     if args.command in ("run-synthetic", "run-ons", "run-markowitz"):
         return cmd_run(args.command[len("run-") :], args)
     if args.command == "run-grid":

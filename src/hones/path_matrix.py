@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CycleLimit, DegenerateDenominator, DegenerateError, DegeneratePivot
 from .kkt import ZETA_SCALE, _tiny
-from .state import direct_update_par2
+from .state import carry, direct_update_par2
 
 # A leg raises CycleLimit past this many turning points per index (10 n).
 CYCLE_CAP_PER_INDEX = 10
@@ -252,23 +252,22 @@ def _shrink_geometry(support, j, par1):
 
 
 def _pivot(support, new_support, j, vec, inv, par1, cache, counter):
-    """Block pivot on index j: M <- R_j(M) + vec vec_S' inv, and the same on the leg cache.
+    """Block pivot on index j: M <- R_j(M) + vec vec_S' inv, and state.carry on both caches.
 
     An entry passes vec = gamma and inv = 1 / pivot; a leave passes vec = beta
-    and inv = -1 / M_jj.  `cache`, the leg's Par2 in either leg, applies its
-    own part.  The tally counts the six scalar products of the pivot too.
+    and inv = -1 / M_jj.  The one carry rule takes Par1's (eta_tilde, D) and
+    `cache`, the leg's Par2 in either leg, through the same pivot.  The
+    tally counts the six scalar products of the pivot too.
     """
     teta_j = float(par1.eta_tilde[j])
-    par1.D += teta_j * teta_j * inv
-    cache.pivot(j, vec, inv, teta_j)
+    cache.D_g = carry(cache.eta, cache.D_g, j, vec, inv, teta_j)
+    par1.D = carry(par1.eta_tilde, par1.D, j, vec, inv, teta_j)
     par1.M[j, :] = 0.0
     if new_support.size > support.size:
         par1.insert_col(j, new_support)
     else:
         par1.remove_col(j, support)
     par1.rank1(vec, vec[new_support.idx] * inv)
-    par1.eta_tilde[j] = 0.0
-    par1.eta_tilde += (teta_j * inv) * vec
     n, s1 = new_support.n, new_support.size
     if counter is not None:
         counter.total += s1 + n * s1 + 2 * n + 6

@@ -1,14 +1,14 @@
 """Homotopy leg that moves the linear term from c to c + l.
 
 With the matrix frozen, the KKT state is exactly affine in the leg parameter:
-with the leg cache xi = -(M + I_{S^c}) l and D_l = 1'xi_S (state.Par2 for
-u = -l, whose fields are eta and D_g), v moves along
+with the leg cache xi = -(M + I_{S^c}) l and D_l = 1'xi_S, v moves along
 v - (xi - (D_l / D) eta_tilde) * t and mu0 along mu0 + (D_l / D) * t, so the
-between-event updates are division-free.  The rest is the matrix leg's
-machinery: the ratio test is path_matrix's _first_zero with weight -1, the
-toggles are the matrix leg's expand_support_lambda and
-shrink_support_lambda, whose pivot carries the cache through Par2.pivot,
-and the event loop is path_matrix._run_leg.
+between-event updates are division-free.  That cache is the Par2 of u = -l
+(fields eta and D_g), built by state.direct_update_par2 through its wrapper
+direct_update_par3.  The rest is the matrix leg's machinery: the ratio test
+is path_matrix's _first_zero with weight -1, the toggles are the matrix
+leg's expand_support_lambda and shrink_support_lambda, whose pivot carries
+the cache through state.carry, and the event loop is path_matrix._run_leg.
 find_utilde_lambda returns (t increment, index, direction) with the
 direction (q, d) = (D_l / D, xi - q eta_tilde), which is all
 update_by_utilde_lambda reads.

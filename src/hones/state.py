@@ -12,15 +12,18 @@ Two bundles are maintained alongside the KKT quadruple:
                                 matrix leg and minus the drift l in the vector
                                 leg; it lasts one leg.
 
-Only Par1 outlives a step: each leg derives its own Par2 from it by a direct
-product when it starts (direct_update_par2 for g, direct_update_par3 for l),
-and again after an in-leg rebuild.  Any other product of the cache is read
-off it where it is needed: the matrix leg's D_gg = g_S'eta_S, like its
-w1 = g_S'x_S, is formed by its ratio test.  Everything can be recomputed
-from scratch by factorization (init_par1); the path modules keep the same
-objects current with rank-one corrections, and validate_state measures how far
-they have drifted.  At a turning point path_matrix._pivot applies the block
-pivot to Par1 and hands the same pivot vector to Par2.pivot, in either leg.
+One rule derives every cache of the form (M + I_{S^c}) u and its support
+sum: direct_update_par2, which gives Par1's eta_tilde and D for u = 1 when
+par1_from_matrix factorizes, and each leg's Par2 when the leg starts and
+again after an in-leg rebuild (direct_update_par3 is that rule for u = -l,
+kept under its own name).  One rule, carry, takes any such cache through a
+block pivot: path_matrix._pivot applies it to Par1's (eta_tilde, D) and to
+the leg's Par2 alike, in either leg.  Only Par1 outlives a step.  Any other
+product of the cache is read off it where it is needed: the matrix leg's
+D_gg = g_S'eta_S, like its w1 = g_S'x_S, is formed by its ratio test.
+Everything can be recomputed from scratch by factorization (init_par1); the
+path modules keep the same objects current with rank-one corrections, and
+validate_state measures how far they have drifted.
 
 During either leg Par1 and the cache describe the matrix the store holds,
 on the current support.  In the vector leg that is A + g g'.  In the matrix
@@ -114,12 +117,18 @@ class Par2:
     eta: np.ndarray
     D_g: float
 
-    def pivot(self, j, vec, inv, teta_j):
-        """Carry the cache through a block pivot on j (see path_matrix._pivot)."""
-        eta_j = float(self.eta[j])
-        self.D_g += eta_j * teta_j * inv
-        self.eta[j] = 0.0
-        self.eta += (eta_j * inv) * vec
+
+def carry(eta, d, j, vec, inv, teta_j):
+    """Carry a cache eta = (M + I_{S^c}) u through a block pivot on j in place, and return its new support sum.
+
+    `d` is the sum 1'eta_S before the pivot, `vec` and `inv` are the
+    pivot's (see path_matrix._pivot) and `teta_j` is eta_tilde's entry j
+    before it; for Par1's own eta_tilde, eta_j is teta_j.
+    """
+    eta_j = float(eta[j])
+    eta[j] = 0.0
+    eta += (eta_j * inv) * vec
+    return d + eta_j * teta_j * inv
 
 
 def par1_from_matrix(rows, support):
@@ -142,23 +151,21 @@ def par1_from_matrix(rows, support):
     comp = support.complement()
     if comp.size:
         cols[comp, :] = -np.ascontiguousarray(rows[:, comp].T) @ inv
-    eta_tilde = cols @ np.ones(idx.size)
-    if comp.size:
-        eta_tilde[comp] += 1.0
-    D = float(np.sum(eta_tilde[idx]))
-    return Par1(cols, eta_tilde, D)
+    # eta_tilde and D are the cache of u = 1; the derivation reads only M.
+    tilde = direct_update_par2(support, Par1(cols, None, 0.0), np.ones(n))
+    return Par1(cols, tilde.eta, tilde.D_g)
 
 
 def init_par1(problem, support):
     return par1_from_matrix(problem.A[support.idx], support)
 
 
-def direct_update_par2(support, par1, g, counter=None):
-    """The matrix leg's cache for a new direction g, by direct products."""
+def direct_update_par2(support, par1, u, counter=None):
+    """The cache (M + I_{S^c}) u and its support sum, by direct products."""
     idx = support.idx
-    eta = par1.M @ g[idx]
+    eta = par1.M @ u[idx]
     off = support.complement()
-    eta[off] += g[off]
+    eta[off] += u[off]
     if counter is not None:
         counter.total += support.n * idx.size
     return Par2(eta, float(np.add.reduce(eta[idx])))
@@ -167,18 +174,10 @@ def direct_update_par2(support, par1, g, counter=None):
 def direct_update_par3(support, par1, l, counter=None):
     """The vector leg's cache for a new drift l: the Par2 of u = -l.
 
-    It negates the product, xi = -(M l_S), and then takes xi[off] -= l[off].
-    direct_update_par2(-l) gives the same values except the sign of a zero:
-    an entry whose sum cancels exactly is +0.0 in M (-l_S) and -0.0 in
-    -(M l_S).
+    A function of its own only so that perfbench's tracer can time it as
+    the vector leg's cache refresh.
     """
-    idx = support.idx
-    xi = -(par1.M @ l[idx])
-    off = support.complement()
-    xi[off] -= l[off]
-    if counter is not None:
-        counter.total += support.n * idx.size
-    return Par2(xi, float(np.add.reduce(xi[idx])))
+    return direct_update_par2(support, par1, -l, counter)
 
 
 def refresh_quadruple(quadruple, par1, A, c, counter=None):

@@ -104,6 +104,21 @@ class TestRunSynthetic:
             want = strip_timing(read_csv(GOLDEN_DIR / f"{name}.csv"))
             assert got == want, name
 
+    def test_golden_reference_solvers(self, tmp_path):
+        # The oracle twin (with its agreement file) and pg-warm on the
+        # synthetic and the closed-loop ons flow, pinned like the hones runs.
+        runs = [
+            (["run-synthetic", "--steps", "30", "--solver", "oracle"], "synthetic-oracle-n20-s30-seed7"),
+            (["run-synthetic", "--steps", "30", "--solver", "pg-warm"], "synthetic-pg-warm-n20-s30-seed7"),
+            (["run-ons", "--steps", "40", "--solver", "pg-warm"], "ons-pg-warm-n20-s40-seed7"),
+        ]
+        for argv, name in runs:
+            assert cli.main(argv + ["--n", "20", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+            for file in [f"{name}.csv"] + [f"{name}-agreement.csv"] * ("oracle" in name):
+                got = strip_timing(read_csv(tmp_path / file))
+                want = strip_timing(read_csv(GOLDEN_DIR / file))
+                assert got == want, file
+
     def test_repeat_runs_bitwise_identical(self, tmp_path):
         argv = ["run-synthetic", "--n", "15", "--steps", "40", "--seed", "3"]
         cli.main(argv + ["--out-dir", str(tmp_path / "a")])
@@ -133,7 +148,8 @@ class TestTimingColumns:
         # wall_ns = a_update_ns + wall_opt_ns on every row, and the JSON's
         # wall and epoch seconds sum those columns.
         argv = ["run-synthetic", "--n", "10", "--steps", "25", "--seed", "2", "--epoch", "20", "--solver", solver]
-        argv += ["--pg-max-iter", "200"]  # a short pg-warm run; its timings are what is checked
+        if solver == "pg-warm":
+            argv += ["--pg-max-iter", "200"]  # a short pg-warm run; its timings are what is checked
         assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
         name = f"synthetic-{solver}-n10-s25-seed2"
         rows = read_csv(tmp_path / f"{name}.csv")
@@ -146,6 +162,55 @@ class TestTimingColumns:
         for key, ns in (("wall_s", wall), ("wall_opt_s", opt)):
             assert summary[key] == pytest.approx(ns.sum() / 1e9, rel=1e-12)
             assert summary[f"epoch_{key}"] == pytest.approx([ns[:20].sum() / 1e9, ns[20:].sum() / 1e9], rel=1e-12)
+
+
+class TestSolverFlags:
+    # Each run flag changes the run it is given to: pg-warm keeps no session,
+    # so --eager would do nothing there, and only pg-warm reads --pg-max-iter.
+    @pytest.mark.parametrize(
+        "solver, flags, message",
+        [
+            ("pg-warm", ["--eager"], "--eager does not apply to --solver pg-warm"),
+            ("hones", ["--pg-max-iter", "200"], "--pg-max-iter does not apply to --solver hones"),
+            ("oracle", ["--pg-max-iter", "0"], "--pg-max-iter does not apply to --solver oracle"),
+        ],
+    )
+    def test_refused_before_any_file(self, tmp_path, capsys, solver, flags, message):
+        argv = ["run-synthetic", "--n", "8", "--steps", "3", "--solver", solver, *flags, "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_entry_with_a_flag_its_solver_ignores_fails_alone(self, tmp_path, capsys):
+        grid = [
+            {"kind": "synthetic", "n": 8, "steps": 3, "seed": 1, "solver": "pg-warm", "pg_max_iter": 50},
+            {"kind": "synthetic", "n": 8, "steps": 3, "seed": 2, "solver": "pg-warm", "eager": True},
+            {"kind": "ons", "n": 8, "steps": 3, "seed": 3, "pg_max_iter": 50},
+            {"kind": "synthetic", "n": 8, "steps": 3, "seed": 4, "eager": True},
+        ]
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        assert cli.main(["run-grid", "--file", str(grid_file), "--threads", "1", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--eager does not apply to --solver pg-warm" in err
+        assert "--pg-max-iter does not apply to --solver hones" in err
+        assert (tmp_path / "synthetic-pg-warm-n8-s3-seed1.csv").exists()
+        assert (tmp_path / "synthetic-hones-n8-s3-seed4.csv").exists()
+        assert not list(tmp_path.glob("*-seed2.*")) and not list(tmp_path.glob("*-seed3.*"))
+
+    def test_pg_max_iter_defaults_to_20000_for_pg_warm(self, monkeypatch, tmp_path):
+        caps, solve = [], cli.pg_warmstart_solve
+
+        def recording(problem, x0, tol, max_iter):
+            caps.append(max_iter)
+            return solve(problem, x0, tol=tol, max_iter=max_iter)
+
+        monkeypatch.setattr(cli, "pg_warmstart_solve", recording)
+        argv = ["run-synthetic", "--n", "8", "--steps", "3", "--solver", "pg-warm", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert caps == [20000] * 3
 
 
 class TestOracleTwin:

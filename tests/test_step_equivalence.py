@@ -4,9 +4,11 @@ Each helper on the step path was rewritten to make fewer interpreter calls.
 The `ref_*` functions below are the earlier implementations, kept here only
 as references: every case asserts identical outputs, arrays equal byte for
 byte (layout included, since later BLAS products depend on it) and scalars
-equal bit for bit, indices equal.  One reference is not bit for bit: the
-matrix leg that moved Par1 and its cache to A + lam g g' at every advance
-(`ref_run_lambda_leg`).  The leg that keeps the lam = 0 frame rounds
+equal bit for bit, indices equal.  The vector leg's cache, now the matrix
+leg's derivation for u = -l, may differ from its reference in the sign of
+an exactly-zero entry alone (see TestDirectUpdates).  One reference is not
+bit for bit: the matrix leg that moved Par1 and its cache to A + lam g g' at
+every advance (`ref_run_lambda_leg`).  The leg that keeps the lam = 0 frame rounds
 differently, so it is held to the same turning points and to x within 1e-9
 on seeded streams of every flow.
 """
@@ -24,8 +26,10 @@ from hones.kkt import ZETA_SCALE, Diagonal, Problem, Quadruple, Support, kkt_res
 from hones.path_matrix import (
     DBL_MAX,
     PathEvent,
+    _expand_geometry,
     _first_zero,
     _pivot,
+    _shrink_geometry,
     _tiny,
     find_lambda,
     shrink_support_lambda,
@@ -161,6 +165,30 @@ def ref_direct_update_par3(support, par1, l, counter=None):
     if counter is not None:
         counter.total += support.n * idx.size
     return xi, d_l
+
+
+def ref_eta_tilde(support, M):
+    """Par1's eta_tilde = M 1 plus 1 off S, and D = its support sum, as par1_from_matrix built them by hand."""
+    idx = support.idx
+    eta_tilde = M @ np.ones(idx.size)
+    comp = support.complement()
+    if comp.size:
+        eta_tilde[comp] += 1.0
+    return eta_tilde, float(np.sum(eta_tilde[idx]))
+
+
+def ref_pivot_caches(par1, par2, j, vec, inv):
+    """Par1's (eta_tilde, D) and the leg cache's (eta, D_g) after a block pivot, as _pivot and Par2.pivot wrote them."""
+    teta_j = float(par1.eta_tilde[j])
+    d = par1.D + teta_j * teta_j * inv
+    eta, eta_j = par2.eta.copy(), float(par2.eta[j])
+    d_g = par2.D_g + eta_j * teta_j * inv
+    eta[j] = 0.0
+    eta += (eta_j * inv) * vec
+    eta_tilde = par1.eta_tilde.copy()
+    eta_tilde[j] = 0.0
+    eta_tilde += (teta_j * inv) * vec
+    return eta_tilde, d, eta, d_g
 
 
 def ref_utilde_direction(par1, xi, d_l):
@@ -342,6 +370,13 @@ def with_subnormals(rng, x, share=0.1):
     hit = rng.random(x.shape) < share
     x[hit] = rng.choice([-1.0, 1.0], hit.sum()) * rng.integers(1, 2**52, hit.sum()) * 5e-324
     return x
+
+
+def same_but_zero_sign(got, want):
+    """Equal values, and equal bits wherever the value is not zero."""
+    assert got.shape == want.shape and np.array_equal(got, want)
+    nonzero = want != 0.0
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
 
 
 def same_array(a, b):
@@ -626,9 +661,14 @@ def random_par1(rng, n, k):
 class TestDirectUpdates:
     def test_seeded_sweep(self):
         rng = np.random.default_rng(7)
+        zeros = np.random.default_rng(8)  # the zero-drift draws, apart so rng's draws stay as they were
+        zero_entries = 0
         for _ in range(300):
             n = int(rng.integers(1, 20))
             p, s, par1 = random_par1(rng, n, int(rng.integers(1, n + 1)))
+            eta_tilde, d = ref_eta_tilde(s, par1.M)
+            same_array(par1.eta_tilde, eta_tilde)
+            assert bits(par1.D) == bits(d)
             g = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 4)
             g[rng.random(n) < 0.2] = 0.0
             l = rng.standard_normal(n)
@@ -663,6 +703,23 @@ class TestDirectUpdates:
             assert bits(got_q) == bits(want_q)
             same_array(got_d, want_d)
             assert c_new.total == c_ref.total
+            # A drift with exact zeros.  Where an entry of the cache sums to
+            # exactly zero, M (-l_S) gives +0.0 and the reference's -(M l_S)
+            # gives -0.0, so those entries, and a zero sum or direction
+            # derived from them, are compared by value; every other entry by
+            # its bits.
+            l0 = np.where(zeros.random(n) < 0.3, 0.0, l)
+            par3 = direct_update_par3(s, par1, l0, c_new)
+            xi, d_l = ref_direct_update_par3(s, par1, l0, c_ref)
+            same_but_zero_sign(par3.eta, xi)
+            same_but_zero_sign(np.array([par3.D_g]), np.array([d_l]))
+            got_q, got_d = find_utilde_lambda(s, q, par1, par3)[2]
+            want_q, want_d = ref_utilde_direction(par1, xi, d_l)
+            same_but_zero_sign(np.array([got_q]), np.array([want_q]))
+            same_but_zero_sign(got_d, want_d)
+            assert c_new.total == c_ref.total
+            zero_entries += int(np.count_nonzero(xi == 0.0))
+        assert zero_entries > 0
 
 
 class TestMatrixLegFrame:
@@ -696,6 +753,37 @@ class TestMatrixLegFrame:
 
 
 # -- support toggles -----------------------------------------------------------
+
+
+class TestPivotCarry:
+    def test_seeded_sweep(self):
+        # One carry rule takes Par1's (eta_tilde, D) and the leg cache
+        # through each pivot, with the bits of the two hand-written ones.
+        rng = np.random.default_rng(23)
+        kinds = {"enter": 0, "leave": 0}
+        for _ in range(300):
+            n = int(rng.integers(2, 16))
+            p, s, par1 = random_par1(rng, n, int(rng.integers(1, n + 1)))
+            u = with_signed_zeros(rng, rng.standard_normal(n) * 10.0 ** rng.integers(-4, 4))
+            par2 = direct_update_par2(s, par1, u)
+            j = int(rng.integers(n))
+            if s.mask[j]:
+                if s.size == 1:
+                    continue
+                mjj, vec, new = _shrink_geometry(s, j, par1)
+                inv = -(1.0 / mjj)
+                kinds["leave"] += 1
+            else:
+                ajj, vec, new = _expand_geometry(s, j, p.A, par1)
+                inv = 1.0 / ajj
+                kinds["enter"] += 1
+            eta_tilde, d, eta, d_g = ref_pivot_caches(par1, par2, j, vec, inv)
+            _pivot(s, new, j, vec, inv, par1, par2, None)
+            same_array(par1.eta_tilde, eta_tilde)
+            same_array(par2.eta, eta)
+            assert bits(par1.D) == bits(d) and bits(par2.D_g) == bits(d_g)
+        assert min(kinds.values()) > 50, kinds
+
 
 
 def same_support(a, b):
