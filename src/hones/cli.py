@@ -43,7 +43,6 @@ from .driver import (
     count_ops,
     init_session,
     run_sequence,
-    run_summary,
     step,
 )
 from .errors import HonesError
@@ -172,18 +171,11 @@ def _flow_and_feedback(kind, args, feedback_box):
     return flow_for_config(cfg, prices=prices, x_feedback=lambda: feedback_box["x"])
 
 
-def _write_outputs(out_dir, name, rows, summary):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{name}.csv"
-    with open(csv_path, "w", newline="") as fh:
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(header)
         writer.writerows(rows)
-    json_path = out_dir / f"{name}.json"
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, json_path
 
 
 @dataclasses.dataclass(slots=True)
@@ -256,12 +248,9 @@ def run_scenario(kind, args):
                 rep = dataclasses.replace(rep, wall_ns=wall, a_update_ns=a_ns)
         reports.append(rep)
 
+    summary = aggregate_reports(reports, epoch=args.epoch)
     if pg:
-        columns = ([r.support_size for r in reports], [r.wall_ns for r in reports], [r.a_update_ns for r in reports])
-        summary = run_summary(*columns, args.epoch)
         summary.update(iterations_total=sum(r.iterations for r in reports), unconverged_steps=unconverged)
-    else:
-        summary = aggregate_reports(reports, epoch=args.epoch)
     if deviations:
         summary["x_agreement_max"] = max(d for _, d in deviations)
     summary["schema_version"] = SCHEMA_VERSION
@@ -279,13 +268,13 @@ def run_scenario(kind, args):
     if args.solver == "hones":
         summary["mult_bound_violations"] = count_ops(reports, args.n)
 
-    csv_path, json_path = _write_outputs(args.out_dir, name, [_report_row(rep) for rep in reports], summary)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path, json_path = args.out_dir / f"{name}.csv", args.out_dir / f"{name}.json"
+    _write_csv(csv_path, CSV_COLUMNS, map(_report_row, reports))
+    json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if deviations:
         dev_path = args.out_dir / f"{name}-agreement.csv"
-        with open(dev_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "max_abs_deviation"])
-            writer.writerows([(t, repr(d)) for t, d in deviations])
+        _write_csv(dev_path, ["t", "max_abs_deviation"], [(t, repr(d)) for t, d in deviations])
         print(f"agreement: max deviation {summary['x_agreement_max']:.3e} -> {dev_path}")
     print(f"wrote {csv_path} and {json_path}")
 

@@ -231,15 +231,16 @@ class LiveRows:
         """The lazy store over `a0` and the g's in `log` whose touched rows went live at log sizes `born`.
 
         `born` has one entry per touched row, in increasing index order.
-        Each row goes live through the catch-up, in born order, with the log
-        cut to its first born g's, and is left stale at that stamp; the
-        first read replays the rest, so the store continues bit for bit like
-        the one whose born entries these are.
+        Each row goes live through the catch-up, in index order, with the
+        log cut to its first born g's, and is left stale at that stamp; the
+        first read replays the rest.  A row's bits depend on its own born
+        entry alone, and its slot reaches no read and no saved byte, so the
+        store continues bit for bit like the one whose born entries these
+        are.
         """
         live = np.flatnonzero(touched)
         store = cls(np.empty((live.size, touched.size)), np.zeros_like(touched), a0, log)
-        order = np.argsort(born, kind="stable")
-        for j, k in zip(live[order].tolist(), born[order].tolist()):
+        for j, k in zip(live.tolist(), born.tolist()):
             store.log_size = k
             _catch_up_column(store, j)
         store.log_size = log.shape[0]
@@ -764,36 +765,13 @@ def count_ops(reports, n):
     return sum(r.mult_count > complexity_bound(n, r) for r in reports)
 
 
-def run_summary(sizes, wall_ns, a_update_ns, epoch):
-    """Step count, support-size statistics and seconds (total and per epoch) of any run.
+def aggregate_reports(reports, epoch=250):
+    """The one summary of any StepReport list: support size, excess turning points, residual, tallies and time.
 
     Per step, wall_ns is the whole step and a_update_ns its matrix update;
-    the solve, wall_opt, is their difference.
+    the solve, wall_opt, is their difference.  Seconds are summed over the
+    run and over each epoch of `epoch` steps.
     """
-    sizes = np.asarray(sizes, dtype=float)
-    wall = np.asarray(wall_ns, dtype=float)
-    opt = wall - np.asarray(a_update_ns, dtype=float)
-    return {
-        "steps": len(sizes),
-        "support": {
-            "mean": float(sizes.mean()),
-            "std": float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0,
-            "max": int(sizes.max()),
-            "min": int(sizes.min()),
-        },
-        "wall_s": float(wall.sum() / 1e9),
-        "epoch_wall_s": _epoch_seconds(wall, epoch),
-        "wall_opt_s": float(opt.sum() / 1e9),
-        "epoch_wall_opt_s": _epoch_seconds(opt, epoch),
-    }
-
-
-def _epoch_seconds(ns, epoch):
-    return [float(ns[i : i + epoch].sum() / 1e9) for i in range(0, ns.size, epoch)]
-
-
-def aggregate_reports(reports, epoch=250):
-    """Summary statistics covering support size, excess turning points and time."""
     if not reports:
         return {
             "steps": 0,
@@ -802,19 +780,30 @@ def aggregate_reports(reports, epoch=250):
             "epoch_wall_s": [],
             "epoch_wall_opt_s": [],
         }
+    sizes = np.array([r.support_size for r in reports], dtype=float)
     e = np.array([r.e_t for r in reports], dtype=float)
-    summary = run_summary(
-        [r.support_size for r in reports], [r.wall_ns for r in reports], [r.a_update_ns for r in reports], epoch
-    )
-    summary.update(
-        excess_turning_points={
+    wall = np.array([r.wall_ns for r in reports], dtype=float)
+    opt = wall - np.array([r.a_update_ns for r in reports], dtype=float)
+    epochs = range(0, len(reports), epoch)
+    return {
+        "steps": len(reports),
+        "support": {
+            "mean": float(sizes.mean()),
+            "std": float(sizes.std(ddof=1)) if len(reports) > 1 else 0.0,
+            "max": int(sizes.max()),
+            "min": int(sizes.min()),
+        },
+        "excess_turning_points": {
             "proportion_zero": float(np.mean(e == 0)),
             "q99": float(np.quantile(e, 0.99)),
             "q999": float(np.quantile(e, 0.999)),
             "max": int(e.max()),
         },
-        kkt_residual_max=float(max(r.kkt_residual for r in reports)),
-        mult_total=int(sum(r.mult_count for r in reports)),
-        rebuilds=int(sum(r.rebuilds for r in reports)),
-    )
-    return summary
+        "kkt_residual_max": float(max(r.kkt_residual for r in reports)),
+        "mult_total": int(sum(r.mult_count for r in reports)),
+        "rebuilds": int(sum(r.rebuilds for r in reports)),
+        "wall_s": float(wall.sum() / 1e9),
+        "epoch_wall_s": [float(wall[i : i + epoch].sum() / 1e9) for i in epochs],
+        "wall_opt_s": float(opt.sum() / 1e9),
+        "epoch_wall_opt_s": [float(opt[i : i + epoch].sum() / 1e9) for i in epochs],
+    }

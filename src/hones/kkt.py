@@ -236,17 +236,19 @@ def check_block(ass, support, cond_cap):
     The one rule for every A_SS: at init, in the oracle and in each rebuild.
     The estimate is always computed, so an infinite cap still pays for it.
     """
+    # Up to 64 rows the estimate is exact: lambda_max / lambda_min, which for
+    # a positive definite block is the 2-norm condition number an SVD gives,
+    # and the block is positive definite iff lambda_min > 0.  Above, a failed
+    # Cholesky factorization refuses it, and the square of its diagonal's
+    # spread is a lower bound, so the cap only fires on definite trouble.
+    small = ass.shape[0] <= 64
     try:
-        chol = np.linalg.cholesky(ass)
+        d = np.linalg.eigvalsh(ass) if small else np.diag(np.linalg.cholesky(ass))
     except np.linalg.LinAlgError:
-        raise SingularSubmatrix(f"A_SS not positive definite for S={list(support.idx)}") from None
-    # Exact for small blocks; Cholesky-diagonal lower bound otherwise.  The
-    # proxy under-reports, so the cap only fires on definite trouble.
-    if ass.shape[0] <= 64:
-        kappa = float(np.linalg.cond(ass))
-    else:
-        d = np.diag(chol)
-        kappa = float((d.max() / d.min()) ** 2)
+        d = None
+    if d is None or not d[0] > 0.0:
+        raise SingularSubmatrix(f"A_SS not positive definite for S={list(support.idx)}")
+    kappa = float(d[-1] / d[0] if small else (d.max() / d.min()) ** 2)
     if kappa > cond_cap:
         raise SingularSubmatrix(f"condition estimate above cap {cond_cap:g}")
 

@@ -104,20 +104,19 @@ def _first_zero(support, v, dvec, w1, exclude, counter):
     r[near] = 0.0
     for i in skip:
         r[i] = 0.0
-    # A candidate moves toward zero: its ratio has the sign of w1.  An
-    # infinite one equals the fill, and a NaN fails both comparisons.
+    # A candidate moves toward zero: its ratio has the sign of w1.  Negating
+    # r when w1 > 0 is exact, so a candidate is always r > 0 and the first
+    # smallest wins; an infinite one equals the fill, and a NaN fails the
+    # comparison.  Negation and division are symmetric in sign, so a / |w1|
+    # has the bits of -r_j / w1.
     if w1 > 0.0:
-        fill = -np.inf
-        r[~(r < 0.0)] = fill
-        j = int(r.argmax())
-    else:
-        fill = np.inf
-        r[~(r > 0.0)] = fill
-        j = int(r.argmin())
+        np.negative(r, out=r)
+    r[~(r > 0.0)] = np.inf
+    j = int(r.argmin())
     a = float(r[j])
-    if a == fill:
+    if a == np.inf:
         return np.inf, None
-    return -a / w1, j
+    return a / abs(w1), j
 
 
 def find_lambda(support, quadruple, par1, par2, g, lam, exclude=None, counter=None):
@@ -243,7 +242,7 @@ def _shrink_geometry(support, j, par1):
     with EmptySupport for any j, and a j off the support with ValueError.
     """
     new_support = support.with_removed(j)
-    beta = par1.col(j, support)
+    beta = par1.M[:, support.idx.searchsorted(j)].copy()
     mjj = float(beta[j])
     if mjj <= _tiny(1.0):
         raise DegeneratePivot(f"pivot {mjj} removing index {j}")

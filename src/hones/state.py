@@ -77,10 +77,6 @@ class Par1:
 
     # -- reads and updates used by the path legs ----------------------------
 
-    def col(self, j, support):
-        """Column j of M (j must be in the support) as a full-length vector."""
-        return self.M[:, support.idx.searchsorted(j)].copy()
-
     def rank1(self, u, coef_s):
         """M += outer(u, coef_s) in place, the product by one dgemm (see `outer`)."""
         self.M += outer(u, coef_s)

@@ -257,6 +257,20 @@ class TestPgWarm:
         # that is reported, not fatal, and must stay the exception
         assert summary["unconverged_steps"] <= 2
 
+    def test_summary_has_every_key_of_a_hones_run(self, tmp_path):
+        argv = ["run-synthetic", "--n", "12", "--steps", "20", "--seed", "4", "--out-dir", str(tmp_path)]
+        for solver in ("hones", "pg-warm"):
+            assert cli.main(argv + ["--solver", solver]) == 0
+        hones, pg = (
+            json.loads((tmp_path / f"synthetic-{solver}-n12-s20-seed4.json").read_text())
+            for solver in ("hones", "pg-warm")
+        )
+        assert set(pg) == set(hones) - {"mult_bound_violations"} | {"iterations_total", "unconverged_steps"}
+        rows = read_csv(tmp_path / "synthetic-pg-warm-n12-s20-seed4.csv")
+        col = rows[0].index("kkt_residual")
+        assert pg["kkt_residual_max"] == max(float(row[col]) for row in rows[1:])
+        assert (pg["mult_total"], pg["rebuilds"], pg["excess_turning_points"]["max"]) == (0, 0, 0)
+
 
 class TestPriceFlows:
     def test_run_ons_with_generated_prices(self, tmp_path):

@@ -4,11 +4,15 @@ Usage, from the root of a checkout:
 
   python3 tools/probe_diff.py BASE_DIR [--head HEAD_DIR] [--seeds 1 2 3]
 
-For every workload and seed it compares these things between the trees, each
-computed in a fresh process per tree:
+For every workload and seed it compares these things between the trees, all
+computed in one fresh process per tree:
 
-  - the `perfbench/run.py --probe` fingerprint of stream 0 (turning-point
-    counts, multiplication tally, rebuilds, support sizes, final iterate);
+  - the fingerprint `perfbench/run.py --probe` prints for stream 0
+    (`streams.fingerprint`: turning-point counts, multiplication tally,
+    rebuilds, support sizes, final iterate), taken from the first of the
+    two streams below, which is stream 0 (`stream_seeds(seed, 2)[0] ==
+    stream_seeds(seed, 1)[0]`), run as the first in its process as the
+    probe runs it;
   - a digest of every step of the two streams `stream_seeds(seed, 2)`: all
     `StepReport` fields except the timings (`wall_ns`, `a_update_ns`) and
     the multiplication tally (`mult_count`), so residuals, refreshes and
@@ -71,11 +75,6 @@ def run_child(cmd):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def probe(root, workload, seed):
-    cmd = [sys.executable, str(Path(root) / "perfbench" / "run.py"), "--probe"]
-    return run_child(cmd + ["--workload", workload, "--seed", str(seed)])
-
-
 def digest(root, workload, seed):
     return run_child([sys.executable, __file__, "--digest-of", str(root), workload, str(seed)])
 
@@ -102,7 +101,7 @@ def _feed(h, value):
 
 
 def report_digest(root, workload, seed):
-    """The report and tally digests of the two streams of `seed`, from the tree at `root`."""
+    """Stream 0's fingerprint and the report and tally digests of the two streams of `seed`, from the tree at `root`."""
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import streams
@@ -121,11 +120,13 @@ def report_digest(root, workload, seed):
     mult_total = event_total = 0
     repairs = dict.fromkeys(REPAIRS, 0)
     repairs[DRIFT] = 0.0
+    fingerprints = []
     with tempfile.TemporaryDirectory() as tmp:
         for s in streams.stream_seeds(seed, 2):
             reports.clear()
             res = streams.run_stream(wl, s)
             ses = res.session
+            fingerprints.append(streams.fingerprint(ses))
             _feed(h_rep, [res.error, reports, ses.quadruple.v, ses.quadruple.mu0, ses.par1.M])
             mults = [r.mult_count for r in reports]
             _feed(h_mult, mults)
@@ -148,6 +149,7 @@ def report_digest(root, workload, seed):
             state = [A[live], A.touched, A.g_log, a0, twin.c, twin.c_shift, q.support.idx, q.v, q.mu0]
             _feed(h_load, state + [par1.M, par1.eta_tilde, par1.D, twin.t, twin.config.tol])
     return {
+        "fingerprint": fingerprints[0],
         "report digest": {"reports": h_rep.hexdigest()[:16]},
         "mult_count sequence": {"mult_count": h_mult.hexdigest()[:16], "mult_total": mult_total},
         "events": {"events": h_ev.hexdigest()[:16], "event_total": event_total},
@@ -175,7 +177,6 @@ def main(argv=None):
         totals = [{**dict.fromkeys(REPAIRS, 0), DRIFT: 0.0} for _ in range(2)]
         for seed in args.seeds:
             try:
-                fps = probe(args.base, workload, seed), probe(args.head, workload, seed)
                 digs = digest(args.base, workload, seed), digest(args.head, workload, seed)
             except RuntimeError as err:
                 print(f"::error::{err}")
@@ -186,8 +187,8 @@ def main(argv=None):
                 for key in REPAIRS:
                     total[key] += counts[key]
                 total[DRIFT] = max(total[DRIFT], counts[DRIFT])
-            pairs = {"fingerprint": fps, **{name: (digs[0][name], digs[1][name]) for name in digs[0]}}
-            for name, (base, head) in pairs.items():
+            for name in names:
+                base, head = digs[0][name], digs[1][name]
                 diff = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
                 for key in diff:
                     print(f"::warning::{where}: {name} {key} moved {base.get(key)} -> {head.get(key)}")
